@@ -47,7 +47,7 @@ FBM_BENCH(aggregate_merge) {
     std::vector<api::AnalysisReport> reports;
     pipeline.set_report_sink(
         [&](api::AnalysisReport&& r) { reports.push_back(std::move(r)); });
-    for (const auto& p : packets) pipeline.push(p);
+    bench::push_packets(pipeline, packets);
     pipeline.finish();
     reference = api::to_json(pipeline.summary(), reports);
   }
@@ -68,11 +68,14 @@ FBM_BENCH(aggregate_merge) {
                                           std::move(iv.flows),
                                           std::move(iv.bins)});
       });
+      std::vector<net::PacketRecord> shard;
       for (const auto& p : packets) {
-        if (api::flow_shard_of(p, analysis.flow_definition(), kShards) == i) {
-          pipeline.push(p);
+        if (api::flow_shard_of(p.tuple, analysis.flow_definition(),
+                               kShards) == i) {
+          shard.push_back(p);
         }
       }
+      bench::push_packets(pipeline, shard);
       pipeline.finish();
       writer.finish({pipeline.summary(), {}});
     }

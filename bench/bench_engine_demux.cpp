@@ -10,10 +10,8 @@
 // links every packet still feeds exactly one session, so the work per
 // packet is one LPM lookup + one classify; the 4- and 16-link rows document
 // how the scan over attached links scales.
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -114,14 +112,9 @@ FBM_BENCH(engine_demux) {
         (void)eng.attach(std::move(spec));
       }
     }
-    // Chunk the trace through the batched demux path, as consume() would.
-    net::PacketBatch batch;
-    const std::size_t cap = config.batch_packets;
-    for (std::size_t i = 0; i < packets.size(); i += cap) {
-      batch.assign(std::span(packets).subspan(
-          i, std::min(cap, packets.size() - i)));
-      eng.push_batch(batch);
-    }
+    // Chunk the trace through the batched demux path in the 512-packet
+    // batches Engine::consume() reads.
+    bench::push_packets(eng, packets, 512);
     eng.finish();
     const double pps =
         static_cast<double>(packets.size()) / seconds_since(t1);

@@ -75,7 +75,7 @@ FBM_BENCH(live_monitor) {
 
     const auto t1 = Clock::now();
     live::WindowedEstimator estimator(config);
-    for (const auto& p : packets) estimator.push(p);
+    bench::push_packets(estimator, packets);
     estimator.finish();
     const double elapsed = seconds_since(t1);
     const auto& c = estimator.counters();

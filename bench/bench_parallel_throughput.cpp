@@ -87,7 +87,7 @@ FBM_BENCH(parallel_throughput) {
     // honest baseline for the hand-off + merge overhead.
     const auto t1 = Clock::now();
     api::ParallelAnalysisPipeline pipeline(config);
-    for (const auto& p : packets) pipeline.push(p);
+    bench::push_packets(pipeline, packets);
     pipeline.finish();
     const auto reports = pipeline.take_reports();
     const double elapsed = seconds_since(t1);

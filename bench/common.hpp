@@ -20,9 +20,11 @@
 // config, git sha.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -31,6 +33,7 @@
 #include "flow/interval.hpp"
 #include "measure/rate_meter.hpp"
 #include "net/packet.hpp"
+#include "net/packet_batch.hpp"
 #include "perf/bench_report.hpp"
 #include "perf/counters.hpp"
 #include "perf/stopwatch.hpp"
@@ -49,6 +52,20 @@ namespace fbm::bench {
 /// deterministic — so bench numbers stay reproducible while the
 /// classification work spreads over cores.
 [[nodiscard]] std::size_t bench_threads();
+
+/// Feeds `packets` to `stage.push_batch` in chunks of `batch_packets`
+/// (AoS -> SoA per chunk) — the one way every analysis stage ingests. The
+/// caller still calls finish().
+template <typename Stage>
+void push_packets(Stage& stage, std::span<const net::PacketRecord> packets,
+                  std::size_t batch_packets = 1024) {
+  net::PacketBatch batch;
+  for (std::size_t i = 0; i < packets.size(); i += batch_packets) {
+    batch.assign(
+        packets.subspan(i, std::min(batch_packets, packets.size() - i)));
+    stage.push_batch(batch);
+  }
+}
 
 /// One analysis interval, fully measured, for one flow definition.
 struct IntervalResult {

@@ -39,8 +39,8 @@ int main() {
   config.window_s = iota;
   config.analysis.timeout_s(10.0);
   live::WindowedEstimator monitor(config);
-  for (const auto& p : packets) monitor.push(p);
-  monitor.finish();
+  api::VectorTraceSource source(packets);
+  monitor.consume(source);
   const auto reports = monitor.take_reports();
 
   std::printf("live rolling forecast (iota = %.0f s windows):\n", iota);

@@ -186,70 +186,20 @@ void ParallelAnalysisPipeline::rethrow_worker_error() {
   }
 }
 
-void ParallelAnalysisPipeline::push(const net::PacketRecord& packet) {
-  if (finished_) {
-    throw std::logic_error("ParallelAnalysisPipeline: push after finish");
-  }
-  if (packet.timestamp < last_ts_) {
-    throw std::invalid_argument(
-        "ParallelAnalysisPipeline: out-of-order packet");
-  }
-  last_ts_ = packet.timestamp;
-
-  if (summary_.packets == 0) {
-    summary_.first_ts = packet.timestamp;
-    next_sweep_ = packet.timestamp + config_.expire_every_s();
-  }
-  ++summary_.packets;
-  summary_.total_bytes += packet.size_bytes;
-  summary_.last_ts = packet.timestamp;
-
-  max_index_ = std::max(
-      max_index_, interval_index_of(packet.timestamp, config_.interval_s()));
-
-  const std::size_t s = flow_shard_of(packet, config_.flow_definition(),
-                                      workers_.size());
-  pending_[s].push_back(packet);
-  if (pending_[s].size() >= config_.batch_packets()) flush_pending(s);
-
-  if (packet.timestamp >= next_sweep_) {
-    broadcast_sweep(packet.timestamp);
-    while (next_sweep_ <= packet.timestamp) {
-      next_sweep_ += config_.expire_every_s();
-    }
-    rethrow_worker_error();
-    try_merge();
-  }
-}
-
 void ParallelAnalysisPipeline::push_batch(const net::PacketBatch& batch) {
   if (batch.empty()) return;
   if (finished_) {
     throw std::logic_error("ParallelAnalysisPipeline: push after finish");
   }
+  net::check_order(batch.timestamps, last_ts_, "ParallelAnalysisPipeline");
   const std::size_t n = batch.size();
   const double* ts = batch.timestamps.data();
-  if (ts[0] < last_ts_) {
-    throw std::invalid_argument(
-        "ParallelAnalysisPipeline: out-of-order packet");
-  }
-  for (std::size_t i = 1; i < n; ++i) {
-    if (ts[i] < ts[i - 1]) {
-      throw std::invalid_argument(
-          "ParallelAnalysisPipeline: out-of-order packet");
-    }
-  }
 
   if (summary_.packets == 0) {
-    summary_.first_ts = ts[0];
     next_sweep_ = ts[0] + config_.expire_every_s();
   }
-  summary_.packets += n;
-  std::uint64_t bytes = 0;
-  for (std::size_t i = 0; i < n; ++i) bytes += batch.sizes[i];
-  summary_.total_bytes += bytes;
+  summary_.add(batch);
   const double last_ts = ts[n - 1];
-  summary_.last_ts = last_ts;
   last_ts_ = last_ts;
 
   max_index_ =
@@ -372,24 +322,8 @@ void ParallelAnalysisPipeline::finish() {
 }
 
 void ParallelAnalysisPipeline::consume(TraceSource& source) {
-  net::PacketBatch batch;
-  const std::size_t cap = config_.batch_packets();
-  batch.reserve(cap);
-  obs::Histogram& read_seconds =
-      obs::stage_seconds(obs::kStageSourceRead);
-  for (;;) {
-    std::size_t n;
-    {
-      obs::StageSpan span(read_seconds);
-      n = source.next_batch(batch, cap);
-    }
-    if (n == 0) break;
-    if (obs::enabled()) {
-      obs::source_packets().add(n);
-      obs::source_batches().add(1);
-    }
-    push_batch(batch);
-  }
+  (void)read_batches(source, config_.batch_packets(),
+                     [this](const net::PacketBatch& b) { push_batch(b); });
   finish();
 }
 

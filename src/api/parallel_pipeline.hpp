@@ -36,10 +36,11 @@
 
 namespace fbm::api {
 
-/// Sharded pipeline: push packets (timestamp order) from one thread, poll
-/// reports from the same thread. config.threads() selects the shard count
-/// (>= 1); config.batch_packets() the hand-off granularity. The public
-/// surface mirrors AnalysisPipeline so call sites can switch with one line.
+/// Sharded pipeline: push packet batches (timestamp order) from one thread,
+/// poll reports from the same thread. config.threads() selects the shard
+/// count (>= 1); config.batch_packets() the hand-off granularity. The public
+/// surface — push_batch, finish, consume, the sinks and the report queue —
+/// is AnalysisPipeline's, so call sites can switch with one line.
 class ParallelAnalysisPipeline {
  public:
   /// Throws std::invalid_argument on bad parameters (same rules as
@@ -51,24 +52,22 @@ class ParallelAnalysisPipeline {
   ParallelAnalysisPipeline& operator=(const ParallelAnalysisPipeline&) =
       delete;
 
-  /// Feed the next packet; timestamps must be non-decreasing (throws
-  /// std::invalid_argument otherwise).
-  void push(const net::PacketRecord& packet);
-
-  /// Feed a whole batch; reports are bit-for-bit identical to push() per
-  /// packet at every batch size (routing, sharding and merge are unchanged —
-  /// only per-packet overheads are hoisted).
+  /// Feed the next batch; same ordering contract as
+  /// AnalysisPipeline::push_batch, checked on the caller's thread before
+  /// anything is routed. Reports are bit-for-bit identical to the serial
+  /// pipeline's at every batch size and thread count.
   void push_batch(const net::PacketBatch& batch);
 
   /// End of stream: flush every shard, join the workers, merge everything.
-  /// push() must not be called afterwards. Rethrows any worker failure.
+  /// push_batch() must not be called afterwards. Rethrows any worker
+  /// failure.
   void finish();
 
   /// Convenience: drain an entire source through the pipeline and finish.
   void consume(TraceSource& source);
 
   /// Merged reports ready so far, oldest interval first. Merging lags the
-  /// workers slightly, so a report may become visible a few pushes after
+  /// workers slightly, so a report may become visible a few batches after
   /// the serial pipeline would have emitted it — the sequence is identical.
   [[nodiscard]] bool has_report() const { return !ready_.empty(); }
   [[nodiscard]] AnalysisReport pop_report();

@@ -28,44 +28,19 @@ AnalysisPipeline::AnalysisPipeline(AnalysisPipeline&&) noexcept = default;
 AnalysisPipeline& AnalysisPipeline::operator=(AnalysisPipeline&&) noexcept =
     default;
 
-void AnalysisPipeline::push(const net::PacketRecord& packet) {
-  if (finished_) {
-    throw std::logic_error("AnalysisPipeline: push after finish");
-  }
-  shard_->add(packet);  // validates timestamp ordering, classifies, bins
-
-  if (summary_.packets == 0) {
-    summary_.first_ts = packet.timestamp;
-    next_sweep_ = packet.timestamp + config_.expire_every_s();
-  }
-  ++summary_.packets;
-  summary_.total_bytes += packet.size_bytes;
-  summary_.last_ts = packet.timestamp;
-
-  max_index_ = std::max(
-      max_index_, interval_index_of(packet.timestamp, config_.interval_s()));
-
-  if (packet.timestamp >= next_sweep_) sweep(packet.timestamp);
-}
-
 void AnalysisPipeline::push_batch(const net::PacketBatch& batch) {
   if (batch.empty()) return;
   if (finished_) {
     throw std::logic_error("AnalysisPipeline: push after finish");
   }
-  shard_->add_batch(batch);  // validates timestamp ordering, classifies, bins
+  // The shard's classifier runs the ingest check before anything changes.
+  shard_->add_batch(batch);
 
   if (summary_.packets == 0) {
-    summary_.first_ts = batch.timestamps.front();
     next_sweep_ = batch.timestamps.front() + config_.expire_every_s();
   }
-  const std::size_t n = batch.size();
-  summary_.packets += n;
-  std::uint64_t bytes = 0;
-  for (std::size_t i = 0; i < n; ++i) bytes += batch.sizes[i];
-  summary_.total_bytes += bytes;
+  summary_.add(batch);
   const double last_ts = batch.timestamps.back();
-  summary_.last_ts = last_ts;
 
   // Timestamps are non-decreasing, so the batch's max interval index is the
   // last packet's.
@@ -125,24 +100,8 @@ void AnalysisPipeline::finish() {
 }
 
 void AnalysisPipeline::consume(TraceSource& source) {
-  net::PacketBatch batch;
-  const std::size_t cap = config_.batch_packets();
-  batch.reserve(cap);
-  obs::Histogram& read_seconds =
-      obs::stage_seconds(obs::kStageSourceRead);
-  for (;;) {
-    std::size_t n;
-    {
-      obs::StageSpan span(read_seconds);
-      n = source.next_batch(batch, cap);
-    }
-    if (n == 0) break;
-    if (obs::enabled()) {
-      obs::source_packets().add(n);
-      obs::source_batches().add(1);
-    }
-    push_batch(batch);
-  }
+  (void)read_batches(source, config_.batch_packets(),
+                     [this](const net::PacketBatch& b) { push_batch(b); });
   finish();
 }
 
@@ -193,25 +152,23 @@ std::vector<AnalysisReport> analyze(TraceSource& source,
 std::vector<AnalysisReport> analyze(std::span<const net::PacketRecord> packets,
                                     const AnalysisConfig& config) {
   // Chunk the span through the batched path (AoS -> SoA transpose per
-  // chunk); results are identical to pushing packet by packet.
-  net::PacketBatch batch;
-  const std::size_t cap = std::max<std::size_t>(1, config.batch_packets());
-  if (config.threads() != 1) {
-    ParallelAnalysisPipeline pipeline(config);
+  // chunk); results are identical at every chunk size.
+  const auto run = [&](auto& pipeline) {
+    net::PacketBatch batch;
+    const std::size_t cap = std::max<std::size_t>(1, config.batch_packets());
     for (std::size_t i = 0; i < packets.size(); i += cap) {
       batch.assign(packets.subspan(i, std::min(cap, packets.size() - i)));
       pipeline.push_batch(batch);
     }
     pipeline.finish();
     return pipeline.take_reports();
+  };
+  if (config.threads() != 1) {
+    ParallelAnalysisPipeline pipeline(config);
+    return run(pipeline);
   }
   AnalysisPipeline pipeline(config);
-  for (std::size_t i = 0; i < packets.size(); i += cap) {
-    batch.assign(packets.subspan(i, std::min(cap, packets.size() - i)));
-    pipeline.push_batch(batch);
-  }
-  pipeline.finish();
-  return pipeline.take_reports();
+  return run(pipeline);
 }
 
 }  // namespace fbm::api

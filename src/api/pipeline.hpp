@@ -1,7 +1,7 @@
 // Single-pass streaming analysis (fbm::api, stage 2).
 //
-// AnalysisPipeline pushes each packet through flow classification, rate
-// measurement, and analysis-interval bookkeeping concurrently, in one pass.
+// AnalysisPipeline pushes each packet batch through flow classification,
+// rate measurement, and analysis-interval bookkeeping, in one pass.
 // An interval is closed — its flows sorted, model inputs estimated, shot
 // power fitted, capacity planned — as soon as the stream's clock passes its
 // end by more than the flow timeout, so memory is bounded by the analysis
@@ -104,7 +104,7 @@ class AnalysisConfig {
   std::size_t reserve_flows_ = 4096;
 };
 
-/// Streaming pipeline: push packets (timestamp order), poll reports.
+/// Streaming pipeline: push packet batches (timestamp order), poll reports.
 /// Reports are emitted in interval order; every interval index up to the
 /// last packet's interval gets exactly one report (unless filtered by
 /// min_flows), so indices line up with wall-clock windows as in the batch
@@ -136,17 +136,14 @@ class AnalysisPipeline {
   AnalysisPipeline(AnalysisPipeline&&) noexcept;
   AnalysisPipeline& operator=(AnalysisPipeline&&) noexcept;
 
-  /// Feed the next packet; timestamps must be non-decreasing (throws
-  /// std::invalid_argument otherwise).
-  void push(const net::PacketRecord& packet);
-
-  /// Feed a whole batch; reports are bit-for-bit identical to push() per
-  /// packet at every batch size — batching only hoists per-packet work
-  /// (ordering checks, summary updates, sweep-clock checks) to per-batch.
+  /// Feed the next batch. Timestamps must be finite and non-decreasing,
+  /// within the batch and from one batch to the next (throws
+  /// std::invalid_argument otherwise, before any state changes). Reports
+  /// are bit-for-bit identical at every batch size, size 1 included.
   void push_batch(const net::PacketBatch& batch);
 
   /// End of stream: flush the classifier and close all pending intervals.
-  /// push() must not be called afterwards.
+  /// push_batch() must not be called afterwards.
   void finish();
 
   /// Convenience: drain an entire source through the pipeline and finish.

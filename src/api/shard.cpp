@@ -44,9 +44,6 @@ class ClassifierImpl final : public FlowClassifierHandle {
   explicit ClassifierImpl(const flow::ClassifierOptions& options)
       : classifier_(options) {}
 
-  void add(const net::PacketRecord& packet) override {
-    classifier_.add(packet);
-  }
   void add_batch(const net::PacketBatch& batch, std::size_t begin,
                  std::size_t end) override {
     classifier_.add_batch(batch, begin, end);
@@ -209,22 +206,13 @@ PipelineShard::Open& PipelineShard::open_at(std::int64_t index) {
   return it->second;
 }
 
-void PipelineShard::add(const net::PacketRecord& packet) {
-  classifier_->add(packet);  // validates timestamp ordering
-  const std::int64_t idx =
-      interval_index_of(packet.timestamp, config_.interval_s());
-  open_at(idx).bins.add(packet.timestamp,
-                        static_cast<double>(packet.size_bytes));
-  drain_classifier();
-}
-
 namespace {
 
 /// First index in (i, end) of `ts` whose interval index differs from `idx`,
 /// or `end` when the whole range shares it. Timestamps are non-decreasing,
 /// so the crossing bisects — and only the canonical interval_index_of
-/// expression is ever evaluated, so run splitting cannot disagree with the
-/// per-packet path.
+/// expression is ever evaluated, so every packet lands in the interval
+/// interval_index_of gives it.
 std::size_t interval_run_end(const double* ts, std::size_t i, std::size_t end,
                              double interval_s, std::int64_t idx) {
   if (interval_index_of(ts[end - 1], interval_s) == idx) return end;

@@ -60,9 +60,8 @@ struct ClassifierState {
 class FlowClassifierHandle {
  public:
   virtual ~FlowClassifierHandle() = default;
-  virtual void add(const net::PacketRecord& packet) = 0;
-  /// Batched add of packets [begin, end) of `batch`; emissions identical to
-  /// add() per packet (see flow::FlowClassifier::add_batch).
+  /// Classifies packets [begin, end) of `batch` (see
+  /// flow::FlowClassifier::add_batch).
   virtual void add_batch(const net::PacketBatch& batch, std::size_t begin,
                          std::size_t end) = 0;
   void add_batch(const net::PacketBatch& batch) {
@@ -112,17 +111,12 @@ void validate_config(const AnalysisConfig& config);
   return static_cast<std::int64_t>(std::floor(ts / interval_s));
 }
 
-/// Shard of the flow key of `packet` among `nshards` workers. Stable: FNV-1a
+/// Shard of the flow key of `tuple` among `nshards` workers. Stable: FNV-1a
 /// over the key's canonical fields, so the same key maps to the same shard
 /// in every run on every platform.
 [[nodiscard]] std::size_t flow_shard_of(const net::FiveTuple& tuple,
                                         FlowDefinition def,
                                         std::size_t nshards);
-[[nodiscard]] inline std::size_t flow_shard_of(const net::PacketRecord& packet,
-                                               FlowDefinition def,
-                                               std::size_t nshards) {
-  return flow_shard_of(packet.tuple, def, nshards);
-}
 
 /// One closed analysis interval as seen by one shard: the flows whose keys
 /// hash there (unsorted) and this shard's packet bytes binned at delta
@@ -149,14 +143,10 @@ class PipelineShard {
  public:
   explicit PipelineShard(const AnalysisConfig& config);
 
-  /// Classify the packet and bin its bytes into its analysis interval.
-  void add(const net::PacketRecord& packet);
-
-  /// Batched add: same classification and binning as add() per packet, with
-  /// the per-packet overheads hoisted — the classifier runs its hash-ahead
-  /// batch path, the interval lookup happens once per interval-homogeneous
-  /// run instead of per packet, and completed flows are drained once per
-  /// batch instead of per packet.
+  /// Classify the batch and bin its bytes into their analysis intervals:
+  /// the classifier runs its hash-ahead batch path (and the ingest check),
+  /// the interval lookup happens once per interval-homogeneous run, and
+  /// completed flows are drained once per batch.
   void add_batch(const net::PacketBatch& batch);
 
   /// Expire flows idle as of `now`, then emit one ShardInterval for every

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "obs/catalog.hpp"
 #include "trace/pcap.hpp"
 
 namespace fbm::api {
@@ -275,6 +276,29 @@ TraceSourcePtr make_vector_source(std::vector<net::PacketRecord> packets) {
 
 TraceSourcePtr make_synthetic_source(const trace::SyntheticConfig& config) {
   return std::make_unique<SyntheticTraceSource>(config);
+}
+
+std::uint64_t read_batches(
+    TraceSource& source, std::size_t max_n,
+    const std::function<void(net::PacketBatch&)>& push) {
+  net::PacketBatch batch;
+  batch.reserve(max_n);
+  obs::Histogram& read_seconds = obs::stage_seconds(obs::kStageSourceRead);
+  std::uint64_t total = 0;
+  for (;;) {
+    std::size_t n;
+    {
+      obs::StageSpan span(read_seconds);
+      n = source.next_batch(batch, max_n);
+    }
+    if (n == 0) return total;
+    if (obs::enabled()) {
+      obs::source_packets().add(n);
+      obs::source_batches().add(1);
+    }
+    total += n;
+    push(batch);
+  }
 }
 
 TraceSourcePtr make_model_source(ModelSourceConfig config) {

@@ -1,9 +1,10 @@
 // Streaming packet sources (fbm::api, stage 1 of the pipeline).
 //
-// A TraceSource delivers PacketRecords one at a time in non-decreasing
-// timestamp order, so consumers — above all api::AnalysisPipeline — never
-// need a whole trace in memory. Implementations wrap every way this
-// repository can produce packets:
+// A TraceSource delivers packets in non-decreasing timestamp order, a batch
+// at a time (next_batch fills a net::PacketBatch), so consumers — every
+// analysis stage takes packet batches only — never need a whole trace in
+// memory. read_batches() below is the one read loop they all drain a source
+// with. Implementations wrap every way this repository can produce packets:
 //
 //   FileTraceSource       .fbmt files, truly streaming (O(1) memory)
 //   PcapTraceSource       .pcap captures, truly streaming (O(1) memory)
@@ -23,6 +24,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <queue>
@@ -93,6 +95,13 @@ class TraceSource {
 };
 
 using TraceSourcePtr = std::unique_ptr<TraceSource>;
+
+/// The read loop behind every stage's consume(): pulls batches of up to
+/// `max_n` packets — timed as the source-read stage, counted in the source
+/// metrics — and hands each to `push` until the source runs dry. Returns
+/// the packets read.
+std::uint64_t read_batches(TraceSource& source, std::size_t max_n,
+                           const std::function<void(net::PacketBatch&)>& push);
 
 /// Serves an in-memory vector (must already be timestamp-sorted).
 class VectorTraceSource final : public TraceSource {

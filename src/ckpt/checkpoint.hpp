@@ -2,7 +2,7 @@
 //
 // A live run (fbm_live, single estimator or engine) can be SIGKILLed at any
 // moment and resumed from its last checkpoint with bit-identical remaining
-// output: the snapshot captures every member push() reads or writes —
+// output: the snapshot captures every member push_batch() reads or writes —
 // including each open window's flow table at exact-slot-layout fidelity, so
 // the floating-point accumulation order of the resumed run matches the
 // uninterrupted one (see core::FlatHashMap::restore_layout_*).

@@ -18,6 +18,15 @@ namespace {
 /// that outruns a worker blocks here, keeping memory bounded.
 constexpr std::size_t kMaxQueuedCommands = 256;
 
+/// Packets a session's demux buffer collects before it is handed to the
+/// session's worker (pool only; per-link results do not depend on it), and
+/// the read batch size of consume().
+constexpr std::size_t kBatchPackets = 512;
+
+/// Max trace time a routed packet may sit in a demux buffer before being
+/// flushed to its worker (pool only; bounds live-report latency).
+constexpr double kFlushEveryS = 1.0;
+
 }  // namespace
 
 /// One per-link session: the analysis state (exactly one of batch/live) plus
@@ -160,12 +169,6 @@ struct Engine::Worker {
 Engine::Engine(EngineConfig config) : config_(std::move(config)) {
   // threads == 0 means "use every core", exactly as in api::AnalysisConfig.
   config_.threads = api::resolve_threads(config_.threads);
-  if (config_.batch_packets == 0) {
-    throw std::invalid_argument("Engine: batch_packets == 0");
-  }
-  if (!(config_.flush_every_s > 0.0)) {
-    throw std::invalid_argument("Engine: flush cadence <= 0");
-  }
   if (config_.threads > 1) {
     workers_.reserve(config_.threads);
     for (std::size_t i = 0; i < config_.threads; ++i) {
@@ -307,54 +310,19 @@ bool Engine::detach(LinkId id) {
   return false;
 }
 
-void Engine::push(const net::PacketRecord& packet) {
-  if (finished_) throw std::logic_error("Engine: push after finish");
-  if (packet.timestamp < last_ts_) {
-    throw std::invalid_argument("Engine: out-of-order packet");
-  }
-  last_ts_ = packet.timestamp;
-  if (!workers_.empty()) rethrow_worker_error();
-
-  if (summary_.packets == 0) summary_.first_ts = packet.timestamp;
-  ++summary_.packets;
-  summary_.total_bytes += packet.size_bytes;
-  summary_.last_ts = packet.timestamp;
-
-  route(packet);
-  if (packet.timestamp >= flush_deadline_) {
-    flush_all_pending(packet.timestamp);
-  }
-}
-
 void Engine::push_batch(const net::PacketBatch& batch) {
   if (batch.empty()) return;
   if (finished_) throw std::logic_error("Engine: push after finish");
-  const double* ts = batch.timestamps.data();
-  const std::uint32_t* sizes = batch.sizes.data();
-  const std::size_t n = batch.size();
-  if (ts[0] < last_ts_) {
-    throw std::invalid_argument("Engine: out-of-order packet");
-  }
-  for (std::size_t i = 1; i < n; ++i) {
-    if (ts[i] < ts[i - 1]) {
-      throw std::invalid_argument("Engine: out-of-order packet");
-    }
-  }
-  last_ts_ = ts[n - 1];
+  net::check_order(batch.timestamps, last_ts_, "Engine");
   if (!workers_.empty()) rethrow_worker_error();
-
-  if (summary_.packets == 0) summary_.first_ts = ts[0];
-  summary_.packets += n;
-  std::uint64_t bytes = 0;
-  for (std::size_t i = 0; i < n; ++i) bytes += sizes[i];
-  summary_.total_bytes += bytes;
-  summary_.last_ts = ts[n - 1];
+  last_ts_ = batch.timestamps.back();
+  summary_.add(batch);
 
   route_batch(batch);
-  // Checking the flush deadline once per batch instead of per packet bounds
-  // buffered-packet latency at batch granularity — a latency knob only,
-  // never a result change.
-  if (ts[n - 1] >= flush_deadline_) flush_all_pending(ts[n - 1]);
+  // Checking the flush deadline once per batch bounds buffered-packet
+  // latency at batch granularity — a latency knob only, never a result
+  // change.
+  if (last_ts_ >= flush_deadline_) flush_all_pending(last_ts_);
 }
 
 void Engine::route_batch(const net::PacketBatch& batch) {
@@ -418,54 +386,11 @@ void Engine::deliver_batch(Session& s, const net::PacketBatch& batch) {
     return;
   }
   if (s.pending.empty()) {
-    flush_deadline_ = std::min(
-        flush_deadline_, batch.timestamps.front() + config_.flush_every_s);
+    flush_deadline_ =
+        std::min(flush_deadline_, batch.timestamps.front() + kFlushEveryS);
   }
   s.pending.append(batch);
-  if (s.pending.size() >= config_.batch_packets) flush_session(s);
-}
-
-void Engine::route(const net::PacketRecord& packet) {
-  // Longest-prefix match across every attached prefix link: at most one
-  // winner, decided exactly as the router's forwarding table would.
-  std::optional<std::uint32_t> lpm;
-  if (prefix_links_ > 0) {
-    lpm = prefix_table_.lookup(packet.tuple.dst);
-  }
-  for (Session* s : routing_) {
-    bool matched = false;
-    if (std::holds_alternative<MatchAll>(s->rule)) {
-      matched = true;
-    } else if (std::holds_alternative<MatchPrefixes>(s->rule)) {
-      matched = lpm && *lpm == s->id;
-    } else {
-      matched = std::get<MatchTuple>(s->rule).matches(packet.tuple);
-    }
-    if (matched) deliver(*s, packet);
-  }
-}
-
-void Engine::deliver(Session& s, const net::PacketRecord& packet) {
-  ++s.counters.packets;
-  s.counters.bytes += packet.size_bytes;
-  if (workers_.empty()) {
-    feed(s, packet);
-    return;
-  }
-  if (s.pending.empty()) {
-    flush_deadline_ = std::min(
-        flush_deadline_, packet.timestamp + config_.flush_every_s);
-  }
-  s.pending.push_back(packet);
-  if (s.pending.size() >= config_.batch_packets) flush_session(s);
-}
-
-void Engine::feed(Session& s, const net::PacketRecord& packet) {
-  if (s.batch) {
-    s.batch->push(packet);
-  } else {
-    s.live->push(packet);
-  }
+  if (s.pending.size() >= kBatchPackets) flush_session(s);
 }
 
 void Engine::flush_session(Session& s) {
@@ -540,26 +465,9 @@ void Engine::finish() {
 }
 
 std::uint64_t Engine::consume(api::TraceSource& source) {
-  net::PacketBatch batch;
-  const std::size_t cap = std::max<std::size_t>(1, config_.batch_packets);
-  batch.reserve(cap);
-  std::uint64_t n = 0;
-  obs::Histogram& read_seconds =
-      obs::stage_seconds(obs::kStageSourceRead);
-  for (;;) {
-    std::size_t got;
-    {
-      obs::StageSpan span(read_seconds);
-      got = source.next_batch(batch, cap);
-    }
-    if (got == 0) break;
-    if (obs::enabled()) {
-      obs::source_packets().add(got);
-      obs::source_batches().add(1);
-    }
-    n += batch.size();
-    push_batch(batch);
-  }
+  const std::uint64_t n =
+      api::read_batches(source, kBatchPackets,
+                        [this](const net::PacketBatch& b) { push_batch(b); });
   finish();
   return n;
 }

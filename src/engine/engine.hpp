@@ -15,7 +15,8 @@
 //
 // Sessions never own threads. With threads == 1 (the default) the demux
 // thread drives every session inline and report order is fully
-// deterministic (attach order within a timestamp). With threads > 1 the
+// deterministic (attach order within a batch: link A's reports for the
+// whole batch precede link B's). With threads > 1 the
 // engine runs one shared worker pool and pins each session to a worker
 // (round-robin at attach), so N links cost min(N, threads) threads, not N;
 // per-link output is unchanged — every session still sees exactly its own
@@ -59,7 +60,8 @@ struct EngineConfig {
   EngineMode mode = EngineMode::batch;
   /// Base analysis knobs for batch sessions (per-link tune_analysis layers
   /// on a copy). threads/batch_packets inside are ignored: the engine's own
-  /// pool below is the only threading.
+  /// pool below is the only threading, and its demux buffers have a fixed
+  /// size.
   api::AnalysisConfig analysis;
   /// Base configuration for live sessions (mode == live).
   live::LiveConfig live;
@@ -69,12 +71,6 @@ struct EngineConfig {
   /// (std::thread::hardware_concurrency). Per-link output is identical at
   /// every value.
   std::size_t threads = 1;
-  /// Packets handed to a worker per enqueue (pool only; a throughput knob —
-  /// per-link results do not depend on it).
-  std::size_t batch_packets = 512;
-  /// Max trace time a routed packet may sit in a demux buffer before being
-  /// flushed to its worker (pool only; bounds live-report latency).
-  double flush_every_s = 1.0;
 };
 
 /// One report, tagged with the link that produced it. Exactly one of
@@ -141,8 +137,7 @@ struct EngineState {
 
 class Engine {
  public:
-  /// Throws std::invalid_argument on bad engine knobs (batch_packets == 0,
-  /// flush cadence <= 0). Per-link analysis parameters
+  /// Spawns the worker pool (threads > 1). Per-link analysis parameters
   /// are validated at attach(), where the layered config is known.
   explicit Engine(EngineConfig config);
   ~Engine();
@@ -175,31 +170,27 @@ class Engine {
     partial_sink_ = std::move(sink);
   }
 
-  /// Feed the next packet; timestamps must be non-decreasing (throws
-  /// std::invalid_argument otherwise).
-  void push(const net::PacketRecord& packet);
-
-  /// Feed a whole batch. Per-link results are bit-for-bit identical to
-  /// push() per packet at every batch size: the destination addresses run
-  /// through one batched LPM pass, each link then consumes its matching
-  /// sub-batch through the session's own batch path. With inline sessions
-  /// (threads == 1) reports still come out in attach order, at batch rather
-  /// than per-packet granularity — link A's reports for the whole batch
-  /// precede link B's.
+  /// Feed the next batch. Timestamps must be finite and non-decreasing,
+  /// within the batch and from one batch to the next (throws
+  /// std::invalid_argument otherwise, before any state changes). The
+  /// destination addresses run through one batched LPM pass; each link then
+  /// consumes its matching sub-batch through the session's own push_batch.
+  /// Per-link results are bit-for-bit identical at every batch size.
   void push_batch(const net::PacketBatch& batch);
 
   /// Hands any demux-buffered packets to their workers now (pool mode; a
-  /// no-op when sessions run inline). The per-packet flush cadence is trace
+  /// no-op when sessions run inline). The per-batch flush cadence is trace
   /// time, so a quiet --follow stream can leave routed packets buffered —
   /// call this from the idle poll loop to bound report latency by wall
   /// clock too.
   void flush();
 
   /// End of stream: finalize every attached session, join the pool.
-  /// push()/attach() must not be called afterwards.
+  /// push_batch()/attach() must not be called afterwards.
   void finish();
 
-  /// Drains `source` through push() and finishes; returns packets consumed.
+  /// Drains `source` (api::read_batches) and finishes; returns packets
+  /// consumed.
   std::uint64_t consume(api::TraceSource& source);
 
   /// Queued reports (only when no sink is set), oldest first per link.
@@ -238,11 +229,8 @@ class Engine {
   struct Session;
   struct Worker;
 
-  void route(const net::PacketRecord& packet);
   void route_batch(const net::PacketBatch& batch);
-  void deliver(Session& s, const net::PacketRecord& packet);
   void deliver_batch(Session& s, const net::PacketBatch& batch);
-  void feed(Session& s, const net::PacketRecord& packet);
   void finish_session(Session& s);
   void flush_session(Session& s);
   void flush_all_pending(double now);
@@ -255,7 +243,7 @@ class Engine {
   PartialSink partial_sink_;
 
   std::vector<std::unique_ptr<Session>> sessions_;  ///< attach order
-  /// Attached sessions only, attach order — the per-packet routing scan.
+  /// Attached sessions only, attach order — the per-batch routing scan.
   /// Rebuilt on attach/detach so detached links cost nothing per packet
   /// (their Session stays in sessions_ for counters and in-flight work).
   std::vector<Session*> routing_;

@@ -171,14 +171,7 @@ class FlowClassifier {
     if (begin >= end) return;
     const double* ts = batch.timestamps.data();
     const std::uint32_t* sizes = batch.sizes.data();
-    if (ts[begin] < last_ts_) {
-      throw std::invalid_argument("FlowClassifier: out-of-order packet");
-    }
-    for (std::size_t i = begin + 1; i < end; ++i) {
-      if (ts[i] < ts[i - 1]) {
-        throw std::invalid_argument("FlowClassifier: out-of-order packet");
-      }
-    }
+    net::check_order({ts + begin, end - begin}, last_ts_, "FlowClassifier");
     last_ts_ = ts[end - 1];
     const std::size_t n = end - begin;
     counters_.packets += n;

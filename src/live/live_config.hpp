@@ -21,8 +21,8 @@ namespace fbm::live {
 
 struct LiveConfig {
   /// Flow definition, idle timeout, Delta, epsilon, shot-b policy, expiry
-  /// cadence and reserve-ahead come from here; interval_s / threads /
-  /// batch_packets are ignored by the live path.
+  /// cadence, reserve-ahead and the read batch size come from here;
+  /// interval_s and threads are ignored by the live path.
   api::AnalysisConfig analysis;
 
   double window_s = 60.0;  ///< window width

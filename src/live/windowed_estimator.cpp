@@ -75,10 +75,6 @@ WindowedEstimator::WindowedEstimator(LiveConfig config)
       reserve == 0 ? 0
                    : std::max<std::size_t>(64, reserve / config_.overlap());
 
-  tiled_ = stride_ == config_.window_s;
-  // One extra candidate below ceil(width/stride) guards the floor/ceil edge;
-  // every candidate is membership-checked anyway.
-  candidates_ = static_cast<std::int64_t>(config_.overlap()) + 1;
   kmax_boundary_ = 0.0;  // first packet advances cur_kmax_ from -1
   next_close_end_ = window_end(0);
 }
@@ -107,18 +103,6 @@ WindowedEstimator::WindowState& WindowedEstimator::state_at(std::int64_t k) {
   return *slot;
 }
 
-void WindowedEstimator::feed(WindowState& state,
-                             const net::PacketRecord& packet) {
-  state.classifier->add(packet);
-  state.bins.add(packet.timestamp, static_cast<double>(packet.size_bytes));
-  ++state.packets;
-  state.bytes += packet.size_bytes;
-  // Completed flows stay queued inside the classifier until the next expiry
-  // sweep or the window flush — they already belong to this window, so
-  // nothing needs them per packet (unlike the pipeline, which must route
-  // flows to their interval as they complete).
-}
-
 void WindowedEstimator::drain(WindowState& state) {
   for (auto& f : state.classifier->take_flows()) {
     state.flows.push_back(std::move(f));
@@ -129,57 +113,6 @@ void WindowedEstimator::drain(WindowState& state) {
     state.bins.add(d.timestamp, -static_cast<double>(d.size_bytes));
     ++state.discards;
   }
-}
-
-void WindowedEstimator::push(const net::PacketRecord& packet) {
-  if (finished_) {
-    throw std::logic_error("WindowedEstimator: push after finish");
-  }
-  const double ts = packet.timestamp;
-  if (ts < 0.0) {
-    throw std::invalid_argument("WindowedEstimator: negative timestamp");
-  }
-  if (ts < last_ts_) {
-    throw std::invalid_argument("WindowedEstimator: out-of-order packet");
-  }
-  if (counters_.packets == 0) {
-    next_expire_ = ts + config_.analysis.expire_every_s();
-  }
-  last_ts_ = ts;
-  ++counters_.packets;
-  counters_.bytes += packet.size_bytes;
-
-  // Close (and report) every window the stream clock has passed, empty
-  // windows included, so the emitted index sequence stays contiguous.
-  if (ts >= next_close_end_) close_through(ts);
-
-  // Newest window whose start is <= ts, tracked by boundary comparison (a
-  // loop iteration per stride crossed, no per-packet division).
-  while (ts >= kmax_boundary_) {
-    ++cur_kmax_;
-    kmax_boundary_ = window_start(cur_kmax_ + 1);
-  }
-  max_window_ = std::max(max_window_, cur_kmax_);
-  while (next_close_ + static_cast<std::int64_t>(open_.size()) <= cur_kmax_) {
-    open_.emplace_back(nullptr);
-  }
-
-  // Windows containing ts: k*stride <= ts < k*stride + window. With tiling
-  // windows that is exactly cur_kmax_; otherwise every candidate in reach
-  // is verified with the same comparison close_through() uses, so an edge
-  // timestamp never lands in a window the close watermark disagrees about.
-  if (tiled_) {
-    feed(state_at(cur_kmax_), packet);
-  } else {
-    const std::int64_t k_min =
-        std::max(next_close_, cur_kmax_ - candidates_);
-    for (std::int64_t k = k_min; k <= cur_kmax_; ++k) {
-      if (!(window_start(k) <= ts && ts < window_end(k))) continue;
-      feed(state_at(k), packet);
-    }
-  }
-
-  if (ts >= next_expire_) expire_all(ts);
 }
 
 void WindowedEstimator::expire_all(double now) {
@@ -214,31 +147,12 @@ void WindowedEstimator::push_batch(const net::PacketBatch& batch) {
   if (finished_) {
     throw std::logic_error("WindowedEstimator: push after finish");
   }
-  if (!tiled_) {
-    // Overlapping windows fan one packet out to several classifiers; the
-    // per-packet path already amortizes membership with the candidate scan,
-    // so batching buys nothing there.
-    const std::size_t n = batch.size();
-    for (std::size_t i = 0; i < n; ++i) push(batch.record(i));
-    return;
-  }
-
   const double* ts = batch.timestamps.data();
   const std::uint32_t* sizes = batch.sizes.data();
   const std::size_t n = batch.size();
-
-  // Bulk validation up front so the run loop below never mutates state for
-  // a batch that would have thrown mid-way on the per-packet path.
+  net::check_order(batch.timestamps, last_ts_, "WindowedEstimator");
   if (ts[0] < 0.0) {
     throw std::invalid_argument("WindowedEstimator: negative timestamp");
-  }
-  if (ts[0] < last_ts_) {
-    throw std::invalid_argument("WindowedEstimator: out-of-order packet");
-  }
-  for (std::size_t i = 1; i < n; ++i) {
-    if (ts[i] < ts[i - 1]) {
-      throw std::invalid_argument("WindowedEstimator: out-of-order packet");
-    }
   }
 
   if (counters_.packets == 0) {
@@ -247,10 +161,16 @@ void WindowedEstimator::push_batch(const net::PacketBatch& batch) {
   last_ts_ = ts[n - 1];
   counters_.packets += n;
 
+  static obs::Histogram& classify_seconds =
+      obs::stage_seconds(obs::kStageClassify);
   std::size_t i = 0;
   while (i < n) {
     const double t = ts[i];
+    // Close (and report) every window the stream clock has passed, empty
+    // windows included, so the emitted index sequence stays contiguous.
     if (t >= next_close_end_) close_through(t);
+    // Newest window whose start is <= t, tracked by boundary comparison (a
+    // loop iteration per stride crossed, no per-packet division).
     while (t >= kmax_boundary_) {
       ++cur_kmax_;
       kmax_boundary_ = window_start(cur_kmax_ + 1);
@@ -260,16 +180,14 @@ void WindowedEstimator::push_batch(const net::PacketBatch& batch) {
            cur_kmax_) {
       open_.emplace_back(nullptr);
     }
-    // Expiring before the run instead of after each crossing packet is
-    // result-neutral: a flow idle past the timeout at t emits the same
-    // record whether the sweep or the classifier's own timeout step
-    // completes it.
+    // Expiring before the run is result-neutral: a flow idle past the
+    // timeout at t emits the same record whether the sweep or the
+    // classifier's own timeout step completes it.
     if (t >= next_expire_) expire_all(t);
 
-    // Maximal run sharing this window with no close/expire deadline inside:
-    // every packet in [i, j) has ts < limit, found by bisection (timestamps
-    // are non-decreasing). Only the boundaries the per-packet path compares
-    // against are used, so run splitting cannot disagree with it.
+    // Maximal run [i, j) with no window boundary, close watermark or expiry
+    // deadline inside: every packet in it has ts < limit, found by
+    // bisection (timestamps are non-decreasing).
     const double limit =
         std::min(kmax_boundary_, std::min(next_close_end_, next_expire_));
     std::size_t j = n;
@@ -287,19 +205,23 @@ void WindowedEstimator::push_batch(const net::PacketBatch& batch) {
       j = lo;
     }
 
-    WindowState& state = state_at(cur_kmax_);
-    static obs::Histogram& classify_seconds =
-        obs::stage_seconds(obs::kStageClassify);
-    obs::StageSpan span(classify_seconds);  // run (sub-batch) granularity
-    state.classifier->add_batch(batch, i, j);
     std::uint64_t run_bytes = 0;
-    for (std::size_t k = i; k < j; ++k) {
-      state.bins.add(ts[k], static_cast<double>(sizes[k]));
-      run_bytes += sizes[k];
-    }
-    state.packets += j - i;
-    state.bytes += run_bytes;
+    for (std::size_t k = i; k < j; ++k) run_bytes += sizes[k];
     counters_.bytes += run_bytes;
+    // The run's windows are exactly [next_close_, cur_kmax_]: each starts at
+    // or before t (cur_kmax_ is the newest that does) and ends at or after
+    // window_end(next_close_) > every ts in the run. With gapped windows
+    // (stride > width) the range is empty while the run sits in a gap.
+    obs::StageSpan span(classify_seconds);  // run (sub-batch) granularity
+    for (std::int64_t k = next_close_; k <= cur_kmax_; ++k) {
+      WindowState& state = state_at(k);
+      state.classifier->add_batch(batch, i, j);
+      for (std::size_t m = i; m < j; ++m) {
+        state.bins.add(ts[m], static_cast<double>(sizes[m]));
+      }
+      state.packets += j - i;
+      state.bytes += run_bytes;
+    }
     i = j;
   }
 }
@@ -385,27 +307,9 @@ void WindowedEstimator::finish() {
 }
 
 std::uint64_t WindowedEstimator::consume(api::TraceSource& source) {
-  net::PacketBatch batch;
-  const std::size_t cap =
-      std::max<std::size_t>(1, config_.analysis.batch_packets());
-  batch.reserve(cap);
-  std::uint64_t n = 0;
-  obs::Histogram& read_seconds =
-      obs::stage_seconds(obs::kStageSourceRead);
-  for (;;) {
-    std::size_t got;
-    {
-      obs::StageSpan span(read_seconds);
-      got = source.next_batch(batch, cap);
-    }
-    if (got == 0) break;
-    if (obs::enabled()) {
-      obs::source_packets().add(got);
-      obs::source_batches().add(1);
-    }
-    n += batch.size();
-    push_batch(batch);
-  }
+  const std::uint64_t n = api::read_batches(
+      source, std::max<std::size_t>(1, config_.analysis.batch_packets()),
+      [this](const net::PacketBatch& b) { push_batch(b); });
   finish();
   return n;
 }

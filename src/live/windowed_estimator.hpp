@@ -1,7 +1,7 @@
 // Sliding-window online estimation (fbm::live, the tentpole).
 //
 // WindowedEstimator consumes an unbounded packet stream (any
-// api::TraceSource, or push() by hand) and re-derives the paper's
+// api::TraceSource, or push_batch() by hand) and re-derives the paper's
 // flow-level parameters per sliding window with bounded state: each of the
 // ceil(window/stride) concurrently open windows owns a flow classifier
 // (idle-timeout semantics, no boundary splitting — the window IS the
@@ -82,11 +82,11 @@ using WindowPartialSink = std::function<void(WindowPartial&&)>;
                                              AnomalyMonitor& monitor);
 
 /// Complete serializable state of a WindowedEstimator mid-stream: every
-/// member push() reads or writes, including each open window's classifier
-/// at exact-table-layout fidelity (api::ClassifierState). Restoring it into
-/// a fresh estimator of the same config and resuming the stream reproduces
-/// the uninterrupted run's remaining reports bit for bit — the checkpoint
-/// codec (ckpt::) is a pure serialization of this struct.
+/// member push_batch() reads or writes, including each open window's
+/// classifier at exact-table-layout fidelity (api::ClassifierState).
+/// Restoring it into a fresh estimator of the same config and resuming the
+/// stream reproduces the uninterrupted run's remaining reports bit for bit
+/// — the checkpoint codec (ckpt::) is a pure serialization of this struct.
 struct EstimatorState {
   LiveCounters counters;
   double last_ts = -std::numeric_limits<double>::infinity();
@@ -118,25 +118,24 @@ class WindowedEstimator {
   /// Throws std::invalid_argument on bad configuration (LiveConfig rules).
   explicit WindowedEstimator(LiveConfig config);
 
-  /// Feed the next packet. Timestamps must be non-negative and
-  /// non-decreasing (throws std::invalid_argument otherwise). Windows whose
-  /// end the timestamp passes are closed and reported before the packet is
-  /// classified.
-  void push(const net::PacketRecord& packet);
-
-  /// Feed a whole batch; reports are bit-for-bit identical to push() per
-  /// packet at every batch size. With tiling windows (stride == width) the
-  /// batch runs through a vectorized fast path: packets are fed to their
-  /// window in maximal runs bounded by the next window boundary, close
-  /// watermark and expiry deadline, so the classifier's hash-ahead batch
-  /// path and the bin accumulation loop both run over contiguous spans.
+  /// Feed the next batch. Timestamps must be finite, non-negative and
+  /// non-decreasing, within the batch and from one batch to the next
+  /// (throws std::invalid_argument otherwise, before any state changes).
+  /// The batch is cut into maximal runs bounded by the next window
+  /// boundary, close watermark and expiry deadline; windows the clock has
+  /// passed are closed and reported before the run that passes them, and
+  /// each run feeds every window that contains it in one contiguous span
+  /// (the classifier's hash-ahead batch path, then the bin accumulation
+  /// loop). Reports are bit-for-bit identical at every batch size, size 1
+  /// included, for tiling, overlapping and gapped windows alike.
   void push_batch(const net::PacketBatch& batch);
 
-  /// End of stream: close every window up to the last packet's. push() must
-  /// not be called afterwards.
+  /// End of stream: close every window up to the last packet's.
+  /// push_batch() must not be called afterwards.
   void finish();
 
-  /// Drains `source` through push() and finishes; returns packets consumed.
+  /// Drains `source` (api::read_batches) and finishes; returns packets
+  /// consumed.
   std::uint64_t consume(api::TraceSource& source);
 
   /// Reports stream here the moment each window closes, in window order,
@@ -195,7 +194,6 @@ class WindowedEstimator {
   }
 
   [[nodiscard]] WindowState& state_at(std::int64_t k);
-  void feed(WindowState& state, const net::PacketRecord& packet);
   void drain(WindowState& state);
   void expire_all(double now);  ///< expire + drain every open window
   void close_through(double now);  ///< close windows with end <= now
@@ -212,13 +210,11 @@ class WindowedEstimator {
   std::int64_t max_window_ = -1;  ///< highest window index seen
 
   // Hot-path caches: the newest window index is tracked by boundary
-  // comparison (one multiply per stride crossed) instead of a per-packet
-  // floor division, and the close watermark keeps its end precomputed.
+  // comparison (one multiply per stride crossed) instead of a floor
+  // division per run, and the close watermark keeps its end precomputed.
   std::int64_t cur_kmax_ = -1;     ///< newest window whose start <= last ts
   double kmax_boundary_ = 0.0;     ///< window_start(cur_kmax_ + 1)
   double next_close_end_ = 0.0;    ///< window_end(next_close_)
-  std::int64_t candidates_ = 1;    ///< windows probed per packet (overlap)
-  bool tiled_ = true;              ///< stride == width: membership is free
 
   RollingForecaster forecaster_;
   AnomalyMonitor monitor_;

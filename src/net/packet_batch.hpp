@@ -1,9 +1,10 @@
 // Structure-of-arrays packet batch — the unit of flow through the hot path.
 //
-// The per-packet pipeline (virtual TraceSource::next() returning an
-// std::optional, one Shard::add() per packet) spends most of its cycles on
-// call overhead and cache misses, not on classification. PacketBatch moves
-// packets through the pipeline a few hundred at a time in parallel arrays:
+// A per-packet pipeline (virtual TraceSource::next() returning an
+// std::optional, one classifier call per packet) spends most of its cycles
+// on call overhead and cache misses, not on classification. PacketBatch
+// moves packets through every analysis stage — push_batch is their only
+// entry point — a few hundred at a time in parallel arrays:
 //
 //   timestamps[i] | tuples[i] | sizes[i]     describe packet i
 //
@@ -16,12 +17,15 @@
 // Invariant: the three arrays always have identical length. Timestamps are
 // non-decreasing when the batch was filled from a TraceSource (sources
 // deliver in stream order); consumers that require ordering validate it
-// once per batch instead of once per packet.
+// once per batch, with check_order() below, instead of once per packet.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -85,5 +89,26 @@ struct PacketBatch {
     return {timestamps[i], tuples[i], sizes[i]};
   }
 };
+
+/// The ingest check each stage runs once per batch, before it changes any
+/// state: throws std::invalid_argument (prefixed with `who`) unless every
+/// timestamp is finite and none is below its predecessor — `prev`, the
+/// stage's last timestamp, for the first. Order is tested as t >= prev,
+/// which a NaN fails too; with the order proven, finite first and last
+/// timestamps bound every one between them.
+inline void check_order(std::span<const double> ts, double prev,
+                        const char* who) {
+  if (ts.empty()) return;
+  bool ordered = ts[0] >= prev;
+  for (std::size_t i = 1; ordered && i < ts.size(); ++i) {
+    ordered = ts[i] >= ts[i - 1];
+  }
+  if (!ordered) {
+    throw std::invalid_argument(std::string(who) + ": out-of-order packet");
+  }
+  if (!std::isfinite(ts.front()) || !std::isfinite(ts.back())) {
+    throw std::invalid_argument(std::string(who) + ": non-finite timestamp");
+  }
+}
 
 }  // namespace fbm::net

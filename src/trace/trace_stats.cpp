@@ -23,6 +23,13 @@ void accumulate(TraceSummary& s, const net::PacketRecord& r) {
 
 }  // namespace
 
+void TraceSummary::add(const net::PacketBatch& batch) {
+  if (packets == 0) first_ts = batch.timestamps.front();
+  last_ts = batch.timestamps.back();
+  packets += batch.size();
+  for (const std::uint32_t size : batch.sizes) total_bytes += size;
+}
+
 TraceSummary summarize(std::span<const net::PacketRecord> recs) {
   TraceSummary s;
   for (const auto& r : recs) accumulate(s, r);

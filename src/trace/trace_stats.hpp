@@ -7,6 +7,7 @@
 #include <string>
 
 #include "net/packet.hpp"
+#include "net/packet_batch.hpp"
 
 namespace fbm::trace {
 
@@ -15,6 +16,9 @@ struct TraceSummary {
   std::uint64_t total_bytes = 0;
   double first_ts = 0.0;
   double last_ts = 0.0;
+
+  /// Folds in a non-empty batch already in stream order (net::check_order).
+  void add(const net::PacketBatch& batch);
 
   [[nodiscard]] double duration_s() const {
     return packets == 0 ? 0.0 : last_ts - first_ts;

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "../support/push.hpp"
 #include "agg/agg.hpp"
 #include "api/api.hpp"
 #include "api/shard.hpp"
@@ -28,6 +29,8 @@
 
 namespace fbm {
 namespace {
+
+using testsupport::push_all;
 
 std::vector<net::PacketRecord> seeded_trace(std::uint64_t seed = 616) {
   trace::SyntheticConfig cfg;
@@ -56,7 +59,7 @@ std::vector<net::PacketRecord> shard_of(
     std::size_t index, std::size_t count) {
   std::vector<net::PacketRecord> out;
   for (const auto& p : packets) {
-    if (api::flow_shard_of(p, def, count) == index) out.push_back(p);
+    if (api::flow_shard_of(p.tuple, def, count) == index) out.push_back(p);
   }
   return out;
 }
@@ -86,7 +89,7 @@ std::string batch_reference(const api::AnalysisConfig& config,
   std::vector<api::AnalysisReport> reports;
   pipeline.set_report_sink(
       [&](api::AnalysisReport&& r) { reports.push_back(std::move(r)); });
-  for (const auto& p : packets) pipeline.push(p);
+  push_all(pipeline, packets);
   pipeline.finish();
   return api::to_json(pipeline.summary(), reports);
 }
@@ -103,7 +106,7 @@ void produce_batch_partial(const api::AnalysisConfig& config,
     writer.add(0, live::WindowPartial{iv.index, 0, 0, 0, std::move(iv.flows),
                                       std::move(iv.bins)});
   });
-  for (const auto& p : packets) pipeline.push(p);
+  push_all(pipeline, packets);
   pipeline.finish();
   writer.finish({pipeline.summary(), {}});
 }
@@ -180,7 +183,7 @@ std::vector<std::string> live_reference(
   std::vector<std::string> lines;
   estimator.set_window_sink(
       [&](live::WindowReport&& r) { lines.push_back(live::to_jsonl(r)); });
-  for (const auto& p : packets) estimator.push(p);
+  push_all(estimator, packets);
   estimator.finish();
   return lines;
 }
@@ -192,7 +195,7 @@ void produce_live_partial(const live::LiveConfig& config,
   agg::PartialWriter writer(path, agg::PartialMeta::from_live(config));
   estimator.set_partial_sink(
       [&](live::WindowPartial&& w) { writer.add(0, w); });
-  for (const auto& p : packets) estimator.push(p);
+  push_all(estimator, packets);
   estimator.finish();
   writer.finish({summarize(packets), {}});
 }
@@ -256,7 +259,7 @@ TEST(AggregateDifferential, EngineBatchSplitsMergeByteIdentical) {
       by_link[r.link].push_back(std::move(*r.interval));
     });
     for (auto spec : engine_links()) (void)eng.attach(std::move(spec));
-    for (const auto& p : packets) eng.push(p);
+    push_all(eng, packets);
     eng.finish();
     std::vector<engine::LinkBatchResult> results;
     for (auto& link : eng.links()) {
@@ -282,7 +285,7 @@ TEST(AggregateDifferential, EngineBatchSplitsMergeByteIdentical) {
       writer.add(static_cast<std::uint32_t>(link), w);
     });
     for (auto spec : engine_links()) (void)eng.attach(std::move(spec));
-    for (const auto& p : shard_of(packets, def, i, k)) eng.push(p);
+    push_all(eng, shard_of(packets, def, i, k));
     eng.finish();
     agg::PartialTotals totals;
     totals.summary = eng.summary();
@@ -316,7 +319,7 @@ TEST(AggregateDifferential, EngineLiveMergePinsPerLinkSubsequences) {
       reference.push_back(engine::to_jsonl(r));
     });
     for (auto spec : engine_links()) (void)eng.attach(std::move(spec));
-    for (const auto& p : packets) eng.push(p);
+    push_all(eng, packets);
     eng.finish();
   }
   ASSERT_FALSE(reference.empty());
@@ -336,7 +339,7 @@ TEST(AggregateDifferential, EngineLiveMergePinsPerLinkSubsequences) {
       writer.add(static_cast<std::uint32_t>(link), w);
     });
     for (auto spec : engine_links()) (void)eng.attach(std::move(spec));
-    for (const auto& p : shard_of(packets, def, i, k)) eng.push(p);
+    push_all(eng, shard_of(packets, def, i, k));
     eng.finish();
     agg::PartialTotals totals;
     totals.summary = eng.summary();

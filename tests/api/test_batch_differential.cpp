@@ -1,19 +1,21 @@
-// Differential harness for the batched SoA hot path: every batched entry
-// point (TraceSource::next_batch, AnalysisPipeline::push_batch,
+// Differential harness for the batched SoA hot path: every stage's one
+// entry point (AnalysisPipeline::push_batch,
 // ParallelAnalysisPipeline::push_batch, live::WindowedEstimator::push_batch,
-// engine::Engine::push_batch) must reproduce the per-packet path bit for
-// bit — across sources (.fbmt / .pcap / vector / model), flow definitions,
-// thread counts {1, 2, 4}, batch sizes {1, 7, 1024}, and the awkward edge
-// packets (exact interval-boundary multiples, timeout gaps, equal
-// timestamps, negative-free but zero-start streams).
+// engine::Engine::push_batch) must give bit for bit the same output at every
+// batch size as a run fed one packet per batch — across flow definitions,
+// thread counts {1, 2, 4}, batch sizes {1, 7, 1024}, random split points,
+// tiling, overlapping and gapped windows, and the awkward edge packets
+// (exact interval-boundary multiples, timeout gaps, equal timestamps,
+// negative-free but zero-start streams). TraceSource::next_batch must
+// deliver exactly what next() does, for every source.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
-#include <span>
 #include <vector>
 
+#include "../support/push.hpp"
 #include "api/api.hpp"
 #include "engine/engine.hpp"
 #include "live/live.hpp"
@@ -25,6 +27,9 @@
 
 namespace fbm {
 namespace {
+
+using testsupport::push_all;
+using testsupport::push_split;
 
 constexpr std::size_t kBatchSizes[] = {1, 7, 1024};
 
@@ -110,14 +115,14 @@ void expect_reports_identical(const std::vector<api::AnalysisReport>& a,
   }
 }
 
-/// Per-packet push reference vs push_batch at every batch size and thread
-/// count — the tentpole's core promise.
+/// One-packet-per-batch reference vs push_batch at every batch size and
+/// thread count.
 void expect_batched_matches_per_packet(
     const std::vector<net::PacketRecord>& packets,
     api::AnalysisConfig config) {
   config.threads(1);
   api::AnalysisPipeline reference(config);
-  for (const auto& p : packets) reference.push(p);
+  push_all(reference, packets, 1);
   reference.finish();
   const auto expected = reference.take_reports();
 
@@ -125,13 +130,8 @@ void expect_batched_matches_per_packet(
     for (const std::size_t batch_size : kBatchSizes) {
       SCOPED_TRACE(std::to_string(threads) + " threads, batch " +
                    std::to_string(batch_size));
-      net::PacketBatch batch;
       const auto feed = [&](auto& pipeline) {
-        for (std::size_t i = 0; i < packets.size(); i += batch_size) {
-          batch.assign(std::span(packets).subspan(
-              i, std::min(batch_size, packets.size() - i)));
-          pipeline.push_batch(batch);
-        }
+        push_all(pipeline, packets, batch_size);
         pipeline.finish();
       };
       if (threads == 1) {
@@ -267,14 +267,12 @@ void expect_window_reports_identical(
   }
 }
 
-TEST(BatchDifferential, LiveWindowedEstimatorTiled) {
-  const auto packets = seeded_trace(45.0, 8e6, 55);
-  live::LiveConfig config;
-  config.window_s = 10.0;  // stride defaults to the width: tiling
-  config.analysis.timeout_s(1.0).min_flows(0);
-
+/// One-packet-per-batch reference vs every batch size in kBatchSizes and
+/// several random split patterns (batches of 1..64, size 1 frequent).
+void expect_live_batches_match(const std::vector<net::PacketRecord>& packets,
+                               const live::LiveConfig& config) {
   live::WindowedEstimator reference(config);
-  for (const auto& p : packets) reference.push(p);
+  push_all(reference, packets, 1);
   reference.finish();
   const auto expected = reference.take_reports();
   ASSERT_FALSE(expected.empty());
@@ -282,42 +280,51 @@ TEST(BatchDifferential, LiveWindowedEstimatorTiled) {
   for (const std::size_t batch_size : kBatchSizes) {
     SCOPED_TRACE("batch " + std::to_string(batch_size));
     live::WindowedEstimator batched(config);
-    net::PacketBatch batch;
-    for (std::size_t i = 0; i < packets.size(); i += batch_size) {
-      batch.assign(std::span(packets).subspan(
-          i, std::min(batch_size, packets.size() - i)));
-      batched.push_batch(batch);
-    }
+    push_all(batched, packets, batch_size);
+    batched.finish();
+    expect_window_reports_identical(expected, batched.take_reports());
+  }
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("random splits, seed " + std::to_string(seed));
+    live::WindowedEstimator batched(config);
+    push_split(batched, packets, seed);
     batched.finish();
     expect_window_reports_identical(expected, batched.take_reports());
   }
 }
 
+TEST(BatchDifferential, LiveWindowedEstimatorTiled) {
+  live::LiveConfig config;
+  config.window_s = 10.0;  // stride defaults to the width: tiling
+  config.analysis.timeout_s(1.0).min_flows(0);
+  expect_live_batches_match(seeded_trace(45.0, 8e6, 55), config);
+}
+
 TEST(BatchDifferential, LiveWindowedEstimatorOverlapping) {
-  // Overlapping windows take the per-packet fallback inside push_batch;
-  // the contract is the same.
-  const auto packets = seeded_trace(30.0, 6e6, 56);
+  // Every run feeds all the open windows that contain it.
   live::LiveConfig config;
   config.window_s = 10.0;
   config.stride_s = 5.0;
   config.analysis.timeout_s(1.0).min_flows(0);
+  expect_live_batches_match(seeded_trace(30.0, 6e6, 56), config);
+}
 
-  live::WindowedEstimator reference(config);
-  for (const auto& p : packets) reference.push(p);
-  reference.finish();
-  const auto expected = reference.take_reports();
-  ASSERT_FALSE(expected.empty());
+TEST(BatchDifferential, LiveWindowedEstimatorOverlappingUneven) {
+  // Width not a multiple of the stride: a packet sits in 2 or 3 windows.
+  live::LiveConfig config;
+  config.window_s = 7.0;
+  config.stride_s = 3.0;
+  config.analysis.timeout_s(1.0).min_flows(0);
+  expect_live_batches_match(seeded_trace(30.0, 6e6, 58), config);
+}
 
-  live::WindowedEstimator batched(config);
-  net::PacketBatch batch;
-  constexpr std::size_t kBatch = 256;
-  for (std::size_t i = 0; i < packets.size(); i += kBatch) {
-    batch.assign(
-        std::span(packets).subspan(i, std::min(kBatch, packets.size() - i)));
-    batched.push_batch(batch);
-  }
-  batched.finish();
-  expect_window_reports_identical(expected, batched.take_reports());
+TEST(BatchDifferential, LiveWindowedEstimatorGapped) {
+  // stride > width: runs inside a gap feed no window at all.
+  live::LiveConfig config;
+  config.window_s = 4.0;
+  config.stride_s = 6.0;
+  config.analysis.timeout_s(1.0).min_flows(0);
+  expect_live_batches_match(seeded_trace(30.0, 6e6, 59), config);
 }
 
 // ------------------------------------------------------- engine batching ---
@@ -357,7 +364,7 @@ TEST(BatchDifferential, EngineMultiLinkAcrossThreadsAndBatchSizes) {
   PerLink expected;
   collect_into(reference, expected);
   attach_links(reference);
-  for (const auto& p : packets) reference.push(p);
+  push_all(reference, packets, 1);
   reference.finish();
   for (const auto& link : expected) ASSERT_FALSE(link.empty());
 
@@ -371,12 +378,7 @@ TEST(BatchDifferential, EngineMultiLinkAcrossThreadsAndBatchSizes) {
       PerLink got;
       collect_into(eng, got);
       attach_links(eng);
-      net::PacketBatch batch;
-      for (std::size_t i = 0; i < packets.size(); i += batch_size) {
-        batch.assign(std::span(packets).subspan(
-            i, std::min(batch_size, packets.size() - i)));
-        eng.push_batch(batch);
-      }
+      push_all(eng, packets, batch_size);
       eng.finish();
       for (std::size_t link = 0; link < expected.size(); ++link) {
         SCOPED_TRACE("link " + std::to_string(link));

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "../support/push.hpp"
 #include "api/api.hpp"
 #include "api/shard.hpp"
 #include "flow/classifier.hpp"
@@ -15,6 +16,9 @@
 
 namespace fbm {
 namespace {
+
+using testsupport::push_all;
+using testsupport::push_one;
 
 std::vector<net::PacketRecord> seeded_trace(double duration_s = 60.0,
                                             double util_bps = 8e6,
@@ -90,7 +94,7 @@ void expect_differential(const std::vector<net::PacketRecord>& packets,
   for (const std::size_t threads : {1u, 2u, 4u, 7u}) {
     SCOPED_TRACE(std::to_string(threads) + " threads");
     api::ParallelAnalysisPipeline pipeline(config.threads(threads));
-    for (const auto& p : packets) pipeline.push(p);
+    push_all(pipeline, packets, 1);
     pipeline.finish();
     expect_reports_identical(serial, pipeline.take_reports());
   }
@@ -209,7 +213,7 @@ TEST(ParallelStreaming, MidStreamPopsPreserveTheSerialSequence) {
   api::ParallelAnalysisPipeline pipeline(config.threads(4));
   std::vector<api::AnalysisReport> streamed;
   for (const auto& p : packets) {
-    pipeline.push(p);
+    push_one(pipeline, p);
     while (pipeline.has_report()) streamed.push_back(pipeline.pop_report());
   }
   pipeline.finish();
@@ -223,11 +227,11 @@ TEST(ParallelSummary, MatchesSerialAndTraceTotals) {
   config.interval_s(10.0).timeout_s(1.0);
 
   api::AnalysisPipeline serial(config);
-  for (const auto& p : packets) serial.push(p);
+  push_all(serial, packets);
   serial.finish();
 
   api::ParallelAnalysisPipeline par(config.threads(4));
-  for (const auto& p : packets) par.push(p);
+  push_all(par, packets);
   par.finish();
 
   EXPECT_EQ(par.summary().packets, serial.summary().packets);
@@ -260,16 +264,16 @@ TEST(ParallelConfig, RejectsBadParameters) {
 TEST(ParallelConfig, OutOfOrderPacketThrows) {
   api::ParallelAnalysisPipeline pipeline(
       api::AnalysisConfig{}.threads(2));
-  pipeline.push({1.0, {}, 100});
-  EXPECT_THROW(pipeline.push({0.5, {}, 100}), std::invalid_argument);
+  push_one(pipeline, {1.0, {}, 100});
+  EXPECT_THROW(push_one(pipeline, {0.5, {}, 100}), std::invalid_argument);
 }
 
 TEST(ParallelConfig, PushAfterFinishThrows) {
   api::ParallelAnalysisPipeline pipeline(
       api::AnalysisConfig{}.threads(2));
-  pipeline.push({0.0, {}, 100});
+  push_one(pipeline, {0.0, {}, 100});
   pipeline.finish();
-  EXPECT_THROW(pipeline.push({1.0, {}, 100}), std::logic_error);
+  EXPECT_THROW(push_one(pipeline, {1.0, {}, 100}), std::logic_error);
 }
 
 TEST(ParallelConfig, EmptyStreamFinishesCleanly) {
@@ -286,16 +290,17 @@ TEST(ParallelShardRouting, StablePerKeyAndCoversAllShards) {
   std::vector<std::size_t> hits(7, 0);
   for (const auto& p : packets) {
     const std::size_t s =
-        api::flow_shard_of(p, api::FlowDefinition::five_tuple, 7);
+        api::flow_shard_of(p.tuple, api::FlowDefinition::five_tuple, 7);
     ASSERT_LT(s, 7u);
-    EXPECT_EQ(s, api::flow_shard_of(p, api::FlowDefinition::five_tuple, 7));
+    EXPECT_EQ(s,
+              api::flow_shard_of(p.tuple, api::FlowDefinition::five_tuple, 7));
     ++hits[s];
   }
   for (std::size_t s = 0; s < hits.size(); ++s) {
     EXPECT_GT(hits[s], 0u) << "shard " << s << " never hit";
   }
   // One shard: everything maps to 0.
-  EXPECT_EQ(api::flow_shard_of(packets.front(),
+  EXPECT_EQ(api::flow_shard_of(packets.front().tuple,
                                api::FlowDefinition::prefix24, 1),
             0u);
 }

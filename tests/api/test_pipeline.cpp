@@ -6,6 +6,7 @@
 #include <cmath>
 #include <vector>
 
+#include "../support/push.hpp"
 #include "api/api.hpp"
 #include "core/fitting.hpp"
 #include "flow/classifier.hpp"
@@ -15,6 +16,9 @@
 
 namespace fbm {
 namespace {
+
+using testsupport::push_all;
+using testsupport::push_one;
 
 std::vector<net::PacketRecord> seeded_trace(double duration_s = 60.0,
                                             double util_bps = 8e6,
@@ -140,7 +144,7 @@ TEST(PipelineStreaming, ReportsEmittedIncrementally) {
 
   std::size_t emitted_mid_stream = 0;
   for (const auto& p : packets) {
-    pipeline.push(p);
+    push_one(pipeline, p);
     while (pipeline.has_report()) {
       const auto r = pipeline.pop_report();
       EXPECT_EQ(r.interval_index, emitted_mid_stream);
@@ -165,7 +169,7 @@ TEST(PipelineStreaming, MemoryBoundedByWindow) {
 
   std::size_t max_open = 0;
   for (const auto& p : packets) {
-    pipeline.push(p);
+    push_one(pipeline, p);
     max_open = std::max(max_open, pipeline.open_intervals());
     (void)pipeline.take_reports();  // a consumer drains as it goes
   }
@@ -203,9 +207,9 @@ TEST(PipelineConfig, RejectsBadParameters) {
 
 TEST(PipelineConfig, PushAfterFinishThrows) {
   api::AnalysisPipeline pipeline(api::AnalysisConfig{});
-  pipeline.push({0.0, {}, 100});
+  push_one(pipeline, {0.0, {}, 100});
   pipeline.finish();
-  EXPECT_THROW(pipeline.push({1.0, {}, 100}), std::logic_error);
+  EXPECT_THROW(push_one(pipeline, {1.0, {}, 100}), std::logic_error);
 }
 
 TEST(PipelineReport, KeepFlowsPopulatesInterval) {
@@ -242,7 +246,7 @@ TEST(PipelineReport, JsonContainsTheHeadlineNumbers) {
 TEST(PipelineSummary, MatchesTraceTotals) {
   const auto packets = seeded_trace();
   api::AnalysisPipeline pipeline(api::AnalysisConfig{});
-  for (const auto& p : packets) pipeline.push(p);
+  push_all(pipeline, packets);
   pipeline.finish();
   std::uint64_t total_bytes = 0;
   for (const auto& p : packets) total_bytes += p.size_bytes;

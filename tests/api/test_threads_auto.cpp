@@ -7,12 +7,15 @@
 #include <thread>
 #include <vector>
 
+#include "../support/push.hpp"
 #include "api/api.hpp"
 #include "api/shard.hpp"
 #include "trace/synthetic.hpp"
 
 namespace fbm {
 namespace {
+
+using testsupport::push_all;
 
 std::vector<net::PacketRecord> small_trace() {
   trace::SyntheticConfig cfg;
@@ -44,7 +47,7 @@ TEST(ThreadsAuto, AutoDetectedPipelineMatchesSerialBitForBit) {
     std::vector<api::AnalysisReport> reports;
     pipeline.set_report_sink(
         [&](api::AnalysisReport&& r) { reports.push_back(std::move(r)); });
-    for (const auto& p : packets) pipeline.push(p);
+    push_all(pipeline, packets);
     pipeline.finish();
     return api::to_json(pipeline.summary(), reports);
   };
@@ -71,7 +74,7 @@ TEST(ThreadsAuto, EngineAcceptsThreadsZero) {
   tap.name = "tap";
   tap.rule = engine::MatchAll{};
   (void)eng.attach(std::move(tap));
-  for (const auto& p : small_trace()) eng.push(p);
+  push_all(eng, small_trace());
   eng.finish();
   EXPECT_GT(reports.size(), 0u);
   EXPECT_EQ(eng.summary().packets > 0, true);

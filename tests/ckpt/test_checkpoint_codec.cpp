@@ -15,12 +15,15 @@
 #include <string>
 #include <vector>
 
+#include "../support/push.hpp"
 #include "ckpt/checkpoint.hpp"
 #include "live/live.hpp"
 #include "trace/synthetic.hpp"
 
 namespace fbm::ckpt {
 namespace {
+
+using testsupport::push_all;
 
 std::filesystem::path temp_path(const std::string& tag) {
   const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
@@ -59,7 +62,7 @@ std::filesystem::path write_sample(const std::string& tag) {
   const live::LiveConfig config = sample_config();
   live::WindowedEstimator est(config);
   est.set_window_sink([](live::WindowReport&&) {});
-  for (std::size_t i = 0; i < packets.size() / 2; ++i) est.push(packets[i]);
+  push_all(est, std::span(packets).first(packets.size() / 2));
 
   const auto path = temp_path(tag);
   write_checkpoint(path, agg::PartialMeta::from_live(config),
@@ -208,7 +211,7 @@ TEST(CheckpointCodec, EngineCheckpointRoundTrips) {
   (void)eng.attach(engine::parse_link_spec("a=10.0.0.0/8"));
   (void)eng.attach(engine::parse_link_spec("tap=all"));
   eng.set_report_sink([](engine::LinkReport&&) {});
-  for (std::size_t i = 0; i < packets.size() / 2; ++i) eng.push(packets[i]);
+  push_all(eng, std::span(packets).first(packets.size() / 2));
 
   agg::PartialMeta meta = agg::PartialMeta::from_live(config.live);
   meta.engine = true;
@@ -242,7 +245,7 @@ TEST(CheckpointCodec, EngineRejectsSpliceDroppedSessionFrame) {
   (void)eng.attach(engine::parse_link_spec("a=10.0.0.0/8"));
   (void)eng.attach(engine::parse_link_spec("tap=all"));
   eng.set_report_sink([](engine::LinkReport&&) {});
-  for (std::size_t i = 0; i < packets.size() / 2; ++i) eng.push(packets[i]);
+  push_all(eng, std::span(packets).first(packets.size() / 2));
 
   agg::PartialMeta meta = agg::PartialMeta::from_live(config.live);
   meta.engine = true;

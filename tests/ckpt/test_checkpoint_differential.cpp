@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "../support/push.hpp"
 #include "agg/partial_codec.hpp"
 #include "ckpt/checkpoint.hpp"
 #include "engine/engine.hpp"
@@ -25,6 +26,8 @@
 
 namespace fbm {
 namespace {
+
+using testsupport::push_all;
 
 std::vector<net::PacketRecord> seeded_trace(double duration_s = 40.0,
                                             std::uint64_t seed = 4242) {
@@ -62,7 +65,7 @@ std::vector<std::string> reference_lines(
   est.set_window_sink([&](live::WindowReport&& r) {
     lines.push_back(live::to_jsonl(r));
   });
-  for (const auto& p : packets) est.push(p);
+  push_all(est, packets);
   est.finish();
   return lines;
 }
@@ -80,7 +83,7 @@ std::vector<std::string> resumed_lines(
   first.set_window_sink([&](live::WindowReport&& r) {
     lines.push_back(live::to_jsonl(r));
   });
-  for (std::size_t i = 0; i < cut; ++i) first.push(packets[i]);
+  push_all(first, std::span(packets).first(cut));
   ckpt::write_checkpoint(path, agg::PartialMeta::from_live(config),
                          first.save_state());
   // `first` is abandoned here — the simulated SIGKILL.
@@ -95,7 +98,7 @@ std::vector<std::string> resumed_lines(
   second.set_window_sink([&](live::WindowReport&& r) {
     lines.push_back(live::to_jsonl(r));
   });
-  for (std::size_t i = cut; i < packets.size(); ++i) second.push(packets[i]);
+  push_all(second, std::span(packets).subspan(cut));
   second.finish();
   return lines;
 }
@@ -159,7 +162,7 @@ TEST(CheckpointDifferential, SaveStateRefusesUndrainedReports) {
   const auto packets = seeded_trace(20.0);
   live::WindowedEstimator est(
       live_config(api::FlowDefinition::five_tuple, 4.0, 4.0));
-  for (const auto& p : packets) est.push(p);  // no sink: reports queue up
+  push_all(est, packets);  // no sink: reports queue up
   ASSERT_TRUE(est.has_report());
   EXPECT_THROW((void)est.save_state(), std::logic_error);
   (void)est.take_reports();
@@ -172,7 +175,7 @@ TEST(CheckpointDifferential, RestoreRefusesUsedEstimator) {
       live_config(api::FlowDefinition::five_tuple, 4.0, 4.0);
   live::WindowedEstimator est(config);
   est.set_window_sink([](live::WindowReport&&) {});
-  for (std::size_t i = 0; i < 100; ++i) est.push(packets[i]);
+  push_all(est, std::span(packets).first(100));
   const auto state = est.save_state();
   EXPECT_THROW(est.restore_state(state), std::logic_error);
 }
@@ -183,7 +186,7 @@ TEST(CheckpointDifferential, RestoreRefusesMismatchedConfig) {
       live_config(api::FlowDefinition::five_tuple, 4.0, 4.0);
   live::WindowedEstimator est(config);
   est.set_window_sink([](live::WindowReport&&) {});
-  for (std::size_t i = 0; i < 1000; ++i) est.push(packets[i]);
+  push_all(est, std::span(packets).first(1000));
   const auto path = temp_ckpt("cfg");
   ckpt::write_checkpoint(path, agg::PartialMeta::from_live(config),
                          est.save_state());
@@ -232,7 +235,7 @@ std::vector<std::string> engine_reference(
   eng.set_report_sink([&](engine::LinkReport&& r) {
     lines.push_back(engine::to_jsonl(r));
   });
-  for (const auto& p : packets) eng.push(p);
+  push_all(eng, packets);
   eng.finish();
   return lines;
 }
@@ -248,7 +251,7 @@ std::vector<std::string> engine_resumed(
     first.set_report_sink([&](engine::LinkReport&& r) {
       lines.push_back(engine::to_jsonl(r));
     });
-    for (std::size_t i = 0; i < cut; ++i) first.push(packets[i]);
+    push_all(first, std::span(packets).first(cut));
     ckpt::write_checkpoint(path, engine_meta(config), first.save_state());
     // Abandoned unfinished — ~Engine joins the pool like a dying process.
   }
@@ -264,7 +267,7 @@ std::vector<std::string> engine_resumed(
   second.set_report_sink([&](engine::LinkReport&& r) {
     lines.push_back(engine::to_jsonl(r));
   });
-  for (std::size_t i = cut; i < packets.size(); ++i) second.push(packets[i]);
+  push_all(second, std::span(packets).subspan(cut));
   second.finish();
   return lines;
 }
@@ -323,7 +326,7 @@ TEST(CheckpointDifferential, EngineRestoreRefusesWrongLinks) {
     engine::Engine eng(config);
     for (auto& spec : test_links()) (void)eng.attach(std::move(spec));
     eng.set_report_sink([](engine::LinkReport&&) {});
-    for (std::size_t i = 0; i < 2000; ++i) eng.push(packets[i]);
+    push_all(eng, std::span(packets).first(2000));
     ckpt::write_checkpoint(path, engine_meta(config), eng.save_state());
   }
   const auto ck = ckpt::read_checkpoint(path);

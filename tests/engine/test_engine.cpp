@@ -5,10 +5,13 @@
 #include <stdexcept>
 #include <vector>
 
+#include "../support/push.hpp"
 #include "api/api.hpp"
 
 namespace fbm {
 namespace {
+
+using testsupport::push_one;
 
 net::Prefix pfx(const char* addr, int len) {
   return net::Prefix(*net::Ipv4Address::parse(addr), len);
@@ -115,8 +118,8 @@ TEST(Engine, RejectsBadConfigAndSpecs) {
   // The failed attach rolled back: the claim still routes to "a", and "b"
   // can attach with a free prefix.
   (void)eng.attach(engine::parse_link_spec("b=11.0.0.0/8"));
-  eng.push(packet(0.0, net::Ipv4Address(10, 1, 1, 1)));
-  eng.push(packet(0.1, net::Ipv4Address(10, 1, 1, 1)));
+  push_one(eng, packet(0.0, net::Ipv4Address(10, 1, 1, 1)));
+  push_one(eng, packet(0.1, net::Ipv4Address(10, 1, 1, 1)));
   eng.finish();
   const auto links = eng.links();
   ASSERT_EQ(links.size(), 2u);
@@ -130,9 +133,9 @@ TEST(Engine, DemuxCountersSplitTraffic) {
   const auto a = eng.attach(engine::parse_link_spec("a=10.0.0.0/16"));
   const auto b = eng.attach(engine::parse_link_spec("b=10.1.0.0/16"));
   const auto tap = eng.attach(engine::parse_link_spec("tap=all"));
-  eng.push(packet(0.0, net::Ipv4Address(10, 0, 0, 1), 100));
-  eng.push(packet(0.1, net::Ipv4Address(10, 1, 0, 1), 200));
-  eng.push(packet(0.2, net::Ipv4Address(10, 2, 0, 1), 400));  // unmatched
+  push_one(eng, packet(0.0, net::Ipv4Address(10, 0, 0, 1), 100));
+  push_one(eng, packet(0.1, net::Ipv4Address(10, 1, 0, 1), 200));
+  push_one(eng, packet(0.2, net::Ipv4Address(10, 2, 0, 1), 400));  // unmatched
   eng.finish();
   const auto links = eng.links();
   ASSERT_EQ(links.size(), 3u);
@@ -151,9 +154,9 @@ TEST(Engine, DemuxCountersSplitTraffic) {
 TEST(Engine, RuntimeAttachSeesOnlyLaterPackets) {
   engine::Engine eng(batch_config());
   (void)eng.attach(engine::parse_link_spec("early=all"));
-  eng.push(packet(0.0, net::Ipv4Address(10, 0, 0, 1)));
+  push_one(eng, packet(0.0, net::Ipv4Address(10, 0, 0, 1)));
   (void)eng.attach(engine::parse_link_spec("late=all"));
-  eng.push(packet(0.5, net::Ipv4Address(10, 0, 0, 1)));
+  push_one(eng, packet(0.5, net::Ipv4Address(10, 0, 0, 1)));
   eng.finish();
   const auto links = eng.links();
   EXPECT_EQ(links[0].counters.packets, 2u);
@@ -169,8 +172,8 @@ TEST(Engine, DetachFinalizesSessionAndStopsRouting) {
   eng.set_report_sink(
       [&](engine::LinkReport&& r) { reports.push_back(std::move(r)); });
 
-  eng.push(packet(0.0, net::Ipv4Address(10, 0, 0, 1)));
-  eng.push(packet(1.0, net::Ipv4Address(10, 0, 0, 1)));
+  push_one(eng, packet(0.0, net::Ipv4Address(10, 0, 0, 1)));
+  push_one(eng, packet(1.0, net::Ipv4Address(10, 0, 0, 1)));
   ASSERT_TRUE(eng.detach(id));
   // Detach finalized the session: its interval 0 report is already out.
   ASSERT_EQ(reports.size(), 1u);
@@ -182,7 +185,7 @@ TEST(Engine, DetachFinalizesSessionAndStopsRouting) {
   EXPECT_FALSE(eng.detach(9999));     // unknown id
   EXPECT_EQ(eng.link_count(), 1u);
 
-  eng.push(packet(2.0, net::Ipv4Address(10, 0, 0, 1)));
+  push_one(eng, packet(2.0, net::Ipv4Address(10, 0, 0, 1)));
   eng.finish();
   const auto links = eng.links();
   EXPECT_FALSE(links[0].attached);
@@ -200,7 +203,7 @@ TEST(Engine, DetachedPrefixBecomesClaimable) {
   ASSERT_TRUE(eng.detach(id));
   const auto id2 = eng.attach(engine::parse_link_spec("a=10.0.0.0/8"));
   EXPECT_NE(id, id2);  // ids are never reused
-  eng.push(packet(0.0, net::Ipv4Address(10, 0, 0, 1)));
+  push_one(eng, packet(0.0, net::Ipv4Address(10, 0, 0, 1)));
   eng.finish();
   const auto links = eng.links();
   EXPECT_EQ(links[1].counters.packets, 1u);
@@ -217,8 +220,8 @@ TEST(Engine, PerLinkOverridesLayerOverBase) {
   (void)eng.attach(verbose);
   (void)eng.attach(engine::parse_link_spec("quiet=all"));
 
-  eng.push(packet(0.0, net::Ipv4Address(10, 0, 0, 1)));
-  eng.push(packet(1.0, net::Ipv4Address(10, 0, 0, 1)));
+  push_one(eng, packet(0.0, net::Ipv4Address(10, 0, 0, 1)));
+  push_one(eng, packet(1.0, net::Ipv4Address(10, 0, 0, 1)));
   eng.finish();
   const auto reports = eng.take_reports();
   // Only the tuned link reports: the base min_flows(100) still governs the
@@ -230,12 +233,12 @@ TEST(Engine, PerLinkOverridesLayerOverBase) {
 TEST(Engine, OrderingAndLifecycleErrors) {
   engine::Engine eng(batch_config());
   (void)eng.attach(engine::parse_link_spec("tap=all"));
-  eng.push(packet(1.0, net::Ipv4Address(10, 0, 0, 1)));
-  EXPECT_THROW(eng.push(packet(0.5, net::Ipv4Address(10, 0, 0, 1))),
+  push_one(eng, packet(1.0, net::Ipv4Address(10, 0, 0, 1)));
+  EXPECT_THROW(push_one(eng, packet(0.5, net::Ipv4Address(10, 0, 0, 1))),
                std::invalid_argument);
   eng.finish();
   eng.finish();  // idempotent
-  EXPECT_THROW(eng.push(packet(2.0, net::Ipv4Address(10, 0, 0, 1))),
+  EXPECT_THROW(push_one(eng, packet(2.0, net::Ipv4Address(10, 0, 0, 1))),
                std::logic_error);
 }
 
@@ -256,7 +259,7 @@ TEST(Engine, LiveModeEmitsTaggedWindows) {
   engine::Engine eng(config);
   (void)eng.attach(engine::parse_link_spec("tap=all"));
   for (int i = 0; i < 40; ++i) {
-    eng.push(packet(0.1 * i, net::Ipv4Address(10, 0, 0, 1)));
+    push_one(eng, packet(0.1 * i, net::Ipv4Address(10, 0, 0, 1)));
   }
   eng.finish();
   const auto reports = eng.take_reports();

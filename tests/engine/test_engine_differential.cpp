@@ -16,11 +16,14 @@
 #include <string>
 #include <vector>
 
+#include "../support/push.hpp"
 #include "api/api.hpp"
 #include "trace/synthetic.hpp"
 
 namespace fbm {
 namespace {
+
+using testsupport::push_all;
 
 std::vector<net::PacketRecord> seeded_trace(double duration_s = 60.0,
                                             double util_bps = 8e6,
@@ -162,7 +165,7 @@ void run_batch_differential(const std::vector<LinkDef>& links,
     got[r.name].push_back(std::move(*r.interval));
   });
   for (const auto& link : links) eng.attach(link.spec);
-  for (const auto& p : packets) eng.push(p);
+  push_all(eng, packets);
   eng.finish();
 
   for (const auto& link : links) {
@@ -223,14 +226,14 @@ void run_live_differential(const std::vector<LinkDef>& links,
     got[r.name].push_back(live::to_jsonl(*r.window));
   });
   for (const auto& link : links) eng.attach(link.spec);
-  for (const auto& p : packets) eng.push(p);
+  push_all(eng, packets);
   eng.finish();
 
   for (const auto& link : links) {
     SCOPED_TRACE(link.name);
     const auto& filtered = split.at(link.name);
     live::WindowedEstimator reference(live_config(width, stride));
-    for (const auto& p : filtered) reference.push(p);
+    push_all(reference, filtered, 1);
     reference.finish();
     const auto expected = reference.take_reports();
     const auto& actual = got[link.name];

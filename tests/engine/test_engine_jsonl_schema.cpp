@@ -14,12 +14,15 @@
 #include <string>
 #include <vector>
 
+#include "../support/push.hpp"
 #include "api/api.hpp"
 #include "../support/json_fields.hpp"
 #include "trace/synthetic.hpp"
 
 namespace fbm {
 namespace {
+
+using testsupport::push_all;
 
 const std::vector<std::string>& expected_keys() {
   static const std::vector<std::string> keys{
@@ -84,7 +87,7 @@ TEST(EngineJsonl, EngineOutputMatchesSchema) {
   engine::Engine eng(config);
   (void)eng.attach(engine::parse_link_spec("low=10.0.0.0/15"));
   (void)eng.attach(engine::parse_link_spec("tap=all"));
-  for (const auto& p : packets) eng.push(p);
+  push_all(eng, packets);
   eng.finish();
   const auto reports = eng.take_reports();
   ASSERT_GE(reports.size(), 6u);

@@ -6,12 +6,16 @@
 #include <cmath>
 #include <vector>
 
+#include "../support/push.hpp"
 #include "live/live.hpp"
 #include "predict/predictor.hpp"
 #include "stats/autocorrelation.hpp"
 
 namespace fbm {
 namespace {
+
+using testsupport::push_all;
+using testsupport::push_one;
 
 net::PacketRecord packet(double ts, std::uint16_t src_port,
                          std::uint32_t bytes = 1000) {
@@ -38,7 +42,7 @@ std::vector<live::WindowReport> run(const live::LiveConfig& config,
                                     const std::vector<net::PacketRecord>&
                                         packets) {
   live::WindowedEstimator estimator(config);
-  for (const auto& p : packets) estimator.push(p);
+  push_all(estimator, packets);
   estimator.finish();
   return estimator.take_reports();
 }
@@ -173,13 +177,13 @@ TEST(LiveEdgeCases, RejectsBadStreams) {
   live::WindowedEstimator estimator(tiling_config(5.0));
   net::PacketRecord negative = packet(1.0, 1);
   negative.timestamp = -0.5;
-  EXPECT_THROW(estimator.push(negative), std::invalid_argument);
+  EXPECT_THROW(push_one(estimator, negative), std::invalid_argument);
 
-  estimator.push(packet(2.0, 1));
-  EXPECT_THROW(estimator.push(packet(1.0, 1)), std::invalid_argument);
+  push_one(estimator, packet(2.0, 1));
+  EXPECT_THROW(push_one(estimator, packet(1.0, 1)), std::invalid_argument);
 
   estimator.finish();
-  EXPECT_THROW(estimator.push(packet(3.0, 1)), std::logic_error);
+  EXPECT_THROW(push_one(estimator, packet(3.0, 1)), std::logic_error);
 }
 
 TEST(LiveEdgeCases, RejectsBadConfig) {
@@ -197,7 +201,7 @@ TEST(LiveEdgeCases, SinkStreamsInsteadOfQueueing) {
   estimator.set_window_sink(
       [&](live::WindowReport&& r) { seen.push_back(r.window_index); });
   for (double t = 0.05; t < 4.0; t += 0.1) {
-    estimator.push(packet(t, 9));
+    push_one(estimator, packet(t, 9));
   }
   estimator.finish();
   EXPECT_FALSE(estimator.has_report());

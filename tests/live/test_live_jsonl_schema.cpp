@@ -13,12 +13,15 @@
 #include <string>
 #include <vector>
 
+#include "../support/push.hpp"
 #include "live/live.hpp"
 #include "../support/json_fields.hpp"
 #include "trace/synthetic.hpp"
 
 namespace fbm {
 namespace {
+
+using testsupport::push_all;
 
 const std::vector<std::string>& expected_keys() {
   static const std::vector<std::string> keys{
@@ -117,7 +120,7 @@ TEST(LiveJsonl, EstimatorOutputMatchesSchema) {
   config.window_s = 5.0;
   config.analysis.timeout_s(2.0);
   live::WindowedEstimator estimator(config);
-  for (const auto& p : packets) estimator.push(p);
+  push_all(estimator, packets);
   estimator.finish();
   const auto reports = estimator.take_reports();
   ASSERT_GE(reports.size(), 3u);

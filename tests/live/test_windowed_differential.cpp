@@ -18,6 +18,7 @@
 #include <optional>
 #include <vector>
 
+#include "../support/push.hpp"
 #include "api/api.hpp"
 #include "core/fitting.hpp"
 #include "core/moments.hpp"
@@ -30,6 +31,8 @@
 
 namespace fbm {
 namespace {
+
+using testsupport::push_all;
 
 std::vector<net::PacketRecord> seeded_trace(double duration_s = 60.0,
                                             double util_bps = 8e6,
@@ -121,7 +124,7 @@ void run_differential(api::FlowDefinition def, double width, double stride) {
   config.stride_s = stride;
   config.analysis.flow_definition(def).timeout_s(10.0);
   live::WindowedEstimator estimator(config);
-  for (const auto& p : packets) estimator.push(p);
+  push_all(estimator, packets);
   estimator.finish();
   const auto reports = estimator.take_reports();
   ASSERT_GT(reports.size(), 3u);
@@ -194,7 +197,7 @@ void run_vs_pipeline(api::FlowDefinition def, std::size_t threads) {
   config.window_s = width;
   config.analysis.flow_definition(def).timeout_s(10.0);
   live::WindowedEstimator estimator(config);
-  for (const auto& p : packets) estimator.push(p);
+  push_all(estimator, packets);
   estimator.finish();
   const auto live_reports = estimator.take_reports();
 
@@ -264,7 +267,7 @@ TEST(WindowedDifferential, ReplayIsByteIdentical) {
       out += live::to_jsonl(r);
       out += '\n';
     });
-    for (const auto& p : packets) estimator.push(p);
+    push_all(estimator, packets);
     estimator.finish();
     return out;
   };

@@ -47,6 +47,7 @@
 
 #include "agg/agg.hpp"
 #include "api/api.hpp"
+#include "batch_filter.hpp"
 #include "metrics_cli.hpp"
 #include "store/report_store.hpp"
 
@@ -200,19 +201,6 @@ Options parse_args(int argc, char** argv) {
   return opt;
 }
 
-/// Shard-mode packet filter: keep exactly the packets whose flow key hashes
-/// to this shard (the same stable hash the parallel pipeline shards by), so
-/// K such processes partition the trace by flow and every flow's packet
-/// subsequence survives intact — the property that makes merged partials
-/// bit-identical to a single run.
-[[nodiscard]] bool shard_keeps(const Options& opt,
-                               const fbm::api::AnalysisConfig& config,
-                               const fbm::net::PacketRecord& p) {
-  return opt.shard_count <= 1 ||
-         fbm::api::flow_shard_of(p, config.flow_definition(),
-                                 opt.shard_count) == opt.shard_index;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -243,7 +231,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!(interval_s > 0.0)) {
-    std::fprintf(stderr, "error: no packets in %s\n", opt.path.c_str());
+    // Whole-trace mode only: the buffered trace ends at a negative or NaN
+    // timestamp, so it spans no positive horizon.
+    std::fprintf(stderr, "error: %s does not end at a positive timestamp\n",
+                 opt.path.c_str());
     return 1;
   }
 
@@ -410,9 +401,12 @@ int main(int argc, char** argv) {
       });
     }
     if (opt.shard_count > 1) {
-      source->for_each([&](const net::PacketRecord& p) {
-        if (shard_keeps(opt, config, p)) pipeline.push(p);
-      });
+      (void)api::read_batches(
+          *source, config.batch_packets(), [&](net::PacketBatch& b) {
+            tools::keep_shard(b, config.flow_definition(), opt.shard_index,
+                              opt.shard_count);
+            pipeline.push_batch(b);
+          });
       pipeline.finish();
     } else {
       pipeline.consume(*source);

@@ -63,7 +63,7 @@
 
 #include "agg/agg.hpp"
 #include "api/api.hpp"
-#include "api/shard.hpp"
+#include "batch_filter.hpp"
 #include "ckpt/checkpoint.hpp"
 #include "live/live.hpp"
 #include "metrics_cli.hpp"
@@ -282,18 +282,6 @@ Options parse_args(int argc, char** argv) {
   return opt;
 }
 
-/// Shard-mode packet filter: keep exactly the packets whose flow key hashes
-/// to this shard, so K such processes partition the stream by flow and every
-/// flow's packet subsequence survives intact — the property that makes
-/// merged partials bit-identical to a single run.
-[[nodiscard]] bool shard_keeps(const Options& opt,
-                               const fbm::live::LiveConfig& config,
-                               const fbm::net::PacketRecord& p) {
-  return opt.shard_count <= 1 ||
-         fbm::api::flow_shard_of(p, config.analysis.flow_definition(),
-                                 opt.shard_count) == opt.shard_index;
-}
-
 void print_human(const fbm::live::WindowReport& r, const char* link) {
   const char* mark = "";
   if (r.anomaly.alert) {
@@ -332,16 +320,19 @@ fbm::live::LiveConfig make_live_config(const Options& opt) {
   return config;
 }
 
-/// Drains the source into `push`, with --follow/--idle polling; `done`
-/// flips when --max-windows is reached. `idle_tick` runs before each quiet
-/// sleep (the engine flushes its demux buffers there, so a stalled stream
-/// still delivers buffered windows). `metrics` is ticked every few thousand
-/// packets and on every idle poll; in --follow mode each tick also refreshes
-/// the window-lag gauge (wall clock minus the newest packet timestamp).
+/// Drains the source into `push` a batch at a time (the configured
+/// analysis batch size), with --follow/--idle polling; `done` flips when
+/// --max-windows is reached. `push` gets the batch mutable, so it can
+/// filter it in place. `idle_tick` runs before each quiet sleep (the engine
+/// flushes its demux buffers there, so a stalled stream still delivers
+/// buffered windows). `metrics` is ticked every few thousand packets and
+/// on every idle poll; in --follow mode each tick also refreshes the
+/// window-lag gauge (wall clock minus the newest packet timestamp).
 template <typename Push, typename IdleTick>
 void drain(fbm::api::TraceSource& source, const Options& opt,
-           const std::atomic<bool>& done, fbm::obs::MetricsExporter& metrics,
-           Push&& push, IdleTick&& idle_tick) {
+           std::size_t batch_packets, const std::atomic<bool>& done,
+           fbm::obs::MetricsExporter& metrics, Push&& push,
+           IdleTick&& idle_tick) {
   const auto poll = std::chrono::milliseconds(50);
   double idle_s = 0.0;
   std::uint64_t seen = 0;
@@ -357,12 +348,15 @@ void drain(fbm::api::TraceSource& source, const Options& opt,
     }
     metrics.tick();
   };
+  fbm::net::PacketBatch batch;
   while (!done) {
-    if (auto p = source.next()) {
-      newest_ts = p->timestamp;
-      push(*p);
+    if (source.next_batch(batch, batch_packets) > 0) {
+      newest_ts = batch.timestamps.back();
+      const std::uint64_t before = seen;
+      seen += batch.size();
+      push(batch);
       idle_s = 0.0;
-      if ((++seen & 0x0FFFu) == 0) metrics_tick();
+      if ((before >> 12) != (seen >> 12)) metrics_tick();
       continue;
     }
     if (!opt.follow) break;
@@ -379,6 +373,7 @@ int run_single(const Options& opt) {
   auto source = api::open_trace(opt.path, opt.follow);
   const live::LiveConfig config = make_live_config(opt);
   live::WindowedEstimator estimator(config);
+  const std::size_t batch_packets = config.analysis.batch_packets();
   obs::MetricsExporter metrics = tools::make_metrics_exporter(opt.metrics);
   tools::MetricsFinishGuard metrics_guard(metrics);
 
@@ -395,14 +390,13 @@ int run_single(const Options& opt) {
 
     std::atomic<bool> done{false};
     drain(
-        *source, opt, done, metrics,
-        [&](const net::PacketRecord& p) {
-          if (!shard_keeps(opt, config, p)) return;
-          if (shard_summary.packets == 0) shard_summary.first_ts = p.timestamp;
-          shard_summary.last_ts = p.timestamp;
-          ++shard_summary.packets;
-          shard_summary.total_bytes += p.size_bytes;
-          estimator.push(p);
+        *source, opt, batch_packets, done, metrics,
+        [&](net::PacketBatch& b) {
+          tools::keep_shard(b, config.analysis.flow_definition(),
+                            opt.shard_index, opt.shard_count);
+          if (b.empty()) return;
+          estimator.push_batch(b);
+          shard_summary.add(b);
         },
         [] {});
     estimator.finish();
@@ -444,9 +438,9 @@ int run_single(const Options& opt) {
 
   std::atomic<bool> done{false};
   estimator.set_window_sink([&](live::WindowReport&& r) {
-    // One push() can close many windows at once (a quiet gap in the
-    // stream); stop printing the moment the cap is reached, not just at
-    // the next outer-loop check.
+    // One batch can close many windows at once (a quiet gap in the
+    // stream, or just a long batch); stop printing the moment the cap is
+    // reached, not just at the next outer-loop check.
     if (done) return;
     if (opt.json) {
       std::printf("%s\n", live::to_jsonl(r).c_str());
@@ -461,7 +455,7 @@ int run_single(const Options& opt) {
     }
   });
 
-  // Checkpoints are cut between pushes (never inside the sink — the
+  // Checkpoints are cut between batches (never inside the sink — the
   // estimator is mid-mutation there), after the sink has printed and
   // flushed every window the snapshot counts as delivered.
   std::uint64_t last_ckpt = estimator.counters().windows;
@@ -478,15 +472,12 @@ int run_single(const Options& opt) {
     std::printf("%6s %8s %8s %9s | %s\n", "window", "t0", "flows",
                 "lambda", "measured Mbps vs forecast band");
   }
-  std::uint64_t skipped = 0;
   drain(
-      *source, opt, done, metrics,
-      [&](const net::PacketRecord& p) {
-        if (skipped < skip) {
-          ++skipped;
-          return;
-        }
-        estimator.push(p);
+      *source, opt, batch_packets, done, metrics,
+      [&](net::PacketBatch& b) {
+        skip -= tools::drop_front(b, skip);
+        if (b.empty()) return;
+        estimator.push_batch(b);
         maybe_checkpoint();
       },
       [] {});
@@ -516,6 +507,7 @@ int run_engine(const Options& opt) {
   config.mode = engine::EngineMode::live;
   config.live = make_live_config(opt);
   config.threads = opt.threads;
+  const std::size_t batch_packets = config.live.analysis.batch_packets();
 
   // The sink runs on pool workers under --threads, possibly until ~Engine
   // joins them — so the state it captures is declared before the engine
@@ -549,8 +541,8 @@ int run_engine(const Options& opt) {
     for (auto& spec : specs) (void)eng.attach(std::move(spec));
 
     drain(
-        *source, opt, done, metrics,
-        [&](const net::PacketRecord& p) { eng.push(p); },
+        *source, opt, batch_packets, done, metrics,
+        [&](const net::PacketBatch& b) { eng.push_batch(b); },
         [&] { eng.flush(); });
     eng.finish();
     if (eng.summary().packets == 0) {
@@ -622,7 +614,7 @@ int run_engine(const Options& opt) {
     if (opt.max_windows > 0 && windows >= opt.max_windows) done = true;
   });
 
-  // Between-push checkpoint trigger; `windows` is atomic because pool
+  // Between-batch checkpoint trigger; `windows` is atomic because pool
   // workers bump it in the sink while the demux thread reads it here.
   // save_state() quiesces the pool, so the snapshot is a consistent cut.
   std::uint64_t last_ckpt = windows.load();
@@ -638,15 +630,12 @@ int run_engine(const Options& opt) {
     std::printf("%-10s %6s %8s %8s %9s | %s\n", "link", "window", "t0",
                 "flows", "lambda", "measured Mbps vs forecast band");
   }
-  std::uint64_t skipped = 0;
   drain(
-      *source, opt, done, metrics,
-      [&](const net::PacketRecord& p) {
-        if (skipped < skip) {
-          ++skipped;
-          return;
-        }
-        eng.push(p);
+      *source, opt, batch_packets, done, metrics,
+      [&](net::PacketBatch& b) {
+        skip -= tools::drop_front(b, skip);
+        if (b.empty()) return;
+        eng.push_batch(b);
         maybe_checkpoint();
       },
       [&] { eng.flush(); });
