@@ -1,6 +1,6 @@
-// Sharded-pipeline throughput: packets/sec of ParallelAnalysisPipeline at
-// 1, 2, 4 and 8 worker shards on a synthetic 8 Mbps backbone trace, against
-// the serial AnalysisPipeline baseline.
+// Sharded-pipeline throughput: packets/sec of AnalysisPipeline at 1, 2, 4
+// and 8 worker shards (AnalysisConfig::threads) on a synthetic 8 Mbps
+// backbone trace, against the api::analyze baseline.
 //
 // The sharded pipeline's merge is deterministic (flow-key-hashed shards,
 // ByStart re-sort, exact integral bin sums), so besides timing each run this
@@ -82,11 +82,10 @@ FBM_BENCH(parallel_throughput) {
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
     auto config = base;
     config.threads(threads);
-    // Construct the sharded pipeline directly: api::analyze would fall back
-    // to the serial path at threads == 1, and the single-shard row is the
-    // honest baseline for the hand-off + merge overhead.
+    // The single-shard row runs the serial code path (no routing, no pool
+    // thread), so it is a second sample of the baseline.
     const auto t1 = Clock::now();
-    api::ParallelAnalysisPipeline pipeline(config);
+    api::AnalysisPipeline pipeline(config);
     bench::push_packets(pipeline, packets);
     pipeline.finish();
     const auto reports = pipeline.take_reports();

@@ -59,7 +59,7 @@ void Merger::fold_window(PartialWindow&& w) {
   }
   // Concatenation order is irrelevant: fitting re-sorts with flow::ByStart,
   // and the bins sum integral byte counts (exact in any order) — the same
-  // argument api::ParallelAnalysisPipeline::merge_front relies on.
+  // argument api::AnalysisPipeline's shard merge relies on.
   live::WindowPartial& into = it->second;
   into.packets += w.window.packets;
   into.bytes += w.window.bytes;

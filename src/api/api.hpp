@@ -18,9 +18,9 @@
 //                        sessions share one worker pool;
 //                        per-link config layered over a base
 //
-// AnalysisConfig::threads(N) with N > 1 routes analyze() through
-// ParallelAnalysisPipeline: N flow-key-hashed shards with a deterministic
-// merge, bit-for-bit identical output (see api/parallel_pipeline.hpp).
+// AnalysisConfig::threads(N) with N > 1 runs the pipeline as N
+// flow-key-hashed shards on a core::WorkerPool with a deterministic merge,
+// bit-for-bit identical output (see api/pipeline.hpp).
 // Engine output is likewise proven bit-for-bit equal to running each link's
 // pre-filtered packets through the single-link pipeline (tests/engine/).
 //
@@ -40,7 +40,6 @@
 // available for research code that needs the pieces individually.
 #pragma once
 
-#include "api/parallel_pipeline.hpp"  // IWYU pragma: export
 #include "api/pipeline.hpp"    // IWYU pragma: export
 #include "api/report.hpp"      // IWYU pragma: export
 #include "api/trace_source.hpp"  // IWYU pragma: export

@@ -1,60 +1,114 @@
 #include "api/pipeline.hpp"
 
 #include <algorithm>
+#include <mutex>
 #include <stdexcept>
 #include <utility>
 
-#include "api/parallel_pipeline.hpp"
 #include "api/shard.hpp"
+#include "core/worker_pool.hpp"
 
 namespace fbm::api {
 
 // -------------------------------------------------------- AnalysisPipeline ---
 //
-// A thin driver over a single PipelineShard: the shard owns the classifier
-// and all per-interval accumulation, this class owns the clock (sweep
-// cadence, close watermark), the trace summary, and report finalization.
-// The parallel pipeline runs N of the same shards, so serial and sharded
-// analysis share every line of accumulation code.
+// The caller's thread owns the clock (ingest check, sweep cadence, close
+// watermark), the trace summary, routing and the merge; the shards own the
+// classifiers and all per-interval accumulation. Shard s runs on pool
+// worker s, so it sees its batches, sweeps and final flush in order.
 
-AnalysisPipeline::AnalysisPipeline(AnalysisConfig config)
-    : config_(config) {
+/// One flow-hash shard. `state` is touched by its worker's tasks and by the
+/// observability getters, `out` by those tasks and the merge: each has its
+/// own mutex so the merge never waits for a running batch.
+struct AnalysisPipeline::Shard {
+  explicit Shard(const AnalysisConfig& config) : state(config) {}
+
+  mutable std::mutex mu;
+  PipelineShard state;  ///< guarded by mu
+  std::mutex out_mu;
+  std::deque<ShardInterval> out;  ///< closed, contiguous indices (out_mu)
+  net::PacketBatch pending;       ///< routed, not yet submitted (caller)
+};
+
+AnalysisPipeline::AnalysisPipeline(AnalysisConfig config) : config_(config) {
+  // threads == 0 means "use every core" — resolve before the shard count
+  // and the per-shard reserve split read it.
+  config_.threads(resolve_threads(config_.threads()));
   validate_config(config_);
-  shard_ = std::make_unique<PipelineShard>(config_);
+  for (std::size_t s = 0; s < config_.threads(); ++s) {
+    shards_.push_back(std::make_unique<Shard>(config_));
+  }
+  pool_ = std::make_unique<core::WorkerPool>(config_.threads(), "pipeline");
 }
 
 AnalysisPipeline::~AnalysisPipeline() = default;
-AnalysisPipeline::AnalysisPipeline(AnalysisPipeline&&) noexcept = default;
-AnalysisPipeline& AnalysisPipeline::operator=(AnalysisPipeline&&) noexcept =
-    default;
 
 void AnalysisPipeline::push_batch(const net::PacketBatch& batch) {
   if (batch.empty()) return;
   if (finished_) {
     throw std::logic_error("AnalysisPipeline: push after finish");
   }
-  // The shard's classifier runs the ingest check before anything changes.
-  shard_->add_batch(batch);
-
+  net::check_order(batch.timestamps, last_ts_, "AnalysisPipeline");
+  const std::size_t n = batch.size();
   if (summary_.packets == 0) {
     next_sweep_ = batch.timestamps.front() + config_.expire_every_s();
   }
   summary_.add(batch);
-  const double last_ts = batch.timestamps.back();
+  last_ts_ = batch.timestamps.back();
 
   // Timestamps are non-decreasing, so the batch's max interval index is the
   // last packet's.
   max_index_ =
-      std::max(max_index_, interval_index_of(last_ts, config_.interval_s()));
+      std::max(max_index_, interval_index_of(last_ts_, config_.interval_s()));
+
+  if (shards_.size() == 1) {
+    shards_.front()->state.add_batch(batch);  // no routing, no copy
+  } else {
+    // Route into the per-shard staging batches (SoA stays SoA end to end).
+    const FlowDefinition def = config_.flow_definition();
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t s = flow_shard_of(batch.tuples[i], def, shards_.size());
+      net::PacketBatch& pending = shards_[s]->pending;
+      pending.emplace_back(batch.timestamps[i], batch.tuples[i],
+                           batch.sizes[i]);
+      if (pending.size() >= config_.batch_packets()) flush_pending(s);
+    }
+  }
 
   // Sweeping once at batch end instead of at each crossing inside the batch
   // is result-neutral: an interval's content depends only on which flows and
   // bytes land in it, never on when the close watermark passes it.
-  if (last_ts >= next_sweep_) sweep(last_ts);
+  if (last_ts_ >= next_sweep_) sweep(last_ts_);
+}
+
+void AnalysisPipeline::flush_pending(std::size_t shard) {
+  Shard* s = shards_[shard].get();
+  if (s->pending.empty()) return;
+  pool_->submit(shard, [s, batch = std::exchange(s->pending, {})] {
+    std::lock_guard lock(s->mu);
+    s->state.add_batch(batch);
+  });
+}
+
+void AnalysisPipeline::submit_close(std::size_t shard, double now,
+                                    std::int64_t last, bool final) {
+  pool_->submit(shard, [s = shards_[shard].get(), now, last, final] {
+    std::vector<ShardInterval> closed;
+    {
+      std::lock_guard lock(s->mu);
+      if (final) {
+        s->state.finish(last, closed);
+      } else {
+        s->state.close_through(now, last, closed);
+      }
+    }
+    std::lock_guard lock(s->out_mu);
+    for (auto& iv : closed) s->out.push_back(std::move(iv));
+  });
 }
 
 void AnalysisPipeline::sweep(double now) {
-  // After the shard's expiry pass, every flow contained in interval k has
+  // After a shard's expiry pass, every flow contained in interval k has
   // been emitted once now - interval_end > timeout, so k can be closed.
   std::int64_t last = next_close_ - 1;
   while (last + 1 <= max_index_ &&
@@ -62,18 +116,43 @@ void AnalysisPipeline::sweep(double now) {
              config_.timeout_s()) {
     ++last;
   }
-  std::vector<ShardInterval> closed;
-  shard_->close_through(now, last, closed);
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    flush_pending(s);
+    submit_close(s, now, last, false);
+  }
   next_close_ = std::max(next_close_, last + 1);
-  absorb(std::move(closed));
   while (next_sweep_ <= now) next_sweep_ += config_.expire_every_s();
+  merge_ready();
 }
 
-void AnalysisPipeline::absorb(std::vector<ShardInterval>&& closed) {
-  for (auto& iv : closed) {
+void AnalysisPipeline::merge_ready() {
+  // Every shard closes the same contiguous index sequence, so the oldest
+  // unmerged interval is complete once no shard's output is empty.
+  const auto pop = [](Shard& shard) {
+    std::lock_guard lock(shard.out_mu);
+    ShardInterval iv = std::move(shard.out.front());
+    shard.out.pop_front();
+    return iv;
+  };
+  for (;;) {
+    for (auto& shard : shards_) {
+      std::lock_guard lock(shard->out_mu);
+      if (shard->out.empty()) return;
+    }
+    // Concatenation order is irrelevant: finalize_interval re-sorts with
+    // flow::ByStart (a total order over every record field), and the rate
+    // bins hold exact integral byte counts, so summation commutes.
+    ShardInterval iv = pop(*shards_.front());
+    for (std::size_t s = 1; s < shards_.size(); ++s) {
+      ShardInterval part = pop(*shards_[s]);
+      iv.flows.insert(iv.flows.end(),
+                      std::make_move_iterator(part.flows.begin()),
+                      std::make_move_iterator(part.flows.end()));
+      iv.bins.merge(part.bins);
+    }
     if (partial_sink_) {
       // Distributed mode: the raw material leaves for agg::Merger, which
-      // fits once after the final fold. Nothing is fitted here.
+      // fits once after the final (cross-process) fold.
       partial_sink_(std::move(iv));
       continue;
     }
@@ -93,10 +172,12 @@ void AnalysisPipeline::absorb(std::vector<ShardInterval>&& closed) {
 void AnalysisPipeline::finish() {
   if (finished_) return;
   finished_ = true;
-  std::vector<ShardInterval> closed;
-  shard_->finish(max_index_, closed);
-  next_close_ = std::max(next_close_, max_index_ + 1);
-  absorb(std::move(closed));
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    flush_pending(s);
+    submit_close(s, 0.0, max_index_, true);
+  }
+  pool_->join();
+  merge_ready();
 }
 
 void AnalysisPipeline::consume(TraceSource& source) {
@@ -106,6 +187,7 @@ void AnalysisPipeline::consume(TraceSource& source) {
 }
 
 AnalysisReport AnalysisPipeline::pop_report() {
+  merge_ready();
   if (ready_.empty()) {
     throw std::logic_error("AnalysisPipeline: no report ready");
   }
@@ -115,35 +197,48 @@ AnalysisReport AnalysisPipeline::pop_report() {
 }
 
 std::vector<AnalysisReport> AnalysisPipeline::take_reports() {
+  merge_ready();
   std::vector<AnalysisReport> out(std::make_move_iterator(ready_.begin()),
                                   std::make_move_iterator(ready_.end()));
   ready_.clear();
   return out;
 }
 
-const flow::ClassifierCounters& AnalysisPipeline::counters() const {
-  return shard_->counters();
+flow::ClassifierCounters AnalysisPipeline::counters() const {
+  flow::ClassifierCounters total;
+  for (const auto& shard : shards_) {
+    std::lock_guard lock(shard->mu);
+    const auto& c = shard->state.counters();
+    total.packets += c.packets;
+    total.flows_emitted += c.flows_emitted;
+    total.single_packet_discards += c.single_packet_discards;
+    total.boundary_splits += c.boundary_splits;
+  }
+  return total;
 }
 
 std::size_t AnalysisPipeline::active_flows() const {
-  return shard_->active_flows();
+  std::size_t total = 0;
+  for (const auto& shard : shards_) {
+    std::lock_guard lock(shard->mu);
+    total += shard->state.active_flows();
+  }
+  return total;
 }
 
 std::size_t AnalysisPipeline::open_intervals() const {
-  return shard_->open_intervals();
+  std::size_t widest = 0;
+  for (const auto& shard : shards_) {
+    std::lock_guard lock(shard->mu);
+    widest = std::max(widest, shard->state.open_intervals());
+  }
+  return widest;
 }
 
 // ------------------------------------------------------------ convenience ---
 
 std::vector<AnalysisReport> analyze(TraceSource& source,
                                     const AnalysisConfig& config) {
-  // threads != 1 includes 0 ("auto"): both go through the sharded pipeline,
-  // which resolves 0 to the core count. Results are identical either way.
-  if (config.threads() != 1) {
-    ParallelAnalysisPipeline pipeline(config);
-    pipeline.consume(source);
-    return pipeline.take_reports();
-  }
   AnalysisPipeline pipeline(config);
   pipeline.consume(source);
   return pipeline.take_reports();
@@ -153,22 +248,15 @@ std::vector<AnalysisReport> analyze(std::span<const net::PacketRecord> packets,
                                     const AnalysisConfig& config) {
   // Chunk the span through the batched path (AoS -> SoA transpose per
   // chunk); results are identical at every chunk size.
-  const auto run = [&](auto& pipeline) {
-    net::PacketBatch batch;
-    const std::size_t cap = std::max<std::size_t>(1, config.batch_packets());
-    for (std::size_t i = 0; i < packets.size(); i += cap) {
-      batch.assign(packets.subspan(i, std::min(cap, packets.size() - i)));
-      pipeline.push_batch(batch);
-    }
-    pipeline.finish();
-    return pipeline.take_reports();
-  };
-  if (config.threads() != 1) {
-    ParallelAnalysisPipeline pipeline(config);
-    return run(pipeline);
-  }
   AnalysisPipeline pipeline(config);
-  return run(pipeline);
+  net::PacketBatch batch;
+  const std::size_t cap = std::max<std::size_t>(1, config.batch_packets());
+  for (std::size_t i = 0; i < packets.size(); i += cap) {
+    batch.assign(packets.subspan(i, std::min(cap, packets.size() - i)));
+    pipeline.push_batch(batch);
+  }
+  pipeline.finish();
+  return pipeline.take_reports();
 }
 
 }  // namespace fbm::api

@@ -9,11 +9,17 @@
 // exactly the paper's online monitoring story (Section V-G): multi-GB
 // captures analyzed with a fixed-size footprint.
 //
-// The per-interval numbers are bit-for-bit identical to the batch path
-// (classify_all + group_by_interval + estimate_inputs + measure_rate): the
-// same classifier runs underneath, flows are re-sorted by start time with a
-// deterministic tie-break, and rate bins accumulate integral byte counts,
-// which double-precision addition sums exactly in any order.
+// The accumulation runs in config.threads() PipelineShards (api/shard.hpp).
+// With more than one, each packet goes to the shard that owns its flow key
+// (a stable hash), the shards run on a core::WorkerPool, and a merge on the
+// caller's thread folds every shard's copy of interval k before fitting it.
+// Flows are independent shots in the paper's model, so each shard's
+// classifier sees exactly the per-key packet subsequence a single shard
+// would; the merge re-sorts flows with a total order (flow::ByStart) and
+// sums integral byte bins, which double precision does exactly in any
+// order. Reports are therefore bit-for-bit identical at every thread count
+// and every batch size, and identical to the batch path (classify_all +
+// group_by_interval + estimate_inputs + measure_rate).
 #pragma once
 
 #include <cstdint>
@@ -31,6 +37,10 @@
 #include "net/packet.hpp"
 #include "net/packet_batch.hpp"
 #include "trace/trace_stats.hpp"
+
+namespace fbm::core {
+class WorkerPool;
+}  // namespace fbm::core
 
 namespace fbm::api {
 
@@ -60,13 +70,13 @@ class AnalysisConfig {
   AnalysisConfig& keep_flows(bool v) { keep_flows_ = v; return *this; }
   /// How often (in trace time) idle flows are expired and intervals closed.
   AnalysisConfig& expire_every_s(double v) { expire_every_s_ = v; return *this; }
-  /// Worker shards for the parallel pipeline; 1 (the default) selects the
-  /// serial AnalysisPipeline in analyze(); 0 auto-detects the machine's
-  /// core count (std::thread::hardware_concurrency). Output is bit-for-bit
-  /// identical at every value.
+  /// Flow-hashed worker shards; 1 (the default) runs everything on the
+  /// caller's thread, 0 auto-detects the machine's core count
+  /// (std::thread::hardware_concurrency). Output is bit-for-bit identical
+  /// at every value.
   AnalysisConfig& threads(std::size_t v) { threads_ = v; return *this; }
-  /// Packets handed to a worker shard per enqueue (parallel path only;
-  /// purely a throughput knob — results do not depend on it).
+  /// Packets read per batch by consume() and handed to a worker shard per
+  /// task (purely a throughput knob — results do not depend on it).
   AnalysisConfig& batch_packets(std::size_t v) { batch_packets_ = v; return *this; }
   /// Active-flow table slots reserved ahead per classifier (a throughput
   /// knob: skips rehash cascades during ramp-up; results do not depend on
@@ -104,13 +114,7 @@ class AnalysisConfig {
   std::size_t reserve_flows_ = 4096;
 };
 
-/// Streaming pipeline: push packet batches (timestamp order), poll reports.
-/// Reports are emitted in interval order; every interval index up to the
-/// last packet's interval gets exactly one report (unless filtered by
-/// min_flows), so indices line up with wall-clock windows as in the batch
-/// group_by_interval.
-class PipelineShard;    // api/shard.hpp
-struct ShardInterval;   // api/shard.hpp
+struct ShardInterval;  // api/shard.hpp
 
 /// Pre-fit flush hook for distributed aggregation: when set, every closed
 /// analysis interval is handed over as raw sufficient statistics (flows in
@@ -124,17 +128,22 @@ using PartialSink = std::function<void(ShardInterval&&)>;
 
 /// Per-window flush hook: invoked exactly once per closed analysis interval,
 /// in interval order, as soon as the interval is finalized (min_flows
-/// filtering already applied). Serial and sharded pipelines share the same
-/// contract, so a sink never needs to know which one is underneath.
+/// filtering already applied). Always runs on the caller's thread.
 using ReportSink = std::function<void(AnalysisReport&&)>;
 
+/// Streaming pipeline: push packet batches (timestamp order) and poll
+/// reports, both from one thread. Reports are emitted in interval order;
+/// every interval index up to the last packet's interval gets exactly one
+/// report (unless filtered by min_flows), so indices line up with
+/// wall-clock windows as in the batch group_by_interval.
 class AnalysisPipeline {
  public:
-  /// Throws std::invalid_argument on non-positive timeout/interval/delta.
+  /// Throws std::invalid_argument on non-positive timeout/interval/delta or
+  /// batch_packets == 0. Spawns config.threads() workers when that is > 1.
   explicit AnalysisPipeline(AnalysisConfig config);
   ~AnalysisPipeline();
-  AnalysisPipeline(AnalysisPipeline&&) noexcept;
-  AnalysisPipeline& operator=(AnalysisPipeline&&) noexcept;
+  AnalysisPipeline(const AnalysisPipeline&) = delete;
+  AnalysisPipeline& operator=(const AnalysisPipeline&) = delete;
 
   /// Feed the next batch. Timestamps must be finite and non-decreasing,
   /// within the batch and from one batch to the next (throws
@@ -142,14 +151,18 @@ class AnalysisPipeline {
   /// are bit-for-bit identical at every batch size, size 1 included.
   void push_batch(const net::PacketBatch& batch);
 
-  /// End of stream: flush the classifier and close all pending intervals.
-  /// push_batch() must not be called afterwards.
+  /// End of stream: flush the classifiers, close all pending intervals and
+  /// join the workers. push_batch() must not be called afterwards. A worker
+  /// failure is rethrown here, or earlier at the first push that hands the
+  /// pool more work after it.
   void finish();
 
   /// Convenience: drain an entire source through the pipeline and finish.
   void consume(TraceSource& source);
 
-  /// Closed-interval reports ready so far, oldest first.
+  /// Closed-interval reports ready so far, oldest first. With threads > 1
+  /// the merge trails the workers, so a report may show up a few batches
+  /// later than with one thread — the sequence is identical.
   [[nodiscard]] bool has_report() const { return !ready_.empty(); }
   [[nodiscard]] AnalysisReport pop_report();
   /// All pending reports at once (clears the queue).
@@ -169,32 +182,42 @@ class AnalysisPipeline {
 
   /// Running totals over everything pushed so far.
   [[nodiscard]] const trace::TraceSummary& summary() const { return summary_; }
-  [[nodiscard]] const flow::ClassifierCounters& counters() const;
+  /// Classifier counters summed over the shards: exact once finish() has
+  /// returned, a lower bound while workers still hold queued batches.
+  [[nodiscard]] flow::ClassifierCounters counters() const;
+  /// config.threads() resolved (0 becomes the core count).
   [[nodiscard]] const AnalysisConfig& config() const { return config_; }
 
-  /// Observability for the bounded-memory story: intervals currently held
-  /// open and flows currently tracked by the classifier.
+  /// Observability for the bounded-memory story: intervals held open (by
+  /// the widest shard) and flows tracked (summed over the shards).
   [[nodiscard]] std::size_t open_intervals() const;
   [[nodiscard]] std::size_t active_flows() const;
 
  private:
+  struct Shard;
+
+  void flush_pending(std::size_t shard);
+  /// Queues "close `shard` through `last`" (a sweep at `now`, or the final
+  /// flush when `final`) on the shard's worker.
+  void submit_close(std::size_t shard, double now, std::int64_t last,
+                    bool final);
   void sweep(double now);
-  /// Finalizes closed shard intervals into reports (min_flows applied).
-  void absorb(std::vector<ShardInterval>&& closed);
+  /// Folds and finalizes every interval that all shards have closed.
+  void merge_ready();
 
   AnalysisConfig config_;
-  /// All accumulation (classifier, per-interval flows and rate bins) lives
-  /// in one PipelineShard — the same class the parallel pipeline runs N of,
-  /// so the two paths cannot drift apart.
-  std::unique_ptr<PipelineShard> shard_;
+  std::vector<std::unique_ptr<Shard>> shards_;
   std::deque<AnalysisReport> ready_;
   ReportSink sink_;
   PartialSink partial_sink_;
   trace::TraceSummary summary_;
+  double last_ts_ = -std::numeric_limits<double>::infinity();
   double next_sweep_ = 0.0;
-  std::int64_t next_close_ = 0;  ///< lowest interval index not yet closed
+  std::int64_t next_close_ = 0;  ///< lowest interval index not yet swept
   std::int64_t max_index_ = -1;  ///< highest interval index seen
   bool finished_ = false;
+  /// Declared last, so it is joined before the shards its tasks touch go.
+  std::unique_ptr<core::WorkerPool> pool_;
 };
 
 /// One-shot convenience: run a whole source through a fresh pipeline and

@@ -114,8 +114,8 @@ std::unique_ptr<FlowClassifierHandle> make_flow_classifier(
   // Reserve ahead, split across shards: each worker only ever owns the flow
   // keys that hash to it, so the per-classifier share shrinks with the
   // thread count (floor of 64 keeps tiny configs from degenerate tables).
-  // threads() is already resolved by the parallel pipeline; the max guards
-  // a serial pipeline handed a still-unresolved "auto" (0) config.
+  // AnalysisPipeline resolves threads() first; the max guards a caller
+  // handing in a still-unresolved "auto" (0) config.
   const std::size_t shards = std::max<std::size_t>(1, config.threads());
   options.reserve_flows =
       config.reserve_flows() == 0

@@ -6,12 +6,12 @@
 // have seen in a single-threaded run — timeouts and interval splits depend
 // only on that subsequence, never on other keys. PipelineShard is the
 // single-threaded worker state (classifier + per-interval flow and rate-bin
-// accumulation); ParallelAnalysisPipeline owns N of them behind threads and
-// merges their closed intervals deterministically.
+// accumulation); AnalysisPipeline owns config.threads() of them, runs them
+// on a core::WorkerPool and merges their closed intervals deterministically.
 //
-// finalize_interval() is the one place interval math happens — the serial
-// AnalysisPipeline and the parallel merge both call it, so the two paths
-// agree bit for bit by construction.
+// finalize_interval() is the one place interval math happens — every
+// thread count closes intervals through it, so all agree bit for bit by
+// construction.
 #pragma once
 
 #include <cmath>
@@ -95,8 +95,7 @@ class FlowClassifierHandle {
 [[nodiscard]] std::unique_ptr<FlowClassifierHandle> make_flow_classifier(
     FlowDefinition def, const flow::ClassifierOptions& options);
 
-/// Throws std::invalid_argument for out-of-range pipeline parameters (shared
-/// by the serial and parallel constructors, so both reject identically).
+/// Throws std::invalid_argument for out-of-range pipeline parameters.
 void validate_config(const AnalysisConfig& config);
 
 /// AnalysisConfig::threads() == 0 means "use every core": resolves to
@@ -104,8 +103,9 @@ void validate_config(const AnalysisConfig& config);
 /// tell). Any explicit value passes through unchanged.
 [[nodiscard]] std::size_t resolve_threads(std::size_t configured);
 
-/// Analysis-interval index of a timestamp — the single definition both
-/// pipelines use, so a flow lands in the same interval everywhere.
+/// Analysis-interval index of a timestamp — the single definition the
+/// pipeline and its shards use, so a flow lands in the same interval
+/// everywhere.
 [[nodiscard]] inline std::int64_t interval_index_of(double ts,
                                                     double interval_s) {
   return static_cast<std::int64_t>(std::floor(ts / interval_s));
@@ -136,9 +136,9 @@ struct ShardInterval {
 // result bit-for-bit equal to a single-machine run.
 
 /// Single-threaded per-shard pipeline state. Not thread-safe: exactly one
-/// thread drives it (ParallelAnalysisPipeline guards each instance with its
-/// worker's mutex). Feed only packets whose flow key hashes to this shard,
-/// in global timestamp order.
+/// thread drives it (AnalysisPipeline pins each instance to one pool worker
+/// and guards it with a mutex for its observability getters). Feed only
+/// packets whose flow key hashes to this shard, in global timestamp order.
 class PipelineShard {
  public:
   explicit PipelineShard(const AnalysisConfig& config);

@@ -1,197 +1,79 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "api/shard.hpp"
+#include "core/worker_pool.hpp"
 #include "obs/catalog.hpp"
 
 namespace fbm::engine {
 
 namespace {
 
-/// Backpressure bound, as in api::ParallelAnalysisPipeline: a demux thread
-/// that outruns a worker blocks here, keeping memory bounded.
-constexpr std::size_t kMaxQueuedCommands = 256;
-
 /// Packets a session's demux buffer collects before it is handed to the
-/// session's worker (pool only; per-link results do not depend on it), and
-/// the read batch size of consume().
+/// session's worker (threaded pool only; per-link results do not depend on
+/// it), and the read batch size of consume().
 constexpr std::size_t kBatchPackets = 512;
 
 /// Max trace time a routed packet may sit in a demux buffer before being
-/// flushed to its worker (pool only; bounds live-report latency).
+/// flushed to its worker (threaded pool only; bounds live-report latency).
 constexpr double kFlushEveryS = 1.0;
 
 }  // namespace
 
 /// One per-link session: the analysis state (exactly one of batch/live) plus
 /// demux bookkeeping. Driven by exactly one thread at a time — the caller
-/// inline, or the owning pool worker.
+/// inline, or the pool worker it is pinned to.
 struct Engine::Session {
   LinkId id = 0;
   std::string name;
   MatchRule rule;
   bool attached = true;
-  std::size_t worker = 0;  ///< owning pool worker (pool mode)
+  std::size_t worker = 0;  ///< pool worker this session is pinned to
 
   std::unique_ptr<api::AnalysisPipeline> batch;
   std::unique_ptr<live::WindowedEstimator> live;
 
-  net::PacketBatch pending;  ///< demux buffer (pool mode)
+  net::PacketBatch pending;  ///< demux buffer (threaded pool)
   LinkCounters counters;  ///< packets/bytes: demux thread; reports: emit_mu_
 
   // obs: this link's exported gauges, resolved once at attach.
   obs::Gauge* g_packets = nullptr;
   obs::Gauge* g_reports = nullptr;
-};
 
-struct Engine::Worker {
-  /// One unit of work, processed strictly in queue order — so each session
-  /// (pinned to one worker) sees its packets in stream order.
-  struct Command {
-    enum class Kind { batch, finish_session, stop };
-    Kind kind = Kind::batch;
-    Session* session = nullptr;
-    net::PacketBatch packets;
-  };
-
-  std::mutex mu;
-  std::condition_variable work_cv;   ///< worker waits for commands
-  std::condition_variable space_cv;  ///< demux waits for queue space
-  std::condition_variable idle_cv;   ///< snapshot waits for the drain
-  std::deque<Command> queue;
-  bool busy = false;         ///< a popped command is being processed (mu)
-  std::exception_ptr error;  ///< guarded by mu
-  std::atomic<bool> failed{false};
-  std::thread thread;
-
-  // obs: queue-depth gauge and pool backpressure counter, set at spawn.
-  obs::Gauge* queue_gauge = nullptr;
-  obs::Counter* bp_counter = nullptr;
-
-  void set_idle() {
-    {
-      std::lock_guard lock(mu);
-      busy = false;
-    }
-    idle_cv.notify_all();
-  }
-
-  void run() {
-    for (;;) {
-      Command cmd;
-      {
-        std::unique_lock lock(mu);
-        work_cv.wait(lock, [&] { return !queue.empty(); });
-        cmd = std::move(queue.front());
-        queue.pop_front();
-        busy = true;
-        if (queue_gauge != nullptr && obs::enabled()) {
-          queue_gauge->set(static_cast<double>(queue.size()));
-        }
-      }
-      space_cv.notify_one();
-      if (cmd.kind == Command::Kind::stop) {
-        set_idle();
-        return;
-      }
-      try {
-        Session& s = *cmd.session;
-        if (cmd.kind == Command::Kind::batch) {
-          if (s.batch) {
-            s.batch->push_batch(cmd.packets);
-          } else {
-            s.live->push_batch(cmd.packets);
-          }
-        } else {  // finish_session
-          if (s.batch) {
-            s.batch->finish();
-          } else {
-            s.live->finish();
-          }
-          // The session is done: free the analysis state (classifier flow
-          // tables above all) right here on the owning worker, so detached
-          // links don't hold memory for the engine's lifetime. Counters
-          // stay in the Session for links().
-          s.batch.reset();
-          s.live.reset();
-        }
-      } catch (...) {
-        {
-          std::lock_guard lock(mu);
-          error = std::current_exception();
-          failed.store(true, std::memory_order_release);
-          busy = false;
-        }
-        space_cv.notify_all();
-        idle_cv.notify_all();
-        return;
-      }
-      set_idle();
+  void push(const net::PacketBatch& packets) {
+    if (batch) {
+      batch->push_batch(packets);
+    } else {
+      live->push_batch(packets);
     }
   }
 
-  /// Blocks until this worker has processed everything enqueued so far (or
-  /// died on an error — the caller rethrows via rethrow_worker_error()).
-  void wait_idle() {
-    std::unique_lock lock(mu);
-    idle_cv.wait(lock, [&] {
-      return (queue.empty() && !busy) ||
-             failed.load(std::memory_order_acquire);
-    });
-  }
-
-  void enqueue(Command cmd) {
-    {
-      std::unique_lock lock(mu);
-      const auto has_space = [&] {
-        return queue.size() < kMaxQueuedCommands ||
-               failed.load(std::memory_order_acquire) || !thread.joinable();
-      };
-      if (!has_space() && bp_counter != nullptr && obs::enabled()) {
-        bp_counter->add(1);  // the demux thread is about to block
-      }
-      space_cv.wait(lock, has_space);
-      queue.push_back(std::move(cmd));
-      if (queue_gauge != nullptr && obs::enabled()) {
-        queue_gauge->set(static_cast<double>(queue.size()));
-      }
+  /// Flushes the session, then frees its analysis state (classifier flow
+  /// tables above all) so detached links don't hold memory for the
+  /// engine's lifetime. Only the counters outlive it, for links().
+  void finish() {
+    if (batch) {
+      batch->finish();
+    } else {
+      live->finish();
     }
-    work_cv.notify_one();
+    batch.reset();
+    live.reset();
   }
 };
 
 Engine::Engine(EngineConfig config) : config_(std::move(config)) {
   // threads == 0 means "use every core", exactly as in api::AnalysisConfig.
   config_.threads = api::resolve_threads(config_.threads);
-  if (config_.threads > 1) {
-    workers_.reserve(config_.threads);
-    for (std::size_t i = 0; i < config_.threads; ++i) {
-      workers_.push_back(std::make_unique<Worker>());
-      workers_[i]->queue_gauge = &obs::worker_queue_depth("engine", i);
-      workers_[i]->bp_counter = &obs::backpressure_waits("engine");
-    }
-    for (auto& w : workers_) {
-      w->thread = std::thread([worker = w.get()] { worker->run(); });
-    }
-  }
+  pool_ = std::make_unique<core::WorkerPool>(config_.threads, "engine");
 }
 
-Engine::~Engine() {
-  // Workers hold raw Session pointers: stop and join them before the
-  // sessions go away. Sessions left unfinished are simply dropped.
-  for (auto& w : workers_) {
-    if (w->thread.joinable()) {
-      w->enqueue({Worker::Command::Kind::stop, nullptr, {}});
-      w->thread.join();
-    }
-  }
-}
+// The pool is declared last, so it drains and joins before the sessions its
+// tasks point at go away. Sessions left unfinished are simply dropped.
+Engine::~Engine() = default;
 
 LinkId Engine::attach(LinkSpec spec) {
   if (finished_) throw std::logic_error("Engine: attach after finish");
@@ -281,7 +163,7 @@ LinkId Engine::attach(LinkSpec spec) {
     ++prefix_links_;
   }
 
-  if (!workers_.empty()) session->worker = next_worker_++ % workers_.size();
+  session->worker = next_worker_++ % pool_->size();
   session->g_packets = &obs::link_packets(session->name);
   session->g_reports = &obs::link_reports(session->name);
   routing_.push_back(session.get());
@@ -314,7 +196,6 @@ void Engine::push_batch(const net::PacketBatch& batch) {
   if (batch.empty()) return;
   if (finished_) throw std::logic_error("Engine: push after finish");
   net::check_order(batch.timestamps, last_ts_, "Engine");
-  if (!workers_.empty()) rethrow_worker_error();
   last_ts_ = batch.timestamps.back();
   summary_.add(batch);
 
@@ -377,12 +258,8 @@ void Engine::deliver_batch(Session& s, const net::PacketBatch& batch) {
   std::uint64_t bytes = 0;
   for (std::size_t i = 0; i < m; ++i) bytes += batch.sizes[i];
   s.counters.bytes += bytes;
-  if (workers_.empty()) {
-    if (s.batch) {
-      s.batch->push_batch(batch);
-    } else {
-      s.live->push_batch(batch);
-    }
+  if (!pool_->threaded()) {
+    s.push(batch);
     return;
   }
   if (s.pending.empty()) {
@@ -394,12 +271,11 @@ void Engine::deliver_batch(Session& s, const net::PacketBatch& batch) {
 }
 
 void Engine::flush_session(Session& s) {
-  if (workers_.empty() || s.pending.empty()) return;
-  Worker::Command cmd;
-  cmd.kind = Worker::Command::Kind::batch;
-  cmd.session = &s;
-  cmd.packets = std::exchange(s.pending, {});
-  workers_[s.worker]->enqueue(std::move(cmd));
+  if (s.pending.empty()) return;
+  pool_->submit(s.worker,
+                [session = &s, packets = std::exchange(s.pending, {})] {
+                  session->push(packets);
+                });
 }
 
 void Engine::flush_all_pending(double /*now*/) {
@@ -423,27 +299,12 @@ void Engine::flush_all_pending(double /*now*/) {
 
 void Engine::flush() {
   if (finished_) return;
-  if (!workers_.empty()) rethrow_worker_error();
   flush_all_pending(last_ts_);
 }
 
 void Engine::finish_session(Session& s) {
-  if (workers_.empty()) {
-    if (s.batch) {
-      s.batch->finish();
-    } else {
-      s.live->finish();
-    }
-    // Free the analysis state now (the pool path does this on the owning
-    // worker); only the counters outlive the session.
-    s.batch.reset();
-    s.live.reset();
-    return;
-  }
-  Worker::Command cmd;
-  cmd.kind = Worker::Command::Kind::finish_session;
-  cmd.session = &s;
-  workers_[s.worker]->enqueue(std::move(cmd));
+  // Runs on the caller at once with an inline pool.
+  pool_->submit(s.worker, [session = &s] { session->finish(); });
 }
 
 void Engine::finish() {
@@ -454,14 +315,7 @@ void Engine::finish() {
     flush_session(*s);
     finish_session(*s);
   }
-  for (auto& w : workers_) {
-    w->enqueue({Worker::Command::Kind::stop, nullptr, {}});
-  }
-  for (auto& w : workers_) w->thread.join();
-  for (auto& w : workers_) {
-    std::lock_guard lock(w->mu);
-    if (w->error) std::rethrow_exception(w->error);
-  }
+  pool_->join();
 }
 
 std::uint64_t Engine::consume(api::TraceSource& source) {
@@ -504,19 +358,6 @@ std::vector<LinkReport> Engine::take_reports() {
   return out;
 }
 
-void Engine::rethrow_worker_error() {
-  for (auto& w : workers_) {
-    if (!w->failed.load(std::memory_order_acquire)) continue;
-    std::exception_ptr err;
-    {
-      std::lock_guard lock(w->mu);
-      err = w->error;
-    }
-    finished_ = true;  // the failed worker is gone; no more pushes
-    if (err) std::rethrow_exception(err);
-  }
-}
-
 std::vector<LinkInfo> Engine::links() const {
   std::lock_guard lock(emit_mu_);  // counters.reports updates under it
   std::vector<LinkInfo> out;
@@ -542,12 +383,11 @@ EngineState Engine::save_state() {
     throw std::logic_error("Engine: save_state with a partial sink");
   }
   // Quiesce: hand every demux-buffered packet to its worker, wait for the
-  // queues to drain, then surface any worker failure. After this every
+  // queues to drain (rethrowing any worker failure). After this every
   // routed packet is inside its session and every closed window has been
   // emitted — the per-session states are a consistent cut of the stream.
   flush_all_pending(last_ts_);
-  for (auto& w : workers_) w->wait_idle();
-  if (!workers_.empty()) rethrow_worker_error();
+  pool_->wait_idle();
   {
     std::lock_guard lock(emit_mu_);
     if (!ready_.empty()) {

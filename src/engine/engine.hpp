@@ -13,15 +13,18 @@
 // or live sliding-window monitoring (live::WindowedEstimator), with
 // per-link config overrides layered over a base config.
 //
-// Sessions never own threads. With threads == 1 (the default) the demux
-// thread drives every session inline and report order is fully
-// deterministic (attach order within a batch: link A's reports for the
-// whole batch precede link B's). With threads > 1 the
-// engine runs one shared worker pool and pins each session to a worker
-// (round-robin at attach), so N links cost min(N, threads) threads, not N;
-// per-link output is unchanged — every session still sees exactly its own
-// packet subsequence in stream order — only the interleaving of *different*
-// links' reports becomes scheduling-dependent.
+// Sessions never own threads; the engine runs them on one core::WorkerPool
+// (the same pool api::AnalysisPipeline shards on). With threads == 1 (the
+// default) the pool is inline: the demux thread drives every session itself
+// and report order is fully deterministic (attach order within a batch:
+// link A's reports for the whole batch precede link B's). With threads > 1
+// each session is pinned to one worker (round-robin at attach), so N links
+// cost min(N, threads) threads, not N; per-link output is unchanged — every
+// session still sees exactly its own packet subsequence in stream order —
+// only the interleaving of *different* links' reports becomes
+// scheduling-dependent. A session that throws on a worker (a failing sink,
+// say) stops that worker; the error reaches the caller at the next hand-off
+// to the pool, at save_state() or at finish().
 //
 // The contract the differential tests pin (tests/engine/): each link's
 // report stream is bit-for-bit identical to running the ordinary
@@ -51,6 +54,10 @@
 #include "net/lpm.hpp"
 #include "net/packet_batch.hpp"
 #include "trace/trace_stats.hpp"
+
+namespace fbm::core {
+class WorkerPool;
+}  // namespace fbm::core
 
 namespace fbm::engine {
 
@@ -137,7 +144,7 @@ struct EngineState {
 
 class Engine {
  public:
-  /// Spawns the worker pool (threads > 1). Per-link analysis parameters
+  /// Spawns the worker threads (threads > 1). Per-link analysis parameters
   /// are validated at attach(), where the layered config is known.
   explicit Engine(EngineConfig config);
   ~Engine();
@@ -227,7 +234,6 @@ class Engine {
 
  private:
   struct Session;
-  struct Worker;
 
   void route_batch(const net::PacketBatch& batch);
   void deliver_batch(Session& s, const net::PacketBatch& batch);
@@ -236,7 +242,6 @@ class Engine {
   void flush_all_pending(double now);
   void emit(Session& s, LinkReport&& report);
   void emit_partial(Session& s, live::WindowPartial&& partial);
-  void rethrow_worker_error();
 
   EngineConfig config_;
   ReportSink sink_;
@@ -256,7 +261,6 @@ class Engine {
   std::vector<std::uint32_t> lpm_scratch_;   ///< batched LPM results
   net::PacketBatch stage_;  ///< one link's matching sub-batch
 
-  std::vector<std::unique_ptr<Worker>> workers_;  ///< empty when threads==1
   std::size_t next_worker_ = 0;
 
   mutable std::mutex emit_mu_;  ///< serializes sink_/ready_/report counters
@@ -266,6 +270,8 @@ class Engine {
   double last_ts_ = -std::numeric_limits<double>::infinity();
   double flush_deadline_ = std::numeric_limits<double>::infinity();
   bool finished_ = false;
+  /// Declared last: it drains and joins before anything its tasks touch.
+  std::unique_ptr<core::WorkerPool> pool_;
 };
 
 }  // namespace fbm::engine

@@ -96,11 +96,10 @@ std::string batch_reference(const api::AnalysisConfig& config,
 
 /// One shard producer: pushes `packets` through a pipeline (serial or
 /// sharded by `threads`) with a partial sink, writes one partial file.
-template <typename Pipeline>
 void produce_batch_partial(const api::AnalysisConfig& config,
                            const std::vector<net::PacketRecord>& packets,
                            const std::filesystem::path& path) {
-  Pipeline pipeline(config);
+  api::AnalysisPipeline pipeline(config);
   agg::PartialWriter writer(path, agg::PartialMeta::from_batch(config));
   pipeline.set_partial_sink([&](api::ShardInterval&& iv) {
     writer.add(0, live::WindowPartial{iv.index, 0, 0, 0, std::move(iv.flows),
@@ -128,8 +127,8 @@ TEST(AggregateDifferential, BatchSplitsMergeByteIdentical) {
     for (const std::size_t k : {std::size_t{1}, std::size_t{2},
                                 std::size_t{3}, std::size_t{5}}) {
       for (std::size_t i = 0; i < k; ++i) {
-        produce_batch_partial<api::AnalysisPipeline>(
-            config, shard_of(packets, def, i, k), temp_partial(i));
+        produce_batch_partial(config, shard_of(packets, def, i, k),
+                              temp_partial(i));
       }
       EXPECT_EQ(merge_files(k), reference)
           << "K=" << k << " def=" << static_cast<int>(def);
@@ -147,10 +146,11 @@ TEST(AggregateDifferential, ShardedProducersMergeByteIdentical) {
   const std::string reference = batch_reference(config, packets);
 
   config.threads(3);
-  produce_batch_partial<api::ParallelAnalysisPipeline>(
-      config, shard_of(packets, def, 0, 2), temp_partial(0));
-  produce_batch_partial<api::AnalysisPipeline>(
-      config, shard_of(packets, def, 1, 2), temp_partial(1));
+  produce_batch_partial(config, shard_of(packets, def, 0, 2),
+                        temp_partial(0));
+  config.threads(1);
+  produce_batch_partial(config, shard_of(packets, def, 1, 2),
+                        temp_partial(1));
   EXPECT_EQ(merge_files(2), reference);
 }
 
@@ -162,8 +162,8 @@ TEST(AggregateDifferential, MinFlowsFilterDefersToTheMerge) {
   const api::AnalysisConfig config = batch_config(def, 50);
   const std::string reference = batch_reference(config, packets);
   for (std::size_t i = 0; i < 5; ++i) {
-    produce_batch_partial<api::AnalysisPipeline>(
-        config, shard_of(packets, def, i, 5), temp_partial(i));
+    produce_batch_partial(config, shard_of(packets, def, i, 5),
+                          temp_partial(i));
   }
   EXPECT_EQ(merge_files(5), reference);
 }
@@ -378,8 +378,7 @@ TEST(AggregateDifferential, EngineLiveMergePinsPerLinkSubsequences) {
 TEST(AggregateDifferential, MergerRejectsCorruptAndIncompatibleInputs) {
   const auto packets = seeded_trace(505);
   const auto def = api::FlowDefinition::five_tuple;
-  produce_batch_partial<api::AnalysisPipeline>(batch_config(def), packets,
-                                               temp_partial(0));
+  produce_batch_partial(batch_config(def), packets, temp_partial(0));
 
   // Bit-flip one payload byte: add_file must throw, not fold garbage.
   {
@@ -395,8 +394,8 @@ TEST(AggregateDifferential, MergerRejectsCorruptAndIncompatibleInputs) {
   }
 
   // A partial produced under different knobs refuses to fold.
-  produce_batch_partial<api::AnalysisPipeline>(
-      batch_config(api::FlowDefinition::prefix24), packets, temp_partial(2));
+  produce_batch_partial(batch_config(api::FlowDefinition::prefix24), packets,
+                        temp_partial(2));
   {
     agg::Merger merger;
     merger.add_file(temp_partial(0));

@@ -1,7 +1,6 @@
 // Differential harness for the batched SoA hot path: every stage's one
-// entry point (AnalysisPipeline::push_batch,
-// ParallelAnalysisPipeline::push_batch, live::WindowedEstimator::push_batch,
-// engine::Engine::push_batch) must give bit for bit the same output at every
+// entry point (AnalysisPipeline::push_batch at every thread count,
+// live::WindowedEstimator::push_batch, engine::Engine::push_batch) must give bit for bit the same output at every
 // batch size as a run fed one packet per batch — across flow definitions,
 // thread counts {1, 2, 4}, batch sizes {1, 7, 1024}, random split points,
 // tiling, overlapping and gapped windows, and the awkward edge packets
@@ -130,19 +129,10 @@ void expect_batched_matches_per_packet(
     for (const std::size_t batch_size : kBatchSizes) {
       SCOPED_TRACE(std::to_string(threads) + " threads, batch " +
                    std::to_string(batch_size));
-      const auto feed = [&](auto& pipeline) {
-        push_all(pipeline, packets, batch_size);
-        pipeline.finish();
-      };
-      if (threads == 1) {
-        api::AnalysisPipeline pipeline(config.threads(1));
-        feed(pipeline);
-        expect_reports_identical(expected, pipeline.take_reports());
-      } else {
-        api::ParallelAnalysisPipeline pipeline(config.threads(threads));
-        feed(pipeline);
-        expect_reports_identical(expected, pipeline.take_reports());
-      }
+      api::AnalysisPipeline pipeline(config.threads(threads));
+      push_all(pipeline, packets, batch_size);
+      pipeline.finish();
+      expect_reports_identical(expected, pipeline.take_reports());
     }
   }
 }

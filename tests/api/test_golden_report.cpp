@@ -45,7 +45,7 @@ std::string analyze_golden_trace(std::size_t threads) {
       api::open_trace(std::string(FBM_TEST_DATA_DIR) + "/golden_small.fbmt");
   api::AnalysisConfig config;
   config.interval_s(4.0).timeout_s(1.0).min_flows(0).threads(threads);
-  api::ParallelAnalysisPipeline pipeline(config);
+  api::AnalysisPipeline pipeline(config);
   pipeline.consume(*source);
   const auto reports = pipeline.take_reports();
   return api::to_json(pipeline.summary(), reports) + "\n";

@@ -79,7 +79,7 @@ std::string run(Stage stage, const std::vector<net::PacketRecord>& packets,
       break;
     }
     case Stage::parallel: {
-      api::ParallelAnalysisPipeline p(analysis_config().threads(2));
+      api::AnalysisPipeline p(analysis_config().threads(2));
       p.set_report_sink(
           [&](api::AnalysisReport&& r) { out += api::to_json(r) + "\n"; });
       drive(p);
@@ -187,7 +187,7 @@ TEST(IngestCheckFile, ConsumeThrowsOnTrailingInfinity) {
   }
   {
     api::FileTraceSource source(path);
-    api::ParallelAnalysisPipeline p(analysis_config().threads(2));
+    api::AnalysisPipeline p(analysis_config().threads(2));
     EXPECT_THROW(p.consume(source), std::invalid_argument)
         << "parallel pipeline";
   }

@@ -1,7 +1,7 @@
-// Differential determinism harness: ParallelAnalysisPipeline must reproduce
-// the serial AnalysisPipeline bit for bit — every report field, for every
-// thread count, both flow definitions, any packet batching, and across the
-// awkward cases (interval-boundary splits, timeout expiry, equal
+// Differential determinism harness: AnalysisPipeline sharded over N threads
+// must reproduce the single-threaded run bit for bit — every report field,
+// for every thread count, both flow definitions, any packet batching, and
+// across the awkward cases (interval-boundary splits, timeout expiry, equal
 // timestamps, single-packet discards, empty leading intervals).
 #include <gtest/gtest.h>
 
@@ -93,7 +93,7 @@ void expect_differential(const std::vector<net::PacketRecord>& packets,
   ASSERT_FALSE(serial.empty());
   for (const std::size_t threads : {1u, 2u, 4u, 7u}) {
     SCOPED_TRACE(std::to_string(threads) + " threads");
-    api::ParallelAnalysisPipeline pipeline(config.threads(threads));
+    api::AnalysisPipeline pipeline(config.threads(threads));
     push_all(pipeline, packets, 1);
     pipeline.finish();
     expect_reports_identical(serial, pipeline.take_reports());
@@ -210,7 +210,7 @@ TEST(ParallelStreaming, MidStreamPopsPreserveTheSerialSequence) {
   config.interval_s(10.0).timeout_s(1.0);
   const auto serial = api::analyze(packets, config);
 
-  api::ParallelAnalysisPipeline pipeline(config.threads(4));
+  api::AnalysisPipeline pipeline(config.threads(4));
   std::vector<api::AnalysisReport> streamed;
   for (const auto& p : packets) {
     push_one(pipeline, p);
@@ -230,7 +230,7 @@ TEST(ParallelSummary, MatchesSerialAndTraceTotals) {
   push_all(serial, packets);
   serial.finish();
 
-  api::ParallelAnalysisPipeline par(config.threads(4));
+  api::AnalysisPipeline par(config.threads(4));
   push_all(par, packets);
   par.finish();
 
@@ -249,36 +249,30 @@ TEST(ParallelSummary, MatchesSerialAndTraceTotals) {
 }
 
 TEST(ParallelConfig, RejectsBadParameters) {
-  EXPECT_THROW(
-      api::ParallelAnalysisPipeline(api::AnalysisConfig{}.timeout_s(0.0)),
-      std::invalid_argument);
+  EXPECT_THROW(api::AnalysisPipeline(api::AnalysisConfig{}.timeout_s(0.0)),
+               std::invalid_argument);
   // threads(0) is not bad — it auto-detects the core count (see
   // test_threads_auto.cpp).
-  EXPECT_NO_THROW(
-      api::ParallelAnalysisPipeline(api::AnalysisConfig{}.threads(0)));
-  EXPECT_THROW(
-      api::ParallelAnalysisPipeline(api::AnalysisConfig{}.batch_packets(0)),
-      std::invalid_argument);
+  EXPECT_NO_THROW(api::AnalysisPipeline(api::AnalysisConfig{}.threads(0)));
+  EXPECT_THROW(api::AnalysisPipeline(api::AnalysisConfig{}.batch_packets(0)),
+               std::invalid_argument);
 }
 
 TEST(ParallelConfig, OutOfOrderPacketThrows) {
-  api::ParallelAnalysisPipeline pipeline(
-      api::AnalysisConfig{}.threads(2));
+  api::AnalysisPipeline pipeline(api::AnalysisConfig{}.threads(2));
   push_one(pipeline, {1.0, {}, 100});
   EXPECT_THROW(push_one(pipeline, {0.5, {}, 100}), std::invalid_argument);
 }
 
 TEST(ParallelConfig, PushAfterFinishThrows) {
-  api::ParallelAnalysisPipeline pipeline(
-      api::AnalysisConfig{}.threads(2));
+  api::AnalysisPipeline pipeline(api::AnalysisConfig{}.threads(2));
   push_one(pipeline, {0.0, {}, 100});
   pipeline.finish();
   EXPECT_THROW(push_one(pipeline, {1.0, {}, 100}), std::logic_error);
 }
 
 TEST(ParallelConfig, EmptyStreamFinishesCleanly) {
-  api::ParallelAnalysisPipeline pipeline(
-      api::AnalysisConfig{}.threads(4));
+  api::AnalysisPipeline pipeline(api::AnalysisConfig{}.threads(4));
   pipeline.finish();
   EXPECT_FALSE(pipeline.has_report());
   EXPECT_TRUE(pipeline.take_reports().empty());

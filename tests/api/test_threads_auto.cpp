@@ -1,5 +1,5 @@
 // threads == 0 means "use every core": resolve_threads() turns it into
-// std::thread::hardware_concurrency() (floor 1), and both the parallel
+// std::thread::hardware_concurrency() (floor 1), and both the sharded
 // pipeline and the engine accept it — with output bit-identical to any
 // other thread count, since threads is a throughput knob, never identity.
 #include <gtest/gtest.h>
@@ -55,7 +55,7 @@ TEST(ThreadsAuto, AutoDetectedPipelineMatchesSerialBitForBit) {
   api::AnalysisConfig serial = base_config();
   api::AnalysisConfig autodetect = base_config();
   autodetect.threads(0);
-  EXPECT_EQ(run(api::ParallelAnalysisPipeline(autodetect)),
+  EXPECT_EQ(run(api::AnalysisPipeline(autodetect)),
             run(api::AnalysisPipeline(serial)));
 }
 

@@ -97,7 +97,7 @@ TEST(TraceSourceProperties, BytesConservedFromSourceThroughPipelines) {
   EXPECT_EQ(serial.summary().total_bytes, totals.bytes);
 
   api::ModelTraceSource for_parallel(model_config());
-  api::ParallelAnalysisPipeline parallel(config.threads(4));
+  api::AnalysisPipeline parallel(config.threads(4));
   parallel.consume(for_parallel);
   EXPECT_EQ(parallel.summary().packets, totals.packets);
   EXPECT_EQ(parallel.summary().total_bytes, totals.bytes);

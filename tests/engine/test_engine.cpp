@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "../support/push.hpp"
@@ -270,6 +271,47 @@ TEST(Engine, LiveModeEmitsTaggedWindows) {
     const std::string line = engine::to_jsonl(r);
     EXPECT_EQ(line.rfind("{\"link\": \"tap\", \"window\": ", 0), 0u) << line;
   }
+}
+
+// A session that throws on a pool worker — here its sink, on the first
+// report — must not be lost: the error reaches the caller at a later
+// push_batch, flush, save_state (live mode) or finish, and the engine still
+// shuts down. Returns the message that reached the caller.
+std::string pool_failure_reaching_caller(engine::EngineConfig config) {
+  config.threads = 2;
+  engine::Engine eng(config);
+  int reports = 0;  // the engine serializes sink calls
+  eng.set_report_sink([&reports](engine::LinkReport&&) {
+    if (reports++ == 0) throw std::runtime_error("sink failed");
+  });
+  (void)eng.attach(engine::parse_link_spec("a=10.0.0.0/8"));
+  (void)eng.attach(engine::parse_link_spec("b=192.168.0.0/16"));
+  try {
+    for (int i = 0; i < 6000; ++i) {
+      const auto dst = i % 2 == 0 ? net::Ipv4Address(10, 0, 0, 1 + i % 7)
+                                  : net::Ipv4Address(192, 168, 0, 1 + i % 5);
+      push_one(eng, packet(0.005 * i, dst, 1000,
+                           static_cast<std::uint16_t>(1000 + i % 11)));
+    }
+    eng.flush();
+    if (config.mode == engine::EngineMode::live) (void)eng.save_state();
+    eng.finish();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "no error reached the caller";
+}  // ~Engine must return although one worker died
+
+TEST(EngineFailure, BatchSinkErrorOnAWorkerReachesTheCaller) {
+  EXPECT_EQ(pool_failure_reaching_caller(batch_config()), "sink failed");
+}
+
+TEST(EngineFailure, LiveSinkErrorOnAWorkerReachesTheCaller) {
+  engine::EngineConfig config;
+  config.mode = engine::EngineMode::live;
+  config.live.window_s = 1.0;
+  config.live.analysis.timeout_s(0.5);
+  EXPECT_EQ(pool_failure_reaching_caller(config), "sink failed");
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <memory>
+#include <ostream>
 #include <stdexcept>
 #include <vector>
 
@@ -20,6 +21,11 @@ struct DistCase {
   std::function<DistributionPtr()> make;
   bool finite_variance;
 };
+
+// gtest prints a parameter without a printer as its raw bytes, and those
+// start with the label's address — which then ends up in every ctest name.
+// Print the label instead, so the names are the same in every build.
+void PrintTo(const DistCase& c, std::ostream* os) { *os << c.label; }
 
 class DistributionProperties : public ::testing::TestWithParam<DistCase> {};
 

@@ -1,5 +1,5 @@
 // Batch-feeding helpers for the stage tests. Every analysis stage
-// (AnalysisPipeline, ParallelAnalysisPipeline, WindowedEstimator, Engine)
+// (AnalysisPipeline, WindowedEstimator, Engine)
 // ingests through push_batch only; these cut an in-memory packet vector
 // into the batches a test wants.
 #pragma once

@@ -153,8 +153,7 @@ TEST_F(TraceMalformedTest, FbmtOutOfOrderTimestampsErrorNeverCrash) {
   }
   {
     auto source = api::open_trace(path("ooo.fbmt"));
-    api::ParallelAnalysisPipeline pipeline(
-        api::AnalysisConfig{}.threads(3));
+    api::AnalysisPipeline pipeline(api::AnalysisConfig{}.threads(3));
     EXPECT_THROW(pipeline.consume(*source), std::invalid_argument);
   }
 }

@@ -373,10 +373,10 @@ int main(int argc, char** argv) {
   trace::TraceSummary summary;
   std::uint64_t flows_emitted = 0;
   std::unique_ptr<agg::PartialWriter> writer;
-  // Serial and sharded pipelines share one interface; --threads N != 1
-  // picks the sharded one (0 = every core), with bit-for-bit identical
-  // reports.
-  const auto run = [&](auto& pipeline) {
+  try {
+    // --threads N != 1 shards the analysis by flow key (0 = every core),
+    // with bit-for-bit identical reports.
+    api::AnalysisPipeline pipeline(config);
     auto source = buffered.empty()
                       ? api::open_trace(opt.path)
                       : api::make_vector_source(std::move(buffered));
@@ -413,15 +413,6 @@ int main(int argc, char** argv) {
     }
     summary = pipeline.summary();
     flows_emitted = pipeline.counters().flows_emitted;
-  };
-  try {
-    if (opt.threads != 1) {
-      api::ParallelAnalysisPipeline pipeline(config);
-      run(pipeline);
-    } else {
-      api::AnalysisPipeline pipeline(config);
-      run(pipeline);
-    }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
