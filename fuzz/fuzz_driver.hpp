@@ -7,7 +7,7 @@
 // argv path through the target once — enough for gcc to compile-check the
 // targets and for CI to run them over the seed corpus without clang.
 //
-// All three readers under test parse from files, so write_temp_input()
+// The file-format readers under test parse from files, so write_temp_input()
 // spills the fuzz payload to a per-process scratch file and hands back its
 // path. Reuse of one path per process keeps the fuzzer's iteration cost at
 // a single open/truncate, and the file lives in the OS tmpdir so crashed

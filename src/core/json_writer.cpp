@@ -1,5 +1,6 @@
 #include "core/json_writer.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -7,20 +8,30 @@ namespace fbm::core {
 
 std::string json_number(double v) {
   if (!std::isfinite(v)) return "null";
+  // "%.*g" at the smallest precision whose text parses back to v. The
+  // search starts at the shortest round-trip digit count, below which
+  // nothing parses back, but cannot stop there: at a power of two the
+  // shortest round-trip decimal may lie above v while "%.*g" prints the
+  // nearest one of that length, below v's rounding gap (0x1p-1017 renders
+  // as 7.1202363472230444e-307, not 7.120236347223044e-307).
   char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  double parsed = 0.0;
-  std::sscanf(buf, "%lg", &parsed);
-  if (parsed == v) {
-    // Try shorter forms first for readability.
-    for (int prec = 1; prec < 17; ++prec) {
-      char shorter[32];
-      std::snprintf(shorter, sizeof shorter, "%.*g", prec, v);
-      std::sscanf(shorter, "%lg", &parsed);
-      if (parsed == v) return shorter;
+  char* const end = buf + sizeof buf;
+  char* const digits_end =
+      std::to_chars(buf, end, v, std::chars_format::scientific).ptr;
+  int precision = 0;
+  for (const char* c = buf; c != digits_end && *c != 'e'; ++c) {
+    precision += (*c >= '0' && *c <= '9') ? 1 : 0;
+  }
+  for (;; ++precision) {
+    char* const last =
+        std::to_chars(buf, end, v, std::chars_format::general, precision)
+            .ptr;
+    double back = 0.0;
+    const bool parsed = std::from_chars(buf, last, back).ec == std::errc{};
+    if ((parsed && back == v) || precision >= 17) {
+      return std::string(buf, last);
     }
   }
-  return buf;
 }
 
 std::string json_quote(std::string_view s) {

@@ -42,8 +42,10 @@ class WorkerPool {
  public:
   using Task = std::function<void()>;
 
-  /// Tasks one worker may hold queued before submit() blocks.
-  static constexpr std::size_t kMaxQueued = 256;
+  /// Tasks one worker may hold queued before submit() blocks. Tasks are
+  /// packet batches, so a deeper queue only parks more packets in memory
+  /// once a producer outruns its worker.
+  static constexpr std::size_t kMaxQueued = 32;
 
   /// `threads` workers (0 is treated as 1); `name` is the metrics' pool
   /// label. Spawns the threads unless `threads` <= 1.

@@ -36,7 +36,9 @@ struct Engine::Session {
   std::unique_ptr<api::AnalysisPipeline> batch;
   std::unique_ptr<live::WindowedEstimator> live;
 
-  net::PacketBatch pending;  ///< demux buffer (threaded pool)
+  /// Demux buffer: this batch's packets with an inline pool, packets not
+  /// yet handed to the worker with a threaded one.
+  net::PacketBatch pending;
   LinkCounters counters;  ///< packets/bytes: demux thread; reports: emit_mu_
 
   // obs: this link's exported gauges, resolved once at attach.
@@ -212,61 +214,57 @@ void Engine::route_batch(const net::PacketBatch& batch) {
       obs::stage_seconds(obs::kStageDemux);
   obs::StageSpan span(demux_seconds);  // whole-batch demux span
   if (obs::enabled()) obs::demux_packets().add(n);
-  // One batched LPM pass over the whole batch's destinations: the lane
-  // interleaving in lookup_batch overlaps the trie walks' dependent loads,
-  // and every prefix link below reuses the same results.
-  constexpr std::uint32_t kNoRoute = 0xffffffffu;  // LinkIds start at 0
+  // One pass over the batch for every prefix link at once: a packet's LPM
+  // result is its session's id, and the packet goes straight into that
+  // session's demux buffer.
   if (prefix_links_ > 0) {
-    addr_scratch_.resize(n);
-    lpm_scratch_.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-      addr_scratch_[i] = batch.tuples[i].dst.value();
+      const auto id = prefix_table_.lookup(batch.tuples[i].dst);
+      if (id) take(*sessions_[*id], batch, i);
     }
-    prefix_table_.lookup_batch(addr_scratch_.data(), n, lpm_scratch_.data(),
-                               kNoRoute);
   }
   for (Session* s : routing_) {
     if (std::holds_alternative<MatchAll>(s->rule)) {
-      deliver_batch(*s, batch);  // the whole batch, no copy
-      continue;
-    }
-    stage_.clear();
-    if (std::holds_alternative<MatchPrefixes>(s->rule)) {
-      const auto id = static_cast<std::uint32_t>(s->id);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (lpm_scratch_[i] == id) {
-          stage_.emplace_back(batch.timestamps[i], batch.tuples[i],
-                              batch.sizes[i]);
-        }
+      s->counters.packets += n;
+      for (std::size_t i = 0; i < n; ++i) s->counters.bytes += batch.sizes[i];
+      if (!pool_->threaded()) {
+        s->push(batch);  // the whole batch, no copy
+        continue;
       }
-    } else {
-      const auto& rule = std::get<MatchTuple>(s->rule);
+      s->pending.append(batch);
+    } else if (const auto* rule = std::get_if<MatchTuple>(&s->rule)) {
       for (std::size_t i = 0; i < n; ++i) {
-        if (rule.matches(batch.tuples[i])) {
-          stage_.emplace_back(batch.timestamps[i], batch.tuples[i],
-                              batch.sizes[i]);
-        }
+        if (rule->matches(batch.tuples[i])) take(*s, batch, i);
       }
     }
-    if (!stage_.empty()) deliver_batch(*s, stage_);
+    deliver_pending(*s);
   }
 }
 
-void Engine::deliver_batch(Session& s, const net::PacketBatch& batch) {
-  const std::size_t m = batch.size();
-  s.counters.packets += m;
-  std::uint64_t bytes = 0;
-  for (std::size_t i = 0; i < m; ++i) bytes += batch.sizes[i];
-  s.counters.bytes += bytes;
+void Engine::take(Session& s, const net::PacketBatch& batch,
+                  std::size_t i) {
+  // A buffer is one allocation per array, handed off the moment it is full:
+  // every queued task holds exactly kBatchPackets packets.
+  if (s.pending.empty()) s.pending.reserve(kBatchPackets);
+  s.pending.emplace_back(batch.timestamps[i], batch.tuples[i],
+                         batch.sizes[i]);
+  ++s.counters.packets;
+  s.counters.bytes += batch.sizes[i];
+  if (s.pending.size() == kBatchPackets && pool_->threaded()) {
+    flush_session(s);
+  }
+}
+
+void Engine::deliver_pending(Session& s) {
+  if (s.pending.empty()) return;
   if (!pool_->threaded()) {
-    s.push(batch);
+    // Inline: every session takes this batch's packets now, in attach order.
+    s.push(s.pending);
+    s.pending.clear();
     return;
   }
-  if (s.pending.empty()) {
-    flush_deadline_ =
-        std::min(flush_deadline_, batch.timestamps.front() + kFlushEveryS);
-  }
-  s.pending.append(batch);
+  flush_deadline_ =
+      std::min(flush_deadline_, s.pending.timestamps.front() + kFlushEveryS);
   if (s.pending.size() >= kBatchPackets) flush_session(s);
 }
 

@@ -179,9 +179,11 @@ class Engine {
 
   /// Feed the next batch. Timestamps must be finite and non-decreasing,
   /// within the batch and from one batch to the next (throws
-  /// std::invalid_argument otherwise, before any state changes). The
-  /// destination addresses run through one batched LPM pass; each link then
-  /// consumes its matching sub-batch through the session's own push_batch.
+  /// std::invalid_argument otherwise, before any state changes). One pass
+  /// over the batch copies each packet into the demux buffer of the prefix
+  /// link its destination's longest-prefix match names; predicate links
+  /// filter the batch into their own buffers, and match-all links take it
+  /// whole. Each session consumes its buffer through its own push_batch.
   /// Per-link results are bit-for-bit identical at every batch size.
   void push_batch(const net::PacketBatch& batch);
 
@@ -236,7 +238,8 @@ class Engine {
   struct Session;
 
   void route_batch(const net::PacketBatch& batch);
-  void deliver_batch(Session& s, const net::PacketBatch& batch);
+  void take(Session& s, const net::PacketBatch& batch, std::size_t i);
+  void deliver_pending(Session& s);
   void finish_session(Session& s);
   void flush_session(Session& s);
   void flush_all_pending(double now);
@@ -248,18 +251,15 @@ class Engine {
   PartialSink partial_sink_;
 
   std::vector<std::unique_ptr<Session>> sessions_;  ///< attach order
-  /// Attached sessions only, attach order — the per-batch routing scan.
-  /// Rebuilt on attach/detach so detached links cost nothing per packet
+  /// Attached sessions only, attach order — the per-batch hand-off order.
+  /// Rebuilt on attach/detach so detached links cost nothing per batch
   /// (their Session stays in sessions_ for counters and in-flight work).
   std::vector<Session*> routing_;
-  net::RoutingTable prefix_table_;  ///< prefix -> LinkId, shared LPM
+  /// prefix -> LinkId, shared LPM; a LinkId is its session's index in
+  /// sessions_.
+  net::RoutingTable prefix_table_;
   std::size_t prefix_links_ = 0;    ///< attached links with prefix rules
   LinkId next_id_ = 0;
-
-  // push_batch scratch, reused across batches (no per-batch allocation).
-  std::vector<std::uint32_t> addr_scratch_;  ///< batch dst address values
-  std::vector<std::uint32_t> lpm_scratch_;   ///< batched LPM results
-  net::PacketBatch stage_;  ///< one link's matching sub-batch
 
   std::size_t next_worker_ = 0;
 

@@ -1,174 +1,139 @@
 #include "net/lpm.hpp"
 
 #include <algorithm>
-#include <array>
 #include <random>
 
 namespace fbm::net {
 
-RoutingTable::RoutingTable() { nodes_.push_back(Node{}); }
+namespace {
+
+[[nodiscard]] std::pair<std::uint32_t, int> key(const Prefix& prefix) {
+  return {prefix.network().value(), prefix.length()};
+}
+
+}  // namespace
 
 std::optional<std::uint32_t> RoutingTable::insert(const Prefix& prefix,
                                                   std::uint32_t route_id) {
-  std::size_t idx = 0;
-  for (int depth = 0; depth < prefix.length(); ++depth) {
-    const int b = bit(prefix.network().value(), depth) ? 1 : 0;
-    if (nodes_[idx].child[b] < 0) {
-      std::int32_t slot;
-      if (free_.empty()) {
-        slot = static_cast<std::int32_t>(nodes_.size());
-        nodes_.push_back(Node{});
-      } else {
-        slot = free_.back();
-        free_.pop_back();
-      }
-      nodes_[idx].child[b] = slot;
-      nodes_[static_cast<std::size_t>(slot)].depth =
-          static_cast<std::int8_t>(depth + 1);
-    }
-    idx = static_cast<std::size_t>(nodes_[idx].child[b]);
-  }
   std::optional<std::uint32_t> previous;
-  if (nodes_[idx].terminal) previous = nodes_[idx].route_id;
-  nodes_[idx].terminal = true;
-  nodes_[idx].route_id = route_id;
-  if (!previous) ++entries_;
+  const auto [it, added] = entries_.try_emplace(key(prefix), route_id);
+  if (!added) previous = std::exchange(it->second, route_id);
+  paint(prefix, Slot{route_id, kNoChild,
+                     static_cast<std::uint32_t>(prefix.length())});
   return previous;
 }
 
-std::optional<std::uint32_t> RoutingTable::lookup(Ipv4Address addr) const {
-  std::optional<std::uint32_t> best;
-  std::size_t idx = 0;
-  if (nodes_[0].terminal) best = nodes_[0].route_id;
-  for (int depth = 0; depth < 32; ++depth) {
-    const int b = bit(addr.value(), depth) ? 1 : 0;
-    const std::int32_t next = nodes_[idx].child[b];
-    if (next < 0) break;
-    idx = static_cast<std::size_t>(next);
-    if (nodes_[idx].terminal) best = nodes_[idx].route_id;
-  }
-  return best;
-}
-
-std::optional<Prefix> RoutingTable::lookup_prefix(Ipv4Address addr) const {
-  std::optional<Prefix> best;
-  std::size_t idx = 0;
-  if (nodes_[0].terminal) best = Prefix(addr, 0);
-  for (int depth = 0; depth < 32; ++depth) {
-    const int b = bit(addr.value(), depth) ? 1 : 0;
-    const std::int32_t next = nodes_[idx].child[b];
-    if (next < 0) break;
-    idx = static_cast<std::size_t>(next);
-    if (nodes_[idx].terminal) best = Prefix(addr, depth + 1);
-  }
-  return best;
-}
-
 bool RoutingTable::erase(const Prefix& prefix) {
-  std::array<std::int32_t, 33> path;  // node index at each depth of the walk
-  path[0] = 0;
-  std::size_t idx = 0;
-  for (int depth = 0; depth < prefix.length(); ++depth) {
-    const int b = bit(prefix.network().value(), depth) ? 1 : 0;
-    const std::int32_t next = nodes_[idx].child[b];
-    if (next < 0) return false;
-    idx = static_cast<std::size_t>(next);
-    path[static_cast<std::size_t>(depth) + 1] = next;
+  if (entries_.erase(key(prefix)) == 0) return false;
+  // The erased prefix's slots fall back to its longest remaining cover.
+  Slot cover;
+  for (int len = prefix.length() - 1; len >= 0; --len) {
+    const auto it = entries_.find(key(Prefix(prefix.network(), len)));
+    if (it != entries_.end()) {
+      cover.route = it->second;
+      cover.len = static_cast<std::uint32_t>(len);
+      break;
+    }
   }
-  if (!nodes_[idx].terminal) return false;
-  nodes_[idx].terminal = false;
-  --entries_;
-  // Prune the dead tail of the path: a node that is neither terminal nor a
-  // parent serves no lookup, so unlink it bottom-up and park the slot on
-  // the free list for insert() to reuse. Without this, attach/detach
-  // cycles grow the trie without bound.
-  for (int depth = prefix.length(); depth > 0; --depth) {
-    const std::int32_t slot = path[static_cast<std::size_t>(depth)];
-    Node& node = nodes_[static_cast<std::size_t>(slot)];
-    if (node.terminal || node.child[0] >= 0 || node.child[1] >= 0) break;
-    Node& parent = nodes_[static_cast<std::size_t>(path[depth - 1])];
-    const int b = bit(prefix.network().value(), depth - 1) ? 1 : 0;
-    parent.child[b] = -1;
-    node = Node{};
-    free_.push_back(slot);
+  paint(prefix, cover);
+  // Only the chunks on the erased prefix's own path can have lost their
+  // last longer entry.
+  const std::uint32_t net = prefix.network().value();
+  const std::size_t top = net >> 16;
+  if (prefix.length() > 24) {
+    release_if_redundant(
+        1, levels_[0][top].child * kChunkSlots + ((net >> 8) & 0xff));
   }
+  if (prefix.length() > 16) release_if_redundant(0, top);
   return true;
 }
 
-void RoutingTable::lookup_batch(const std::uint32_t* addrs, std::size_t n,
-                                std::uint32_t* out, std::uint32_t miss) const {
-  // Up to kLanes dependent pointer-chase chains run interleaved: while one
-  // lane's node load is in flight the other lanes issue theirs, and each
-  // child is prefetched a full round before it is visited.
-  constexpr std::size_t kLanes = 8;
-  const Node* nodes = nodes_.data();
-  std::size_t base = 0;
-  while (base < n) {
-    const std::size_t lanes = std::min(kLanes, n - base);
-    std::int32_t cur[kLanes];  // node each lane visits this round; -1 = done
-    std::uint32_t best[kLanes];
-    for (std::size_t l = 0; l < lanes; ++l) {
-      cur[l] = 0;
-      best[l] = miss;
-    }
-    std::size_t active = lanes;
-    for (int depth = 0; depth <= 32 && active > 0; ++depth) {
-      for (std::size_t l = 0; l < lanes; ++l) {
-        const std::int32_t idx = cur[l];
-        if (idx < 0) continue;
-        const Node& node = nodes[idx];
-        if (node.terminal) best[l] = node.route_id;
-        if (depth == 32) {  // /32 leaf: no further bit to branch on
-          cur[l] = -1;
-          --active;
-          continue;
-        }
-        const std::int32_t next =
-            node.child[bit(addrs[base + l], depth) ? 1 : 0];
-        cur[l] = next;
-        if (next < 0) {
-          --active;
-          continue;
-        }
-#if defined(__GNUC__) || defined(__clang__)
-        __builtin_prefetch(&nodes[next]);
-#endif
-      }
-    }
-    for (std::size_t l = 0; l < lanes; ++l) out[base + l] = best[l];
-    base += lanes;
+void RoutingTable::paint(const Prefix& prefix, Slot owner) {
+  static constexpr int kLevelEnd[] = {16, 24, 32};  // longest length held
+  const std::uint32_t net = prefix.network().value();
+  const int len = prefix.length();
+  const auto slot_in = [net](int level) -> std::size_t {
+    return level == 0 ? net >> 16 : (net >> (32 - kLevelEnd[level])) & 0xff;
+  };
+  if (levels_[0].empty()) levels_[0].resize(std::size_t{1} << 16);
+  // Descend to the level that holds `len`, creating chunks on the way; the
+  // prefix expands into 2^(level end - len) consecutive slots there.
+  int level = 0;
+  std::size_t first = slot_in(0);
+  for (; len > kLevelEnd[level]; ++level) {
+    first = child_of(level, first) * kChunkSlots + slot_in(level + 1);
+  }
+  const std::size_t count = std::size_t{1} << (kLevelEnd[level] - len);
+  for (std::size_t k = 0; k < count; ++k) {
+    paint_slot(level, first + k, static_cast<std::uint32_t>(len), owner);
   }
 }
 
-std::vector<RoutingTable::Entry> RoutingTable::entries() const {
-  // Iterative DFS reconstructing prefixes from the path.
-  std::vector<Entry> out;
-  struct Frame {
-    std::size_t idx;
-    std::uint32_t bits;
-    int depth;
-  };
-  std::vector<Frame> stack = {{0, 0, 0}};
-  while (!stack.empty()) {
-    const Frame f = stack.back();
-    stack.pop_back();
-    const Node& node = nodes_[f.idx];
-    if (node.terminal) {
-      out.push_back({Prefix(Ipv4Address{f.bits}, f.depth), node.route_id});
+void RoutingTable::paint_slot(int level, std::size_t slot,
+                              std::uint32_t max_len, Slot owner) {
+  Slot& s = levels_[level][slot];
+  if (s.len != kNoOwner && s.len > max_len) return;  // a longer entry owns it
+  s.route = owner.route;
+  s.len = owner.len;
+  if (s.child == kNoChild) return;
+  const std::size_t base = s.child * kChunkSlots;
+  for (std::size_t k = 0; k < kChunkSlots; ++k) {
+    paint_slot(level + 1, base + k, max_len, owner);
+  }
+}
+
+std::uint32_t RoutingTable::child_of(int level, std::size_t slot) {
+  Slot& parent = levels_[level][slot];
+  if (parent.child != kNoChild) return parent.child;
+  std::vector<std::uint32_t>& parents = parents_[level + 1];
+  const auto c = static_cast<std::uint32_t>(parents.size());
+  levels_[level + 1].resize(levels_[level + 1].size() + kChunkSlots,
+                            Slot{parent.route, kNoChild, parent.len});
+  parents.push_back(static_cast<std::uint32_t>(slot));
+  parent.child = c;
+  return c;
+}
+
+void RoutingTable::release_if_redundant(int level, std::size_t slot) {
+  Slot& parent = levels_[level][slot];
+  std::vector<Slot>& chunks = levels_[level + 1];
+  std::vector<std::uint32_t>& parents = parents_[level + 1];
+  const std::uint32_t c = parent.child;
+  for (std::size_t k = 0; k < kChunkSlots; ++k) {
+    const Slot& s = chunks[c * kChunkSlots + k];
+    if (s.child != kNoChild || s.route != parent.route ||
+        s.len != parent.len) {
+      return;
     }
-    for (int b = 1; b >= 0; --b) {
-      if (node.child[b] >= 0) {
-        std::uint32_t bits = f.bits;
-        if (b == 1) bits |= (1u << (31 - f.depth));
-        stack.push_back({static_cast<std::size_t>(node.child[b]), bits,
-                         f.depth + 1});
+  }
+  parent.child = kNoChild;
+  // Move the last chunk into the hole, so storage stays dense.
+  const auto last = static_cast<std::uint32_t>(parents.size() - 1);
+  if (c != last) {
+    std::copy_n(&chunks[last * kChunkSlots], kChunkSlots,
+                &chunks[c * kChunkSlots]);
+    parents[c] = parents[last];
+    levels_[level][parents[c]].child = c;
+    if (level == 0) {  // the moved chunk's own chunks hang off new slots
+      for (std::size_t k = 0; k < kChunkSlots; ++k) {
+        const Slot& s = chunks[c * kChunkSlots + k];
+        if (s.child != kNoChild) {
+          parents_[2][s.child] =
+              static_cast<std::uint32_t>(c * kChunkSlots + k);
+        }
       }
     }
   }
-  std::sort(out.begin(), out.end(), [](const Entry& a, const Entry& b) {
-    return std::pair(a.prefix.network().value(), a.prefix.length()) <
-           std::pair(b.prefix.network().value(), b.prefix.length());
-  });
+  chunks.resize(std::size_t{last} * kChunkSlots);
+  parents.pop_back();
+}
+
+std::vector<RoutingTable::Entry> RoutingTable::entries() const {
+  std::vector<Entry> out;
+  out.reserve(entries_.size());
+  for (const auto& [k, route_id] : entries_) {
+    out.push_back({Prefix(Ipv4Address{k.first}, k.second), route_id});
+  }
   return out;
 }
 

@@ -123,11 +123,17 @@ TEST(WorkerPool, WaitIdleReturnsOnlyAfterEveryQueuedTaskRan) {
 
 TEST(WorkerPool, ThrowingTaskSurfacesAtNextSubmitAndAtJoin) {
   core::WorkerPool pool(2, "test_error");
-  pool.submit(0, [] { throw std::runtime_error("boom"); });
   // The error is captured on the worker; the next submit after that — to
-  // any worker — rethrows it on the caller.
+  // any worker — rethrows it on the caller. That can be this very submit,
+  // when the worker runs the task before submit() returns.
   std::string caught;
+  try {
+    pool.submit(0, [] { throw std::runtime_error("boom"); });
+  } catch (const std::runtime_error& e) {
+    caught = e.what();
+  }
   ASSERT_TRUE(eventually([&] {
+    if (!caught.empty()) return true;
     try {
       pool.submit(1, [] {});
     } catch (const std::runtime_error& e) {

@@ -2,17 +2,19 @@
 // attached link, the engine's report stream is bit-for-bit identical to
 // running the ordinary single-link pipeline on that link's pre-filtered
 // packets — across link-set shapes (disjoint prefixes, overlapping prefixes
-// with longest-match, predicates + match-all), in both batch
-// (api::analyze) and live (live::WindowedEstimator) modes, and for any
-// worker-pool size.
+// with longest-match, predicates + match-all, a 16-link POP, a link detached
+// mid-stream), in both batch (api::analyze) and live
+// (live::WindowedEstimator) modes, and for any worker-pool size.
 //
 // The reference filter is computed here by brute force (linear scan over
 // every link's prefixes, longest match wins), sharing no code with the
 // engine's RoutingTable demux.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -141,6 +143,100 @@ std::vector<LinkDef> predicate_links() {
   return links;
 }
 
+std::vector<LinkDef> pop_links() {
+  // A POP: 16 prefix links over the trace's 128 /24s, several per link
+  // (rank r on link r mod 16), with prefixes on every stride level: ranks
+  // 120..127 fall through to a /16 on pop15, and a /25 on pop3 carves half
+  // of rank 1's /24 out of pop1. A predicate link and a tap ride along.
+  std::vector<LinkDef> links;
+  for (std::size_t i = 0; i < 16; ++i) {
+    std::vector<net::Prefix> prefixes;
+    for (std::size_t r = i; r < 120; r += 16) {
+      prefixes.push_back(trace::dst_prefix_for_rank(r));
+    }
+    if (i == 3) prefixes.push_back(pfx("10.0.16.128", 25));
+    if (i == 15) prefixes.push_back(pfx("10.7.0.0", 16));
+    links.push_back(prefix_link("pop" + std::to_string(i), prefixes));
+  }
+  engine::MatchTuple web;
+  web.dst_port = 80;
+  links.push_back(tuple_link("web", web));
+  links.push_back(all_link("tap"));
+  return links;
+}
+
+/// "specific" is detached mid-stream; its traffic then falls back to
+/// "cover", except the /25 "deep" keeps.
+std::vector<LinkDef> detach_links() {
+  std::vector<LinkDef> links;
+  links.push_back(prefix_link("cover", {pfx("10.0.0.0", 13)}));
+  links.push_back(prefix_link("specific", {pfx("10.2.0.0", 15)}));
+  links.push_back(prefix_link("deep", {pfx("10.2.16.0", 25)}));
+  links.push_back(all_link("tap"));
+  return links;
+}
+
+/// Half-way through the trace, with traffic only "specific" carries on both
+/// sides of the cut.
+std::size_t detach_cut() {
+  const auto packets = seeded_trace();
+  const auto cut = static_cast<std::ptrdiff_t>(packets.size() / 2);
+  const auto specific_only = [](const net::PacketRecord& p) {
+    return pfx("10.2.0.0", 15).contains(p.tuple.dst) &&
+           !pfx("10.2.16.0", 25).contains(p.tuple.dst);
+  };
+  EXPECT_TRUE(
+      std::any_of(packets.begin(), packets.begin() + cut, specific_only));
+  EXPECT_TRUE(std::any_of(packets.begin() + cut, packets.end(), specific_only));
+  return static_cast<std::size_t>(cut);
+}
+
+/// Per-link report streams, each report rendered as its JSON text.
+using Streams = std::map<std::string, std::vector<std::string>>;
+
+/// Runs the engine over `packets` and, when `detach` names a link, detaches
+/// it after the first `cut` packets.
+Streams engine_streams(const engine::EngineConfig& config,
+                       const std::vector<LinkDef>& links,
+                       std::span<const net::PacketRecord> packets,
+                       std::size_t cut = 0, const std::string& detach = {}) {
+  engine::Engine eng(config);
+  Streams got;
+  eng.set_report_sink([&](engine::LinkReport&& r) {
+    got[r.name].push_back(r.interval ? api::to_json(*r.interval)
+                                     : live::to_jsonl(*r.window));
+  });
+  std::map<std::string, engine::LinkId> ids;
+  for (const auto& link : links) ids[link.name] = eng.attach(link.spec);
+  if (!detach.empty()) {
+    push_all(eng, packets.first(cut));
+    EXPECT_TRUE(eng.detach(ids.at(detach)));
+    packets = packets.subspan(cut);
+  }
+  push_all(eng, packets);
+  eng.finish();
+  return got;
+}
+
+/// The brute-force split of `packets` with `detach` removed from the link
+/// set after the first `cut` packets.
+std::map<std::string, std::vector<net::PacketRecord>> reference_split(
+    const std::vector<net::PacketRecord>& packets,
+    const std::vector<LinkDef>& links, std::size_t cut,
+    const std::string& detach) {
+  const auto split_at = packets.begin() + static_cast<std::ptrdiff_t>(cut);
+  const std::vector<net::PacketRecord> head(packets.begin(), split_at);
+  const std::vector<net::PacketRecord> tail(split_at, packets.end());
+  std::vector<LinkDef> remaining = links;
+  std::erase_if(remaining, [&](const LinkDef& l) { return l.name == detach; });
+  auto out = reference_split(head, links);
+  for (auto& [name, stream] : reference_split(tail, remaining)) {
+    auto& to = out[name];
+    to.insert(to.end(), stream.begin(), stream.end());
+  }
+  return out;
+}
+
 // --------------------------------------------------------------- batch ---
 
 api::AnalysisConfig batch_config() {
@@ -150,23 +246,16 @@ api::AnalysisConfig batch_config() {
 }
 
 void run_batch_differential(const std::vector<LinkDef>& links,
-                            std::size_t threads) {
+                            std::size_t threads, std::size_t cut = 0,
+                            const std::string& detach = {}) {
   const auto packets = seeded_trace();
-  const auto split = reference_split(packets, links);
+  const auto split = reference_split(packets, links, cut, detach);
 
   engine::EngineConfig config;
   config.mode = engine::EngineMode::batch;
   config.analysis = batch_config();
   config.threads = threads;
-  engine::Engine eng(config);
-  std::map<std::string, std::vector<api::AnalysisReport>> got;
-  eng.set_report_sink([&](engine::LinkReport&& r) {
-    ASSERT_TRUE(r.interval.has_value());
-    got[r.name].push_back(std::move(*r.interval));
-  });
-  for (const auto& link : links) eng.attach(link.spec);
-  push_all(eng, packets);
-  eng.finish();
+  auto got = engine_streams(config, links, packets, cut, detach);
 
   for (const auto& link : links) {
     SCOPED_TRACE(link.name);
@@ -178,7 +267,7 @@ void run_batch_differential(const std::vector<LinkDef>& links,
       SCOPED_TRACE(i);
       // Bit-for-bit: the full JSON rendering (shortest-round-trip doubles)
       // must match byte for byte.
-      EXPECT_EQ(api::to_json(expected[i]), api::to_json(actual[i]));
+      EXPECT_EQ(api::to_json(expected[i]), actual[i]);
     }
   }
 }
@@ -200,6 +289,17 @@ TEST(EngineDifferential, BatchWorkerPoolMatchesInline) {
   run_batch_differential(overlapping_links(), 3);
 }
 
+TEST(EngineDifferential, BatchPopSixteenLinks) {
+  run_batch_differential(pop_links(), 1);
+  run_batch_differential(pop_links(), 3);
+}
+
+TEST(EngineDifferential, BatchDetachFallsBackToCoveringLink) {
+  const std::size_t cut = detach_cut();
+  run_batch_differential(detach_links(), 1, cut, "specific");
+  run_batch_differential(detach_links(), 3, cut, "specific");
+}
+
 // ---------------------------------------------------------------- live ---
 
 live::LiveConfig live_config(double width, double stride) {
@@ -210,24 +310,18 @@ live::LiveConfig live_config(double width, double stride) {
   return cfg;
 }
 
-void run_live_differential(const std::vector<LinkDef>& links,
-                           double width, double stride, std::size_t threads) {
+void run_live_differential(const std::vector<LinkDef>& links, double width,
+                           double stride, std::size_t threads,
+                           std::size_t cut = 0,
+                           const std::string& detach = {}) {
   const auto packets = seeded_trace();
-  const auto split = reference_split(packets, links);
+  const auto split = reference_split(packets, links, cut, detach);
 
   engine::EngineConfig config;
   config.mode = engine::EngineMode::live;
   config.live = live_config(width, stride);
   config.threads = threads;
-  engine::Engine eng(config);
-  std::map<std::string, std::vector<std::string>> got;
-  eng.set_report_sink([&](engine::LinkReport&& r) {
-    ASSERT_TRUE(r.window.has_value());
-    got[r.name].push_back(live::to_jsonl(*r.window));
-  });
-  for (const auto& link : links) eng.attach(link.spec);
-  push_all(eng, packets);
-  eng.finish();
+  auto got = engine_streams(config, links, packets, cut, detach);
 
   for (const auto& link : links) {
     SCOPED_TRACE(link.name);
@@ -259,6 +353,17 @@ TEST(EngineDifferential, LiveOverlappingWindowsAndPrefixes) {
 
 TEST(EngineDifferential, LiveWorkerPoolMatchesInline) {
   run_live_differential(disjoint_links(), 7.0, 0.0, 3);
+}
+
+TEST(EngineDifferential, LivePopSixteenLinks) {
+  run_live_differential(pop_links(), 7.0, 0.0, 1);
+  run_live_differential(pop_links(), 7.0, 0.0, 3);
+}
+
+TEST(EngineDifferential, LiveDetachFallsBackToCoveringLink) {
+  const std::size_t cut = detach_cut();
+  run_live_differential(detach_links(), 7.0, 0.0, 1, cut, "specific");
+  run_live_differential(detach_links(), 7.0, 0.0, 3, cut, "specific");
 }
 
 }  // namespace
