@@ -118,10 +118,15 @@ void WindowedEstimator::drain(WindowState& state) {
 void WindowedEstimator::expire_all(double now) {
   // Result-neutral early completion of idle flows (NetFlow's inactive
   // timer): emitting now or at the window flush yields the same records,
-  // but the active tables stay O(active flows).
-  for (auto& s : open_) {
+  // but the active tables stay O(active flows). Every flow of window k saw
+  // its last packet at or after window_start(k), so while that start is
+  // within the timeout of `now` the full-table scan would find nothing.
+  const double timeout = config_.analysis.timeout_s();
+  for (std::size_t i = 0; i < open_.size(); ++i) {
+    auto& s = open_[i];
     if (!s) continue;
-    s->classifier->expire_idle(now);
+    const std::int64_t k = next_close_ + static_cast<std::int64_t>(i);
+    if (now - window_start(k) > timeout) s->classifier->expire_idle(now);
     drain(*s);
   }
   if (obs::enabled()) {

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <span>
+#include <string>
 #include <vector>
+
+#include "net/packet_batch.hpp"
+#include "stats/rng.hpp"
 
 namespace fbm::flow {
 namespace {
@@ -359,11 +366,96 @@ TEST(Classifier, RoutableKeyFallsBackToSlash24) {
   RoutableKey key(&fib);
   auto p = packet(0.0);
   p.tuple.dst = net::Ipv4Address(99, 1, 2, 3);
-  EXPECT_EQ(key(p), net::Prefix(net::Ipv4Address(99, 1, 2, 0), 24));
+  EXPECT_EQ(key(p.tuple), net::Prefix(net::Ipv4Address(99, 1, 2, 0), 24));
 }
 
 TEST(Classifier, RoutableKeyRejectsNullTable) {
   EXPECT_THROW(RoutableKey{nullptr}, std::invalid_argument);
+}
+
+TEST(Classifier, RoutableKeyBatchMatchesPerPacket) {
+  // Nested routes (a /8 holding a /16 holding a /24, a /25 and a /32) plus
+  // destinations that no route covers (they key on their /24), with timeout
+  // gaps, interval crossings and lone packets: add_batch at every batch
+  // size must emit exactly what add() per packet does.
+  net::RoutingTable fib;
+  fib.insert(net::Prefix(net::Ipv4Address(10, 0, 0, 0), 8), 1);
+  fib.insert(net::Prefix(net::Ipv4Address(10, 1, 0, 0), 16), 2);
+  fib.insert(net::Prefix(net::Ipv4Address(10, 1, 2, 0), 24), 3);
+  fib.insert(net::Prefix(net::Ipv4Address(10, 1, 2, 128), 25), 4);
+  fib.insert(net::Prefix(net::Ipv4Address(10, 1, 2, 200), 32), 5);
+  fib.insert(net::Prefix(net::Ipv4Address(172, 16, 0, 0), 12), 6);
+  const net::Ipv4Address dsts[] = {
+      net::Ipv4Address(10, 9, 9, 9),         // /8
+      net::Ipv4Address(10, 1, 7, 7),         // /16
+      net::Ipv4Address(10, 1, 2, 5),         // /24
+      net::Ipv4Address(10, 1, 2, 130),       // /25
+      net::Ipv4Address(10, 1, 2, 200),       // /32
+      net::Ipv4Address(10, 1, 2, 201),       // /25 next to the /32
+      net::Ipv4Address(172, 31, 0, 1),       // /12
+      net::Ipv4Address(172, 32, 0, 1),       // no route
+      net::Ipv4Address(99, 1, 2, 3),         // no route
+      net::Ipv4Address(99, 1, 2, 250),       // no route, same /24
+      net::Ipv4Address(200, 0, 0, 1),        // no route
+      net::Ipv4Address(255, 255, 255, 255),  // no route
+  };
+
+  stats::Rng rng(2024);
+  std::vector<net::PacketRecord> packets;
+  double t = 0.0;
+  for (int i = 0; i < 3000; ++i) {
+    // Mostly sub-timeout gaps, occasionally a gap past the 1 s timeout.
+    t += rng.uniform_int(0, 19) == 0 ? 1.5 : rng.exponential(200.0);
+    auto p = packet(t, static_cast<std::uint16_t>(rng.uniform_int(0, 3)),
+                    static_cast<std::uint32_t>(rng.uniform_int(40, 1500)));
+    p.tuple.dst = dsts[rng.uniform_int(0, std::size(dsts) - 1)];
+    packets.push_back(p);
+  }
+
+  ClassifierOptions options;
+  options.timeout = 1.0;
+  options.interval = 2.0;
+  options.record_discards = true;
+  FlowClassifier<RoutableKey> reference(RoutableKey(&fib), options);
+  for (const auto& p : packets) reference.add(p);
+  reference.flush();
+
+  for (const std::size_t batch_size : {1u, 7u, 1024u}) {
+    SCOPED_TRACE("batch " + std::to_string(batch_size));
+    FlowClassifier<RoutableKey> c(RoutableKey(&fib), options);
+    net::PacketBatch batch;
+    for (std::size_t i = 0; i < packets.size(); i += batch_size) {
+      const std::size_t n = std::min(batch_size, packets.size() - i);
+      batch.assign(std::span(packets).subspan(i, n));
+      c.add_batch(batch);
+    }
+    c.flush();
+    ASSERT_EQ(c.flows().size(), reference.flows().size());
+    for (std::size_t i = 0; i < c.flows().size(); ++i) {
+      const FlowRecord& a = c.flows()[i];
+      const FlowRecord& b = reference.flows()[i];
+      EXPECT_EQ(a.start, b.start) << i;
+      EXPECT_EQ(a.end, b.end) << i;
+      EXPECT_EQ(a.size_bytes, b.size_bytes) << i;
+      EXPECT_EQ(a.packets, b.packets) << i;
+      EXPECT_EQ(a.continued, b.continued) << i;
+    }
+    ASSERT_EQ(c.discards().size(), reference.discards().size());
+    for (std::size_t i = 0; i < c.discards().size(); ++i) {
+      EXPECT_EQ(c.discards()[i].timestamp, reference.discards()[i].timestamp);
+      EXPECT_EQ(c.discards()[i].size_bytes, reference.discards()[i].size_bytes);
+    }
+    EXPECT_EQ(c.counters().packets, reference.counters().packets);
+    EXPECT_EQ(c.counters().flows_emitted, reference.counters().flows_emitted);
+    EXPECT_EQ(c.counters().single_packet_discards,
+              reference.counters().single_packet_discards);
+    EXPECT_EQ(c.counters().boundary_splits,
+              reference.counters().boundary_splits);
+  }
+  // The workload exercises what it claims to.
+  EXPECT_GT(reference.counters().boundary_splits, 0u);
+  EXPECT_GT(reference.counters().single_packet_discards, 0u);
+  EXPECT_GT(reference.flows().size(), 100u);
 }
 
 TEST(FlowRecord, MeanRate) {

@@ -127,6 +127,34 @@ TEST(LiveEdgeCases, StrideLargerThanWidthLeavesGaps) {
   EXPECT_EQ(window_packets, 4u);  // 2 of the 6 pushed packets fell in gaps
 }
 
+TEST(LiveEdgeCases, IdleFlowsExpireBeforeTheirWindowCloses) {
+  // Windows [0,10), [2,12), [4,14) with a 1 s timeout. Flow 1 (in window 0)
+  // and flow 3 (in windows 0 and 1) go idle; flow 2 keeps the clock moving.
+  // The expiry sweep at t=3.5 must drop both idle flows from every window
+  // that holds them, long before any window closes at t=10.
+  std::vector<net::PacketRecord> packets;
+  packets.push_back(packet(0.1, 1));
+  packets.push_back(packet(0.2, 1));
+  for (const double t : {0.5, 1.0, 1.5, 2.0}) packets.push_back(packet(t, 2));
+  packets.push_back(packet(2.1, 3));
+  packets.push_back(packet(2.2, 3));
+  for (const double t : {2.5, 3.0, 3.5, 4.0, 4.5}) {
+    packets.push_back(packet(t, 2));
+  }
+  live::WindowedEstimator estimator(tiling_config(10.0, 2.0));
+  push_all(estimator, packets, 1);
+  ASSERT_EQ(estimator.open_windows(), 3u);
+  // Flow 2 in each of the three windows; without expiry the idle flows
+  // would add three more (flow 1 in window 0, flow 3 in windows 0 and 1).
+  EXPECT_EQ(estimator.active_flows(), 3u);
+  estimator.finish();
+  const auto reports = estimator.take_reports();
+  ASSERT_EQ(reports.size(), 3u);
+  EXPECT_EQ(reports[0].inputs.flows, 3u);  // expired flows are not lost
+  EXPECT_EQ(reports[1].inputs.flows, 2u);
+  EXPECT_EQ(reports[2].inputs.flows, 1u);
+}
+
 TEST(LiveEdgeCases, ForecasterNeedsHistory) {
   live::RollingForecaster forecaster(8, 64, 3.0);
   EXPECT_FALSE(forecaster.forecast().has_value());
