@@ -63,11 +63,8 @@ FBM_BENCH(aggregate_merge) {
       api::AnalysisPipeline pipeline(analysis);
       agg::PartialWriter writer(partial_path(i),
                                 agg::PartialMeta::from_batch(analysis));
-      pipeline.set_partial_sink([&](api::ShardInterval&& iv) {
-        writer.add(0, live::WindowPartial{iv.index, 0, 0, 0,
-                                          std::move(iv.flows),
-                                          std::move(iv.bins)});
-      });
+      pipeline.set_partial_sink(
+          [&](api::WindowPartial&& iv) { writer.add(0, iv); });
       std::vector<net::PacketRecord> shard;
       for (const auto& p : packets) {
         if (api::flow_shard_of(p.tuple, analysis.flow_definition(),

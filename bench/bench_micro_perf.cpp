@@ -60,7 +60,7 @@ double rate_per_s(double min_s, Body&& body) {
 
 /// Classification packets/sec with the given active-flow table type. Both
 /// tables get the same reserve-ahead the production pipeline configures
-/// (AnalysisConfig::reserve_flows), so the A/B measures steady classification
+/// (api::kReserveFlows), so the A/B measures steady classification
 /// rather than allocator ramp-up; best-of-three trials squeezes out
 /// scheduler noise so the flat-vs-std comparison is stable run to run.
 template <typename Key, template <typename, typename, typename> class Map>
@@ -68,7 +68,7 @@ double classify_rate(bench::Context& ctx,
                      const std::vector<net::PacketRecord>& packets,
                      double min_s, std::uint64_t* flows_out) {
   flow::ClassifierOptions options;
-  options.reserve_flows = api::AnalysisConfig{}.reserve_flows();
+  options.reserve_flows = api::kReserveFlows;
   // One long-lived classifier, as in a production monitor: each pass
   // replays the trace and flush() ends the capture, so the timed loop
   // measures steady classification, not table construction.

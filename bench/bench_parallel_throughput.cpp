@@ -3,7 +3,7 @@
 // backbone trace, against the api::analyze baseline.
 //
 // The sharded pipeline's merge is deterministic (flow-key-hashed shards,
-// ByStart re-sort, exact integral bin sums), so besides timing each run this
+// exact flow sums and integral bin sums), so besides timing each run this
 // bench verifies that every shard count reproduces the serial reports bit
 // for bit — a throughput number that silently changed the answers would be
 // worthless. Speedup tracks the physical core count: on a single-core

@@ -57,18 +57,10 @@ void Merger::fold_window(PartialWindow&& w) {
     cell.emplace(w.window.index, std::move(w.window));
     return;
   }
-  // Concatenation order is irrelevant: fitting re-sorts with flow::ByStart,
-  // and the bins sum integral byte counts (exact in any order) — the same
+  // Fold order is irrelevant: every field is an exact sum — the same
   // argument api::AnalysisPipeline's shard merge relies on.
-  live::WindowPartial& into = it->second;
-  into.packets += w.window.packets;
-  into.bytes += w.window.bytes;
-  into.discards += w.window.discards;
-  into.flows.insert(into.flows.end(),
-                    std::make_move_iterator(w.window.flows.begin()),
-                    std::make_move_iterator(w.window.flows.end()));
   try {
-    into.bins.merge(w.window.bins);
+    it->second.merge(std::move(w.window));
   } catch (const std::invalid_argument&) {
     throw std::runtime_error(
         "partial files disagree on the bin grid of window " +
@@ -102,11 +94,10 @@ MergeResult Merger::finish() {
                         double end, double delta) {
     auto& cell = by_link_[link];
     if (const auto it = cell.find(index); it != cell.end()) {
-      live::WindowPartial w = std::move(it->second);
-      return w;
+      return std::move(it->second);
     }
-    return live::WindowPartial{
-        index, 0, 0, 0, {}, stats::RateBinner(start, end, delta)};
+    return api::WindowPartial{.index = index,
+                              .bins = stats::RateBinner(start, end, delta)};
   };
 
   if (meta_.kind == PartialKind::batch) {
@@ -115,12 +106,10 @@ MergeResult Merger::finish() {
       std::vector<api::AnalysisReport> reports;
       for (std::int64_t k = 0; k <= max_index(link); ++k) {
         const double start = static_cast<double>(k) * config.interval_s();
-        live::WindowPartial w = take(link, k, start,
-                                     start + config.interval_s(),
-                                     config.delta_s());
         ++result.windows;
         api::AnalysisReport report = api::finalize_interval(
-            config, k, std::move(w.flows), std::move(w.bins));
+            config, take(link, k, start, start + config.interval_s(),
+                         config.delta_s()));
         // min_flows deferred with the fit: applied here, exactly once.
         if (report.inputs.flows >= config.min_flows()) {
           reports.push_back(std::move(report));
@@ -184,12 +173,12 @@ MergeResult Merger::finish() {
     for (auto& st : states) {
       if (k > st.max) continue;
       const double start = static_cast<double>(k) * config.stride();
-      live::WindowPartial w =
-          take(st.id, k, start, start + config.window_s,
-               config.analysis.delta_s());
       ++result.windows;
       live::WindowReport report = live::fit_window_report(
-          config, std::move(w), st.forecaster, st.monitor);
+          config,
+          take(st.id, k, start, start + config.window_s,
+               config.analysis.delta_s()),
+          st.forecaster, st.monitor);
       result.lines.push_back(meta_.engine
                                  ? live::to_jsonl(report, st.name)
                                  : live::to_jsonl(report));

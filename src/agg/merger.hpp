@@ -2,17 +2,17 @@
 //
 // Any number of PartialReport files — written by shard processes of one
 // host, or by collectors at many POPs — fold window-by-window, link-by-link:
-// flow records concatenate, exact byte bins sum, trace totals add. After the
+// exact flow sums add, exact byte bins add, trace totals add. After the
 // final fold the merger runs the exact same fitting code the producing tool
 // would have run locally (api::finalize_interval per batch interval;
 // live::fit_window_report per sliding window, forecaster and monitor
 // replayed in window order), then renders the standard output document.
 //
-// Because flows are re-sorted with flow::ByStart (a total order) and bins
-// hold integral byte counts (double addition is exact on integers), the
-// result is bit-for-bit identical to a single-machine run over the union of
-// the producers' packets — the property
-// tests/agg/test_aggregate_differential.cpp pins for key-sharded producers.
+// Because every folded quantity is an exact sum (flow::FlowSums, integral
+// byte bins), the result is bit-for-bit identical to a single-machine run
+// over the union of the producers' packets, in any file or fold order — the
+// property tests/agg/test_aggregate_differential.cpp pins for key-sharded
+// producers.
 // One caveat: a *streaming* multi-link run interleaves its JSONL lines by
 // packet arrival, so engine-live merges guarantee byte-identical per-link
 // subsequences and the same line set, emitted in the canonical
@@ -62,7 +62,7 @@ class Merger {
 
  private:
   /// Merged raw material of one (link, window) cell.
-  using WindowMap = std::map<std::int64_t, live::WindowPartial>;
+  using WindowMap = std::map<std::int64_t, api::WindowPartial>;
 
   void fold_window(PartialWindow&& w);
 

@@ -18,34 +18,6 @@ constexpr std::uint32_t kFrameEnd = 3;
 
 // ------------------------------------------------------------- serializing ---
 
-[[nodiscard]] ByteBuffer encode_window(std::uint32_t link_id,
-                                       const live::WindowPartial& w) {
-  ByteBuffer b;
-  b.put(link_id);
-  b.put(std::uint32_t{0});
-  b.put(w.index);
-  b.put(w.packets);
-  b.put(w.bytes);
-  b.put(w.discards);
-  b.put(w.bins.grid_start());
-  b.put(w.bins.grid_end());
-  b.put(w.bins.grid_delta());
-  b.put(static_cast<std::uint64_t>(w.bins.dropped()));
-  b.put(w.bins.total_bytes());
-  const auto bins = w.bins.bin_bytes();
-  b.put(static_cast<std::uint64_t>(bins.size()));
-  for (const double v : bins) b.put(v);
-  b.put(static_cast<std::uint64_t>(w.flows.size()));
-  for (const auto& f : w.flows) {
-    b.put(f.start);
-    b.put(f.end);
-    b.put(f.size_bytes);
-    b.put(f.packets);
-    b.put(static_cast<std::uint64_t>(f.continued ? 1 : 0));
-  }
-  return b;
-}
-
 [[nodiscard]] ByteBuffer encode_end(std::uint64_t windows,
                                     const PartialTotals& t) {
   ByteBuffer b;
@@ -67,55 +39,25 @@ constexpr std::uint32_t kFrameEnd = 3;
 
 // --------------------------------------------------------------- deserializing
 
-[[nodiscard]] PartialWindow decode_window(ByteCursor& c) {
-  const auto link_id = c.get<std::uint32_t>();
-  (void)c.get<std::uint32_t>();  // reserved
-  const auto index = c.get<std::int64_t>();
-  const auto packets = c.get<std::uint64_t>();
-  const auto bytes = c.get<std::uint64_t>();
-  const auto discards = c.get<std::uint64_t>();
-  const double grid_start = c.get<double>();
-  const double grid_end = c.get<double>();
-  const double grid_delta = c.get<double>();
-  const auto dropped = c.get<std::uint64_t>();
-  const double total_bytes = c.get<double>();
-  const auto bin_count = c.get<std::uint64_t>();
-  if (bin_count > (c.size - c.at) / sizeof(double)) {
+void put_sum(ByteBuffer& b, const core::ExactSum& sum) {
+  const core::ExactSum::Cells cells = sum.canonical_cells();
+  for (std::size_t i = 0; i + 1 < cells.size(); ++i) {
+    b.put(static_cast<std::uint32_t>(cells[i]));
+  }
+  b.put(cells.back());
+}
+
+[[nodiscard]] core::ExactSum get_sum(ByteCursor& c) {
+  core::ExactSum::Cells cells{};
+  for (std::size_t i = 0; i + 1 < cells.size(); ++i) {
+    cells[i] = c.get<std::uint32_t>();
+  }
+  cells.back() = c.get<std::int64_t>();
+  try {
+    return core::ExactSum::from_canonical(cells);
+  } catch (const std::invalid_argument&) {
     throw std::runtime_error(c.where + ": malformed frame payload");
   }
-  std::vector<double> bins;
-  bins.reserve(bin_count);
-  for (std::uint64_t i = 0; i < bin_count; ++i) bins.push_back(c.get<double>());
-
-  stats::RateBinner binner = [&] {
-    try {
-      return stats::RateBinner(grid_start, grid_end, grid_delta,
-                               std::move(bins),
-                               static_cast<std::size_t>(dropped), total_bytes);
-    } catch (const std::invalid_argument&) {
-      throw std::runtime_error(c.where + ": window bins do not match grid");
-    }
-  }();
-
-  const auto flow_count = c.get<std::uint64_t>();
-  if (flow_count > (c.size - c.at) / 40) {  // 5 x 8 bytes per flow record
-    throw std::runtime_error(c.where + ": malformed frame payload");
-  }
-  std::vector<flow::FlowRecord> flows;
-  flows.reserve(flow_count);
-  for (std::uint64_t i = 0; i < flow_count; ++i) {
-    flow::FlowRecord f;
-    f.start = c.get<double>();
-    f.end = c.get<double>();
-    f.size_bytes = c.get<std::uint64_t>();
-    f.packets = c.get<std::uint64_t>();
-    f.continued = c.get<std::uint64_t>() != 0;
-    flows.push_back(f);
-  }
-  c.expect_done();
-  return PartialWindow{
-      link_id, live::WindowPartial{index, packets, bytes, discards,
-                                   std::move(flows), std::move(binner)}};
 }
 
 [[nodiscard]] std::pair<std::uint64_t, PartialTotals> decode_end(
@@ -142,6 +84,76 @@ constexpr std::uint32_t kFrameEnd = 3;
 }
 
 }  // namespace
+
+// --------------------------------------------------------- window codec ---
+
+void encode_window(ByteBuffer& b, const api::WindowPartial& w) {
+  b.put(w.index);
+  b.put(w.packets);
+  b.put(w.bytes);
+  b.put(w.discards);
+  b.put(w.bins.grid_start());
+  b.put(w.bins.grid_end());
+  b.put(w.bins.grid_delta());
+  b.put(static_cast<std::uint64_t>(w.bins.dropped()));
+  b.put(w.bins.total_bytes());
+  const auto bins = w.bins.bin_bytes();
+  b.put(static_cast<std::uint64_t>(bins.size()));
+  for (const double v : bins) b.put(v);
+  const flow::FlowSums& f = w.sums;
+  b.put(f.n);
+  b.put(f.continued);
+  b.put(f.size_bytes);
+  b.put(f.size_bytes_sq);
+  put_sum(b, f.s2_over_d);
+  put_sum(b, f.duration);
+  put_sum(b, f.duration_sq);
+  put_sum(b, f.rate);
+}
+
+api::WindowPartial decode_window(ByteCursor& c) {
+  const auto index = c.get<std::int64_t>();
+  const auto packets = c.get<std::uint64_t>();
+  const auto bytes = c.get<std::uint64_t>();
+  const auto discards = c.get<std::uint64_t>();
+  const double grid_start = c.get<double>();
+  const double grid_end = c.get<double>();
+  const double grid_delta = c.get<double>();
+  const auto dropped = c.get<std::uint64_t>();
+  const double total_bytes = c.get<double>();
+  const auto bin_count = c.get<std::uint64_t>();
+  if (bin_count > (c.size - c.at) / sizeof(double)) {
+    throw std::runtime_error(c.where + ": malformed frame payload");
+  }
+  std::vector<double> bins;
+  bins.reserve(bin_count);
+  for (std::uint64_t i = 0; i < bin_count; ++i) bins.push_back(c.get<double>());
+  api::WindowPartial w{
+      .index = index,
+      .packets = packets,
+      .bytes = bytes,
+      .discards = discards,
+      .bins = [&] {
+        try {
+          return stats::RateBinner(grid_start, grid_end, grid_delta,
+                                   std::move(bins),
+                                   static_cast<std::size_t>(dropped),
+                                   total_bytes);
+        } catch (const std::invalid_argument&) {
+          throw std::runtime_error(c.where + ": window bins do not match grid");
+        }
+      }()};
+  flow::FlowSums& f = w.sums;
+  f.n = c.get<std::uint64_t>();
+  f.continued = c.get<std::uint64_t>();
+  f.size_bytes = c.get<std::uint64_t>();
+  f.size_bytes_sq = c.get<unsigned __int128>();
+  f.s2_over_d = get_sum(c);
+  f.duration = get_sum(c);
+  f.duration_sq = get_sum(c);
+  f.rate = get_sum(c);
+  return w;
+}
 
 // ----------------------------------------------------------- meta codec ---
 
@@ -323,11 +335,15 @@ PartialWriter::PartialWriter(const std::filesystem::path& path,
 PartialWriter::~PartialWriter() = default;
 
 void PartialWriter::add(std::uint32_t link_id,
-                        const live::WindowPartial& window) {
+                        const api::WindowPartial& window) {
   if (finished_) {
     throw std::logic_error("PartialWriter: add after finish");
   }
-  out_.write_frame(kFrameWindow, encode_window(link_id, window));
+  ByteBuffer b;
+  b.put(link_id);
+  b.put(std::uint32_t{0});  // reserved
+  encode_window(b, window);
+  out_.write_frame(kFrameWindow, b);
   ++windows_;
 }
 
@@ -369,9 +385,13 @@ PartialFile read_partial_file(const std::filesystem::path& path) {
     switch (frame->type) {
       case kFrameMeta:
         throw std::runtime_error(where + ": duplicate meta frame");
-      case kFrameWindow:
-        file.windows.push_back(decode_window(c));
+      case kFrameWindow: {
+        const auto link_id = c.get<std::uint32_t>();
+        (void)c.get<std::uint32_t>();  // reserved
+        file.windows.push_back({link_id, decode_window(c)});
+        c.expect_done();
         break;
+      }
       case kFrameEnd: {
         auto [windows, totals] = decode_end(c);
         declared_windows = windows;

@@ -1,12 +1,13 @@
 // PartialReport codec (fbm::agg) — sufficient statistics on the wire.
 //
 // The paper's three model inputs and the exact Delta rate bins are additive:
-// a fit over the union of two packet sets is a pure function of the
-// concatenated flow records and the summed byte bins. That makes the fit
-// deferrable — K shard processes (or M remote POPs) can each classify their
-// own key-disjoint slice of the traffic, serialize the raw pre-fit material
-// per analysis window, and a later fbm_aggregate run folds the partials and
-// fits once, reproducing a single-machine run bit for bit (see agg::Merger).
+// a fit over the union of two packet sets is a pure function of the summed
+// flow sums (flow::FlowSums, exact in any order) and the summed byte bins.
+// That makes the fit deferrable — K shard processes (or M remote POPs) can
+// each classify their own key-disjoint slice of the traffic, serialize the
+// raw pre-fit material per analysis window, and a later fbm_aggregate run
+// folds the partials and fits once, reproducing a single-machine run bit
+// for bit (see agg::Merger).
 //
 // File layout (all little-endian, like trace/trace_format.hpp):
 //
@@ -19,8 +20,20 @@
 // the producer's trace totals, so a truncated file — no end frame, or a
 // frame cut mid-payload — is always detected, never silently merged. Every
 // payload is checksummed; a flipped bit fails loudly. Bins travel as exact
-// integral byte counts (never derived bits/s) and flows as full records, so
-// the merged material is indistinguishable from locally accumulated state.
+// integral byte counts (never derived bits/s) and flow sums in their exact
+// canonical form, so the merged material is indistinguishable from locally
+// accumulated state.
+//
+// A window frame's payload is the window (see encode_window):
+//
+//   u32 link id | u32 reserved | i64 index | u64 packets | u64 bytes
+//   | u64 discards | f64 grid start | f64 grid end | f64 grid delta
+//   | u64 dropped | f64 total bytes | u64 bin count | f64 bins[count]
+//   | u64 flows | u64 continued | u64 sum S | u128 sum S^2
+//   | 4 x (u32 cells[69] | i64 top cell)    sums of S^2/D, D, D^2, S/D
+//
+// Its size depends on the bin grid only, never on the flow count.
+// Version 1 files (which shipped every flow record) are refused.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +50,7 @@
 namespace fbm::agg {
 
 inline constexpr std::uint32_t kPartialMagic = 0x504D4246;  // "FBMP"
-inline constexpr std::uint32_t kPartialVersion = 1;
+inline constexpr std::uint32_t kPartialVersion = 2;
 
 /// What kind of run produced the file: batch analysis intervals
 /// (api::AnalysisPipeline) or live sliding windows (live::WindowedEstimator).
@@ -101,6 +114,12 @@ void check_compatible(const PartialMeta& a, const PartialMeta& b);
 void encode_meta(core::ByteBuffer& out, const PartialMeta& m);
 [[nodiscard]] PartialMeta decode_meta(core::ByteCursor& c);
 
+/// Serializes / parses one window's pre-fit material (everything after the
+/// link id in a window frame). Shared with the checkpoint codec, which
+/// stores each open window the same way.
+void encode_window(core::ByteBuffer& out, const api::WindowPartial& w);
+[[nodiscard]] api::WindowPartial decode_window(core::ByteCursor& c);
+
 /// Per-link packet/byte totals of an engine-mode producer (for the merged
 /// "packets routed" counters; summed across files).
 struct LinkTotals {
@@ -120,7 +139,7 @@ struct PartialTotals {
 /// (batch; counters zero) or sliding window (live), tagged with its link.
 struct PartialWindow {
   std::uint32_t link_id = 0;
-  live::WindowPartial window;
+  api::WindowPartial window;
 };
 
 /// A fully parsed, checksum-verified partial file.
@@ -144,7 +163,7 @@ class PartialWriter {
 
   /// Appends one window frame. Frames may arrive in any order across links
   /// and indices — the merger folds by (link, index), order-insensitively.
-  void add(std::uint32_t link_id, const live::WindowPartial& window);
+  void add(std::uint32_t link_id, const api::WindowPartial& window);
 
   /// Writes the end frame and flushes. Throws std::runtime_error on I/O
   /// failure. add() must not be called afterwards.

@@ -26,7 +26,7 @@ struct AnalysisPipeline::Shard {
   mutable std::mutex mu;
   PipelineShard state;  ///< guarded by mu
   std::mutex out_mu;
-  std::deque<ShardInterval> out;  ///< closed, contiguous indices (out_mu)
+  std::deque<WindowPartial> out;  ///< closed, contiguous indices (out_mu)
   net::PacketBatch pending;       ///< routed, not yet submitted (caller)
 };
 
@@ -51,7 +51,7 @@ void AnalysisPipeline::push_batch(const net::PacketBatch& batch) {
   net::check_order(batch.timestamps, last_ts_, "AnalysisPipeline");
   const std::size_t n = batch.size();
   if (summary_.packets == 0) {
-    next_sweep_ = batch.timestamps.front() + config_.expire_every_s();
+    next_sweep_ = batch.timestamps.front() + kExpireEveryS;
   }
   summary_.add(batch);
   last_ts_ = batch.timestamps.back();
@@ -93,7 +93,7 @@ void AnalysisPipeline::flush_pending(std::size_t shard) {
 void AnalysisPipeline::submit_close(std::size_t shard, double now,
                                     std::int64_t last, bool final) {
   pool_->submit(shard, [s = shards_[shard].get(), now, last, final] {
-    std::vector<ShardInterval> closed;
+    std::vector<WindowPartial> closed;
     {
       std::lock_guard lock(s->mu);
       if (final) {
@@ -121,7 +121,7 @@ void AnalysisPipeline::sweep(double now) {
     submit_close(s, now, last, false);
   }
   next_close_ = std::max(next_close_, last + 1);
-  while (next_sweep_ <= now) next_sweep_ += config_.expire_every_s();
+  while (next_sweep_ <= now) next_sweep_ += kExpireEveryS;
   merge_ready();
 }
 
@@ -130,7 +130,7 @@ void AnalysisPipeline::merge_ready() {
   // unmerged interval is complete once no shard's output is empty.
   const auto pop = [](Shard& shard) {
     std::lock_guard lock(shard.out_mu);
-    ShardInterval iv = std::move(shard.out.front());
+    WindowPartial iv = std::move(shard.out.front());
     shard.out.pop_front();
     return iv;
   };
@@ -139,16 +139,10 @@ void AnalysisPipeline::merge_ready() {
       std::lock_guard lock(shard->out_mu);
       if (shard->out.empty()) return;
     }
-    // Concatenation order is irrelevant: finalize_interval re-sorts with
-    // flow::ByStart (a total order over every record field), and the rate
-    // bins hold exact integral byte counts, so summation commutes.
-    ShardInterval iv = pop(*shards_.front());
+    // Fold order is irrelevant: flow sums and byte bins add exactly.
+    WindowPartial iv = pop(*shards_.front());
     for (std::size_t s = 1; s < shards_.size(); ++s) {
-      ShardInterval part = pop(*shards_[s]);
-      iv.flows.insert(iv.flows.end(),
-                      std::make_move_iterator(part.flows.begin()),
-                      std::make_move_iterator(part.flows.end()));
-      iv.bins.merge(part.bins);
+      iv.merge(pop(*shards_[s]));
     }
     if (partial_sink_) {
       // Distributed mode: the raw material leaves for agg::Merger, which
@@ -156,9 +150,7 @@ void AnalysisPipeline::merge_ready() {
       partial_sink_(std::move(iv));
       continue;
     }
-    AnalysisReport report = finalize_interval(config_, iv.index,
-                                              std::move(iv.flows),
-                                              std::move(iv.bins));
+    AnalysisReport report = finalize_interval(config_, std::move(iv));
     if (report.inputs.flows >= config_.min_flows()) {
       if (sink_) {
         sink_(std::move(report));

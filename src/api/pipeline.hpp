@@ -15,11 +15,11 @@
 // caller's thread folds every shard's copy of interval k before fitting it.
 // Flows are independent shots in the paper's model, so each shard's
 // classifier sees exactly the per-key packet subsequence a single shard
-// would; the merge re-sorts flows with a total order (flow::ByStart) and
-// sums integral byte bins, which double precision does exactly in any
-// order. Reports are therefore bit-for-bit identical at every thread count
-// and every batch size, and identical to the batch path (classify_all +
-// group_by_interval + estimate_inputs + measure_rate).
+// would; the merge adds exact flow sums (flow::FlowSums) and integral byte
+// bins, both of which come out the same in any order. Reports are therefore
+// bit-for-bit identical at every thread count and every batch size, and
+// identical to the batch path (classify_all + group_by_interval +
+// estimate_inputs + measure_rate).
 #pragma once
 
 #include <cstdint>
@@ -48,6 +48,15 @@ namespace fbm::api {
 /// destination /24 prefix.
 enum class FlowDefinition { five_tuple, prefix24 };
 
+/// Active-flow table slots reserved ahead per pipeline (split across
+/// shards, and across the open windows of a live estimator): skips the
+/// rehash cascade during ramp-up. Results do not depend on it.
+inline constexpr std::size_t kReserveFlows = 4096;
+
+/// Trace-time cadence at which idle flows are expired and closed intervals
+/// swept. Results do not depend on it.
+inline constexpr double kExpireEveryS = 1.0;
+
 /// Builder-style configuration for AnalysisPipeline.
 class AnalysisConfig {
  public:
@@ -68,8 +77,6 @@ class AnalysisConfig {
   AnalysisConfig& fallback_shot_b(double v) { fallback_b_ = v; return *this; }
   /// Carry each interval's FlowRecords in its report (costs memory).
   AnalysisConfig& keep_flows(bool v) { keep_flows_ = v; return *this; }
-  /// How often (in trace time) idle flows are expired and intervals closed.
-  AnalysisConfig& expire_every_s(double v) { expire_every_s_ = v; return *this; }
   /// Flow-hashed worker shards; 1 (the default) runs everything on the
   /// caller's thread, 0 auto-detects the machine's core count
   /// (std::thread::hardware_concurrency). Output is bit-for-bit identical
@@ -78,10 +85,6 @@ class AnalysisConfig {
   /// Packets read per batch by consume() and handed to a worker shard per
   /// task (purely a throughput knob — results do not depend on it).
   AnalysisConfig& batch_packets(std::size_t v) { batch_packets_ = v; return *this; }
-  /// Active-flow table slots reserved ahead per classifier (a throughput
-  /// knob: skips rehash cascades during ramp-up; results do not depend on
-  /// it). 0 grows on demand.
-  AnalysisConfig& reserve_flows(std::size_t v) { reserve_flows_ = v; return *this; }
 
   [[nodiscard]] FlowDefinition flow_definition() const { return flow_def_; }
   [[nodiscard]] double timeout_s() const { return timeout_s_; }
@@ -93,10 +96,8 @@ class AnalysisConfig {
   [[nodiscard]] bool has_fixed_shot_b() const { return fixed_b_ >= 0.0; }
   [[nodiscard]] double fallback_shot_b() const { return fallback_b_; }
   [[nodiscard]] bool keep_flows() const { return keep_flows_; }
-  [[nodiscard]] double expire_every_s() const { return expire_every_s_; }
   [[nodiscard]] std::size_t threads() const { return threads_; }
   [[nodiscard]] std::size_t batch_packets() const { return batch_packets_; }
-  [[nodiscard]] std::size_t reserve_flows() const { return reserve_flows_; }
 
  private:
   FlowDefinition flow_def_ = FlowDefinition::five_tuple;
@@ -108,23 +109,21 @@ class AnalysisConfig {
   double fixed_b_ = -1.0;  ///< < 0 means "fit per interval"
   double fallback_b_ = 1.0;
   bool keep_flows_ = false;
-  double expire_every_s_ = 1.0;
   std::size_t threads_ = 1;
   std::size_t batch_packets_ = 1024;
-  std::size_t reserve_flows_ = 4096;
 };
 
-struct ShardInterval;  // api/shard.hpp
+struct WindowPartial;  // api/shard.hpp
 
 /// Pre-fit flush hook for distributed aggregation: when set, every closed
-/// analysis interval is handed over as raw sufficient statistics (flows in
-/// any order + exact integral byte bins, see api/shard.hpp) instead of
-/// being fitted locally — agg::Merger runs api::fit_window exactly once
-/// after the final fold, so K processes x M hosts reproduce a
-/// single-machine run bit for bit. min_flows filtering defers with the
-/// fit. Mutually exclusive with ReportSink-queued reports: while a partial
-/// sink is set, no AnalysisReports are produced at all.
-using PartialSink = std::function<void(ShardInterval&&)>;
+/// window is handed over as raw sufficient statistics (exact flow sums +
+/// exact integral byte bins, see api/shard.hpp) instead of being fitted
+/// locally — agg::Merger runs api::fit_window exactly once after the final
+/// fold, so K processes x M hosts reproduce a single-machine run bit for
+/// bit. min_flows filtering defers with the fit. Mutually exclusive with
+/// queued reports: while a partial sink is set, no reports are produced at
+/// all. Shared by AnalysisPipeline and live::WindowedEstimator.
+using PartialSink = std::function<void(WindowPartial&&)>;
 
 /// Per-window flush hook: invoked exactly once per closed analysis interval,
 /// in interval order, as soon as the interval is finalized (min_flows
@@ -138,8 +137,9 @@ using ReportSink = std::function<void(AnalysisReport&&)>;
 /// wall-clock windows as in the batch group_by_interval.
 class AnalysisPipeline {
  public:
-  /// Throws std::invalid_argument on non-positive timeout/interval/delta or
-  /// batch_packets == 0. Spawns config.threads() workers when that is > 1.
+  /// Throws std::invalid_argument on non-positive timeout/interval/delta,
+  /// batch_packets == 0 or threads > kMaxThreads. Spawns config.threads()
+  /// workers when that is > 1.
   explicit AnalysisPipeline(AnalysisConfig config);
   ~AnalysisPipeline();
   AnalysisPipeline(const AnalysisPipeline&) = delete;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -71,13 +72,11 @@ class ClassifierImpl final : public FlowClassifierHandle {
 
   [[nodiscard]] ClassifierState save_state() const override {
     ClassifierState st;
-    st.capacity = classifier_.active_capacity();
     st.active.reserve(classifier_.active_flows());
-    classifier_.visit_active([&](std::size_t slot, const auto& key,
+    classifier_.visit_active([&](const auto& key,
                                  const flow::FlowRecord& record,
                                  std::int64_t start_index) {
-      st.active.push_back(
-          {slot, canonical_key(key), record, start_index});
+      st.active.push_back({canonical_key(key), record, start_index});
     });
     st.flows = classifier_.flows();
     st.discards = classifier_.discards();
@@ -87,13 +86,10 @@ class ClassifierImpl final : public FlowClassifierHandle {
   }
 
   void restore_state(const ClassifierState& state) override {
-    classifier_.begin_restore_active(
-        static_cast<std::size_t>(state.capacity));
     for (const auto& a : state.active) {
       typename Key::key_type key;
       key_from_canonical(a.key, key);
-      classifier_.restore_active_flow(static_cast<std::size_t>(a.slot), key,
-                                      a.record, a.start_index);
+      classifier_.restore_active_flow(key, a.record, a.start_index);
     }
     classifier_.restore_streams(state.flows, state.discards, state.counters,
                                 state.last_ts);
@@ -117,10 +113,7 @@ std::unique_ptr<FlowClassifierHandle> make_flow_classifier(
   // AnalysisPipeline resolves threads() first; the max guards a caller
   // handing in a still-unresolved "auto" (0) config.
   const std::size_t shards = std::max<std::size_t>(1, config.threads());
-  options.reserve_flows =
-      config.reserve_flows() == 0
-          ? 0
-          : std::max<std::size_t>(64, config.reserve_flows() / shards);
+  options.reserve_flows = std::max<std::size_t>(64, kReserveFlows / shards);
   return make_flow_classifier(config.flow_definition(), options);
 }
 
@@ -148,16 +141,18 @@ void validate_config(const AnalysisConfig& config) {
   if (!(config.epsilon() > 0.0 && config.epsilon() < 1.0)) {
     throw std::invalid_argument("AnalysisPipeline: eps outside (0,1)");
   }
-  if (!(config.expire_every_s() > 0.0)) {
-    throw std::invalid_argument("AnalysisPipeline: expire cadence <= 0");
-  }
-  // threads == 0 is valid: "auto-detect", resolved by resolve_threads().
+  (void)resolve_threads(config.threads());  // bounds check only
   if (config.batch_packets() == 0) {
     throw std::invalid_argument("AnalysisPipeline: batch_packets == 0");
   }
 }
 
 std::size_t resolve_threads(std::size_t configured) {
+  if (configured > kMaxThreads) {
+    throw std::invalid_argument("threads must be in [0, " +
+                                std::to_string(kMaxThreads) +
+                                "] (0 = auto)");
+  }
   if (configured != 0) return configured;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
@@ -192,17 +187,17 @@ PipelineShard::PipelineShard(const AnalysisConfig& config) : config_(config) {
   obs_classify_seconds_ = &obs::stage_seconds(obs::kStageClassify);
 }
 
-stats::RateBinner PipelineShard::make_bins(std::int64_t index) const {
+WindowPartial PipelineShard::make_interval(std::int64_t index) const {
   const double start = static_cast<double>(index) * config_.interval_s();
-  return stats::RateBinner(start, start + config_.interval_s(),
-                           config_.delta_s());
+  return WindowPartial{.index = index,
+                       .bins = stats::RateBinner(start,
+                                                 start + config_.interval_s(),
+                                                 config_.delta_s())};
 }
 
-PipelineShard::Open& PipelineShard::open_at(std::int64_t index) {
+WindowPartial& PipelineShard::open_at(std::int64_t index) {
   auto it = open_.find(index);
-  if (it == open_.end()) {
-    it = open_.emplace(index, Open{{}, make_bins(index)}).first;
-  }
+  if (it == open_.end()) it = open_.emplace(index, make_interval(index)).first;
   return it->second;
 }
 
@@ -282,10 +277,12 @@ void PipelineShard::sync_obs(bool sample_table) {
 }
 
 void PipelineShard::drain_classifier() {
-  for (auto& f : classifier_->take_flows()) {
+  for (const auto& f : classifier_->take_flows()) {
     const std::int64_t idx = interval_index_of(f.start, config_.interval_s());
     if (idx < next_close_) continue;  // unreachable by the close invariant
-    open_at(idx).flows.push_back(std::move(f));
+    WindowPartial& iv = open_at(idx);
+    iv.sums.add(f);
+    if (config_.keep_flows()) iv.flows.push_back(f);
   }
   for (const auto& d : classifier_->take_discards()) {
     const std::int64_t idx =
@@ -296,20 +293,19 @@ void PipelineShard::drain_classifier() {
 }
 
 void PipelineShard::emit_through(std::int64_t last_index,
-                                 std::vector<ShardInterval>& out) {
+                                 std::vector<WindowPartial>& out) {
   for (; next_close_ <= last_index; ++next_close_) {
     if (const auto it = open_.find(next_close_); it != open_.end()) {
-      out.push_back({next_close_, std::move(it->second.flows),
-                     std::move(it->second.bins)});
+      out.push_back(std::move(it->second));
       open_.erase(it);
     } else {
-      out.push_back({next_close_, {}, make_bins(next_close_)});
+      out.push_back(make_interval(next_close_));
     }
   }
 }
 
 void PipelineShard::close_through(double now, std::int64_t last_index,
-                                  std::vector<ShardInterval>& out) {
+                                  std::vector<WindowPartial>& out) {
   classifier_->expire_idle(now);
   drain_classifier();
   sync_obs(/*sample_table=*/true);  // sweep cadence: sample table geometry
@@ -317,32 +313,38 @@ void PipelineShard::close_through(double now, std::int64_t last_index,
 }
 
 void PipelineShard::finish(std::int64_t last_index,
-                           std::vector<ShardInterval>& out) {
+                           std::vector<WindowPartial>& out) {
   classifier_->flush();
   drain_classifier();
   sync_obs(/*sample_table=*/true);
   emit_through(last_index, out);
 }
 
+// ----------------------------------------------------------- WindowPartial ---
+
+void WindowPartial::merge(WindowPartial&& other) {
+  bins.merge(other.bins);  // first: the only step that can throw
+  packets += other.packets;
+  bytes += other.bytes;
+  discards += other.discards;
+  sums.merge(other.sums);
+  flows.insert(flows.end(), other.flows.begin(), other.flows.end());
+}
+
 // -------------------------------------------------------------- fit_window ---
 
-WindowFit fit_window(const AnalysisConfig& config, double start_s,
-                     double length_s, std::vector<flow::FlowRecord> flows,
+WindowFit fit_window(const AnalysisConfig& config, double length_s,
+                     const flow::FlowSums& sums,
                      const stats::RateBinner& bins) {
   static obs::Histogram& fit_seconds = obs::stage_seconds(obs::kStageFit);
   obs::StageSpan span(fit_seconds);
   if (obs::enabled()) obs::windows_fitted().add(1);
   WindowFit fit;
 
-  // Flows sorted by start time: flow::ByStart compares every field, so the
-  // sorted sequence is unique no matter how the input was ordered — the key
-  // to the serial/parallel/live bit-for-bit agreement.
-  std::sort(flows.begin(), flows.end(), flow::ByStart{});
-  fit.interval.start = start_s;
-  fit.interval.length = length_s;
-  fit.interval.flows = std::move(flows);
-  fit.inputs = flow::estimate_inputs(fit.interval);
-  fit.continued_flows = flow::continued_count(fit.interval);
+  // The sums are exact, so every producer, shard count and fold order that
+  // saw the same flows fits the same bits.
+  fit.inputs = sums.inputs(length_s);
+  fit.continued_flows = static_cast<std::size_t>(sums.continued);
 
   fit.series = bins.series();
   fit.measured = measure::rate_moments(fit.series);
@@ -362,15 +364,13 @@ WindowFit fit_window(const AnalysisConfig& config, double start_s,
 // ------------------------------------------------------- finalize_interval ---
 
 AnalysisReport finalize_interval(const AnalysisConfig& config,
-                                 std::int64_t index,
-                                 std::vector<flow::FlowRecord> flows,
-                                 stats::RateBinner bins) {
-  const double start_s = static_cast<double>(index) * config.interval_s();
-  WindowFit fit = fit_window(config, start_s, config.interval_s(),
-                             std::move(flows), bins);
+                                 WindowPartial&& raw) {
+  const double start_s = static_cast<double>(raw.index) * config.interval_s();
+  WindowFit fit =
+      fit_window(config, config.interval_s(), raw.sums, raw.bins);
 
   AnalysisReport report;
-  report.interval_index = static_cast<std::size_t>(index);
+  report.interval_index = static_cast<std::size_t>(raw.index);
   report.start_s = start_s;
   report.length_s = config.interval_s();
   report.inputs = fit.inputs;
@@ -380,7 +380,14 @@ AnalysisReport finalize_interval(const AnalysisConfig& config,
   report.shot_b_used = fit.shot_b_used;
   report.model_cov = fit.model_cov;
   report.plan = fit.plan;
-  if (config.keep_flows()) report.interval = std::move(fit.interval);
+  if (config.keep_flows()) {
+    // flow::ByStart compares every field, so the sorted list is unique no
+    // matter which shard or batch emitted which flow first.
+    std::sort(raw.flows.begin(), raw.flows.end(), flow::ByStart{});
+    report.interval.start = start_s;
+    report.interval.length = config.interval_s();
+    report.interval.flows = std::move(raw.flows);
+  }
   return report;
 }
 

@@ -5,9 +5,9 @@
 // shard's classifier sees exactly the per-key packet subsequence it would
 // have seen in a single-threaded run — timeouts and interval splits depend
 // only on that subsequence, never on other keys. PipelineShard is the
-// single-threaded worker state (classifier + per-interval flow and rate-bin
-// accumulation); AnalysisPipeline owns config.threads() of them, runs them
-// on a core::WorkerPool and merges their closed intervals deterministically.
+// single-threaded worker state (classifier + per-interval flow sums and
+// rate-bin accumulation); AnalysisPipeline owns config.threads() of them,
+// runs them on a core::WorkerPool and adds up their closed intervals.
 //
 // finalize_interval() is the one place interval math happens — every
 // thread count closes intervals through it, so all agree bit for bit by
@@ -37,18 +37,16 @@ namespace fbm::api {
 /// for the checkpoint codec (ckpt::). Keys are canonicalized to a FiveTuple
 /// regardless of flow definition: a prefix key stores its network address
 /// in `dst` and its prefix length in `src_port`, all other fields zero.
-/// Slot indices capture the active table's exact layout — restoring them
-/// reproduces iteration order, and with it the bit-exact order of every
-/// downstream floating-point accumulation.
+/// Only the key set matters, not the table layout: flows are summed into
+/// order-free flow::FlowSums, so the order the table emits them in never
+/// reaches a result.
 struct ClassifierState {
   struct ActiveFlow {
-    std::uint64_t slot = 0;
     net::FiveTuple key;
     flow::FlowRecord record;
     std::int64_t start_index = 0;
   };
-  std::uint64_t capacity = 0;           ///< active-table slots allocated
-  std::vector<ActiveFlow> active;       ///< slot order
+  std::vector<ActiveFlow> active;       ///< table iteration order
   std::vector<flow::FlowRecord> flows;  ///< completed, not yet taken
   std::vector<flow::DiscardedPacket> discards;
   flow::ClassifierCounters counters;
@@ -79,8 +77,8 @@ class FlowClassifierHandle {
   [[nodiscard]] virtual double table_mean_probe() const = 0;
   /// Complete mid-stream state, canonical-keyed (see ClassifierState).
   [[nodiscard]] virtual ClassifierState save_state() const = 0;
-  /// Rebuilds the exact saved state (active-table layout included) in a
-  /// classifier created with the same options. Throws std::invalid_argument
+  /// Rebuilds the saved state in a fresh classifier created with the same
+  /// options, re-inserting the active flows. Throws std::invalid_argument
   /// on an inconsistent snapshot.
   virtual void restore_state(const ClassifierState& state) = 0;
 };
@@ -98,9 +96,14 @@ class FlowClassifierHandle {
 /// Throws std::invalid_argument for out-of-range pipeline parameters.
 void validate_config(const AnalysisConfig& config);
 
-/// AnalysisConfig::threads() == 0 means "use every core": resolves to
+/// Largest worker count a pipeline or engine accepts.
+inline constexpr std::size_t kMaxThreads = 4096;
+
+/// A thread count of 0 means "use every core": resolves to
 /// std::thread::hardware_concurrency() (floor 1 when the runtime cannot
-/// tell). Any explicit value passes through unchanged.
+/// tell). Any other value in [1, kMaxThreads] passes through unchanged;
+/// larger ones throw std::invalid_argument. AnalysisConfig, the engine and
+/// the tools' --threads all go through here.
 [[nodiscard]] std::size_t resolve_threads(std::size_t configured);
 
 /// Analysis-interval index of a timestamp — the single definition the
@@ -118,22 +121,32 @@ void validate_config(const AnalysisConfig& config);
                                         FlowDefinition def,
                                         std::size_t nshards);
 
-/// One closed analysis interval as seen by one shard: the flows whose keys
-/// hash there (unsorted) and this shard's packet bytes binned at delta
-/// (discarded single-packet flows already subtracted).
-struct ShardInterval {
-  std::int64_t index;
-  std::vector<flow::FlowRecord> flows;
+/// One closed window's raw pre-fit material — a batch analysis interval or
+/// a live sliding window, from one shard, one process or a merge of many.
+/// Every field is an exact additive statistic: the flow sums, the packet
+/// bytes binned at delta (discarded single-packet flows subtracted, exact
+/// integral byte counts) and the counters. Folding the partials of
+/// key-disjoint producers with merge() and fitting once therefore
+/// reproduces a single-machine run bit for bit, in any fold order.
+///
+/// PartialSink (api/pipeline.hpp) and the live partial sink hand these to
+/// fbm::agg instead of fitting locally; fitting (and min_flows filtering)
+/// then happens exactly once, after agg::Merger folds every producer.
+struct WindowPartial {
+  std::int64_t index = 0;
+  std::uint64_t packets = 0;   ///< live windows only (batch leaves 0)
+  std::uint64_t bytes = 0;     ///< live windows only
+  std::uint64_t discards = 0;  ///< live windows only
+  flow::FlowSums sums{};
   stats::RateBinner bins;
-};
+  /// The flow records themselves, unsorted — kept only under
+  /// AnalysisConfig::keep_flows (batch figure benches); never serialized.
+  std::vector<flow::FlowRecord> flows{};
 
-// PartialSink (api/pipeline.hpp) hands ShardIntervals to fbm::agg: when set
-// on a pipeline, every closed analysis interval leaves as this raw
-// sufficient-statistics form — completed flow records (any order) plus exact
-// integral byte bins — INSTEAD of being fitted locally. Fitting (and
-// min_flows filtering) then happens exactly once, after agg::Merger folds
-// the partials of every producer, which is what keeps the distributed
-// result bit-for-bit equal to a single-machine run.
+  /// Adds `other`'s statistics (and kept flows). Throws
+  /// std::invalid_argument when the bin grids differ.
+  void merge(WindowPartial&& other);
+};
 
 /// Single-threaded per-shard pipeline state. Not thread-safe: exactly one
 /// thread drives it (AnalysisPipeline pins each instance to one pool worker
@@ -149,15 +162,15 @@ class PipelineShard {
   /// completed flows are drained once per batch.
   void add_batch(const net::PacketBatch& batch);
 
-  /// Expire flows idle as of `now`, then emit one ShardInterval for every
+  /// Expire flows idle as of `now`, then emit one WindowPartial for every
   /// index not yet closed up to `last_index` inclusive (empty intervals
   /// included, so all shards produce the same contiguous index sequence).
   void close_through(double now, std::int64_t last_index,
-                     std::vector<ShardInterval>& out);
+                     std::vector<WindowPartial>& out);
 
   /// End of stream: terminate all active flows and close through
   /// `last_index`.
-  void finish(std::int64_t last_index, std::vector<ShardInterval>& out);
+  void finish(std::int64_t last_index, std::vector<WindowPartial>& out);
 
   [[nodiscard]] const flow::ClassifierCounters& counters() const {
     return classifier_->counters();
@@ -168,22 +181,17 @@ class PipelineShard {
   [[nodiscard]] std::size_t open_intervals() const { return open_.size(); }
 
  private:
-  struct Open {
-    std::vector<flow::FlowRecord> flows;
-    stats::RateBinner bins;
-  };
-
-  [[nodiscard]] stats::RateBinner make_bins(std::int64_t index) const;
-  [[nodiscard]] Open& open_at(std::int64_t index);
+  [[nodiscard]] WindowPartial make_interval(std::int64_t index) const;
+  [[nodiscard]] WindowPartial& open_at(std::int64_t index);
   void drain_classifier();
-  void emit_through(std::int64_t last_index, std::vector<ShardInterval>& out);
+  void emit_through(std::int64_t last_index, std::vector<WindowPartial>& out);
   /// Folds classifier-counter deltas into the obs locals and samples the
   /// flow-table gauges. Batch/sweep cadence, no-op when obs is disabled.
   void sync_obs(bool sample_table);
 
   AnalysisConfig config_;
   std::unique_ptr<FlowClassifierHandle> classifier_;
-  std::map<std::int64_t, Open> open_;
+  std::map<std::int64_t, WindowPartial> open_;
   std::int64_t next_close_ = 0;
 
   // obs: this shard's private counter cells (one relaxed add each at sync
@@ -196,11 +204,11 @@ class PipelineShard {
   obs::Histogram* obs_classify_seconds_ = nullptr;
 };
 
-/// One fitted window of trace time: everything the paper derives from a set
-/// of completed flows plus the window's exact byte bins. Produced by
-/// fit_window() — the single implementation of the per-window math that the
-/// serial pipeline, the sharded merge and live::WindowedEstimator all share,
-/// so all three agree bit for bit by construction.
+/// One fitted window of trace time: everything the paper derives from a
+/// window's flow sums plus its exact byte bins. Produced by fit_window() —
+/// the single implementation of the per-window math that the serial
+/// pipeline, the sharded merge and live::WindowedEstimator all share, so
+/// all three agree bit for bit by construction.
 struct WindowFit {
   flow::ModelInputs inputs;
   measure::RateMoments measured;
@@ -210,26 +218,22 @@ struct WindowFit {
   double model_cov = 0.0;
   dimension::ProvisioningPlan plan;
   stats::RateSeries series;       ///< the Delta-binned measured rate
-  flow::IntervalData interval;    ///< flows sorted by flow::ByStart
 };
 
-/// Fits one window [start_s, start_s + length_s): sort flows by
-/// flow::ByStart, estimate the model inputs, derive rate moments from the
-/// bins, fit the shot power (or apply the configured fixed/fallback b), plan
-/// capacity. `flows` may arrive in any order; `bins` must cover the window.
+/// Fits one window of `length_s` seconds: the model inputs from the flow
+/// sums, rate moments from the bins (which cover the window), the shot
+/// power (or the configured fixed/fallback b), the capacity plan.
 [[nodiscard]] WindowFit fit_window(const AnalysisConfig& config,
-                                   double start_s, double length_s,
-                                   std::vector<flow::FlowRecord> flows,
+                                   double length_s,
+                                   const flow::FlowSums& sums,
                                    const stats::RateBinner& bins);
 
-/// Turns one interval's merged raw material — flows (any order) and exact
-/// byte bins — into the finished AnalysisReport via fit_window(). Both
-/// pipelines close intervals through here; min_flows filtering stays with
-/// the caller.
+/// Turns one interval's merged raw material into the finished
+/// AnalysisReport via fit_window(); with keep_flows the report carries the
+/// interval's flows sorted by flow::ByStart. Both pipelines and the merger
+/// close intervals through here; min_flows filtering stays with the
+/// caller.
 [[nodiscard]] AnalysisReport finalize_interval(const AnalysisConfig& config,
-                                               std::int64_t index,
-                                               std::vector<flow::FlowRecord>
-                                                   flows,
-                                               stats::RateBinner bins);
+                                               WindowPartial&& raw);
 
 }  // namespace fbm::api

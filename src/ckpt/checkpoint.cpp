@@ -28,16 +28,9 @@ void put_flow(ByteBuffer& b, const flow::FlowRecord& f) {
   b.put(static_cast<std::uint64_t>(f.continued ? 1 : 0));
 }
 
-void put_flows(ByteBuffer& b, const std::vector<flow::FlowRecord>& flows) {
-  b.put(static_cast<std::uint64_t>(flows.size()));
-  for (const auto& f : flows) put_flow(b, f);
-}
-
 void put_classifier(ByteBuffer& b, const api::ClassifierState& s) {
-  b.put(s.capacity);
   b.put(static_cast<std::uint64_t>(s.active.size()));
   for (const auto& a : s.active) {
-    b.put(a.slot);
     b.put(a.key.src.value());
     b.put(a.key.dst.value());
     b.put(static_cast<std::uint32_t>(a.key.src_port));
@@ -47,7 +40,8 @@ void put_classifier(ByteBuffer& b, const api::ClassifierState& s) {
     put_flow(b, a.record);
     b.put(a.start_index);
   }
-  put_flows(b, s.flows);
+  b.put(static_cast<std::uint64_t>(s.flows.size()));
+  for (const auto& f : s.flows) put_flow(b, f);
   b.put(static_cast<std::uint64_t>(s.discards.size()));
   for (const auto& d : s.discards) {
     b.put(d.timestamp);
@@ -77,18 +71,11 @@ void put_estimator(ByteBuffer& b, const live::EstimatorState& s) {
   b.put(std::uint32_t{0});  // reserved
   b.put(static_cast<std::uint64_t>(s.open.size()));
   for (const auto& w : s.open) {
-    b.put(static_cast<std::uint32_t>(w.present ? 1 : 0));
+    b.put(static_cast<std::uint32_t>(w ? 1 : 0));
     b.put(std::uint32_t{0});  // reserved
-    if (!w.present) continue;
-    put_classifier(b, w.classifier);
-    put_flows(b, w.flows);
-    b.put(static_cast<std::uint64_t>(w.bin_bytes.size()));
-    for (const double v : w.bin_bytes) b.put(v);
-    b.put(w.bin_dropped);
-    b.put(w.bin_total_bytes);
-    b.put(w.packets);
-    b.put(w.bytes);
-    b.put(w.discards);
+    if (!w) continue;
+    put_classifier(b, w->classifier);
+    agg::encode_window(b, w->window);
   }
 }
 
@@ -128,24 +115,13 @@ void check_count(const ByteCursor& c, std::uint64_t count,
   return f;
 }
 
-[[nodiscard]] std::vector<flow::FlowRecord> get_flows(ByteCursor& c) {
-  const auto n = c.get<std::uint64_t>();
-  check_count(c, n, 40);  // 5 x 8 bytes per flow record
-  std::vector<flow::FlowRecord> flows;
-  flows.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) flows.push_back(get_flow(c));
-  return flows;
-}
-
 [[nodiscard]] api::ClassifierState get_classifier(ByteCursor& c) {
   api::ClassifierState s;
-  s.capacity = c.get<std::uint64_t>();
   const auto active = c.get<std::uint64_t>();
-  check_count(c, active, 80);  // slot + key + record + start_index
+  check_count(c, active, 72);  // key + record + start_index
   s.active.reserve(active);
   for (std::uint64_t i = 0; i < active; ++i) {
     api::ClassifierState::ActiveFlow a;
-    a.slot = c.get<std::uint64_t>();
     a.key.src = net::Ipv4Address(c.get<std::uint32_t>());
     a.key.dst = net::Ipv4Address(c.get<std::uint32_t>());
     a.key.src_port = static_cast<std::uint16_t>(c.get<std::uint32_t>());
@@ -156,7 +132,10 @@ void check_count(const ByteCursor& c, std::uint64_t count,
     a.start_index = c.get<std::int64_t>();
     s.active.push_back(a);
   }
-  s.flows = get_flows(c);
+  const auto flows = c.get<std::uint64_t>();
+  check_count(c, flows, 40);  // 5 x 8 bytes per flow record
+  s.flows.reserve(flows);
+  for (std::uint64_t i = 0; i < flows; ++i) s.flows.push_back(get_flow(c));
   const auto discards = c.get<std::uint64_t>();
   check_count(c, discards, 16);
   s.discards.reserve(discards);
@@ -198,25 +177,15 @@ void check_count(const ByteCursor& c, std::uint64_t count,
   check_count(c, open, 8);
   s.open.reserve(open);
   for (std::uint64_t i = 0; i < open; ++i) {
-    live::EstimatorState::OpenWindow w;
-    w.present = c.get<std::uint32_t>() != 0;
+    const bool present = c.get<std::uint32_t>() != 0;
     (void)c.get<std::uint32_t>();  // reserved
-    if (w.present) {
-      w.classifier = get_classifier(c);
-      w.flows = get_flows(c);
-      const auto bins = c.get<std::uint64_t>();
-      check_count(c, bins, sizeof(double));
-      w.bin_bytes.reserve(bins);
-      for (std::uint64_t j = 0; j < bins; ++j) {
-        w.bin_bytes.push_back(c.get<double>());
-      }
-      w.bin_dropped = c.get<std::uint64_t>();
-      w.bin_total_bytes = c.get<double>();
-      w.packets = c.get<std::uint64_t>();
-      w.bytes = c.get<std::uint64_t>();
-      w.discards = c.get<std::uint64_t>();
+    if (!present) {
+      s.open.emplace_back(std::nullopt);
+      continue;
     }
-    s.open.push_back(std::move(w));
+    api::ClassifierState classifier = get_classifier(c);
+    s.open.push_back(live::EstimatorState::OpenWindow{
+        std::move(classifier), agg::decode_window(c)});
   }
   return s;
 }

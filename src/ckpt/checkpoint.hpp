@@ -3,9 +3,9 @@
 // A live run (fbm_live, single estimator or engine) can be SIGKILLed at any
 // moment and resumed from its last checkpoint with bit-identical remaining
 // output: the snapshot captures every member push_batch() reads or writes —
-// including each open window's flow table at exact-slot-layout fidelity, so
-// the floating-point accumulation order of the resumed run matches the
-// uninterrupted one (see core::FlatHashMap::restore_layout_*).
+// each open window's active flows (key set, not table layout: emitted flows
+// land in order-free flow::FlowSums) and its pre-fit material, stored as an
+// FBMP window (agg::encode_window).
 //
 // File layout (all little-endian) reuses the partial-report framing
 // discipline (core/framed_file.hpp):
@@ -35,7 +35,9 @@
 namespace fbm::ckpt {
 
 inline constexpr std::uint32_t kCheckpointMagic = 0x434D4246;  // "FBMC"
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+/// Version 2: open windows carry exact flow sums instead of flow records,
+/// and active flows no longer carry table slots. Version 1 is refused.
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /// What kind of live run the checkpoint snapshots.
 enum class CheckpointKind : std::uint32_t { estimator = 1, engine = 2 };

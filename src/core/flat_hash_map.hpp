@@ -38,12 +38,16 @@
 // element twice. It never skips an element that was present when the sweep
 // started. Callers' predicates must therefore be idempotent, which the
 // classifier's idle-timeout check is.
+//
+// Iteration order is slot order, which depends on capacity and insertion
+// history. No result depends on it: the classifier's emitted flows are
+// summed order-free downstream, so a checkpoint stores the key set only and
+// a restore simply re-inserts it.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <stdexcept>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -230,52 +234,6 @@ class FlatHashMap {
     if (idx == dist_.size()) return 0;
     (void)erase(iterator(this, idx));
     return 1;
-  }
-
-  // --- checkpoint hooks ------------------------------------------------
-  // Iteration order here is *slot* order, and slot order decides the order
-  // downstream floating-point accumulations run in — so a restore must
-  // reproduce the exact table layout, not just the key set (re-inserting
-  // keys can land them in different slots across wrap-around chains).
-  // visit_slots() exposes the layout; restore_layout_begin()/
-  // restore_layout_place() rebuild it bit for bit. The probe distance is
-  // not serialized: it is recomputed from the key's home slot.
-
-  /// Calls fn(slot_index, value_type) for every occupied slot, ascending.
-  template <typename Fn>
-  void visit_slots(Fn&& fn) const {
-    for (size_type i = 0; i < dist_.size(); ++i) {
-      if (dist_[i] != 0) fn(i, kv_[i]);
-    }
-  }
-
-  /// Starts a layout restore into an empty table of exactly `capacity`
-  /// slots (0, or a power of two >= kMinCapacity — what capacity() of the
-  /// saved table reported). Discards any current contents.
-  void restore_layout_begin(size_type capacity) {
-    if (capacity != 0 &&
-        (capacity < kMinCapacity || (capacity & (capacity - 1)) != 0)) {
-      throw std::invalid_argument("FlatHashMap: invalid restored capacity");
-    }
-    dist_.assign(capacity, 0);
-    kv_.assign(capacity, value_type{});
-    size_ = 0;
-    shift_ = 64;
-    for (size_type cap = capacity; cap > 1; cap /= 2) --shift_;
-  }
-
-  /// Places one saved element back into its exact slot. Throws
-  /// std::invalid_argument on an out-of-range or doubly-used slot (a
-  /// corrupt snapshot), never corrupts memory.
-  void restore_layout_place(size_type slot, const Key& key, T value) {
-    if (slot >= dist_.size() || dist_[slot] != 0) {
-      throw std::invalid_argument("FlatHashMap: invalid restored slot");
-    }
-    const size_type mask = dist_.size() - 1;
-    const size_type dist = ((slot - home_of(key)) & mask) + 1;
-    dist_[slot] = static_cast<std::uint32_t>(dist);
-    kv_[slot] = value_type(key, std::move(value));
-    ++size_;
   }
 
  private:

@@ -47,7 +47,9 @@ struct ByteBuffer {
   }
   void put_string(const std::string& s) {
     put(static_cast<std::uint32_t>(s.size()));
-    bytes.insert(bytes.end(), s.begin(), s.end());
+    const std::size_t at = bytes.size();
+    bytes.resize(at + s.size());
+    if (!s.empty()) std::memcpy(bytes.data() + at, s.data(), s.size());
   }
 };
 

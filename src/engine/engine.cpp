@@ -103,10 +103,8 @@ LinkId Engine::attach(LinkSpec spec) {
     cfg.threads(1);  // the engine pool is the only threading
     session->batch = std::make_unique<api::AnalysisPipeline>(cfg);
     if (partial_sink_) {
-      session->batch->set_partial_sink([this, raw](api::ShardInterval&& iv) {
-        emit_partial(*raw, live::WindowPartial{iv.index, 0, 0, 0,
-                                               std::move(iv.flows),
-                                               std::move(iv.bins)});
+      session->batch->set_partial_sink([this, raw](api::WindowPartial&& iv) {
+        emit_partial(*raw, std::move(iv));
       });
     } else {
       session->batch->set_report_sink([this, raw](api::AnalysisReport&& r) {
@@ -122,7 +120,7 @@ LinkId Engine::attach(LinkSpec spec) {
     if (spec.tune_live) spec.tune_live(cfg);
     session->live = std::make_unique<live::WindowedEstimator>(cfg);
     if (partial_sink_) {
-      session->live->set_partial_sink([this, raw](live::WindowPartial&& p) {
+      session->live->set_partial_sink([this, raw](api::WindowPartial&& p) {
         emit_partial(*raw, std::move(p));
       });
     } else {
@@ -334,7 +332,7 @@ void Engine::emit(Session& s, LinkReport&& report) {
   }
 }
 
-void Engine::emit_partial(Session& s, live::WindowPartial&& partial) {
+void Engine::emit_partial(Session& s, api::WindowPartial&& partial) {
   std::lock_guard lock(emit_mu_);  // pool workers flush concurrently
   ++s.counters.reports;
   partial_sink_(s.id, s.name, std::move(partial));

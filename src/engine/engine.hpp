@@ -75,8 +75,9 @@ struct EngineConfig {
 
   /// Worker pool size. 1 = no threads, sessions run inline on the caller;
   /// 0 auto-detects the machine's core count
-  /// (std::thread::hardware_concurrency). Per-link output is identical at
-  /// every value.
+  /// (std::thread::hardware_concurrency); above api::kMaxThreads the
+  /// constructor throws std::invalid_argument. Per-link output is
+  /// identical at every value.
   std::size_t threads = 1;
 };
 
@@ -99,12 +100,12 @@ using ReportSink = std::function<void(LinkReport&&)>;
 /// interval (batch mode) or sliding window (live mode) of every link leaves
 /// as raw sufficient statistics tagged with its link, instead of being
 /// fitted locally — agg::Merger folds partials across processes/hosts by
-/// link name and window index and fits once. Batch intervals ride the same
-/// live::WindowPartial carrier with zero packet/byte/discard counters (the
-/// batch report schema never shows them). Same threading contract as
+/// link name and window index and fits once. Batch intervals and live
+/// windows share the api::WindowPartial carrier (batch counters stay zero;
+/// the batch report schema never shows them). Same threading contract as
 /// ReportSink.
 using PartialSink =
-    std::function<void(LinkId, const std::string&, live::WindowPartial&&)>;
+    std::function<void(LinkId, const std::string&, api::WindowPartial&&)>;
 
 struct LinkCounters {
   std::uint64_t packets = 0;
@@ -244,7 +245,7 @@ class Engine {
   void flush_session(Session& s);
   void flush_all_pending(double now);
   void emit(Session& s, LinkReport&& report);
-  void emit_partial(Session& s, live::WindowPartial&& partial);
+  void emit_partial(Session& s, api::WindowPartial&& partial);
 
   EngineConfig config_;
   ReportSink sink_;

@@ -251,12 +251,10 @@ class FlowClassifier {
   }
 
   // --- checkpoint hooks ------------------------------------------------
-  // flush()/expire_idle() emit in active-table iteration order, and that
-  // order decides the floating-point accumulation order downstream — so a
-  // snapshot captures the table's *exact slot layout*, not just the key
-  // set. With the FlatHashMap the slot index round-trips bit for bit; the
-  // std::unordered_map A/B fallback degrades to insertion order (its
-  // iteration order is not serializable, so it has no bit-exact restore).
+  // flush()/expire_idle() emit in active-table iteration order. Consumers
+  // only ever sum the emitted flows into order-free flow::FlowSums (or sort
+  // them), so a snapshot needs the active flows, not the table layout: a
+  // restore re-inserts them.
 
   /// The stream clock (timestamp of the last packet; -inf before any).
   [[nodiscard]] double stream_clock() const { return last_ts_; }
@@ -287,50 +285,21 @@ class FlowClassifier {
     }
   }
 
-  /// Calls fn(slot, key, record, start_index) for every active flow in
-  /// iteration (slot) order.
+  /// Calls fn(key, record, start_index) for every active flow.
   template <typename Fn>
   void visit_active(Fn&& fn) const {
-    if constexpr (requires(const map_type& m) {
-                    m.visit_slots([](std::size_t, const auto&) {});
-                  }) {
-      active_.visit_slots([&](std::size_t slot, const auto& kv) {
-        fn(slot, kv.first, kv.second.record, kv.second.start_index);
-      });
-    } else {
-      std::size_t slot = 0;
-      for (const auto& [key, a] : active_) {
-        fn(slot++, key, a.record, a.start_index);
-      }
-    }
+    for (const auto& [key, a] : active_) fn(key, a.record, a.start_index);
   }
 
-  /// Prepares the active table for restore_active_flow() calls: exactly
-  /// `capacity` slots (what active_capacity() of the saved table reported).
-  void begin_restore_active(std::size_t capacity) {
-    if constexpr (requires(map_type& m) { m.restore_layout_begin(capacity); }) {
-      active_.restore_layout_begin(capacity);
-    } else {
-      active_.clear();
-      (void)capacity;
+  /// Re-inserts one saved active flow. Throws std::invalid_argument when
+  /// the key is already active (a corrupt snapshot).
+  void restore_active_flow(const key_type& key, const FlowRecord& record,
+                           std::int64_t start_index) {
+    auto [it, inserted] = active_.try_emplace(key);
+    if (!inserted) {
+      throw std::invalid_argument("FlowClassifier: duplicate restored key");
     }
-  }
-
-  /// Places one saved active flow back into its exact slot.
-  void restore_active_flow(std::size_t slot, const key_type& key,
-                           const FlowRecord& record, std::int64_t start_index) {
-    if constexpr (requires(map_type& m) {
-                    m.restore_layout_place(slot, key, Active{});
-                  }) {
-      active_.restore_layout_place(slot, key, Active{record, start_index});
-    } else {
-      auto [it, inserted] = active_.try_emplace(key);
-      if (!inserted) {
-        throw std::invalid_argument("FlowClassifier: duplicate restored key");
-      }
-      it->second = Active{record, start_index};
-      (void)slot;
-    }
+    it->second = Active{record, start_index};
   }
 
   /// Restores the streaming side: pending completed flows and discards,

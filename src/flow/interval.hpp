@@ -4,12 +4,20 @@
 // three model inputs (lambda, E[S], E[S^2/D]) plus the raw series used by
 // Figures 1 and 3-6 (inter-arrival times, sizes, durations, cumulative
 // arrival curve).
+//
+// The model inputs and the flow-population moments are functions of a few
+// additive sufficient statistics. FlowSums holds them exactly: integer sums
+// for the byte counts, core::ExactSum for the sums over doubles. A window's
+// sums are therefore the same bits whatever order its flows were added or
+// its partial sums merged in, and every fit divides once, at the end.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
+#include "core/exact_sum.hpp"
 #include "flow/flow_record.hpp"
 
 namespace fbm::flow {
@@ -26,6 +34,37 @@ struct ModelInputs {
   [[nodiscard]] double mean_rate_bps() const {
     return lambda * mean_size_bits;
   }
+};
+
+/// Durations below this are clamped in S^2/D (guards the ratio against
+/// numerically tiny durations).
+inline constexpr double kMinDurationS = 1e-3;
+
+/// Exact additive sufficient statistics of a set of flows.
+struct FlowSums {
+  std::uint64_t n = 0;
+  std::uint64_t continued = 0;   ///< pieces continuing a boundary-split flow
+  std::uint64_t size_bytes = 0;  ///< sum S, bytes
+  /// sum S^2, bytes^2. Fits: sum S^2 <= (sum S)^2 < 2^128.
+  unsigned __int128 size_bytes_sq = 0;
+  core::ExactSum s2_over_d;    ///< sum S^2/max(D, kMinDurationS), bits^2/s
+  core::ExactSum duration;     ///< sum D, s
+  core::ExactSum duration_sq;  ///< sum D^2, s^2 (each square exact)
+  core::ExactSum rate;         ///< sum S/D, bits/s (0 for D == 0)
+
+  void add(const FlowRecord& f);
+  void merge(const FlowSums& other);
+
+  /// Model inputs of an interval of `length_s` seconds holding these flows.
+  [[nodiscard]] ModelInputs inputs(double length_s) const;
+
+  // Flow-population moments (population form; 0 without flows).
+  [[nodiscard]] double mean_duration_s() const;
+  [[nodiscard]] double stddev_size_bits() const;
+  [[nodiscard]] double stddev_duration_s() const;
+  [[nodiscard]] double mean_rate_bps() const;
+
+  friend bool operator==(const FlowSums&, const FlowSums&) = default;
 };
 
 /// One analysis interval and everything measured in it.
@@ -45,12 +84,10 @@ struct IntervalData {
 [[nodiscard]] std::vector<IntervalData> group_by_interval(
     std::span<const FlowRecord> flows, double interval_s, double horizon_s);
 
-/// Estimates the model inputs from one interval. Flows with zero duration
-/// contribute to lambda and E[S] but not to E[S^2/D] (the paper discards
-/// them before this point anyway). `min_duration_s` guards the S^2/D ratio
-/// against numerically tiny durations (default 1 ms).
-[[nodiscard]] ModelInputs estimate_inputs(const IntervalData& interval,
-                                          double min_duration_s = 1e-3);
+/// Estimates the model inputs from one interval by folding its flows into
+/// FlowSums, so it agrees bit for bit with every streaming fit. Durations
+/// are clamped to kMinDurationS in S^2/D.
+[[nodiscard]] ModelInputs estimate_inputs(const IntervalData& interval);
 
 /// Inter-arrival time series of the interval's flows (Figures 3-4).
 [[nodiscard]] std::vector<double> interarrival_times(

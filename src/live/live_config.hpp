@@ -68,9 +68,6 @@ struct LiveConfig {
     if (!(analysis.epsilon() > 0.0 && analysis.epsilon() < 1.0)) {
       throw std::invalid_argument("LiveConfig: eps outside (0,1)");
     }
-    if (!(analysis.expire_every_s() > 0.0)) {
-      throw std::invalid_argument("LiveConfig: expire cadence <= 0");
-    }
     if (forecast_max_order == 0) {
       throw std::invalid_argument("LiveConfig: forecast_max_order == 0");
     }

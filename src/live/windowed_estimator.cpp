@@ -6,11 +6,11 @@
 #include <utility>
 
 #include "obs/catalog.hpp"
-#include "stats/descriptive.hpp"
 
 namespace fbm::live {
 
-WindowReport fit_window_report(const LiveConfig& config, WindowPartial&& raw,
+WindowReport fit_window_report(const LiveConfig& config,
+                               const WindowPartial& raw,
                                RollingForecaster& forecaster,
                                AnomalyMonitor& monitor) {
   WindowReport report;
@@ -25,8 +25,7 @@ WindowReport fit_window_report(const LiveConfig& config, WindowPartial&& raw,
   // The exact same fit the serial pipeline and the sharded merge run when
   // they close an analysis interval.
   api::WindowFit fit =
-      api::fit_window(config.analysis, report.start_s, config.window_s,
-                      std::move(raw.flows), raw.bins);
+      api::fit_window(config.analysis, config.window_s, raw.sums, raw.bins);
   report.inputs = fit.inputs;
   report.measured = fit.measured;
   report.shot_b = fit.shot_b;
@@ -34,19 +33,11 @@ WindowReport fit_window_report(const LiveConfig& config, WindowPartial&& raw,
   report.model_cov = fit.model_cov;
   report.plan = fit.plan;
 
-  // Streaming flow-population moments over the sorted flows (single pass).
-  stats::RunningStats size_bits;
-  stats::RunningStats duration_s;
-  stats::RunningStats rate_bps;
-  for (const auto& f : fit.interval.flows) {
-    size_bits.add(f.size_bits());
-    duration_s.add(f.duration());
-    rate_bps.add(f.mean_rate_bps());
-  }
-  report.flow_moments.mean_duration_s = duration_s.mean();
-  report.flow_moments.stddev_size_bits = size_bits.population_stddev();
-  report.flow_moments.stddev_duration_s = duration_s.population_stddev();
-  report.flow_moments.mean_rate_bps = rate_bps.mean();
+  // Flow-population moments, from the same exact sums.
+  report.flow_moments.mean_duration_s = raw.sums.mean_duration_s();
+  report.flow_moments.stddev_size_bits = raw.sums.stddev_size_bits();
+  report.flow_moments.stddev_duration_s = raw.sums.stddev_duration_s();
+  report.flow_moments.mean_rate_bps = raw.sums.mean_rate_bps();
 
   // Forecast made from windows < k, then judge this window against it, then
   // fold this window's rate into the history for the next one.
@@ -70,10 +61,8 @@ WindowedEstimator::WindowedEstimator(LiveConfig config)
   // its packets, re-derived from that window's packets alone.
   classifier_options_.interval = std::numeric_limits<double>::infinity();
   classifier_options_.record_discards = true;
-  const std::size_t reserve = config_.analysis.reserve_flows();
   classifier_options_.reserve_flows =
-      reserve == 0 ? 0
-                   : std::max<std::size_t>(64, reserve / config_.overlap());
+      std::max<std::size_t>(64, api::kReserveFlows / config_.overlap());
 
   kmax_boundary_ = 0.0;  // first packet advances cur_kmax_ from -1
   next_close_end_ = window_end(0);
@@ -93,25 +82,25 @@ WindowedEstimator::WindowState& WindowedEstimator::state_at(std::int64_t k) {
     slot = std::make_unique<WindowState>(WindowState{
         api::make_flow_classifier(config_.analysis.flow_definition(),
                                   classifier_options_),
-        {},
-        stats::RateBinner(window_start(k), window_end(k),
-                          config_.analysis.delta_s()),
-        0,
-        0,
-        0});
+        empty_window(k)});
   }
   return *slot;
 }
 
+WindowPartial WindowedEstimator::empty_window(std::int64_t k) const {
+  return WindowPartial{
+      .index = k,
+      .bins = stats::RateBinner(window_start(k), window_end(k),
+                                config_.analysis.delta_s())};
+}
+
 void WindowedEstimator::drain(WindowState& state) {
-  for (auto& f : state.classifier->take_flows()) {
-    state.flows.push_back(std::move(f));
-  }
+  for (const auto& f : state.classifier->take_flows()) state.raw.sums.add(f);
   for (const auto& d : state.classifier->take_discards()) {
     // The paper excludes discarded single-packet flows from the variance
     // measurement; subtract them from their bin, as the batch path does.
-    state.bins.add(d.timestamp, -static_cast<double>(d.size_bytes));
-    ++state.discards;
+    state.raw.bins.add(d.timestamp, -static_cast<double>(d.size_bytes));
+    ++state.raw.discards;
   }
 }
 
@@ -142,9 +131,7 @@ void WindowedEstimator::expire_all(double now) {
       break;
     }
   }
-  while (next_expire_ <= now) {
-    next_expire_ += config_.analysis.expire_every_s();
-  }
+  while (next_expire_ <= now) next_expire_ += api::kExpireEveryS;
 }
 
 void WindowedEstimator::push_batch(const net::PacketBatch& batch) {
@@ -161,7 +148,7 @@ void WindowedEstimator::push_batch(const net::PacketBatch& batch) {
   }
 
   if (counters_.packets == 0) {
-    next_expire_ = ts[0] + config_.analysis.expire_every_s();
+    next_expire_ = ts[0] + api::kExpireEveryS;
   }
   last_ts_ = ts[n - 1];
   counters_.packets += n;
@@ -222,10 +209,10 @@ void WindowedEstimator::push_batch(const net::PacketBatch& batch) {
       WindowState& state = state_at(k);
       state.classifier->add_batch(batch, i, j);
       for (std::size_t m = i; m < j; ++m) {
-        state.bins.add(ts[m], static_cast<double>(sizes[m]));
+        state.raw.bins.add(ts[m], static_cast<double>(sizes[m]));
       }
-      state.packets += j - i;
-      state.bytes += run_bytes;
+      state.raw.packets += j - i;
+      state.raw.bytes += run_bytes;
     }
     i = j;
   }
@@ -247,25 +234,15 @@ void WindowedEstimator::close_through(double now) {
 void WindowedEstimator::finalize_window(std::int64_t k, WindowState* state) {
   // Flush/drain the window into its raw material. Untouched windows build
   // their (zero) bins here; touched windows hand over what they accumulated.
-  WindowPartial raw{k,
-                    0,
-                    0,
-                    0,
-                    {},
-                    stats::RateBinner(window_start(k), window_end(k),
-                                      config_.analysis.delta_s())};
   if (state != nullptr) {
     state->classifier->flush();
     drain(*state);
-    raw.packets = state->packets;
-    raw.bytes = state->bytes;
-    raw.discards = state->discards;
-    raw.flows = std::move(state->flows);
-    raw.bins = std::move(state->bins);
   }
+  WindowPartial raw =
+      state != nullptr ? std::move(state->raw) : empty_window(k);
 
   ++counters_.windows;
-  counters_.flows += raw.flows.size();
+  counters_.flows += raw.sums.n;
   if (obs::enabled()) {
     obs::live_windows_closed().add(1);
     obs::live_open_windows().set(static_cast<double>(open_.size()));
@@ -280,7 +257,7 @@ void WindowedEstimator::finalize_window(std::int64_t k, WindowState* state) {
     return;
   }
 
-  emit(fit_window_report(config_, std::move(raw), forecaster_, monitor_));
+  emit(fit_window_report(config_, raw, forecaster_, monitor_));
 }
 
 void WindowedEstimator::emit(WindowReport&& report) {
@@ -358,20 +335,12 @@ EstimatorState WindowedEstimator::save_state() const {
   st.monitor_last_kind = static_cast<std::uint32_t>(monitor_.last_kind());
   st.open.reserve(open_.size());
   for (const auto& slot : open_) {
-    EstimatorState::OpenWindow ow;
     if (slot) {
-      ow.present = true;
-      ow.classifier = slot->classifier->save_state();
-      ow.flows = slot->flows;
-      const auto bins = slot->bins.bin_bytes();
-      ow.bin_bytes.assign(bins.begin(), bins.end());
-      ow.bin_dropped = static_cast<std::uint64_t>(slot->bins.dropped());
-      ow.bin_total_bytes = slot->bins.total_bytes();
-      ow.packets = slot->packets;
-      ow.bytes = slot->bytes;
-      ow.discards = slot->discards;
+      st.open.push_back(EstimatorState::OpenWindow{
+          slot->classifier->save_state(), slot->raw});
+    } else {
+      st.open.emplace_back(std::nullopt);
     }
-    st.open.push_back(std::move(ow));
   }
   return st;
 }
@@ -402,27 +371,23 @@ void WindowedEstimator::restore_state(const EstimatorState& state) {
 
   for (std::size_t i = 0; i < state.open.size(); ++i) {
     const auto& ow = state.open[i];
-    if (!ow.present) {
+    if (!ow) {
       open_.emplace_back(nullptr);
       continue;
     }
     const std::int64_t k = state.next_close + static_cast<std::int64_t>(i);
-    stats::RateBinner bins = [&] {
-      try {
-        return stats::RateBinner(
-            window_start(k), window_end(k), config_.analysis.delta_s(),
-            ow.bin_bytes, static_cast<std::size_t>(ow.bin_dropped),
-            ow.bin_total_bytes);
-      } catch (const std::invalid_argument&) {
-        throw std::invalid_argument(
-            "EstimatorState: window bins do not match the configured grid");
-      }
-    }();
+    const stats::RateBinner& bins = ow->window.bins;
+    if (ow->window.index != k || bins.grid_start() != window_start(k) ||
+        bins.grid_end() != window_end(k) ||
+        bins.grid_delta() != config_.analysis.delta_s()) {
+      throw std::invalid_argument(
+          "EstimatorState: window bins do not match the configured grid");
+    }
     auto ws = std::make_unique<WindowState>(WindowState{
         api::make_flow_classifier(config_.analysis.flow_definition(),
                                   classifier_options_),
-        ow.flows, std::move(bins), ow.packets, ow.bytes, ow.discards});
-    ws->classifier->restore_state(ow.classifier);
+        ow->window});
+    ws->classifier->restore_state(ow->classifier);
     open_.push_back(std::move(ws));
   }
 }

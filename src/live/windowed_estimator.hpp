@@ -5,11 +5,11 @@
 // flow-level parameters per sliding window with bounded state: each of the
 // ceil(window/stride) concurrently open windows owns a flow classifier
 // (idle-timeout semantics, no boundary splitting — the window IS the
-// analysis interval), its completed-flow list and exact Delta byte bins.
-// A window closes the moment the stream clock passes its end: the
-// classifier flushes, flows sort by flow::ByStart, and api::fit_window —
-// the same function the serial and sharded pipelines close intervals
-// through — produces the parameters. Replaying a finished trace therefore
+// analysis interval), its exact completed-flow sums and exact Delta byte
+// bins. A window closes the moment the stream clock passes its end: the
+// classifier flushes into the sums, and api::fit_window — the same
+// function the serial and sharded pipelines close intervals through —
+// produces the parameters. Replaying a finished trace therefore
 // reproduces, bit for bit, what a batch fit restricted to each window's
 // packets computes in isolation (tests/live/test_windowed_differential.cpp
 // proves it against the independent batch primitives and against
@@ -27,6 +27,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "api/shard.hpp"
@@ -47,26 +48,9 @@ struct LiveCounters {
   std::uint64_t flows = 0;    ///< completed flow records across windows
 };
 
-/// One closed window's raw pre-fit material: exactly what fit_window_report
-/// consumes, and what the agg::PartialReport codec ships across processes.
-/// Flows may be in any order (fitting re-sorts with flow::ByStart); the bins
-/// hold exact integral byte counts over the window's Delta grid, so folding
-/// the partials of key-disjoint producers and fitting once reproduces a
-/// single-machine run bit for bit.
-struct WindowPartial {
-  std::int64_t index = 0;
-  std::uint64_t packets = 0;
-  std::uint64_t bytes = 0;
-  std::uint64_t discards = 0;
-  std::vector<flow::FlowRecord> flows;
-  stats::RateBinner bins;
-};
-
-/// Pre-fit flush hook for distributed aggregation: when set on a
-/// WindowedEstimator, closed windows leave as WindowPartials instead of
-/// being fitted — no forecast or anomaly state advances locally; the merger
-/// replays fit_window_report over the folded windows in order.
-using WindowPartialSink = std::function<void(WindowPartial&&)>;
+/// A closed window's raw pre-fit material: the carrier batch intervals use
+/// too (see api::WindowPartial), under its live name.
+using WindowPartial = api::WindowPartial;
 
 /// Turns one window's merged raw material into the finished WindowReport:
 /// api::fit_window (the same function the serial pipeline and the sharded
@@ -77,13 +61,13 @@ using WindowPartialSink = std::function<void(WindowPartial&&)>;
 /// construction. Windows must be finalized in index order (the forecaster
 /// and monitor are stateful).
 [[nodiscard]] WindowReport fit_window_report(const LiveConfig& config,
-                                             WindowPartial&& raw,
+                                             const WindowPartial& raw,
                                              RollingForecaster& forecaster,
                                              AnomalyMonitor& monitor);
 
 /// Complete serializable state of a WindowedEstimator mid-stream: every
 /// member push_batch() reads or writes, including each open window's
-/// classifier at exact-table-layout fidelity (api::ClassifierState).
+/// classifier (api::ClassifierState) and its pre-fit material.
 /// Restoring it into a fresh estimator of the same config and resuming the
 /// stream reproduces the uninterrupted run's remaining reports bit for bit
 /// — the checkpoint codec (ckpt::) is a pure serialization of this struct.
@@ -98,19 +82,13 @@ struct EstimatorState {
   std::uint64_t monitor_consecutive = 0;
   std::uint32_t monitor_last_kind = 0;  ///< AlertKind as wire integer
 
-  /// Open windows, indices state.next_close .. next_close + open.size() - 1.
   struct OpenWindow {
-    bool present = false;  ///< false: no packet touched this window yet
     api::ClassifierState classifier;
-    std::vector<flow::FlowRecord> flows;
-    std::vector<double> bin_bytes;  ///< grid derivable from index + config
-    std::uint64_t bin_dropped = 0;
-    double bin_total_bytes = 0.0;
-    std::uint64_t packets = 0;
-    std::uint64_t bytes = 0;
-    std::uint64_t discards = 0;
+    WindowPartial window;
   };
-  std::vector<OpenWindow> open;
+  /// Open windows, indices next_close .. next_close + open.size() - 1;
+  /// nullopt for a window no packet has touched yet.
+  std::vector<std::optional<OpenWindow>> open;
 };
 
 class WindowedEstimator {
@@ -145,10 +123,11 @@ class WindowedEstimator {
   void set_window_sink(WindowSink sink) { sink_ = std::move(sink); }
 
   /// Diverts closed windows to `sink` as raw pre-fit material (see
-  /// WindowPartialSink): no fitting, no forecast, no anomaly judgement —
-  /// those run once, downstream, after the merge. Set before the first
-  /// push.
-  void set_partial_sink(WindowPartialSink sink) {
+  /// api::PartialSink): no fitting, no forecast, no anomaly judgement —
+  /// those run once, downstream, after the merge (agg::Merger replays
+  /// fit_window_report over the folded windows in order). Set before the
+  /// first push.
+  void set_partial_sink(api::PartialSink sink) {
     partial_sink_ = std::move(sink);
   }
 
@@ -179,11 +158,7 @@ class WindowedEstimator {
   /// packet has touched yet (finalized straight to an empty report).
   struct WindowState {
     std::unique_ptr<api::FlowClassifierHandle> classifier;
-    std::vector<flow::FlowRecord> flows;
-    stats::RateBinner bins;
-    std::uint64_t packets = 0;
-    std::uint64_t bytes = 0;
-    std::uint64_t discards = 0;
+    WindowPartial raw;
   };
 
   [[nodiscard]] double window_start(std::int64_t k) const {
@@ -194,6 +169,8 @@ class WindowedEstimator {
   }
 
   [[nodiscard]] WindowState& state_at(std::int64_t k);
+  /// Window k's material before any packet: zero sums, zero bins.
+  [[nodiscard]] WindowPartial empty_window(std::int64_t k) const;
   void drain(WindowState& state);
   void expire_all(double now);  ///< expire + drain every open window
   void close_through(double now);  ///< close windows with end <= now
@@ -221,7 +198,7 @@ class WindowedEstimator {
 
   std::deque<WindowReport> ready_;
   WindowSink sink_;
-  WindowPartialSink partial_sink_;
+  api::PartialSink partial_sink_;
   LiveCounters counters_;
   double last_ts_ = -std::numeric_limits<double>::infinity();
   double next_expire_ = 0.0;

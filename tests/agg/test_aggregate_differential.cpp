@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -101,10 +102,8 @@ void produce_batch_partial(const api::AnalysisConfig& config,
                            const std::filesystem::path& path) {
   api::AnalysisPipeline pipeline(config);
   agg::PartialWriter writer(path, agg::PartialMeta::from_batch(config));
-  pipeline.set_partial_sink([&](api::ShardInterval&& iv) {
-    writer.add(0, live::WindowPartial{iv.index, 0, 0, 0, std::move(iv.flows),
-                                      std::move(iv.bins)});
-  });
+  pipeline.set_partial_sink(
+      [&](api::WindowPartial&& iv) { writer.add(0, iv); });
   push_all(pipeline, packets);
   pipeline.finish();
   writer.finish({pipeline.summary(), {}});
@@ -220,6 +219,72 @@ TEST(AggregateDifferential, LiveSplitsMergeByteIdentical) {
       EXPECT_EQ(merged.kind, agg::PartialKind::live);
       EXPECT_EQ(merged.lines, reference)
           << "K=" << k << " def=" << static_cast<int>(def);
+    }
+  }
+}
+
+/// One producer's partial file, in memory: the shard's windows (batch
+/// intervals or live windows) as its pipeline emitted them.
+agg::PartialFile produce_in_memory(
+    bool live_mode, api::FlowDefinition def,
+    const std::vector<net::PacketRecord>& shard) {
+  agg::PartialFile file;
+  file.totals.summary = summarize(shard);
+  const auto collect = [&](api::WindowPartial&& w) {
+    file.windows.push_back({0, std::move(w)});
+  };
+  if (live_mode) {
+    file.meta = agg::PartialMeta::from_live(live_config(def));
+    live::WindowedEstimator estimator(live_config(def));
+    estimator.set_partial_sink(collect);
+    push_all(estimator, shard);
+    estimator.finish();
+  } else {
+    file.meta = agg::PartialMeta::from_batch(batch_config(def));
+    api::AnalysisPipeline pipeline(batch_config(def));
+    pipeline.set_partial_sink(collect);
+    push_all(pipeline, shard);
+    pipeline.finish();
+  }
+  return file;
+}
+
+TEST(AggregateDifferential, RandomShardCountsAndFoldOrdersAgreeBitwise) {
+  // Merging is addition of exact sums, so neither the number of producers
+  // nor the order their files and window frames fold in may move a bit.
+  const auto packets = seeded_trace(404);
+  std::mt19937_64 rng(2024);
+  for (const bool live_mode : {false, true}) {
+    for (const auto def :
+         {api::FlowDefinition::five_tuple, api::FlowDefinition::prefix24}) {
+      const std::string batch_ref =
+          live_mode ? "" : batch_reference(batch_config(def), packets);
+      const std::vector<std::string> live_ref =
+          live_mode ? live_reference(live_config(def), packets)
+                    : std::vector<std::string>{};
+      for (int trial = 0; trial < 3; ++trial) {
+        const std::size_t k =
+            std::uniform_int_distribution<std::size_t>(1, 8)(rng);
+        std::vector<agg::PartialFile> files;
+        for (std::size_t i = 0; i < k; ++i) {
+          files.push_back(
+              produce_in_memory(live_mode, def, shard_of(packets, def, i, k)));
+          std::shuffle(files.back().windows.begin(),
+                       files.back().windows.end(), rng);
+        }
+        std::shuffle(files.begin(), files.end(), rng);
+        agg::Merger merger;
+        for (auto& f : files) merger.add(std::move(f));
+        const agg::MergeResult merged = merger.finish();
+        SCOPED_TRACE("live=" + std::to_string(live_mode) +
+                     " def=" + std::to_string(static_cast<int>(def)) +
+                     " K=" + std::to_string(k));
+        if (live_mode) {
+          EXPECT_EQ(merged.lines, live_ref);
+        } else {
+          EXPECT_EQ(merged.document, batch_ref);
+        }
+      }
     }
   }
 }

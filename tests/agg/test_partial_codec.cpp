@@ -33,26 +33,32 @@ void spit(const std::filesystem::path& path, const std::vector<char>& bytes) {
 }
 
 /// A deterministic pseudo-random window: integral byte bins (the only kind
-/// the pipelines produce) and a handful of flow records.
-live::WindowPartial make_window(std::int64_t index, double start, double width,
-                                double delta, std::uint64_t seed) {
+/// the pipelines produce) and the sums of a handful of flow records.
+api::WindowPartial make_window(std::int64_t index, double start, double width,
+                               double delta, std::uint64_t seed,
+                               int nflows = 17) {
   std::mt19937_64 rng(seed);
   stats::RateBinner bins(start, start + width, delta);
   std::uniform_real_distribution<double> ts(start, start + width);
   std::uniform_int_distribution<int> sz(40, 1500);
   for (int i = 0; i < 200; ++i) bins.add(ts(rng), sz(rng));
-  std::vector<flow::FlowRecord> flows;
+  flow::FlowSums sums;
   std::uniform_real_distribution<double> dur(0.01, width / 2);
-  for (int i = 0; i < 17; ++i) {
+  for (int i = 0; i < nflows; ++i) {
     flow::FlowRecord f;
     f.start = ts(rng);
     f.end = f.start + dur(rng);
     f.size_bytes = static_cast<std::uint64_t>(sz(rng)) * 10;
     f.packets = 10;
-    flows.push_back(f);
+    f.continued = i % 3 == 0;
+    sums.add(f);
   }
-  return live::WindowPartial{index,           seed * 3, seed * 7, seed % 5,
-                             std::move(flows), std::move(bins)};
+  return api::WindowPartial{.index = static_cast<std::int64_t>(index),
+                            .packets = seed * 3,
+                            .bytes = seed * 7,
+                            .discards = seed % 5,
+                            .sums = sums,
+                            .bins = std::move(bins)};
 }
 
 PartialMeta batch_meta(api::FlowDefinition def) {
@@ -134,13 +140,14 @@ TEST(PartialCodec, RoundTripsEveryFieldBitForBit) {
         EXPECT_EQ(got.packets, want.packets);
         EXPECT_EQ(got.bytes, want.bytes);
         EXPECT_EQ(got.discards, want.discards);
-        ASSERT_EQ(got.flows.size(), want.flows.size());
-        for (std::size_t k = 0; k < want.flows.size(); ++k) {
-          EXPECT_EQ(got.flows[k].start, want.flows[k].start);
-          EXPECT_EQ(got.flows[k].end, want.flows[k].end);
-          EXPECT_EQ(got.flows[k].size_bytes, want.flows[k].size_bytes);
-          EXPECT_EQ(got.flows[k].packets, want.flows[k].packets);
-        }
+        EXPECT_EQ(got.sums.n, want.sums.n);
+        EXPECT_EQ(got.sums.continued, want.sums.continued);
+        EXPECT_EQ(got.sums.size_bytes, want.sums.size_bytes);
+        EXPECT_TRUE(got.sums.size_bytes_sq == want.sums.size_bytes_sq);
+        EXPECT_TRUE(got.sums.s2_over_d == want.sums.s2_over_d);
+        EXPECT_TRUE(got.sums.duration == want.sums.duration);
+        EXPECT_TRUE(got.sums.duration_sq == want.sums.duration_sq);
+        EXPECT_TRUE(got.sums.rate == want.sums.rate);
         EXPECT_EQ(got.bins.grid_start(), want.bins.grid_start());
         EXPECT_EQ(got.bins.grid_end(), want.bins.grid_end());
         EXPECT_EQ(got.bins.grid_delta(), want.bins.grid_delta());
@@ -210,6 +217,46 @@ TEST(PartialCodec, RejectsFutureVersion) {
   std::memcpy(bytes.data() + 4, &v, sizeof v);
   spit(path, bytes);
   expect_rejected(path, "unsupported version");
+}
+
+TEST(PartialCodec, RefusesVersionOneNamingIt) {
+  // Version 1 shipped flow records; its window frames must never be read
+  // as sums.
+  const auto path = write_sample("v1.fbmp");
+  auto bytes = slurp(path);
+  const std::uint32_t v = 1;
+  std::memcpy(bytes.data() + 4, &v, sizeof v);
+  spit(path, bytes);
+  expect_rejected(path, "unsupported version 1");
+}
+
+TEST(PartialCodec, WindowFrameSizeDoesNotDependOnFlowCount) {
+  const auto frame_lengths = [](const std::filesystem::path& path) {
+    const auto bytes = slurp(path);
+    std::vector<std::uint64_t> lengths;
+    for (std::size_t pos = 16; pos + 16 <= bytes.size();) {
+      std::uint32_t type = 0;
+      std::uint64_t len = 0;
+      std::memcpy(&type, bytes.data() + pos, 4);
+      std::memcpy(&len, bytes.data() + pos + 8, 8);
+      if (type == 2) lengths.push_back(len);
+      pos += 16 + len + 8;
+    }
+    return lengths;
+  };
+  const auto path = temp_path("fixed_size.fbmp");
+  {
+    PartialWriter writer(path, batch_meta(api::FlowDefinition::five_tuple));
+    writer.add(0, make_window(0, 0.0, 10.0, 0.2, 5, /*nflows=*/0));
+    writer.add(0, make_window(1, 10.0, 10.0, 0.2, 6, /*nflows=*/1));
+    writer.add(0, make_window(2, 20.0, 10.0, 0.2, 7, /*nflows=*/50000));
+    writer.finish({});
+  }
+  const auto lengths = frame_lengths(path);
+  ASSERT_EQ(lengths.size(), 3u);
+  EXPECT_EQ(lengths[0], lengths[1]);
+  EXPECT_EQ(lengths[0], lengths[2]);
+  EXPECT_EQ(read_partial_file(path).windows[2].window.sums.n, 50000u);
 }
 
 TEST(PartialCodec, RejectsTruncationAtEveryBoundary) {

@@ -4,6 +4,7 @@
 // other thread count, since threads is a throughput knob, never identity.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -38,6 +39,21 @@ TEST(ThreadsAuto, ResolveThreadsMapsZeroToHardwareConcurrency) {
   EXPECT_GE(api::resolve_threads(0), 1u);  // floor even on unknown hardware
   EXPECT_EQ(api::resolve_threads(1), 1u);
   EXPECT_EQ(api::resolve_threads(7), 7u);  // explicit values pass through
+}
+
+TEST(ThreadsAuto, ResolveThreadsBoundsExplicitCounts) {
+  // One bound for AnalysisConfig, EngineConfig and every tool's --threads.
+  // Only the checks run here: no pool is built with a rejected count.
+  EXPECT_EQ(api::resolve_threads(api::kMaxThreads), api::kMaxThreads);
+  EXPECT_THROW((void)api::resolve_threads(api::kMaxThreads + 1),
+               std::invalid_argument);
+  EXPECT_THROW((void)api::resolve_threads(static_cast<std::size_t>(-1)),
+               std::invalid_argument);
+
+  api::AnalysisConfig config = base_config();
+  EXPECT_NO_THROW(api::validate_config(config.threads(api::kMaxThreads)));
+  EXPECT_THROW(api::validate_config(config.threads(api::kMaxThreads + 1)),
+               std::invalid_argument);
 }
 
 TEST(ThreadsAuto, AutoDetectedPipelineMatchesSerialBitForBit) {

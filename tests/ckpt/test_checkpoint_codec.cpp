@@ -123,6 +123,17 @@ TEST(CheckpointCodec, RejectsFutureVersion) {
   expect_rejected(path, "unsupported version");
 }
 
+TEST(CheckpointCodec, RefusesVersionOneNamingIt) {
+  // Version 1 stored flow records and table slots; it must never be read
+  // as flow sums.
+  const auto path = write_sample("v1");
+  auto bytes = slurp(path);
+  const std::uint32_t v = 1;
+  std::memcpy(bytes.data() + 4, &v, sizeof v);
+  spit(path, bytes);
+  expect_rejected(path, "unsupported version 1");
+}
+
 TEST(CheckpointCodec, RejectsTruncationAtEveryBoundary) {
   const auto path = write_sample("trunc");
   const auto bytes = slurp(path);

@@ -4,8 +4,8 @@
 // the single live::WindowedEstimator and the multi-link engine::Engine,
 // across window shapes (tiling, overlapping, gapped), both flow
 // definitions, and several cut points — including cuts that land mid-window
-// with open classifier tables, the case that forces exact-slot-layout
-// restoration (FP accumulation order in drain()).
+// with open classifier tables, whose active flows a restore re-inserts
+// (their emission order is free: flows land in exact flow sums).
 //
 // Every snapshot goes through the on-disk codec (write_checkpoint →
 // read_checkpoint on a real file), so the differential also proves the

@@ -89,7 +89,7 @@ TEST(EstimateInputs, MinDurationGuard) {
   IntervalData iv;
   iv.length = 10.0;
   iv.flows = {flow(0.0, 1e-9, 1000)};  // near-zero duration
-  const ModelInputs in = estimate_inputs(iv, 1e-3);
+  const ModelInputs in = estimate_inputs(iv);
   // Duration clamped to 1 ms.
   EXPECT_DOUBLE_EQ(in.mean_s2_over_d, 8000.0 * 8000.0 / 1e-3);
 }

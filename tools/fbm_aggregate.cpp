@@ -5,13 +5,13 @@
 //
 // Each input is a PartialReport file written by `fbm_analyze --emit-partial`
 // or `fbm_live --emit-partial` (one per shard process, or one per remote
-// collector). The tool folds them — flow records concatenate, exact byte
-// bins sum, trace totals add — and fits every window exactly once, printing
-// the same document the producing tool would have: the fbm_analyze --json
-// shape for batch partials (engine shape when the producers ran multi-link),
-// one JSONL line per window for live partials. The output is bit-for-bit
-// identical to a single-machine run over the union of the producers'
-// packets (tests/agg/ pins this).
+// collector). The tool folds them — exact flow sums, byte bins and trace
+// totals add, in any file order — and fits every window exactly once,
+// printing the same document the producing tool would have: the
+// fbm_analyze --json shape for batch partials (engine shape when the
+// producers ran multi-link), one JSONL line per window for live partials.
+// The output is bit-for-bit identical to a single-machine run over the
+// union of the producers' packets (tests/agg/ pins this).
 //
 // Corrupt, truncated or incompatible partials are rejected with a one-line
 // diagnostic and a nonzero exit — never silently merged. --json is accepted

@@ -127,14 +127,10 @@ Options parse_args(int argc, char** argv) {
     } else if (arg == "--eps") {
       opt.eps = need_value("--eps");
     } else if (arg == "--min-flows") {
-      opt.min_flows = static_cast<std::size_t>(need_value("--min-flows"));
+      opt.min_flows = fbm::tools::to_count(need_value("--min-flows"),
+                                           "--min-flows", usage);
     } else if (arg == "--threads") {
-      const double v = need_value("--threads");
-      if (!(v >= 0.0) || v > 4096.0) {  // reject NaN/negative before the cast
-        std::fprintf(stderr, "--threads must be in [0, 4096] (0 = auto)\n");
-        usage();
-      }
-      opt.threads = static_cast<std::size_t>(v);
+      opt.threads = fbm::tools::to_threads(need_value("--threads"), usage);
     } else if (arg == "--link") {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "missing value for --link\n");
@@ -385,10 +381,8 @@ int main(int argc, char** argv) {
       // statistics; fbm_aggregate folds the shards and fits once.
       writer = std::make_unique<agg::PartialWriter>(
           opt.emit_partial, agg::PartialMeta::from_batch(config));
-      pipeline.set_partial_sink([&](api::ShardInterval&& iv) {
-        writer->add(0, live::WindowPartial{iv.index, 0, 0, 0,
-                                           std::move(iv.flows),
-                                           std::move(iv.bins)});
+      pipeline.set_partial_sink([&](api::WindowPartial&& iv) {
+        writer->add(0, iv);
         metrics.tick();
       });
     } else {

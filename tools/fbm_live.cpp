@@ -163,16 +163,19 @@ Options parse_args(int argc, char** argv) {
     } else if (arg == "--k-sigma") {
       opt.k_sigma = need_value("--k-sigma");
     } else if (arg == "--max-order") {
-      opt.max_order = static_cast<std::size_t>(need_value("--max-order"));
+      opt.max_order = fbm::tools::to_count(need_value("--max-order"),
+                                           "--max-order", usage);
     } else if (arg == "--consecutive") {
-      opt.consecutive = static_cast<std::size_t>(need_value("--consecutive"));
+      opt.consecutive = fbm::tools::to_count(need_value("--consecutive"),
+                                             "--consecutive", usage);
     } else if (arg == "--warmup") {
-      opt.warmup = static_cast<std::size_t>(need_value("--warmup"));
+      opt.warmup =
+          fbm::tools::to_count(need_value("--warmup"), "--warmup", usage);
     } else if (arg == "--idle") {
       opt.idle = need_value("--idle");
     } else if (arg == "--max-windows") {
-      opt.max_windows =
-          static_cast<std::uint64_t>(need_value("--max-windows"));
+      opt.max_windows = fbm::tools::to_count(need_value("--max-windows"),
+                                             "--max-windows", usage);
     } else if (arg == "--link") {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "missing value for --link\n");
@@ -180,12 +183,7 @@ Options parse_args(int argc, char** argv) {
       }
       opt.links.emplace_back(argv[++i]);
     } else if (arg == "--threads") {
-      const double v = need_value("--threads");
-      if (!(v >= 0.0) || v > 4096.0) {
-        std::fprintf(stderr, "--threads must be in [0, 4096] (0 = auto)\n");
-        usage();
-      }
-      opt.threads = static_cast<std::size_t>(v);
+      opt.threads = fbm::tools::to_threads(need_value("--threads"), usage);
     } else if (arg == "--emit-partial") {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "missing value for --emit-partial\n");

@@ -104,22 +104,22 @@ Options parse_args(int argc, char** argv) {
     } else if (arg == "--k-sigma") {
       opt.k_sigma = std::atof(need_value("--k-sigma"));
     } else if (arg == "--max-order") {
-      opt.max_order = static_cast<std::size_t>(
-          std::strtoull(need_value("--max-order"), nullptr, 10));
+      opt.max_order = fbm::tools::to_count(
+          std::atof(need_value("--max-order")), "--max-order", usage);
     } else if (arg == "--consecutive") {
-      opt.consecutive = static_cast<std::size_t>(
-          std::strtoull(need_value("--consecutive"), nullptr, 10));
+      opt.consecutive = fbm::tools::to_count(
+          std::atof(need_value("--consecutive")), "--consecutive", usage);
     } else if (arg == "--warmup") {
-      opt.warmup = static_cast<std::size_t>(
-          std::strtoull(need_value("--warmup"), nullptr, 10));
+      opt.warmup = fbm::tools::to_count(std::atof(need_value("--warmup")),
+                                        "--warmup", usage);
     } else if (arg == "--link") {
       opt.links.emplace_back(need_value("--link"));
     } else if (arg == "--threads") {
-      opt.threads = static_cast<std::size_t>(
-          std::strtoull(need_value("--threads"), nullptr, 10));
+      opt.threads =
+          fbm::tools::to_threads(std::atof(need_value("--threads")), usage);
     } else if (arg == "--batch") {
-      opt.batch = static_cast<std::size_t>(
-          std::strtoull(need_value("--batch"), nullptr, 10));
+      opt.batch = fbm::tools::to_count(std::atof(need_value("--batch")),
+                                       "--batch", usage);
       if (opt.batch == 0) usage();
     } else if (arg == "--json") {
       opt.json_path = need_value("--json");

@@ -1,6 +1,10 @@
-// Shared --metrics plumbing for the fbm_* tools.
+// Shared flag plumbing for the fbm_* tools: count values and --metrics.
 //
-// Every tool accepts the same three flags:
+// to_count() and to_threads() check a numeric flag's value before it is
+// cast to an unsigned type, so a negative or NaN value exits through the
+// tool's usage() instead of wrapping around.
+//
+// Every tool accepts the same three metrics flags:
 //   --metrics FILE        append self-describing JSONL snapshots to FILE
 //   --metrics-every N     seconds between snapshots (default 1)
 //   --metrics-prom FILE   atomically rewrite a Prometheus exposition file
@@ -11,13 +15,39 @@
 // its natural cadence points and finishes before exit.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 
+#include "api/shard.hpp"
 #include "obs/exporter.hpp"
 
 namespace fbm::tools {
+
+/// A count flag's value: finite, >= 0 and below 2^64, fractional part
+/// dropped. Anything else prints a diagnostic and calls `usage` (the
+/// tool's [[noreturn]] usage printer, exit status 2).
+inline std::uint64_t to_count(double v, const char* flag, void (*usage)()) {
+  if (!(v >= 0.0 && v < 0x1p64)) {
+    std::fprintf(stderr, "%s wants a count >= 0\n", flag);
+    usage();
+  }
+  return static_cast<std::uint64_t>(v);
+}
+
+/// --threads: a count api::resolve_threads accepts (0 = every core).
+inline std::size_t to_threads(double v, void (*usage)()) {
+  const std::uint64_t n = to_count(v, "--threads", usage);
+  try {
+    (void)api::resolve_threads(n);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "--%s\n", e.what());
+    usage();
+  }
+  return n;
+}
 
 struct MetricsOptions {
   std::string jsonl;     ///< --metrics FILE
