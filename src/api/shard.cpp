@@ -71,6 +71,10 @@ class ClassifierImpl final : public FlowClassifierHandle {
   }
 
   [[nodiscard]] ClassifierState save_state() const override {
+    if (!classifier_.flows().empty() || !classifier_.discards().empty()) {
+      throw std::logic_error(
+          "ClassifierState: take completed flows and discards first");
+    }
     ClassifierState st;
     st.active.reserve(classifier_.active_flows());
     classifier_.visit_active([&](const auto& key,
@@ -78,8 +82,6 @@ class ClassifierImpl final : public FlowClassifierHandle {
                                  std::int64_t start_index) {
       st.active.push_back({canonical_key(key), record, start_index});
     });
-    st.flows = classifier_.flows();
-    st.discards = classifier_.discards();
     st.counters = classifier_.counters();
     st.last_ts = classifier_.stream_clock();
     return st;
@@ -91,8 +93,7 @@ class ClassifierImpl final : public FlowClassifierHandle {
       key_from_canonical(a.key, key);
       classifier_.restore_active_flow(key, a.record, a.start_index);
     }
-    classifier_.restore_streams(state.flows, state.discards, state.counters,
-                                state.last_ts);
+    classifier_.restore_counters(state.counters, state.last_ts);
   }
 
  private:

@@ -39,16 +39,15 @@ namespace fbm::api {
 /// in `dst` and its prefix length in `src_port`, all other fields zero.
 /// Only the key set matters, not the table layout: flows are summed into
 /// order-free flow::FlowSums, so the order the table emits them in never
-/// reaches a result.
+/// reaches a result. For the same reason a snapshot is taken right after
+/// the completed flows and discards were taken: they hold none.
 struct ClassifierState {
   struct ActiveFlow {
     net::FiveTuple key;
     flow::FlowRecord record;
     std::int64_t start_index = 0;
   };
-  std::vector<ActiveFlow> active;       ///< table iteration order
-  std::vector<flow::FlowRecord> flows;  ///< completed, not yet taken
-  std::vector<flow::DiscardedPacket> discards;
+  std::vector<ActiveFlow> active;  ///< table iteration order
   flow::ClassifierCounters counters;
   double last_ts = 0.0;  ///< stream clock (-inf before any packet)
 };
@@ -76,6 +75,8 @@ class FlowClassifierHandle {
   [[nodiscard]] virtual double table_load_factor() const = 0;
   [[nodiscard]] virtual double table_mean_probe() const = 0;
   /// Complete mid-stream state, canonical-keyed (see ClassifierState).
+  /// Throws std::logic_error while completed flows or discards are still
+  /// waiting to be taken.
   [[nodiscard]] virtual ClassifierState save_state() const = 0;
   /// Rebuilds the saved state in a fresh classifier created with the same
   /// options, re-inserting the active flows. Throws std::invalid_argument

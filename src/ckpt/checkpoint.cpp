@@ -40,13 +40,6 @@ void put_classifier(ByteBuffer& b, const api::ClassifierState& s) {
     put_flow(b, a.record);
     b.put(a.start_index);
   }
-  b.put(static_cast<std::uint64_t>(s.flows.size()));
-  for (const auto& f : s.flows) put_flow(b, f);
-  b.put(static_cast<std::uint64_t>(s.discards.size()));
-  for (const auto& d : s.discards) {
-    b.put(d.timestamp);
-    b.put(d.size_bytes);
-  }
   b.put(s.counters.packets);
   b.put(s.counters.flows_emitted);
   b.put(s.counters.single_packet_discards);
@@ -131,19 +124,6 @@ void check_count(const ByteCursor& c, std::uint64_t count,
     a.record = get_flow(c);
     a.start_index = c.get<std::int64_t>();
     s.active.push_back(a);
-  }
-  const auto flows = c.get<std::uint64_t>();
-  check_count(c, flows, 40);  // 5 x 8 bytes per flow record
-  s.flows.reserve(flows);
-  for (std::uint64_t i = 0; i < flows; ++i) s.flows.push_back(get_flow(c));
-  const auto discards = c.get<std::uint64_t>();
-  check_count(c, discards, 16);
-  s.discards.reserve(discards);
-  for (std::uint64_t i = 0; i < discards; ++i) {
-    flow::DiscardedPacket d{};
-    d.timestamp = c.get<double>();
-    d.size_bytes = c.get<std::uint64_t>();
-    s.discards.push_back(d);
   }
   s.counters.packets = c.get<std::uint64_t>();
   s.counters.flows_emitted = c.get<std::uint64_t>();

@@ -36,7 +36,8 @@ namespace fbm::ckpt {
 
 inline constexpr std::uint32_t kCheckpointMagic = 0x434D4246;  // "FBMC"
 /// Version 2: open windows carry exact flow sums instead of flow records,
-/// and active flows no longer carry table slots. Version 1 is refused.
+/// and a classifier is its active flows (no table slots, no pending
+/// completed flows) plus counters. Version 1 is refused.
 inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /// What kind of live run the checkpoint snapshots.

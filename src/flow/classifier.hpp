@@ -302,13 +302,8 @@ class FlowClassifier {
     it->second = Active{record, start_index};
   }
 
-  /// Restores the streaming side: pending completed flows and discards,
-  /// counters, and the stream clock.
-  void restore_streams(std::vector<FlowRecord> flows,
-                       std::vector<DiscardedPacket> discards,
-                       const ClassifierCounters& counters, double last_ts) {
-    flows_ = std::move(flows);
-    discards_ = std::move(discards);
+  /// Restores the counters and the stream clock.
+  void restore_counters(const ClassifierCounters& counters, double last_ts) {
     counters_ = counters;
     last_ts_ = last_ts;
   }

@@ -314,7 +314,7 @@ std::vector<WindowReport> WindowedEstimator::take_reports() {
 
 // ------------------------------------------------------- snapshot/restore ---
 
-EstimatorState WindowedEstimator::save_state() const {
+EstimatorState WindowedEstimator::save_state() {
   if (finished_) {
     throw std::logic_error("WindowedEstimator: snapshot after finish");
   }
@@ -336,6 +336,7 @@ EstimatorState WindowedEstimator::save_state() const {
   st.open.reserve(open_.size());
   for (const auto& slot : open_) {
     if (slot) {
+      drain(*slot);
       st.open.push_back(EstimatorState::OpenWindow{
           slot->classifier->save_state(), slot->raw});
     } else {

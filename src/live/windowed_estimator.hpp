@@ -145,8 +145,9 @@ class WindowedEstimator {
   /// Snapshot of the complete mid-stream state. Call between pushes —
   /// throws std::logic_error after finish() or while reports sit undrained
   /// (a sink-less caller must pop them first; the snapshot counts them as
-  /// already delivered).
-  [[nodiscard]] EstimatorState save_state() const;
+  /// already delivered). Drains each open window's completed flows into
+  /// its sums first, which no result can tell apart from a later drain.
+  [[nodiscard]] EstimatorState save_state();
 
   /// Rebuilds a saved state in this estimator. Only valid on a fresh
   /// instance (same config, nothing pushed); throws std::logic_error
