@@ -118,6 +118,15 @@ TEST(ExactSum, OrderAndMergeShapeDoNotMatter) {
   }
 }
 
+TEST(ExactSum, LazyCarriesResolveOnLongMergeChains) {
+  // Each self-merge doubles the sum and the carry budget it has used, so
+  // forty of them cross the point where the cells must be normalized.
+  ExactSum s = sum_of({1.5, -3.25, 0.125, 0x1p-1074, -0x1p-1074});
+  for (int k = 0; k < 40; ++k) s.merge(s);
+  EXPECT_EQ(s.value(), std::ldexp(-1.625, 40));
+  EXPECT_TRUE(ExactSum::from_canonical(s.canonical_cells()) == s);
+}
+
 TEST(ExactSum, CanonicalCellsRoundTrip) {
   const ExactSum s = sum_of(wild_values(300, 3));
   const ExactSum back = ExactSum::from_canonical(s.canonical_cells());
