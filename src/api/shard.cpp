@@ -136,8 +136,8 @@ void validate_config(const AnalysisConfig& config) {
   if (!(config.interval_s() > 0.0) || !std::isfinite(config.interval_s())) {
     throw std::invalid_argument("AnalysisPipeline: interval must be finite");
   }
-  if (!(config.delta_s() > 0.0)) {
-    throw std::invalid_argument("AnalysisPipeline: delta <= 0");
+  if (!(config.delta_s() > 0.0) || !std::isfinite(config.delta_s())) {
+    throw std::invalid_argument("AnalysisPipeline: delta must be finite > 0");
   }
   if (!(config.epsilon() > 0.0 && config.epsilon() < 1.0)) {
     throw std::invalid_argument("AnalysisPipeline: eps outside (0,1)");

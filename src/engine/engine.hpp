@@ -77,7 +77,11 @@ struct EngineConfig {
   /// 0 auto-detects the machine's core count
   /// (std::thread::hardware_concurrency); above api::kMaxThreads the
   /// constructor throws std::invalid_argument. Per-link output is
-  /// identical at every value.
+  /// identical at every value. A session is the unit of work: it runs on
+  /// one worker, so workers beyond the link count sit idle, and a one-link
+  /// engine (the tools' run without --link) only moves its session off the
+  /// demux thread. Flow-hash sharding inside one link is
+  /// api::AnalysisPipeline's (AnalysisConfig::threads).
   std::size_t threads = 1;
 };
 

@@ -56,14 +56,14 @@ struct LiveConfig {
     if (!(window_s > 0.0) || !std::isfinite(window_s)) {
       throw std::invalid_argument("LiveConfig: window must be finite > 0");
     }
-    if (stride_s < 0.0 || !std::isfinite(stride())) {
+    if (!(stride_s >= 0.0) || !std::isfinite(stride())) {
       throw std::invalid_argument("LiveConfig: stride must be finite >= 0");
     }
     if (!(analysis.timeout_s() > 0.0)) {
       throw std::invalid_argument("LiveConfig: timeout <= 0");
     }
-    if (!(analysis.delta_s() > 0.0)) {
-      throw std::invalid_argument("LiveConfig: delta <= 0");
+    if (!(analysis.delta_s() > 0.0) || !std::isfinite(analysis.delta_s())) {
+      throw std::invalid_argument("LiveConfig: delta must be finite > 0");
     }
     if (!(analysis.epsilon() > 0.0 && analysis.epsilon() < 1.0)) {
       throw std::invalid_argument("LiveConfig: eps outside (0,1)");

@@ -37,7 +37,7 @@ struct MetricMeta {
   std::string unit;   ///< "packets", "seconds", "flows", "ratio", ...
   std::string stage;  ///< pipeline stage it observes ("classify", ...)
   /// Label set, rendered in this order. Part of the metric's identity.
-  std::vector<std::pair<std::string, std::string>> labels;
+  std::vector<std::pair<std::string, std::string>> labels = {};
 
   /// Canonical identity: name{k="v",...} (no escaping — identity only).
   [[nodiscard]] std::string key() const;

@@ -38,10 +38,17 @@ double series_cov(const RateSeries& s) {
 RateBinner::RateBinner(double start, double end, double delta)
     : start_(start), end_(end), delta_(delta) {
   if (!(end > start)) throw std::invalid_argument("RateBinner: end <= start");
-  if (!(delta > 0.0)) throw std::invalid_argument("RateBinner: delta <= 0");
-  const auto bins =
-      static_cast<std::size_t>(std::ceil((end - start) / delta - 1e-9));
-  bytes_.assign(bins == 0 ? 1 : bins, 0.0);
+  if (!(delta > 0.0) || !std::isfinite(delta)) {
+    throw std::invalid_argument("RateBinner: delta must be finite > 0");
+  }
+  // Checked as a double: a grid past the cap (or an infinite/NaN ratio) must
+  // not reach the size_t cast, whose result would be undefined.
+  const double bins = std::ceil((end - start) / delta - 1e-9);
+  if (!(bins <= static_cast<double>(kMaxBins))) {
+    throw std::invalid_argument(
+        "RateBinner: grid over 2^26 bins (delta too small for the window)");
+  }
+  bytes_.assign(bins < 1.0 ? 1 : static_cast<std::size_t>(bins), 0.0);
 }
 
 RateBinner::RateBinner(double start, double end, double delta,

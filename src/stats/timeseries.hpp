@@ -43,7 +43,14 @@ struct RateSeries {
 /// Events may arrive in any order as long as they fall in [start, end).
 class RateBinner {
  public:
-  /// Throws std::invalid_argument unless end > start and delta > 0.
+  /// Largest grid a binner allocates: 2^26 bins, 512 MiB of doubles. The
+  /// whole grid is allocated when a window opens, and overlapping windows
+  /// hold several at once, so a larger one exhausts memory before the first
+  /// packet lands. At the paper's Delta of 0.2 s the cap is 155 days.
+  static constexpr std::size_t kMaxBins = std::size_t{1} << 26;
+
+  /// Throws std::invalid_argument unless end > start, delta is finite > 0
+  /// and the grid has at most kMaxBins bins.
   RateBinner(double start, double end, double delta);
 
   /// Rebuilds a binner from its raw state (the agg::PartialReport codec

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "../support/push.hpp"
@@ -203,6 +204,13 @@ TEST(PipelineConfig, RejectsBadParameters) {
                std::invalid_argument);
   EXPECT_THROW(api::AnalysisPipeline(api::AnalysisConfig{}.epsilon(1.5)),
                std::invalid_argument);
+  EXPECT_THROW(api::AnalysisPipeline(api::AnalysisConfig{}.delta_s(
+                   std::numeric_limits<double>::infinity())),
+               std::invalid_argument);
+  // A finite Delta too small for the interval's bin grid is refused when
+  // the first interval opens.
+  api::AnalysisPipeline tiny(api::AnalysisConfig{}.delta_s(1e-300));
+  EXPECT_THROW(push_one(tiny, {0.0, {}, 100}), std::invalid_argument);
 }
 
 TEST(PipelineConfig, PushAfterFinishThrows) {

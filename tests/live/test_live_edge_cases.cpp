@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "../support/push.hpp"
@@ -221,6 +222,21 @@ TEST(LiveEdgeCases, RejectsBadConfig) {
   config.window_s = 5.0;
   config.forecast_history = 2;
   EXPECT_THROW(live::WindowedEstimator{config}, std::invalid_argument);
+  config.forecast_history = 64;
+  // NaN passed a `stride_s < 0` test and then fell back to the window, so
+  // its checkpoint could never be restored (NaN != NaN in the meta check).
+  config.stride_s = std::nan("");
+  EXPECT_THROW(live::WindowedEstimator{config}, std::invalid_argument);
+  config.stride_s = 0.0;
+  config.analysis.delta_s(std::numeric_limits<double>::infinity());
+  EXPECT_THROW(live::WindowedEstimator{config}, std::invalid_argument);
+  config.analysis.delta_s(std::nan(""));
+  EXPECT_THROW(live::WindowedEstimator{config}, std::invalid_argument);
+  // Finite but past the bin cap: refused when the first window opens,
+  // instead of a NaN mean in the report.
+  config.analysis.delta_s(1e-300);
+  live::WindowedEstimator tiny(config);
+  EXPECT_THROW(push_one(tiny, packet(0.5, 9)), std::invalid_argument);
 }
 
 TEST(LiveEdgeCases, SinkStreamsInsteadOfQueueing) {

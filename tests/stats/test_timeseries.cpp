@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace fbm::stats {
@@ -10,6 +12,17 @@ namespace {
 TEST(RateBinner, Validation) {
   EXPECT_THROW(RateBinner(1.0, 1.0, 0.1), std::invalid_argument);
   EXPECT_THROW(RateBinner(0.0, 1.0, 0.0), std::invalid_argument);
+}
+
+TEST(RateBinner, RejectsNonFiniteDeltaAndGridsPastTheCap) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(RateBinner(0.0, 60.0, inf), std::invalid_argument);
+  EXPECT_THROW(RateBinner(0.0, 60.0, std::nan("")), std::invalid_argument);
+  // 6e301 bins: the old size_t cast of this count was undefined behaviour.
+  EXPECT_THROW(RateBinner(0.0, 60.0, 1e-300), std::invalid_argument);
+  const auto cap = static_cast<double>(RateBinner::kMaxBins);
+  EXPECT_THROW(RateBinner(0.0, cap + 1.0, 1.0), std::invalid_argument);
+  EXPECT_NO_THROW(RateBinner(0.0, 60.0, 60.0 / 1024));
 }
 
 TEST(RateBinner, BytesToBitsPerSecond) {

@@ -21,43 +21,21 @@
 // registry (partials read, windows merged, fit stage timings) like every
 // other fbm tool.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "agg/agg.hpp"
-#include "metrics_cli.hpp"
-
-namespace {
-
-[[noreturn]] void usage() {
-  std::fprintf(stderr,
-               "usage: fbm_aggregate <partial.fbmp> [<partial.fbmp> ...] "
-               "[--json] [--metrics FILE] [--metrics-every S] "
-               "[--metrics-prom FILE]\n");
-  std::exit(2);
-}
-
-}  // namespace
+#include "cli.hpp"
 
 int main(int argc, char** argv) {
+  using fbm::tools::Kind;
   std::vector<std::string> paths;
+  bool json = false;  // JSON is the only output format
   fbm::tools::MetricsOptions metrics_opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json") {
-      continue;  // JSON is the only output format
-    }
-    if (fbm::tools::parse_metrics_flag(argc, argv, i, metrics_opt, usage)) {
-      continue;
-    }
-    if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
-      usage();
-    }
-    paths.push_back(arg);
-  }
-  if (paths.empty()) usage();
+  fbm::tools::Cli("fbm_aggregate", "<partial.fbmp> [<partial.fbmp> ...]",
+                  &paths, {{"--json", &json, Kind::flag, ""}})
+      .add(fbm::tools::metrics_flags(metrics_opt))
+      .parse(argc, argv);
 
   fbm::obs::MetricsExporter metrics =
       fbm::tools::make_metrics_exporter(metrics_opt);

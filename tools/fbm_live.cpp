@@ -1,31 +1,26 @@
 // fbm_live — continuous sliding-window monitoring of a packet trace.
 //
-// Usage:
-//   fbm_live <trace.fbmt|.pcap|.csv> [--window S] [--stride S] [--timeout S]
-//            [--delta S] [--prefix24] [--eps P] [--k-sigma K] [--max-order M]
-//            [--consecutive N] [--warmup N] [--follow] [--idle S]
-//            [--max-windows N]
-//            [--link NAME=PREFIX[,PREFIX...] ...] [--threads N]
-//            [--emit-partial FILE] [--shard I/K] [--json]
-//            [--checkpoint FILE] [--checkpoint-every N] [--restore FILE]
-//            [--store FILE] [--metrics FILE] [--metrics-every S]
-//            [--metrics-prom FILE]
+// Usage: fbm_live <trace.fbmt|.pcap|.csv> [flags]; the flag list is the
+// table in parse_args() (run with no arguments to print it).
 //
-// Streams the trace through live::WindowedEstimator: per sliding window the
-// three model parameters, measured vs model rate, fitted shot, capacity
-// plan, the rolling next-window forecast and the anomaly verdict. --json
-// emits one JSON object per window (JSONL, schema in
+// Streams the trace through the multi-link engine (engine::Engine, live
+// mode): per sliding window the three model parameters, measured vs model
+// rate, fitted shot, capacity plan, the rolling next-window forecast and the
+// anomaly verdict. --json emits one JSON object per window (JSONL, schema in
 // src/live/window_report.hpp); the default is a human-readable table with
 // ALERT markers. --follow keeps polling the file for appended records
 // (tail -f; .fbmt/.pcap only), stopping after --idle seconds without new
-// data (default: forever). --max-windows stops after N reports either way.
+// data (default: forever). --max-windows stops after N reports either way
+// (a restored run counts the checkpoint's reports too).
 //
-// --link (repeatable) switches to the multi-link engine: the stream is
-// demuxed to one session per link (longest-prefix match for overlapping
-// claims; NAME=all or NAME=* for a match-all aggregate) and every window
-// report carries its link — a "link" name column, or a leading "link" JSONL
-// field (schema pinned by the engine-smoke CI job). --threads N spreads the
-// sessions over a worker pool (0 = every core).
+// Without --link the run is one match-all link rendered untagged: the
+// single-link JSONL schema, a table without a link column. --link
+// (repeatable) demuxes the stream to one session per link instead
+// (longest-prefix match for overlapping claims; NAME=all or NAME=* for a
+// match-all aggregate) and every window report carries its link — a "link"
+// name column, or a leading "link" JSONL field (schema pinned by the
+// engine-smoke CI job). --threads N spreads the sessions over a worker pool
+// (0 = every core), with or without --link.
 //
 // --emit-partial FILE switches to distributed-aggregation mode: no window
 // is fitted, forecast or judged; each closed window's raw sufficient
@@ -39,10 +34,13 @@
 // Durable operations (src/ckpt/, src/store/):
 //   --checkpoint FILE        snapshot the complete mid-stream state every
 //                            --checkpoint-every N closed windows (default 1),
-//                            atomically (tmp + rename). Works in both the
-//                            single-estimator and --link engine modes.
-//   --restore FILE           resume from a checkpoint: the config is
-//                            validated against the file's meta, the first
+//                            atomically (tmp + rename). The file is an
+//                            engine checkpoint (FBMC) with or without --link.
+//   --restore FILE           resume from an engine checkpoint (a
+//                            single-estimator file, which only library
+//                            callers write, is refused): the config and
+//                            link set are validated against the file's
+//                            meta, the first
 //                            <checkpointed packets> records of the trace are
 //                            skipped, and the remaining output is
 //                            byte-identical to the uninterrupted run's
@@ -54,228 +52,73 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "agg/agg.hpp"
-#include "api/api.hpp"
-#include "batch_filter.hpp"
 #include "ckpt/checkpoint.hpp"
-#include "live/live.hpp"
-#include "metrics_cli.hpp"
+#include "cli.hpp"
 #include "obs/catalog.hpp"
 #include "store/report_store.hpp"
-#include "trace/trace_stats.hpp"
 
 namespace {
 
+using fbm::tools::Kind;
+
 struct Options {
   std::string path;
-  double window = 60.0;
-  double stride = 0.0;  // 0 = window
-  double timeout = 60.0;
-  double delta = fbm::measure::kPaperDelta;
-  bool prefix24 = false;
-  double eps = 0.01;
-  double k_sigma = 3.0;
-  std::size_t max_order = 8;
-  std::size_t consecutive = 1;
-  std::size_t warmup = 0;  ///< windows unjudged while the forecaster settles
+  fbm::tools::LiveOptions live;
   bool follow = false;
-  double idle = 0.0;  // 0 = wait forever
+  double idle = 0.0;              // 0 = wait forever
   std::uint64_t max_windows = 0;  // 0 = unlimited
-  std::vector<std::string> links;  // empty = single-link estimator
-  std::size_t threads = 1;
-  std::string emit_partial;  // empty = fit locally
-  std::size_t shard_index = 0;
-  std::size_t shard_count = 1;
+  std::string emit_partial;       // empty = fit locally
+  fbm::tools::Shard shard;
   bool json = false;
-  std::string checkpoint;  // empty = no checkpointing
+  std::string checkpoint;              // empty = no checkpointing
   std::uint64_t checkpoint_every = 1;  // closed windows per checkpoint
-  std::string restore;     // empty = start fresh
-  std::string store;       // empty = no on-disk report store
+  std::string restore;                 // empty = start fresh
+  std::string store;                   // empty = no on-disk report store
   fbm::tools::MetricsOptions metrics;
 };
 
-[[noreturn]] void usage() {
-  std::fprintf(
-      stderr,
-      "usage: fbm_live <trace.fbmt|.pcap|.csv> [--window S] [--stride S] "
-      "[--timeout S] [--delta S] [--prefix24] [--eps P] [--k-sigma K] "
-      "[--max-order M] [--consecutive N] [--warmup N] [--follow] [--idle S] "
-      "[--max-windows N] [--link NAME=PREFIX[,PREFIX...]] [--threads N] "
-      "[--emit-partial FILE] [--shard I/K] [--json] [--checkpoint FILE] "
-      "[--checkpoint-every N] [--restore FILE] [--store FILE] "
-      "[--metrics FILE] [--metrics-every S] [--metrics-prom FILE]\n");
-  std::exit(2);
-}
-
-/// Parses "--shard I/K" (0-based I < K). Exits through usage() on malformed
-/// input.
-void parse_shard(const std::string& text, Options& opt) {
-  const auto slash = text.find('/');
-  std::size_t index = 0;
-  std::size_t count = 0;
-  try {
-    if (slash == std::string::npos) throw std::invalid_argument(text);
-    index = std::stoul(text.substr(0, slash));
-    count = std::stoul(text.substr(slash + 1));
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "--shard wants I/K (e.g. 0/4), got \"%s\"\n",
-                 text.c_str());
-    usage();
-  }
-  if (count == 0 || count > 1024 || index >= count) {
-    std::fprintf(stderr,
-                 "--shard %s out of range (need 0 <= I < K <= 1024)\n",
-                 text.c_str());
-    usage();
-  }
-  opt.shard_index = index;
-  opt.shard_count = count;
-}
-
 Options parse_args(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto need_value = [&](const char* flag) -> double {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag);
-        usage();
-      }
-      return std::atof(argv[++i]);
-    };
-    if (arg == "--window") {
-      opt.window = need_value("--window");
-    } else if (arg == "--stride") {
-      opt.stride = need_value("--stride");
-    } else if (arg == "--timeout") {
-      opt.timeout = need_value("--timeout");
-    } else if (arg == "--delta") {
-      opt.delta = need_value("--delta");
-    } else if (arg == "--eps") {
-      opt.eps = need_value("--eps");
-    } else if (arg == "--k-sigma") {
-      opt.k_sigma = need_value("--k-sigma");
-    } else if (arg == "--max-order") {
-      opt.max_order = fbm::tools::to_count(need_value("--max-order"),
-                                           "--max-order", usage);
-    } else if (arg == "--consecutive") {
-      opt.consecutive = fbm::tools::to_count(need_value("--consecutive"),
-                                             "--consecutive", usage);
-    } else if (arg == "--warmup") {
-      opt.warmup =
-          fbm::tools::to_count(need_value("--warmup"), "--warmup", usage);
-    } else if (arg == "--idle") {
-      opt.idle = need_value("--idle");
-    } else if (arg == "--max-windows") {
-      opt.max_windows = fbm::tools::to_count(need_value("--max-windows"),
-                                             "--max-windows", usage);
-    } else if (arg == "--link") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for --link\n");
-        usage();
-      }
-      opt.links.emplace_back(argv[++i]);
-    } else if (arg == "--threads") {
-      opt.threads = fbm::tools::to_threads(need_value("--threads"), usage);
-    } else if (arg == "--emit-partial") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for --emit-partial\n");
-        usage();
-      }
-      opt.emit_partial = argv[++i];
-    } else if (arg == "--shard") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for --shard\n");
-        usage();
-      }
-      parse_shard(argv[++i], opt);
-    } else if (arg == "--checkpoint") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for --checkpoint\n");
-        usage();
-      }
-      opt.checkpoint = argv[++i];
-    } else if (arg == "--checkpoint-every") {
-      const double v = need_value("--checkpoint-every");
-      if (!(v >= 1.0)) {
-        std::fprintf(stderr, "--checkpoint-every wants N >= 1\n");
-        usage();
-      }
-      opt.checkpoint_every = static_cast<std::uint64_t>(v);
-    } else if (arg == "--restore") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for --restore\n");
-        usage();
-      }
-      opt.restore = argv[++i];
-    } else if (arg == "--store") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for --store\n");
-        usage();
-      }
-      opt.store = argv[++i];
-    } else if (fbm::tools::parse_metrics_flag(argc, argv, i, opt.metrics,
-                                              usage)) {
-      // consumed --metrics / --metrics-every / --metrics-prom
-    } else if (arg == "--prefix24") {
-      opt.prefix24 = true;
-    } else if (arg == "--follow") {
-      opt.follow = true;
-    } else if (arg == "--json") {
-      opt.json = true;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
-      usage();
-    } else if (opt.path.empty()) {
-      opt.path = arg;
-    } else {
-      usage();
-    }
+  fbm::tools::Cli cli("fbm_live", "<trace.fbmt|.pcap|.csv>", &opt.path,
+                      fbm::tools::live_flags(opt.live));
+  cli.add({{"--follow", &opt.follow, Kind::flag, ""},
+           {"--idle", &opt.idle, Kind::real, "S"},
+           {"--max-windows", &opt.max_windows, Kind::count, "N"},
+           {"--emit-partial", &opt.emit_partial, Kind::text, "FILE"},
+           {"--shard", &opt.shard, Kind::shard, "I/K"},
+           {"--json", &opt.json, Kind::flag, ""},
+           {"--checkpoint", &opt.checkpoint, Kind::text, "FILE"},
+           {"--checkpoint-every", &opt.checkpoint_every, Kind::count, "N"},
+           {"--restore", &opt.restore, Kind::text, "FILE"},
+           {"--store", &opt.store, Kind::text, "FILE"}})
+      .add(fbm::tools::metrics_flags(opt.metrics))
+      .parse(argc, argv);
+  const bool partial = !opt.emit_partial.empty();
+  if (opt.checkpoint_every == 0) cli.fail("--checkpoint-every wants N >= 1");
+  if (opt.shard.count > 1 && !partial) {
+    cli.fail("--shard only makes sense with --emit-partial (a fitted shard "
+             "is not a fitted trace)");
   }
-  if (opt.path.empty()) usage();
-  if (opt.threads != 1 && opt.links.empty()) {
-    std::fprintf(stderr,
-                 "--threads sizes the multi-link worker pool; give at least "
-                 "one --link\n");
-    usage();
+  if (opt.shard.count > 1 && !opt.live.analysis.links.empty()) {
+    cli.fail("--shard partitions by flow key and cannot combine with --link "
+             "demux; emit one multi-link partial instead");
   }
-  if (opt.shard_count > 1 && opt.emit_partial.empty()) {
-    std::fprintf(stderr,
-                 "--shard only makes sense with --emit-partial (a fitted "
-                 "shard is not a fitted trace)\n");
-    usage();
+  if (partial && opt.follow) {
+    cli.fail("--emit-partial needs a finite stream (the end frame seals the "
+             "file); drop --follow");
   }
-  if (opt.shard_count > 1 && !opt.links.empty()) {
-    std::fprintf(stderr,
-                 "--shard partitions by flow key and cannot combine with "
-                 "--link demux; emit one multi-link partial instead\n");
-    usage();
+  if (partial && opt.max_windows > 0) {
+    cli.fail("--emit-partial streams every window; drop --max-windows");
   }
-  if (!opt.emit_partial.empty() && opt.follow) {
-    std::fprintf(stderr,
-                 "--emit-partial needs a finite stream (the end frame seals "
-                 "the file); drop --follow\n");
-    usage();
-  }
-  if (!opt.emit_partial.empty() && opt.max_windows > 0) {
-    std::fprintf(stderr,
-                 "--emit-partial streams every window; drop --max-windows\n");
-    usage();
-  }
-  if (!opt.emit_partial.empty() &&
-      (!opt.checkpoint.empty() || !opt.restore.empty() ||
-       !opt.store.empty())) {
-    std::fprintf(stderr,
-                 "--checkpoint/--restore/--store snapshot fitted state; "
-                 "--emit-partial defers fitting — they cannot combine\n");
-    usage();
+  if (partial &&
+      (!opt.checkpoint.empty() || !opt.restore.empty() || !opt.store.empty())) {
+    cli.fail("--checkpoint/--restore/--store snapshot fitted state; "
+             "--emit-partial defers fitting — they cannot combine");
   }
   return opt;
 }
@@ -298,24 +141,6 @@ void print_human(const fbm::live::WindowReport& r, const char* link) {
                 r.window_index, r.start_s, r.inputs.flows, r.inputs.lambda,
                 r.measured.mean_bps / 1e6, mark);
   }
-}
-
-fbm::live::LiveConfig make_live_config(const Options& opt) {
-  using namespace fbm;
-  live::LiveConfig config;
-  config.window_s = opt.window;
-  config.stride_s = opt.stride;
-  config.band_k_sigma = opt.k_sigma;
-  config.forecast_max_order = opt.max_order;
-  config.alert_min_consecutive = opt.consecutive;
-  config.alert_warmup_windows = opt.warmup;
-  config.analysis
-      .flow_definition(opt.prefix24 ? api::FlowDefinition::prefix24
-                                    : api::FlowDefinition::five_tuple)
-      .timeout_s(opt.timeout)
-      .delta_s(opt.delta)
-      .epsilon(opt.eps);
-  return config;
 }
 
 /// Drains the source into `push` a batch at a time (the configured
@@ -366,136 +191,7 @@ void drain(fbm::api::TraceSource& source, const Options& opt,
   }
 }
 
-int run_single(const Options& opt) {
-  using namespace fbm;
-  auto source = api::open_trace(opt.path, opt.follow);
-  const live::LiveConfig config = make_live_config(opt);
-  live::WindowedEstimator estimator(config);
-  const std::size_t batch_packets = config.analysis.batch_packets();
-  obs::MetricsExporter metrics = tools::make_metrics_exporter(opt.metrics);
-  tools::MetricsFinishGuard metrics_guard(metrics);
-
-  // Distributed mode: raw window partials stream to the writer instead of
-  // being fitted; the shard's trace totals accumulate at the push site
-  // (the estimator counts packets but not timestamps) for the end frame.
-  std::unique_ptr<agg::PartialWriter> writer;
-  trace::TraceSummary shard_summary;
-  if (!opt.emit_partial.empty()) {
-    writer = std::make_unique<agg::PartialWriter>(
-        opt.emit_partial, agg::PartialMeta::from_live(config));
-    estimator.set_partial_sink(
-        [&](live::WindowPartial&& partial) { writer->add(0, partial); });
-
-    std::atomic<bool> done{false};
-    drain(
-        *source, opt, batch_packets, done, metrics,
-        [&](net::PacketBatch& b) {
-          tools::keep_shard(b, config.analysis.flow_definition(),
-                            opt.shard_index, opt.shard_count);
-          if (b.empty()) return;
-          estimator.push_batch(b);
-          shard_summary.add(b);
-        },
-        [] {});
-    estimator.finish();
-    if (shard_summary.packets == 0 && opt.shard_count <= 1) {
-      std::fprintf(stderr, "error: no packets in %s\n", opt.path.c_str());
-      return 1;
-    }
-    writer->finish({shard_summary, {}});
-    std::fprintf(stderr, "wrote %llu window partials to %s\n",
-                 static_cast<unsigned long long>(writer->windows_written()),
-                 opt.emit_partial.c_str());
-    return 0;
-  }
-
-  // Durable operations: the report store persists each finished window the
-  // moment it is printed; restore rebuilds the estimator from a checkpoint
-  // and skips the packets it had already consumed.
-  std::unique_ptr<store::StoreWriter> store_writer;
-  if (!opt.store.empty()) {
-    store_writer = std::make_unique<store::StoreWriter>(opt.store);
-  }
-  std::uint64_t skip = 0;
-  if (!opt.restore.empty()) {
-    const ckpt::Checkpoint ck = ckpt::read_checkpoint(opt.restore);
-    if (ck.kind != ckpt::CheckpointKind::estimator) {
-      std::fprintf(stderr,
-                   "error: %s is an engine checkpoint; pass its --link "
-                   "set to resume it\n",
-                   opt.restore.c_str());
-      return 1;
-    }
-    agg::check_compatible(ck.meta, agg::PartialMeta::from_live(config));
-    estimator.restore_state(ck.estimator);
-    skip = ck.packets_consumed();
-    std::fprintf(stderr, "resuming after %llu reports (%llu packets) from %s\n",
-                 static_cast<unsigned long long>(ck.reports_emitted()),
-                 static_cast<unsigned long long>(skip), opt.restore.c_str());
-  }
-
-  std::atomic<bool> done{false};
-  estimator.set_window_sink([&](live::WindowReport&& r) {
-    // One batch can close many windows at once (a quiet gap in the
-    // stream, or just a long batch); stop printing the moment the cap is
-    // reached, not just at the next outer-loop check.
-    if (done) return;
-    if (opt.json) {
-      std::printf("%s\n", live::to_jsonl(r).c_str());
-    } else {
-      print_human(r, nullptr);
-    }
-    std::fflush(stdout);
-    if (store_writer) store_writer->append({0, false, "", std::move(r)});
-    if (opt.max_windows > 0 &&
-        estimator.counters().windows >= opt.max_windows) {
-      done = true;
-    }
-  });
-
-  // Checkpoints are cut between batches (never inside the sink — the
-  // estimator is mid-mutation there), after the sink has printed and
-  // flushed every window the snapshot counts as delivered.
-  std::uint64_t last_ckpt = estimator.counters().windows;
-  const auto maybe_checkpoint = [&] {
-    if (opt.checkpoint.empty() || done) return;
-    const std::uint64_t w = estimator.counters().windows;
-    if (w - last_ckpt < opt.checkpoint_every) return;
-    ckpt::write_checkpoint(opt.checkpoint, agg::PartialMeta::from_live(config),
-                           estimator.save_state());
-    last_ckpt = w;
-  };
-
-  if (!opt.json) {
-    std::printf("%6s %8s %8s %9s | %s\n", "window", "t0", "flows",
-                "lambda", "measured Mbps vs forecast band");
-  }
-  drain(
-      *source, opt, batch_packets, done, metrics,
-      [&](net::PacketBatch& b) {
-        skip -= tools::drop_front(b, skip);
-        if (b.empty()) return;
-        estimator.push_batch(b);
-        maybe_checkpoint();
-      },
-      [] {});
-  if (!done) estimator.finish();
-
-  if (estimator.counters().packets == 0) {
-    std::fprintf(stderr, "error: no packets in %s\n", opt.path.c_str());
-    return 1;
-  }
-  if (!opt.json) {
-    const auto& c = estimator.counters();
-    std::printf("\n%llu windows, %llu packets, %llu flows\n",
-                static_cast<unsigned long long>(c.windows),
-                static_cast<unsigned long long>(c.packets),
-                static_cast<unsigned long long>(c.flows));
-  }
-  return 0;
-}
-
-int run_engine(const Options& opt) {
+int run(const Options& opt) {
   using namespace fbm;
   auto source = api::open_trace(opt.path, opt.follow);
   obs::MetricsExporter metrics = tools::make_metrics_exporter(opt.metrics);
@@ -503,78 +199,65 @@ int run_engine(const Options& opt) {
 
   engine::EngineConfig config;
   config.mode = engine::EngineMode::live;
-  config.live = make_live_config(opt);
-  config.threads = opt.threads;
+  config.live = opt.live.config();
+  config.threads = opt.live.analysis.threads;
   const std::size_t batch_packets = config.live.analysis.batch_packets();
+  const auto& links = opt.live.analysis.links;
+  const bool tagged = !links.empty();
 
-  // The sink runs on pool workers under --threads, possibly until ~Engine
-  // joins them — so the state it captures is declared before the engine
+  // The sinks run on pool workers under --threads, possibly until ~Engine
+  // joins them — so the state they capture is declared before the engine
   // (destroyed after it). The drain loop polls `done` from the caller.
+  // Counters are atomic: workers bump them while the caller reads them.
   std::atomic<bool> done{false};
-  // Atomic: pool workers bump it in the report sink while the demux thread
-  // reads it for the --max-windows cap and the checkpoint trigger.
-  std::atomic<std::uint64_t> windows{0};
-
+  std::atomic<bool> stopped{false};       // the drain ended at --max-windows
+  std::atomic<std::uint64_t> closed{0};   // windows closed, restored ones too
+  std::atomic<std::uint64_t> flows{0};    // their flows
+  std::atomic<std::uint64_t> printed{0};  // windows this run printed
   std::unique_ptr<agg::PartialWriter> writer;
+  std::unique_ptr<store::StoreWriter> store_writer;
   engine::Engine eng(config);
+
   if (!opt.emit_partial.empty()) {
-    // Distributed mode: declare the link set in the meta frame, stream
-    // every link's closed windows as window frames, fit nothing.
-    std::vector<engine::LinkSpec> specs;
-    specs.reserve(opt.links.size());
-    for (const auto& text : opt.links) {
-      specs.push_back(engine::parse_link_spec(text));
-    }
-    agg::PartialMeta meta = agg::PartialMeta::from_live(config.live);
-    meta.engine = true;
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      meta.links.push_back({static_cast<std::uint32_t>(i), specs[i].name});
-    }
-    writer = std::make_unique<agg::PartialWriter>(opt.emit_partial,
-                                                  std::move(meta));
+    // Distributed mode: every link's closed windows stream to the writer as
+    // raw partials; nothing is fitted, forecast or judged here.
     eng.set_partial_sink([&](engine::LinkId link, const std::string&,
                              live::WindowPartial&& partial) {
       writer->add(static_cast<std::uint32_t>(link), partial);
     });
-    for (auto& spec : specs) (void)eng.attach(std::move(spec));
+  }
+  // The run's config identity: the live knobs plus the link set, so a
+  // merge or restore under different links or knobs is refused with a
+  // field-naming diagnostic.
+  const agg::PartialMeta meta = tools::attach_links(
+      eng, links, agg::PartialMeta::from_live(config.live));
 
+  if (!opt.emit_partial.empty()) {
+    writer = std::make_unique<agg::PartialWriter>(opt.emit_partial, meta);
     drain(
         *source, opt, batch_packets, done, metrics,
-        [&](const net::PacketBatch& b) { eng.push_batch(b); },
+        [&](net::PacketBatch& b) {
+          tools::keep_shard(b, config.live.analysis.flow_definition(),
+                            opt.shard);
+          eng.push_batch(b);
+        },
         [&] { eng.flush(); });
     eng.finish();
-    if (eng.summary().packets == 0) {
-      std::fprintf(stderr, "error: no packets in %s\n", opt.path.c_str());
-      return 1;
+    // An empty shard is legitimate: a small trace may hash every flow
+    // elsewhere, and the merger folds its partial as a no-op.
+    if (eng.summary().packets == 0 && opt.shard.count <= 1) {
+      return tools::no_packets(opt.path);
     }
-    agg::PartialTotals totals;
-    totals.summary = eng.summary();
-    for (const auto& link : eng.links()) {
-      totals.links.push_back({static_cast<std::uint32_t>(link.id),
-                              link.counters.packets, link.counters.bytes});
-    }
-    writer->finish(totals);
-    std::fprintf(stderr, "wrote %llu window partials for %zu links to %s\n",
-                 static_cast<unsigned long long>(writer->windows_written()),
-                 opt.links.size(), opt.emit_partial.c_str());
+    const auto link_totals =
+        tagged ? eng.links() : std::vector<engine::LinkInfo>{};
+    tools::finish_partials(*writer, eng.summary(), link_totals, "window",
+                           opt.emit_partial);
     return 0;
   }
-  // The engine's config identity for checkpoints: the live knobs plus the
-  // link set, so a restore under different links or knobs is refused with a
-  // field-naming diagnostic.
-  std::vector<engine::LinkSpec> specs;
-  specs.reserve(opt.links.size());
-  for (const auto& text : opt.links) {
-    specs.push_back(engine::parse_link_spec(text));
-  }
-  agg::PartialMeta ckpt_meta = agg::PartialMeta::from_live(config.live);
-  ckpt_meta.engine = true;
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    ckpt_meta.links.push_back({static_cast<std::uint32_t>(i), specs[i].name});
-  }
-  for (auto& spec : specs) (void)eng.attach(std::move(spec));
 
-  std::unique_ptr<store::StoreWriter> store_writer;
+  // Durable operations: the report store persists each finished window the
+  // moment it is printed; restore rebuilds the engine from a checkpoint and
+  // skips the packets it had already consumed.
   if (!opt.store.empty()) {
     store_writer = std::make_unique<store::StoreWriter>(opt.store);
   }
@@ -583,50 +266,64 @@ int run_engine(const Options& opt) {
     const ckpt::Checkpoint ck = ckpt::read_checkpoint(opt.restore);
     if (ck.kind != ckpt::CheckpointKind::engine) {
       std::fprintf(stderr,
-                   "error: %s is a single-estimator checkpoint; drop the "
-                   "--link flags to resume it\n",
+                   "error: %s is a single-estimator checkpoint; fbm_live "
+                   "resumes engine checkpoints only\n",
                    opt.restore.c_str());
       return 1;
     }
-    agg::check_compatible(ck.meta, ckpt_meta);
+    agg::check_compatible(ck.meta, meta);
     eng.restore_state(ck.engine);
     skip = ck.packets_consumed();
+    closed = ck.reports_emitted();
+    for (const auto& s : ck.engine.sessions) flows += s.live.counters.flows;
     std::fprintf(stderr, "resuming after %llu reports (%llu packets) from %s\n",
                  static_cast<unsigned long long>(ck.reports_emitted()),
                  static_cast<unsigned long long>(skip), opt.restore.c_str());
   }
 
   eng.set_report_sink([&](engine::LinkReport&& r) {
+    // Windows the final flush closes after --max-windows tripped are not
+    // counted; the ones closed by the batch that tripped it are.
+    if (stopped) return;
+    ++closed;
+    flows += r.window->inputs.flows;
+    // One batch can close many windows at once (a quiet gap in the stream,
+    // or just a long batch); stop printing the moment the cap is reached.
     if (done) return;
     if (opt.json) {
-      std::printf("%s\n", engine::to_jsonl(r).c_str());
+      const std::string line =
+          tagged ? engine::to_jsonl(r) : live::to_jsonl(*r.window);
+      std::printf("%s\n", line.c_str());
     } else {
-      print_human(*r.window, r.name.c_str());
+      print_human(*r.window, tagged ? r.name.c_str() : nullptr);
     }
     std::fflush(stdout);
     if (store_writer) {
-      store_writer->append({static_cast<std::uint32_t>(r.link), true, r.name,
+      store_writer->append({static_cast<std::uint32_t>(r.link), tagged,
+                            tagged ? r.name : std::string(),
                             std::move(*r.window)});
     }
-    ++windows;
-    if (opt.max_windows > 0 && windows >= opt.max_windows) done = true;
+    ++printed;
+    if (opt.max_windows > 0 && closed >= opt.max_windows) done = true;
   });
 
-  // Between-batch checkpoint trigger; `windows` is atomic because pool
-  // workers bump it in the sink while the demux thread reads it here.
-  // save_state() quiesces the pool, so the snapshot is a consistent cut.
-  std::uint64_t last_ckpt = windows.load();
+  // Checkpoints are cut between batches (never inside the sink — a session
+  // is mid-mutation there), after the sink has printed and flushed every
+  // window the snapshot counts as delivered. save_state() quiesces the
+  // pool, so the snapshot is a consistent cut.
+  std::uint64_t last_ckpt = closed;
   const auto maybe_checkpoint = [&] {
     if (opt.checkpoint.empty() || done) return;
-    const std::uint64_t w = windows.load();
+    const std::uint64_t w = closed;
     if (w - last_ckpt < opt.checkpoint_every) return;
-    ckpt::write_checkpoint(opt.checkpoint, ckpt_meta, eng.save_state());
+    ckpt::write_checkpoint(opt.checkpoint, meta, eng.save_state());
     last_ckpt = w;
   };
 
   if (!opt.json) {
-    std::printf("%-10s %6s %8s %8s %9s | %s\n", "link", "window", "t0",
-                "flows", "lambda", "measured Mbps vs forecast band");
+    if (tagged) std::printf("%-10s ", "link");
+    std::printf("%6s %8s %8s %9s | %s\n", "window", "t0", "flows", "lambda",
+                "measured Mbps vs forecast band");
   }
   drain(
       *source, opt, batch_packets, done, metrics,
@@ -637,24 +334,27 @@ int run_engine(const Options& opt) {
         maybe_checkpoint();
       },
       [&] { eng.flush(); });
-  // Unconditional: when --max-windows tripped, finish() joins the pool
-  // workers (the sink drops further reports via `done`) so the footer below
-  // reads the counters race-free.
+  stopped = done.load();
+  // Unconditional: it joins the pool workers (the sink drops what they still
+  // report once `stopped`), so the footer below reads settled counters.
   eng.finish();
 
-  if (eng.summary().packets == 0) {
-    std::fprintf(stderr, "error: no packets in %s\n", opt.path.c_str());
-    return 1;
+  if (eng.summary().packets == 0) return tools::no_packets(opt.path);
+  if (opt.json) return 0;
+  const auto packets = static_cast<unsigned long long>(eng.summary().packets);
+  if (!tagged) {
+    std::printf("\n%llu windows, %llu packets, %llu flows\n",
+                static_cast<unsigned long long>(closed), packets,
+                static_cast<unsigned long long>(flows));
+    return 0;
   }
-  if (!opt.json) {
-    std::printf("\n%llu windows over %zu links, %llu packets\n",
-                static_cast<unsigned long long>(windows), opt.links.size(),
-                static_cast<unsigned long long>(eng.summary().packets));
-    for (const auto& link : eng.links()) {
-      std::printf("  %-10s %llu packets, %llu windows\n", link.name.c_str(),
-                  static_cast<unsigned long long>(link.counters.packets),
-                  static_cast<unsigned long long>(link.counters.reports));
-    }
+  std::printf("\n%llu windows over %zu links, %llu packets\n",
+              static_cast<unsigned long long>(printed), links.size(),
+              packets);
+  for (const auto& link : eng.links()) {
+    std::printf("  %-10s %llu packets, %llu windows\n", link.name.c_str(),
+                static_cast<unsigned long long>(link.counters.packets),
+                static_cast<unsigned long long>(link.counters.reports));
   }
   return 0;
 }
@@ -664,7 +364,7 @@ int run_engine(const Options& opt) {
 int main(int argc, char** argv) {
   const Options opt = parse_args(argc, argv);
   try {
-    return opt.links.empty() ? run_single(opt) : run_engine(opt);
+    return run(opt);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -1,8 +1,7 @@
 // fbm_query — range scans, downsampling and retention over a report store.
 //
-// Usage:
-//   fbm_query <store.fbms> [--link NAME] [--from S] [--to S] [--no-dedup]
-//             [--downsample S] [--agg mean|max] [--trim-before S] [--stats]
+// Usage: fbm_query <store.fbms> [flags]; the flag list is the table in
+// parse_args() (run with no arguments to print it).
 //
 // The store (src/store/report_store.hpp) is the append-only file fbm_live
 // --store / fbm_analyze --store write. The default query dumps the matching
@@ -23,26 +22,28 @@
 // a temp file + atomic rename. --stats prints a one-object summary instead
 // of records (including whether the file ends in a torn frame).
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "cli.hpp"
 #include "core/json_writer.hpp"
-#include "metrics_cli.hpp"
 #include "store/report_store.hpp"
 
 namespace {
+
+using fbm::tools::Kind;
 
 struct Options {
   std::string path;
   std::optional<std::string> link;
   double from = -std::numeric_limits<double>::infinity();
   double to = std::numeric_limits<double>::infinity();
-  bool dedup = true;
+  bool no_dedup = false;
   double downsample = 0.0;  // 0 = raw records
   bool agg_max = false;     // false = mean
   double trim_before = std::numeric_limits<double>::quiet_NaN();
@@ -50,68 +51,26 @@ struct Options {
   fbm::tools::MetricsOptions metrics;
 };
 
-[[noreturn]] void usage() {
-  std::fprintf(stderr,
-               "usage: fbm_query <store.fbms> [--link NAME] [--from S] "
-               "[--to S] [--no-dedup] [--downsample S] [--agg mean|max] "
-               "[--trim-before S] [--stats] [--metrics FILE] "
-               "[--metrics-every S] [--metrics-prom FILE]\n");
-  std::exit(2);
-}
-
 Options parse_args(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto need_value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag);
-        usage();
-      }
-      return argv[++i];
-    };
-    if (arg == "--link") {
-      opt.link = std::string(need_value("--link"));
-    } else if (arg == "--from") {
-      opt.from = std::atof(need_value("--from"));
-    } else if (arg == "--to") {
-      opt.to = std::atof(need_value("--to"));
-    } else if (arg == "--no-dedup") {
-      opt.dedup = false;
-    } else if (arg == "--downsample") {
-      opt.downsample = std::atof(need_value("--downsample"));
-      if (!(opt.downsample > 0.0)) {
-        std::fprintf(stderr, "--downsample wants a bucket width > 0\n");
-        usage();
-      }
-    } else if (arg == "--agg") {
-      const std::string v = need_value("--agg");
-      if (v == "max") {
-        opt.agg_max = true;
-      } else if (v == "mean") {
-        opt.agg_max = false;
-      } else {
-        std::fprintf(stderr, "--agg wants mean or max, got \"%s\"\n",
-                     v.c_str());
-        usage();
-      }
-    } else if (arg == "--trim-before") {
-      opt.trim_before = std::atof(need_value("--trim-before"));
-    } else if (fbm::tools::parse_metrics_flag(argc, argv, i, opt.metrics,
-                                              usage)) {
-      // consumed --metrics / --metrics-every / --metrics-prom
-    } else if (arg == "--stats") {
-      opt.stats = true;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
-      usage();
-    } else if (opt.path.empty()) {
-      opt.path = arg;
-    } else {
-      usage();
-    }
+  std::string link;
+  std::string agg = "mean";
+  fbm::tools::Cli cli(
+      "fbm_query", "<store.fbms>", &opt.path,
+      {{"--link", &link, Kind::text, "NAME"},
+       {"--from", &opt.from, Kind::real, "S"},
+       {"--to", &opt.to, Kind::real, "S"},
+       {"--no-dedup", &opt.no_dedup, Kind::flag, ""},
+       {"--downsample", &opt.downsample, Kind::seconds, "S"},
+       {"--agg", &agg, Kind::text, "mean|max"},
+       {"--trim-before", &opt.trim_before, Kind::real, "S"},
+       {"--stats", &opt.stats, Kind::flag, ""}});
+  cli.add(fbm::tools::metrics_flags(opt.metrics)).parse(argc, argv);
+  if (cli.given("--link")) opt.link = link;
+  if (agg != "mean" && agg != "max") {
+    cli.fail("--agg wants mean or max, got \"" + agg + "\"");
   }
-  if (opt.path.empty()) usage();
+  opt.agg_max = agg == "max";
   return opt;
 }
 
@@ -219,7 +178,7 @@ int main(int argc, char** argv) {
     scan.link = opt.link;
     scan.from_s = opt.from;
     scan.to_s = opt.to;
-    scan.dedup = opt.dedup;
+    scan.dedup = !opt.no_dedup;
     const auto records = reader.scan(scan);
     if (opt.downsample > 0.0) {
       print_downsampled(records, opt);

@@ -1,74 +1,44 @@
 // fbm_scenario — run a scenario end to end: generate the regime-switching
-// stream, push it through live analysis (single estimator or multi-link
-// engine), score the monitor's alerts against the injected ground truth,
-// and emit the precision/recall/latency report.
+// stream, push it through live analysis on the multi-link engine, score the
+// monitor's alerts against the injected ground truth, and emit the
+// precision/recall/latency report.
 //
-// Usage:
-//   fbm_scenario <scenario.scn>
-//     [--window S] [--stride S] [--timeout S] [--delta S] [--prefix24]
-//     [--eps P] [--k-sigma K] [--max-order M] [--consecutive N] [--warmup N]
-//     [--link NAME=PREFIX[,...]]... [--threads N] [--batch N]
-//     [--json FILE] [--report FILE] [--trace FILE] [--truth FILE]
-//     [--min-precision P] [--min-recall R]
-//     [--metrics FILE] [--metrics-every N] [--metrics-prom FILE]
+// Usage: fbm_scenario <scenario.scn> [flags]; the flag list is the table in
+// parse_args() (run with no arguments to print it).
 //
 // The score JSON document (scenario/score.hpp schema) goes to stdout, or
-// to --json FILE with a one-line human summary on stdout instead.
-// --link switches to engine live mode (repeatable; truth events carrying
-// link names are matched against these). --min-precision/--min-recall turn
-// the run into a gate: exit 1 when the score falls below either floor —
-// the scenario-smoke CI job runs the bundled scenarios exactly this way.
-// --trace/--truth additionally write the replayable .fbmt trace and the
-// truth log, byte-identical to what fbm_trace_gen --scenario produces.
-#include <atomic>
+// to --json FILE with a one-line human summary on stdout instead. The
+// stream runs through the multi-link engine; without --link it is one
+// match-all link observed untagged. --link (repeatable) demuxes it instead,
+// and truth events carrying link names are matched against these.
+// --threads N spreads the sessions over a worker pool, with or without
+// --link. --window and --stride default to the spec's suggestion.
+// --min-precision/--min-recall turn the run into a gate: exit 1 when the
+// score falls below either floor — the scenario-smoke CI job runs the
+// bundled scenarios exactly this way. --trace/--truth additionally write
+// the replayable .fbmt trace and the truth log, byte-identical to what
+// fbm_trace_gen --scenario produces.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "engine/engine.hpp"
-#include "live/live.hpp"
+#include "cli.hpp"
 #include "obs/catalog.hpp"
 #include "scenario/score.hpp"
 #include "scenario/source.hpp"
 #include "scenario/spec.hpp"
 #include "scenario/truth.hpp"
 #include "trace/trace_format.hpp"
-#include "metrics_cli.hpp"
 
 namespace {
 
-[[noreturn]] void usage() {
-  std::fprintf(
-      stderr,
-      "usage: fbm_scenario <scenario.scn> [--window S] [--stride S] "
-      "[--timeout S] [--delta S] [--prefix24] [--eps P] [--k-sigma K] "
-      "[--max-order M] [--consecutive N] [--warmup N] "
-      "[--link NAME=PREFIX[,...]]... "
-      "[--threads N] [--batch N] [--json FILE] [--report FILE] "
-      "[--trace FILE] [--truth FILE] [--min-precision P] [--min-recall R] "
-      "[--metrics FILE] [--metrics-every N] [--metrics-prom FILE]\n");
-  std::exit(2);
-}
+using fbm::tools::Kind;
 
 struct Options {
   std::string spec_path;
-  double window = 0.0;   // 0 = take the spec's suggestion
-  double stride = -1.0;  // <0 = take the spec's suggestion
-  double timeout = 1.0;
-  double delta = 0.1;
-  bool prefix24 = false;
-  double eps = 0.01;
-  double k_sigma = 3.0;
-  std::size_t max_order = 8;
-  std::size_t consecutive = 1;
-  std::size_t warmup = 8;  ///< windows unjudged while the forecaster settles
-  std::vector<std::string> links;  // empty = single estimator
-  std::size_t threads = 1;
-  std::size_t batch = 1024;
+  fbm::tools::LiveOptions live;
   std::string json_path;    // empty = JSON to stdout
   std::string report_path;  // window JSONL dump
   std::string trace_path;   // replayable .fbmt
@@ -80,94 +50,22 @@ struct Options {
 
 Options parse_args(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto need_value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag);
-        usage();
-      }
-      return argv[++i];
-    };
-    if (arg == "--window") {
-      opt.window = std::atof(need_value("--window"));
-    } else if (arg == "--stride") {
-      opt.stride = std::atof(need_value("--stride"));
-    } else if (arg == "--timeout") {
-      opt.timeout = std::atof(need_value("--timeout"));
-    } else if (arg == "--delta") {
-      opt.delta = std::atof(need_value("--delta"));
-    } else if (arg == "--prefix24") {
-      opt.prefix24 = true;
-    } else if (arg == "--eps") {
-      opt.eps = std::atof(need_value("--eps"));
-    } else if (arg == "--k-sigma") {
-      opt.k_sigma = std::atof(need_value("--k-sigma"));
-    } else if (arg == "--max-order") {
-      opt.max_order = fbm::tools::to_count(
-          std::atof(need_value("--max-order")), "--max-order", usage);
-    } else if (arg == "--consecutive") {
-      opt.consecutive = fbm::tools::to_count(
-          std::atof(need_value("--consecutive")), "--consecutive", usage);
-    } else if (arg == "--warmup") {
-      opt.warmup = fbm::tools::to_count(std::atof(need_value("--warmup")),
-                                        "--warmup", usage);
-    } else if (arg == "--link") {
-      opt.links.emplace_back(need_value("--link"));
-    } else if (arg == "--threads") {
-      opt.threads =
-          fbm::tools::to_threads(std::atof(need_value("--threads")), usage);
-    } else if (arg == "--batch") {
-      opt.batch = fbm::tools::to_count(std::atof(need_value("--batch")),
-                                       "--batch", usage);
-      if (opt.batch == 0) usage();
-    } else if (arg == "--json") {
-      opt.json_path = need_value("--json");
-    } else if (arg == "--report") {
-      opt.report_path = need_value("--report");
-    } else if (arg == "--trace") {
-      opt.trace_path = need_value("--trace");
-    } else if (arg == "--truth") {
-      opt.truth_path = need_value("--truth");
-    } else if (arg == "--min-precision") {
-      opt.min_precision = std::atof(need_value("--min-precision"));
-    } else if (arg == "--min-recall") {
-      opt.min_recall = std::atof(need_value("--min-recall"));
-    } else if (fbm::tools::parse_metrics_flag(argc, argv, i, opt.metrics,
-                                              usage)) {
-      // handled
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
-      usage();
-    } else if (opt.spec_path.empty()) {
-      opt.spec_path = arg;
-    } else {
-      usage();
-    }
-  }
-  if (opt.spec_path.empty()) usage();
+  opt.live.window = 0.0;   // 0 = take the spec's suggestion
+  opt.live.stride = -1.0;  // <0 = take the spec's suggestion
+  opt.live.analysis.timeout = 1.0;
+  opt.live.analysis.delta = 0.1;
+  opt.live.warmup = 8;
+  fbm::tools::Cli("fbm_scenario", "<scenario.scn>", &opt.spec_path,
+                  fbm::tools::live_flags(opt.live))
+      .add({{"--json", &opt.json_path, Kind::text, "FILE"},
+            {"--report", &opt.report_path, Kind::text, "FILE"},
+            {"--trace", &opt.trace_path, Kind::text, "FILE"},
+            {"--truth", &opt.truth_path, Kind::text, "FILE"},
+            {"--min-precision", &opt.min_precision, Kind::real, "P"},
+            {"--min-recall", &opt.min_recall, Kind::real, "R"}})
+      .add(fbm::tools::metrics_flags(opt.metrics))
+      .parse(argc, argv);
   return opt;
-}
-
-fbm::live::LiveConfig make_live_config(const Options& opt,
-                                       const fbm::scenario::ScenarioSpec&
-                                           spec) {
-  using namespace fbm;
-  live::LiveConfig config;
-  config.window_s = opt.window > 0.0 ? opt.window : spec.window_s;
-  config.stride_s = opt.stride >= 0.0 ? opt.stride : spec.stride_s;
-  config.band_k_sigma = opt.k_sigma;
-  config.forecast_max_order = opt.max_order;
-  config.alert_min_consecutive = opt.consecutive;
-  config.alert_warmup_windows = opt.warmup;
-  config.analysis
-      .flow_definition(opt.prefix24 ? api::FlowDefinition::prefix24
-                                    : api::FlowDefinition::five_tuple)
-      .timeout_s(opt.timeout)
-      .delta_s(opt.delta)
-      .epsilon(opt.eps);
-  config.validate();
-  return config;
 }
 
 }  // namespace
@@ -179,7 +77,11 @@ int main(int argc, char** argv) {
     const scenario::ScenarioSpec spec =
         scenario::load_scenario(opt.spec_path);
     const scenario::TruthLog truth = scenario::derive_truth(spec);
-    const live::LiveConfig config = make_live_config(opt, spec);
+    tools::LiveOptions live = opt.live;
+    if (live.window <= 0.0) live.window = spec.window_s;
+    if (live.stride < 0.0) live.stride = spec.stride_s;
+    const live::LiveConfig config = live.config();
+    config.validate();
 
     obs::MetricsExporter metrics = tools::make_metrics_exporter(opt.metrics);
     tools::MetricsFinishGuard metrics_guard(metrics);
@@ -209,58 +111,42 @@ int main(int argc, char** argv) {
     std::vector<scenario::ObservedWindow> observed;
     std::uint64_t packets = 0;
 
-    obs::Histogram& gen_stage =
-        obs::stage_seconds(obs::kStageScenarioGen);
-    const auto drain = [&](auto&& push_batch) {
-      net::PacketBatch batch;
-      while (true) {
-        std::size_t n = 0;
-        {
-          obs::StageSpan span(gen_stage);
-          n = source.next_batch(batch, opt.batch);
-        }
-        if (n == 0) break;
-        packets += n;
-        obs::scenario_packets().add(n);
-        if (trace_out) {
-          for (std::size_t i = 0; i < n; ++i) {
-            trace_out->append(batch.record(i));
-          }
-        }
-        push_batch(batch);
-        metrics.tick();
+    engine::EngineConfig econfig;
+    econfig.mode = engine::EngineMode::live;
+    econfig.live = config;
+    econfig.threads = opt.live.analysis.threads;
+    const bool tagged = !opt.live.analysis.links.empty();
+    engine::Engine eng(econfig);
+    // Serialized by the engine even under a worker pool, so the plain
+    // vector append is safe.
+    eng.set_report_sink([&](engine::LinkReport&& r) {
+      if (report_out) {
+        *report_out << (tagged ? engine::to_jsonl(r)
+                               : live::to_jsonl(*r.window))
+                    << "\n";
       }
-    };
-
-    if (opt.links.empty()) {
-      live::WindowedEstimator estimator(config);
-      estimator.set_window_sink([&](live::WindowReport&& r) {
-        if (report_out) *report_out << live::to_jsonl(r) << "\n";
-        observed.push_back(scenario::observe(r));
-      });
-      drain([&](const net::PacketBatch& b) { estimator.push_batch(b); });
-      estimator.finish();
-    } else {
-      engine::EngineConfig econfig;
-      econfig.mode = engine::EngineMode::live;
-      econfig.live = config;
-      econfig.threads = opt.threads;
-      engine::Engine eng(econfig);
-      // Serialized by the engine even under a worker pool, so the plain
-      // vector append is safe.
-      eng.set_report_sink([&](engine::LinkReport&& r) {
-        if (!r.window) return;
-        if (report_out) {
-          *report_out << live::to_jsonl(*r.window, r.name) << "\n";
-        }
-        observed.push_back(scenario::observe(*r.window, r.name));
-      });
-      for (const auto& text : opt.links) {
-        (void)eng.attach(engine::parse_link_spec(text));
+      observed.push_back(tagged ? scenario::observe(*r.window, r.name)
+                                : scenario::observe(*r.window));
+    });
+    (void)tools::attach_links(eng, opt.live.analysis.links, {});
+    net::PacketBatch batch;
+    obs::Histogram& gen_stage = obs::stage_seconds(obs::kStageScenarioGen);
+    while (true) {
+      std::size_t n = 0;
+      {
+        obs::StageSpan span(gen_stage);
+        n = source.next_batch(batch, config.analysis.batch_packets());
       }
-      drain([&](const net::PacketBatch& b) { eng.push_batch(b); });
-      eng.finish();
+      if (n == 0) break;
+      packets += n;
+      obs::scenario_packets().add(n);
+      if (trace_out) {
+        for (std::size_t i = 0; i < n; ++i) trace_out->append(batch.record(i));
+      }
+      eng.push_batch(batch);
+      metrics.tick();
     }
+    eng.finish();
     if (trace_out) trace_out->close();
 
     obs::scenario_flows("attack").add(source.attack_flows());

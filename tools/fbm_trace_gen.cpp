@@ -1,10 +1,7 @@
 // fbm_trace_gen — generate a synthetic backbone trace file.
 //
-// Usage:
-//   fbm_trace_gen <out.fbmt|out.pcap|out.csv> [--duration S] [--mbps M]
-//                 [--lambda F] [--tcp-fraction P] [--seed N] [--profile I]
-//   fbm_trace_gen <out.fbmt|out.pcap|out.csv> --scenario FILE
-//                 [--truth FILE] [--seed N]
+// Usage: fbm_trace_gen <out.fbmt|out.pcap|out.csv> [flags]; the flag list
+// is the table in main() (run with no arguments to print it).
 //
 // Either pick a Table-I profile (--profile 0..6, scaled) or set the target
 // utilization / flow rate directly. The output format follows the file
@@ -17,10 +14,10 @@
 // re-analyzed and scored offline with fbm_scenario / fbm_live. --seed
 // overrides the spec's seed; the other generator flags do not apply.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "cli.hpp"
 #include "scenario/source.hpp"
 #include "scenario/spec.hpp"
 #include "scenario/truth.hpp"
@@ -29,65 +26,30 @@
 #include "trace/synthetic.hpp"
 #include "trace/trace_format.hpp"
 
-namespace {
-
-[[noreturn]] void usage() {
-  std::fprintf(stderr,
-               "usage: fbm_trace_gen <out.fbmt|.pcap|.csv> [--duration S] "
-               "[--mbps M] [--lambda F] [--tcp-fraction P] [--seed N] "
-               "[--profile 0..6] [--scenario FILE [--truth FILE]]\n");
-  std::exit(2);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace fbm;
+  using tools::Kind;
 
   std::string out_path;
   double duration = 60.0;
   double mbps = 10.0;
   double lambda = 0.0;
-  double tcp_fraction = -1.0;
+  double tcp_fraction = -1.0;  // <0 = the generator's default
   std::uint64_t seed = stats::Rng::default_seed;
-  bool seed_set = false;
-  int profile = -1;
+  std::uint64_t profile = 0;
   std::string scenario_path;
   std::string truth_path;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> const char* {
-      if (i + 1 >= argc) usage();
-      return argv[++i];
-    };
-    if (arg == "--duration") {
-      duration = std::atof(value());
-    } else if (arg == "--mbps") {
-      mbps = std::atof(value());
-    } else if (arg == "--lambda") {
-      lambda = std::atof(value());
-    } else if (arg == "--tcp-fraction") {
-      tcp_fraction = std::atof(value());
-    } else if (arg == "--seed") {
-      seed = std::strtoull(value(), nullptr, 10);
-      seed_set = true;
-    } else if (arg == "--profile") {
-      profile = std::atoi(value());
-    } else if (arg == "--scenario") {
-      scenario_path = value();
-    } else if (arg == "--truth") {
-      truth_path = value();
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
-      usage();
-    } else if (out_path.empty()) {
-      out_path = arg;
-    } else {
-      usage();
-    }
-  }
-  if (out_path.empty()) usage();
+  tools::Cli cli("fbm_trace_gen", "<out.fbmt|.pcap|.csv>", &out_path,
+                 {{"--duration", &duration, Kind::real, "S"},
+                  {"--mbps", &mbps, Kind::real, "M"},
+                  {"--lambda", &lambda, Kind::real, "F"},
+                  {"--tcp-fraction", &tcp_fraction, Kind::fraction, "P"},
+                  {"--seed", &seed, Kind::seed, "N"},
+                  {"--profile", &profile, Kind::count, "0..6"},
+                  {"--scenario", &scenario_path, Kind::text, "FILE"},
+                  {"--truth", &truth_path, Kind::text, "FILE"}});
+  cli.parse(argc, argv);
+  if (profile > 6) cli.fail("--profile wants 0..6");
 
   const auto ends_with = [&](const char* suffix) {
     const std::size_t n = std::strlen(suffix);
@@ -98,7 +60,7 @@ int main(int argc, char** argv) {
   if (!scenario_path.empty()) {
     try {
       scenario::ScenarioSpec spec = scenario::load_scenario(scenario_path);
-      if (seed_set) spec.seed = seed;
+      if (cli.given("--seed")) spec.seed = seed;
       const scenario::TruthLog truth = scenario::derive_truth(spec);
       if (truth_path.empty()) truth_path = out_path + ".truth";
       scenario::write_truth_file(truth_path, truth);
@@ -143,8 +105,7 @@ int main(int argc, char** argv) {
   }
 
   trace::SyntheticConfig cfg;
-  if (profile >= 0) {
-    if (profile > 6) usage();
+  if (cli.given("--profile")) {
     cfg = trace::make_config(static_cast<std::size_t>(profile));
     cfg.duration_s = duration;
   } else {
