@@ -3,7 +3,8 @@
 // measurement-driven predictor (bottom panel).
 //
 // Paper: iota = 10 s on a 30-min trace; both predictors track the measured
-// rate closely. Scaled run: iota = 2 s on a 240 s trace.
+// rate closely. Scaled run: iota = 2 s on a 240 s trace. Checked: both
+// errors lie in Table II's ballpark (single digits to low teens, <= 14%).
 #include <cstdio>
 #include <vector>
 
@@ -56,10 +57,11 @@ FBM_BENCH(fig14_prediction_series) {
                 series.values[i] / 1e6, rep_model.predictions[i] / 1e6,
                 rep_data.predictions[i] / 1e6);
   }
-  std::printf("\nerrors: model-driven %.2f%%, data-driven %.2f%%\n",
-              100.0 * rep_model.relative_error,
-              100.0 * rep_data.relative_error);
-  std::printf("check: both predictions hug the measured series (paper "
-              "Figure 14)\n");
+  std::printf("\n");
+  const char* source = "Fig. 14 at Table II's ballpark: <= low teens";
+  ctx.check("error, model-driven predictor", rep_model.relative_error, 0.0,
+            0.14, source);
+  ctx.check("error, data-driven predictor", rep_data.relative_error, 0.0,
+            0.14, source);
   return 0;
 }

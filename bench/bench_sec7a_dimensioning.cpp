@@ -9,8 +9,18 @@
 // the 1/sqrt(lambda) law both analytically (Corollaries 1-2) and against a
 // re-measured synthetic trace at the higher arrival rate. It also compares
 // with the constant-rate M/G/infinity baseline of [3].
+//
+// Checked: the analytical CoV equals base/sqrt(lambda x) to rounding
+// (Corollaries 1-2) and capacity/mean falls at every step; each 4x in
+// lambda multiplies the measured CoV by 0.5 within the paper's +-20% model
+// band; the identical-rate baseline's CoV is below the shot-noise
+// rectangular one, which is below the measured one.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "common.hpp"
 #include "core/mg_infinity.hpp"
@@ -36,19 +46,29 @@ FBM_BENCH(sec7a_dimensioning) {
   std::printf("%9s %12s %10s %10s %13s %10s\n", "lambda x", "mean Mbps",
               "CoV", "pred CoV", "capacity", "cap/mean");
   const auto base_plan = dimension::plan_link(base, 1.0, eps);
+  // Largest relative gap between the CoV and base/sqrt(f), and whether
+  // capacity/mean fell at every step.
+  double worst_cov_gap = 0.0;
+  double prev_headroom = std::numeric_limits<double>::infinity();
+  std::size_t headroom_rises = 0;
   for (double f : {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0}) {
     const auto plan = dimension::plan_link(core::scale_lambda(base, f), 1.0,
                                            eps);
+    const double predicted = base_plan.cov / std::sqrt(f);
     std::printf("%9.0f %12.2f %9.1f%% %9.1f%% %10.2f Mbps %9.2fx\n", f,
-                plan.mean_bps / 1e6, 100.0 * plan.cov,
-                100.0 * base_plan.cov / std::sqrt(f),
+                plan.mean_bps / 1e6, 100.0 * plan.cov, 100.0 * predicted,
                 plan.capacity_bps / 1e6, plan.headroom);
+    worst_cov_gap =
+        std::max(worst_cov_gap, std::abs(plan.cov / predicted - 1.0));
+    if (!(plan.headroom < prev_headroom)) ++headroom_rises;
+    prev_headroom = plan.headroom;
   }
 
   // Empirical confirmation: regenerate traffic at 4x the arrival rate and
   // re-measure the CoV.
   std::printf("\nempirical check (regenerated traces):\n");
   double prev_cov = -1.0;
+  std::vector<std::pair<double, double>> cov_steps;  // (lambda x, ratio)
   for (double f : {1.0, 4.0, 16.0}) {
     trace::SyntheticConfig cfg;
     cfg.duration_s = 60.0;
@@ -63,6 +83,7 @@ FBM_BENCH(sec7a_dimensioning) {
     if (prev_cov > 0.0) {
       std::printf("    ratio to previous: %.2f (expect ~0.5)\n",
                   mm.cov / prev_cov);
+      cov_steps.emplace_back(f, mm.cov / prev_cov);
     }
     prev_cov = mm.cov;
   }
@@ -81,7 +102,24 @@ FBM_BENCH(sec7a_dimensioning) {
               "%.1f%% vs shot-noise rectangular %.1f%% vs measured %.1f%%\n",
               100.0 * baseline.cov(), 100.0 * core::power_shot_cov(base, 0.0),
               100.0 * run.five_tuple[0].measured.cov);
-  std::printf("check: capacity grows sublinearly; CoV halves per 4x lambda; "
-              "identical-rate baseline under-estimates variability\n");
+  std::printf("\n");
+  ctx.check("analytical CoV vs base/sqrt(f), worst gap", worst_cov_gap, 0.0,
+            1e-12, "Corollaries 1-2: CoV ~ 1/sqrt(lambda)");
+  ctx.check("steps where capacity/mean does not fall",
+            static_cast<double>(headroom_rises), 0.0, 0.0,
+            "Section VII-A: capacity grows sublinearly in lambda");
+  for (const auto& [f, ratio] : cov_steps) {
+    char label[64];
+    std::snprintf(label, sizeof label, "measured CoV ratio, x%g vs x%g", f,
+                  f / 4.0);
+    ctx.check(label, ratio, 0.5 * 0.8, 0.5 * 1.2,
+              "Corollary 2: 1/2 per 4x lambda, paper's +-20% band");
+  }
+  const double rect_cov = core::power_shot_cov(base, 0.0);
+  ctx.check("identical-rate baseline CoV", baseline.cov(), 0.0, rect_cov,
+            "Section VII-A: [3] ignores the spread of S^2/D");
+  ctx.check("shot-noise rectangular CoV", rect_cov, 0.0,
+            run.five_tuple[0].measured.cov,
+            "Theorem 3: the rectangle is the variance floor");
   return 0;
 }

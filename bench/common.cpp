@@ -1,7 +1,6 @@
 #include "common.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <filesystem>
@@ -9,7 +8,6 @@
 #include <system_error>
 
 #include "api/api.hpp"
-#include "obs/catalog.hpp"
 #include "obs/export.hpp"
 #include "trace/synthetic.hpp"
 
@@ -28,20 +26,6 @@ bool g_quick = false;
 
 }  // namespace
 
-std::size_t bench_threads() {
-  // Resolved once per process: the satellite fix for re-reading the
-  // environment on every call. The cached value is logged into every
-  // BenchReport's config by run_registered.
-  static const std::size_t cached = [] {
-    if (const char* env = std::getenv("FBM_BENCH_THREADS")) {
-      const long v = std::atol(env);
-      if (v > 0) return static_cast<std::size_t>(v);
-    }
-    return std::size_t{1};
-  }();
-  return cached;
-}
-
 trace::ScaleOptions default_scale() {
   trace::ScaleOptions scale;
   scale.time_scale = 1.0 / 60.0;  // 30-min interval -> 30 s
@@ -54,14 +38,6 @@ trace::ScaleOptions default_scale() {
 
 namespace {
 
-/// Classify + fit stage-histogram seconds so far — the analyze-only clock.
-/// CPU seconds, strictly: with FBM_BENCH_THREADS > 1 shard spans overlap.
-double analyze_stage_seconds() {
-  static obs::Histogram& classify_h = obs::stage_seconds(obs::kStageClassify);
-  static obs::Histogram& fit_h = obs::stage_seconds(obs::kStageFit);
-  return classify_h.sum() + fit_h.sum();
-}
-
 std::vector<IntervalResult> analyse(api::FlowDefinition flow_def,
                                     const std::vector<net::PacketRecord>& packets,
                                     double interval_s, double timeout_s) {
@@ -71,10 +47,8 @@ std::vector<IntervalResult> analyse(api::FlowDefinition flow_def,
       .timeout_s(timeout_s)
       .delta_s(measure::kPaperDelta)
       .min_flows(20)  // skip ragged tail intervals
-      .keep_flows(true)
-      .threads(bench_threads());
+      .keep_flows(true);
 
-  const double analyze_before = analyze_stage_seconds();
   std::vector<IntervalResult> out;
   for (auto& report : api::analyze(packets, config)) {
     IntervalResult r;
@@ -85,17 +59,7 @@ std::vector<IntervalResult> analyse(api::FlowDefinition flow_def,
   }
 
   if (g_active_context != nullptr) {
-    g_active_context->count_analyze(
-        flow_def == api::FlowDefinition::prefix24 ? "prefix24" : "five_tuple",
-        packets.size(), analyze_stage_seconds() - analyze_before);
     g_active_context->count_packets(packets.size());
-    std::uint64_t bytes = 0;
-    for (const auto& p : packets) bytes += p.size_bytes;
-    g_active_context->count_bytes(bytes);
-    g_active_context->count_intervals(out.size());
-    for (const auto& r : out) {
-      g_active_context->count_flows(r.interval.flows.size());
-    }
   }
   return out;
 }
@@ -140,6 +104,16 @@ void print_header(const std::string& title) {
 
 // --------------------------------------------------------------- registry ---
 
+void Context::check(const std::string& label, double value, double lo,
+                    double hi, const std::string& source) {
+  const bool ok = value >= lo && value <= hi;  // false for NaN
+  ++checks_;
+  if (!ok) ++failed_;
+  std::printf("check: %-46s %-11.6g in [%.6g, %.6g]  %s  (%s)\n",
+              label.c_str(), value, lo, hi, ok ? "ok" : "FAIL",
+              source.c_str());
+}
+
 namespace {
 
 std::vector<BenchInfo>& registry() {
@@ -165,18 +139,14 @@ int run_registered(const BenchInfo& info, bool quick,
   g_active_context = &context;
   g_quick = quick;
   const auto scale = default_scale();
-  report.set_config("threads", static_cast<std::uint64_t>(bench_threads()));
   report.set_config("quick", quick);
   report.set_config("time_scale", scale.time_scale);
   report.set_config("rate_scale", scale.rate_scale);
   report.set_config("max_length_s", scale.max_length_s);
 
   // The obs registry delta of this run rides along in the report's "obs"
-  // section, and the classify+fit stage timers give the analyze-only
-  // throughput (generation and reporting excluded) — the number the
-  // "<bench>.analyze" baseline entries gate.
+  // section.
   const obs::Snapshot obs_before = obs::Registry::global().snapshot();
-  const double analyze_before = analyze_stage_seconds();
 
   perf::Stopwatch watch;
   int rc = 1;
@@ -188,18 +158,12 @@ int run_registered(const BenchInfo& info, bool quick,
   report.wall_s = watch.elapsed_s();
   report.packets_per_s =
       report.wall_s > 0.0
-          ? static_cast<double>(report.counters.packets) / report.wall_s
+          ? static_cast<double>(report.packets) / report.wall_s
           : 0.0;
-  const double analyze_s = analyze_stage_seconds() - analyze_before;
-  report.analyze_packets_per_s =
-      analyze_s > 0.0
-          ? static_cast<double>(report.counters.packets) / analyze_s
-          : 0.0;
-  for (const auto& [def, cell] : context.analyze_by_def()) {
-    if (cell.second > 0.0) {
-      report.set_metric("analyze_packets_per_s_" + def,
-                        static_cast<double>(cell.first) / cell.second);
-    }
+  if (context.failed_checks() > 0) {
+    std::fprintf(stderr, "bench %s: %zu of %zu checks failed\n", info.name,
+                 context.failed_checks(), context.checks());
+    if (rc == 0) rc = 1;
   }
   const obs::Snapshot obs_after = obs::Registry::global().snapshot();
   const obs::Snapshot obs_delta = obs::delta(obs_before, obs_after);

@@ -6,10 +6,10 @@
 // splitting) -> per-interval model inputs + measured rate moments at
 // Delta = 200 ms, all in one streaming pass.
 //
-// Scaling relative to the paper (documented in EXPERIMENTS.md): the 30-min
-// analysis interval becomes 30 s (time_scale = 1/60), trace lengths are
-// capped at 240 s, and utilizations are divided by 10 (26-262 Mbps ->
-// 2.6-26.2 Mbps) so every bench finishes in seconds on a laptop.
+// Scaling relative to the paper (default_scale below): the 30-min analysis
+// interval becomes 30 s (time_scale = 1/60), trace lengths are capped at
+// 240 s (90 s in quick mode), and utilizations are divided by 10 (26-262
+// Mbps -> 2.6-26.2 Mbps) so every bench finishes in seconds on a laptop.
 //
 // Registry: every bench defines its body with FBM_BENCH(name) instead of a
 // bare main(). That registers the body so the fbm_bench runner can execute
@@ -18,12 +18,16 @@
 // standalone binary (which accepts --quick / --json DIR too). Every run is
 // wrapped in a perf::BenchReport: wall time, packets/s, peak RSS, resolved
 // config, git sha.
+//
+// Checks: a reproduction bench asserts each number it reproduces with
+// Context::check against a band taken from the paper or from the model,
+// and exits non-zero when any value leaves its band. CMake registers those
+// benches as ctest `repro_<name>` tests (label `repro`, --quick).
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <span>
 #include <string>
 #include <utility>
@@ -35,7 +39,6 @@
 #include "net/packet.hpp"
 #include "net/packet_batch.hpp"
 #include "perf/bench_report.hpp"
-#include "perf/counters.hpp"
 #include "perf/stopwatch.hpp"
 #include "trace/sprint_profiles.hpp"
 
@@ -44,14 +47,6 @@ namespace fbm::bench {
 /// Default scaling for all benches; quick mode (fbm_bench --quick) shortens
 /// the trace cap so the whole suite smoke-runs in CI.
 [[nodiscard]] trace::ScaleOptions default_scale();
-
-/// Worker shards the benches analyze with: FBM_BENCH_THREADS from the
-/// environment, read once and cached (the resolved value is logged into
-/// every BenchReport's config). Default 1 (serial). Any value yields
-/// bit-for-bit identical results — the parallel pipeline's merge is
-/// deterministic — so bench numbers stay reproducible while the
-/// classification work spreads over cores.
-[[nodiscard]] std::size_t bench_threads();
 
 /// Feeds `packets` to `stage.push_batch` in chunks of `batch_packets`
 /// (AoS -> SoA per chunk) — the one way every analysis stage ingests. The
@@ -99,8 +94,8 @@ void print_header(const std::string& title);
 
 // --------------------------------------------------------------- registry ---
 
-/// Handed to each bench body: quick-mode flag plus the report the bench may
-/// enrich with bench-specific config and metrics.
+/// Handed to each bench body: quick-mode flag, the report the bench may
+/// enrich with bench-specific config and metrics, and the check tally.
 class Context {
  public:
   Context(perf::BenchReport& report, bool quick)
@@ -109,33 +104,23 @@ class Context {
   [[nodiscard]] bool quick() const { return quick_; }
   [[nodiscard]] perf::BenchReport& report() { return report_; }
 
-  void count_packets(std::uint64_t n) { report_.counters.packets += n; }
-  void count_flows(std::uint64_t n) { report_.counters.flows += n; }
-  void count_intervals(std::uint64_t n) { report_.counters.intervals += n; }
-  void count_bytes(std::uint64_t n) {
-    report_.counters.bytes_classified += n;
-  }
+  void count_packets(std::uint64_t n) { report_.packets += n; }
 
-  /// Analyze-only accounting per flow definition ("five_tuple"/"prefix24"):
-  /// packets pushed and classify+fit stage seconds spent on them. Filled by
-  /// analyse() from the obs stage timers; run_registered turns each entry
-  /// into an "analyze_packets_per_s_<def>" metric.
-  void count_analyze(const std::string& flow_def, std::uint64_t packets,
-                     double seconds) {
-    auto& cell = analyze_by_def_[flow_def];
-    cell.first += packets;
-    cell.second += seconds;
-  }
-  [[nodiscard]] const std::map<std::string,
-                               std::pair<std::uint64_t, double>>&
-  analyze_by_def() const {
-    return analyze_by_def_;
-  }
+  /// Asserts one reproduced number: prints the label, the value, the band
+  /// [lo, hi] and `source` (the paper's statement or model result the band
+  /// comes from), and fails the bench when the value lies outside the band
+  /// or is NaN.
+  void check(const std::string& label, double value, double lo, double hi,
+             const std::string& source);
+
+  [[nodiscard]] std::size_t checks() const { return checks_; }
+  [[nodiscard]] std::size_t failed_checks() const { return failed_; }
 
  private:
   perf::BenchReport& report_;
   bool quick_;
-  std::map<std::string, std::pair<std::uint64_t, double>> analyze_by_def_;
+  std::size_t checks_ = 0;
+  std::size_t failed_ = 0;
 };
 
 using BenchFn = int (*)(Context&);
@@ -152,8 +137,8 @@ int register_bench(const char* name, BenchFn fn);
 [[nodiscard]] const std::vector<BenchInfo>& registered_benches();
 
 /// Runs one bench with telemetry: wall time, packets/s, peak RSS, resolved
-/// config (threads, quick, scaling), git sha. Returns the bench's exit
-/// code; the report is valid either way.
+/// config (quick, scaling), git sha. Returns the bench's exit code, or 1
+/// when it returned 0 but a check failed; the report is valid either way.
 int run_registered(const BenchInfo& info, bool quick,
                    perf::BenchReport& report);
 

@@ -7,7 +7,8 @@
 // immediately reusable — no tombstones to accumulate, no periodic purge.
 //
 // Layout choices that matter for throughput (measured against
-// std::unordered_map on the synthetic Sprint traces, bench_micro_perf):
+// std::unordered_map on the synthetic Sprint traces when the table was
+// adopted; tests/core/test_flat_hash_map.cpp keeps it equal to that map):
 //  - probe distances live in their own contiguous array, so a probe scans
 //    compact 4-byte entries (a cache line covers 16 probes) and the wide
 //    key/value slot is only touched when a distance matches;

@@ -18,8 +18,7 @@
 // The active-flow table is a core::FlatHashMap (open addressing, robin-hood
 // probing) — the per-packet try_emplace is the pipeline's hottest operation
 // and the flat table removes std::unordered_map's per-node allocation and
-// pointer chase. The map type is a template parameter so bench_micro_perf
-// can A/B the two implementations on identical workloads.
+// pointer chase.
 //
 // Key extractors map a packet's 5-tuple to its flow key; FiveTupleKey hands
 // back a reference to the tuple itself. add_batch hashes each key from that
@@ -122,13 +121,7 @@ struct ClassifierCounters {
 /// FlowRecords. Completion happens when (a) a packet of the same key arrives
 /// after the idle timeout, (b) a packet of the same key arrives in a later
 /// analysis interval, or (c) flush() is called at end of trace.
-///
-/// `Map` is the active-flow table implementation; the default FlatHashMap is
-/// the production choice, std::unordered_map remains pluggable for the
-/// bench_micro_perf A/B comparison.
-template <typename KeyExtractor,
-          template <typename, typename, typename> class Map =
-              core::FlatHashMap>
+template <typename KeyExtractor>
 class FlowClassifier {
  public:
   using key_type = typename KeyExtractor::key_type;
@@ -261,11 +254,7 @@ class FlowClassifier {
 
   /// Slots allocated in the active table (0 before the first insert).
   [[nodiscard]] std::size_t active_capacity() const {
-    if constexpr (requires(const map_type& m) { m.capacity(); }) {
-      return active_.capacity();
-    } else {
-      return 0;
-    }
+    return active_.capacity();
   }
 
   /// Active-table occupancy / capacity (0 before the first insert).
@@ -275,14 +264,9 @@ class FlowClassifier {
     return static_cast<double>(active_.size()) / static_cast<double>(cap);
   }
 
-  /// Mean probe distance of the active table (telemetry; 0 when the map
-  /// implementation doesn't expose probe geometry).
+  /// Mean probe distance of the active table (telemetry).
   [[nodiscard]] double table_mean_probe() const {
-    if constexpr (requires(const map_type& m) { m.mean_probe_distance(); }) {
-      return active_.mean_probe_distance();
-    } else {
-      return 0.0;
-    }
+    return active_.mean_probe_distance();
   }
 
   /// Calls fn(key, record, start_index) for every active flow.
@@ -316,7 +300,8 @@ class FlowClassifier {
     std::int64_t start_index = 0;
   };
 
-  using map_type = Map<key_type, Active, typename KeyExtractor::hash_type>;
+  using map_type =
+      core::FlatHashMap<key_type, Active, typename KeyExtractor::hash_type>;
 
   /// Flow-table slots to prefetch ahead of the packet being classified in
   /// add_batch (hash-ahead distance). Far enough to cover a memory load,
@@ -356,27 +341,15 @@ class FlowClassifier {
   }
 
   [[nodiscard]] std::uint64_t hash_value(const key_type& key) const {
-    if constexpr (requires(const map_type& m) { m.hash_of(key); }) {
-      return active_.hash_of(key);
-    } else {
-      return static_cast<std::uint64_t>(
-          typename KeyExtractor::hash_type{}(key));
-    }
+    return active_.hash_of(key);
   }
 
   void prefetch_slot(std::uint64_t hash) const {
-    if constexpr (requires(const map_type& m) { m.prefetch_hashed(hash); }) {
-      active_.prefetch_hashed(hash);
-    }
+    active_.prefetch_hashed(hash);
   }
 
   auto emplace_key(const key_type& key, std::uint64_t hash) {
-    if constexpr (requires(map_type& m) { m.try_emplace_hashed(hash, key); }) {
-      return active_.try_emplace_hashed(hash, key);
-    } else {
-      (void)hash;
-      return active_.try_emplace(key);
-    }
+    return active_.try_emplace_hashed(hash, key);
   }
 
   /// One packet's worth of classification, ordering/counters already

@@ -42,14 +42,9 @@ std::string BenchReport::to_json(int indent) const {
   w.begin_object("metrics");
   w.field("wall_s", wall_s);
   w.field("packets_per_s", packets_per_s);
-  w.field("analyze_packets_per_s", analyze_packets_per_s);
   w.field("peak_rss_kb", peak_rss_kb);
-  w.field("packets", counters.packets);
-  w.field("flows", counters.flows);
-  w.field("intervals", counters.intervals);
-  w.field("windows", counters.windows);
+  w.field("packets", packets);
   for (const auto& [key, value] : extra_metrics) w.field(key, value);
-  w.field("bytes_classified", counters.bytes_classified);
   w.end_object();
   if (!obs_json.empty()) w.raw_field("obs", obs_json);
   w.field("git_sha", git_sha);

@@ -1,18 +1,18 @@
 // BenchReport: the machine-readable output of one bench run.
 //
-// Stable JSON schema (the benchmark-regression CI gate and external
-// dashboards parse these files, so additions are fine but the keys below
-// never change or move):
+// Stable JSON schema (CI uploads these files as artifacts and external
+// dashboards parse them, so additions are fine but the keys below never
+// change or move):
 //
 //   {
 //     "bench": "<name>",
-//     "config": { ... resolved knobs: threads, quick, scale, ... },
+//     "config": { ... resolved knobs: quick, scale, ... },
 //     "metrics": {
 //       "wall_s": <double>,
 //       "packets_per_s": <double>,      // 0 when the bench counts none
-//       "analyze_packets_per_s": <double>,  // classify+fit stage time only
 //       "peak_rss_kb": <uint64>,
-//       ... work counters and bench-specific extras ...
+//       "packets": <uint64>,            // packets the bench processed
+//       ... bench-specific extras ...
 //     },
 //     "obs": [ ... ],   // registry delta of the run (obs::to_json_metrics
 //                       // objects); omitted when no metrics moved
@@ -26,8 +26,6 @@
 #include <utility>
 #include <vector>
 
-#include "perf/counters.hpp"
-
 namespace fbm::perf {
 
 struct BenchReport {
@@ -38,13 +36,10 @@ struct BenchReport {
   std::vector<std::pair<std::string, std::string>> config;
 
   double wall_s = 0.0;
-  double packets_per_s = 0.0;
-  /// Packets / (classify + fit stage-histogram seconds): throughput of the
-  /// analysis work alone, with trace generation and reporting excluded.
-  /// 0 when the run moved no stage timers (or obs is disabled).
-  double analyze_packets_per_s = 0.0;
+  double packets_per_s = 0.0;  ///< packets / wall_s
   std::uint64_t peak_rss_kb = 0;
-  Counters counters;
+  /// Packets the bench processed (generation excluded, analysis counted).
+  std::uint64_t packets = 0;
   /// Bench-specific metrics emitted inside "metrics", in insertion order.
   std::vector<std::pair<std::string, double>> extra_metrics;
   /// Raw JSON array of the run's obs registry delta (obs::to_json_metrics);

@@ -1,5 +1,5 @@
-// perf::BenchReport schema: the BENCH_*.json files are consumed by the CI
-// regression gate and external dashboards, so the key set and nesting are
+// perf::BenchReport schema: the BENCH_*.json files are uploaded by CI and
+// consumed by external dashboards, so the key set and nesting are
 // contractual. The emitted JSON must parse with the same field scanner the
 // golden-report regression uses.
 #include "perf/bench_report.hpp"
@@ -7,12 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "../support/json_fields.hpp"
-#include "perf/counters.hpp"
 #include "perf/stopwatch.hpp"
 
 #ifdef FBM_HAVE_BENCH_COMMON
@@ -35,12 +36,8 @@ perf::BenchReport sample_report() {
   report.wall_s = 1.5;
   report.packets_per_s = 250000.0;
   report.peak_rss_kb = 10240;
-  report.counters.packets = 375000;
-  report.counters.flows = 420;
-  report.counters.intervals = 7;
-  report.counters.windows = 12;
-  report.counters.bytes_classified = 99u * 1024 * 1024;
-  report.set_metric("classify_flat_vs_std_speedup", 1.4);
+  report.packets = 375000;
+  report.set_metric("classify_5tuple_pps", 1.4e7);
   report.git_sha = "deadbeef";
   return report;
 }
@@ -93,13 +90,9 @@ TEST(BenchReport, NumericFieldsRoundTrip) {
   EXPECT_DOUBLE_EQ(numeric("packets_per_s"), 250000.0);
   EXPECT_DOUBLE_EQ(numeric("peak_rss_kb"), 10240.0);
   EXPECT_DOUBLE_EQ(numeric("packets"), 375000.0);
-  EXPECT_DOUBLE_EQ(numeric("flows"), 420.0);
-  EXPECT_DOUBLE_EQ(numeric("intervals"), 7.0);
-  EXPECT_DOUBLE_EQ(numeric("windows"), 12.0);
-  EXPECT_DOUBLE_EQ(numeric("classify_flat_vs_std_speedup"), 1.4);
+  EXPECT_DOUBLE_EQ(numeric("classify_5tuple_pps"), 1.4e7);
   EXPECT_DOUBLE_EQ(numeric("threads"), 4.0);
   EXPECT_DOUBLE_EQ(numeric("time_scale"), 1.0 / 60.0);
-  EXPECT_DOUBLE_EQ(numeric("bytes_classified"), 99.0 * 1024 * 1024);
 }
 
 TEST(BenchReport, QuotesAreEscapedInStrings) {
@@ -135,28 +128,10 @@ TEST(Stopwatch, MeasuresForwardTime) {
   EXPECT_LT(watch.elapsed_s(), 1.0);
 }
 
-TEST(Counters, Accumulate) {
-  perf::Counters total;
-  perf::Counters part;
-  part.packets = 10;
-  part.flows = 2;
-  part.intervals = 1;
-  part.windows = 3;
-  part.bytes_classified = 1500;
-  total += part;
-  total += part;
-  EXPECT_EQ(total.packets, 20u);
-  EXPECT_EQ(total.flows, 4u);
-  EXPECT_EQ(total.intervals, 2u);
-  EXPECT_EQ(total.windows, 6u);
-  EXPECT_EQ(total.bytes_classified, 3000u);
-}
-
 #ifdef FBM_HAVE_BENCH_COMMON
 
 int schema_probe_bench(bench::Context& ctx) {
   ctx.count_packets(1000);
-  ctx.count_bytes(500000);
   ctx.report().set_metric("probe_metric", 3.25);
   // Burn a hair of wall time so packets_per_s is finite and positive.
   perf::Stopwatch watch;
@@ -176,13 +151,10 @@ TEST(BenchRegistry, RunRegisteredEmitsParseableTelemetry) {
   EXPECT_EQ(report.bench, "schema_probe");
   EXPECT_GT(report.wall_s, 0.0);
   EXPECT_GT(report.packets_per_s, 0.0);
-  EXPECT_EQ(report.counters.packets, 1000u);
+  EXPECT_EQ(report.packets, 1000u);
 
   const auto fields = parse_fields(report.to_json());
-  // Resolved config the satellites demand: threads (cached env read) and
-  // the quick flag land in every report.
-  EXPECT_EQ(field_named(fields, "threads").value,
-            std::to_string(bench::bench_threads()));
+  // The resolved quick flag lands in every report.
   EXPECT_EQ(field_named(fields, "quick").value, "true");
   EXPECT_DOUBLE_EQ(
       std::strtod(field_named(fields, "probe_metric").value.c_str(),
@@ -193,13 +165,67 @@ TEST(BenchRegistry, RunRegisteredEmitsParseableTelemetry) {
       1000.0);
 }
 
-TEST(BenchRegistry, BenchThreadsIsCachedPerProcess) {
-  // The first call resolves FBM_BENCH_THREADS; later env changes must not
-  // flip the value mid-run (the satellite fix for per-call getenv).
-  const std::size_t resolved = bench::bench_threads();
-  ASSERT_EQ(setenv("FBM_BENCH_THREADS", "97", /*overwrite=*/1), 0);
-  EXPECT_EQ(bench::bench_threads(), resolved);
-  unsetenv("FBM_BENCH_THREADS");
+/// The line of `out` that contains `needle`; empty when none does.
+std::string line_with(const std::string& out, const std::string& needle) {
+  std::istringstream lines(out);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find(needle) != std::string::npos) return line;
+  }
+  return {};
+}
+
+int one_failing_check_bench(bench::Context& ctx) {
+  ctx.check("inside its band", 1.0, 0.5, 2.0, "probe band A");
+  ctx.check("outside its band", 3.5, 0.5, 2.0, "probe band B");
+  return 0;
+}
+
+int passing_checks_bench(bench::Context& ctx) {
+  ctx.check("lower edge", 0.5, 0.5, 2.0, "probe band A");
+  ctx.check("upper edge", 2.0, 0.5, 2.0, "probe band A");
+  return 0;
+}
+
+TEST(BenchRegistry, FailedCheckFailsTheBenchAndPrintsItsBand) {
+  const bench::BenchInfo info{"check_probe", &one_failing_check_bench};
+  perf::BenchReport report;
+  testing::internal::CaptureStdout();
+  const int rc = bench::run_registered(info, /*quick=*/true, report);
+  const std::string out = testing::internal::GetCapturedStdout();
+  EXPECT_NE(rc, 0);
+
+  const std::string failed = line_with(out, "outside its band");
+  ASSERT_FALSE(failed.empty()) << out;
+  EXPECT_NE(failed.find("3.5"), std::string::npos) << failed;
+  EXPECT_NE(failed.find("[0.5, 2]"), std::string::npos) << failed;
+  EXPECT_NE(failed.find("FAIL"), std::string::npos) << failed;
+  EXPECT_NE(failed.find("probe band B"), std::string::npos) << failed;
+  const std::string held = line_with(out, "inside its band");
+  EXPECT_NE(held.find("ok"), std::string::npos) << held;
+  EXPECT_EQ(held.find("FAIL"), std::string::npos) << held;
+}
+
+TEST(BenchRegistry, PassingChecksReturnZero) {
+  const bench::BenchInfo info{"check_probe", &passing_checks_bench};
+  perf::BenchReport report;
+  testing::internal::CaptureStdout();
+  const int rc = bench::run_registered(info, /*quick=*/true, report);
+  const std::string out = testing::internal::GetCapturedStdout();
+  EXPECT_EQ(rc, 0) << out;
+  EXPECT_EQ(out.find("FAIL"), std::string::npos) << out;
+}
+
+TEST(BenchRegistry, NanNeverPassesACheck) {
+  const bench::BenchInfo info{"check_probe", [](bench::Context& ctx) {
+                                ctx.check("nan", std::nan(""), -1e300, 1e300,
+                                          "probe band C");
+                                return 0;
+                              }};
+  perf::BenchReport report;
+  testing::internal::CaptureStdout();
+  const int rc = bench::run_registered(info, /*quick=*/true, report);
+  testing::internal::GetCapturedStdout();
+  EXPECT_NE(rc, 0);
 }
 
 #endif  // FBM_HAVE_BENCH_COMMON

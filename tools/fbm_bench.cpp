@@ -1,28 +1,19 @@
-// fbm_bench — runs the registered paper-reproduction benches with JSON
-// telemetry and enforces the benchmark-regression gate.
+// fbm_bench — runs the registered benches with JSON telemetry.
 //
 //   fbm_bench --list
 //   fbm_bench --filter fig08 --json out/
-//   fbm_bench --quick --json bench-out/ --baseline bench/baseline.json
-//   fbm_bench --quick --write-baseline bench/baseline.json
-//   fbm_bench --compare bench/baseline.json bench-out/current.json
+//   fbm_bench --quick --json bench-out/
 //
 // Every selected bench produces out/BENCH_<name>.json (schema in
-// perf/bench_report.hpp) plus an aggregate out/BENCH_summary.json. With
-// --baseline, any bench whose packets_per_s falls more than
-// --max-regression (default 0.25) below the checked-in value fails the run
-// — the CI bench-smoke job is exactly this invocation.
-//
-// --compare runs no benches: it reads two baseline-format files (A = the
-// reference, B = the candidate) and prints a per-bench packets_per_s delta
-// table in Markdown — the CI job pipes it into the step summary so every PR
-// shows its bench movement.
+// perf/bench_report.hpp) plus an aggregate out/BENCH_summary.json. The run
+// fails when any bench exits non-zero: a reproduction bench does so when
+// one of its checks leaves the band the paper or the model gives for it
+// (bench::Context::check). Throughput is reported, not gated here; the
+// repository's performance gate is perfbench (BENCHMARK.json).
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -36,23 +27,14 @@ using fbm::bench::BenchInfo;
 struct Options {
   std::string filter;
   std::string json_dir;
-  std::string baseline_path;
-  std::string write_baseline_path;
-  std::string compare_a;
-  std::string compare_b;
-  double max_regression = 0.25;
   bool quick = false;
   bool list = false;
 };
 
 void usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [--list] [--filter SUBSTR] [--quick] [--json DIR]\n"
-      "          [--baseline FILE] [--max-regression FRAC]\n"
-      "          [--write-baseline FILE]\n"
-      "       %s --compare A.json B.json\n",
-      argv0, argv0);
+  std::fprintf(stderr,
+               "usage: %s [--list] [--filter SUBSTR] [--quick] [--json DIR]\n",
+               argv0);
 }
 
 bool parse_args(int argc, char** argv, Options& opt) {
@@ -73,135 +55,11 @@ bool parse_args(int argc, char** argv, Options& opt) {
       const char* v = value();
       if (v == nullptr) return false;
       opt.json_dir = v;
-    } else if (std::strcmp(arg, "--baseline") == 0) {
-      const char* v = value();
-      if (v == nullptr) return false;
-      opt.baseline_path = v;
-    } else if (std::strcmp(arg, "--write-baseline") == 0) {
-      const char* v = value();
-      if (v == nullptr) return false;
-      opt.write_baseline_path = v;
-    } else if (std::strcmp(arg, "--compare") == 0) {
-      const char* a = value();
-      const char* b = value();
-      if (a == nullptr || b == nullptr) return false;
-      opt.compare_a = a;
-      opt.compare_b = b;
-    } else if (std::strcmp(arg, "--max-regression") == 0) {
-      const char* v = value();
-      if (v == nullptr) return false;
-      opt.max_regression = std::atof(v);
-      if (!(opt.max_regression > 0.0 && opt.max_regression < 1.0)) {
-        std::fprintf(stderr, "--max-regression must be in (0, 1)\n");
-        return false;
-      }
     } else {
       return false;
     }
   }
   return true;
-}
-
-/// Baseline file: a flat JSON object mapping bench name -> packets_per_s.
-/// Returns a negative value when the bench has no baseline entry.
-double baseline_value(const std::string& content, const std::string& name) {
-  const std::string needle = "\"" + name + "\":";
-  const std::size_t pos = content.find(needle);
-  if (pos == std::string::npos) return -1.0;
-  return std::strtod(content.c_str() + pos + needle.size(), nullptr);
-}
-
-bool write_baseline(const std::string& path,
-                    const std::vector<fbm::perf::BenchReport>& reports,
-                    bool quick) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  out << "{\n  \"schema\": 1,\n  \"quick\": " << (quick ? "true" : "false");
-  for (const auto& r : reports) {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.1f", r.packets_per_s);
-    out << ",\n  \"" << r.bench << "\": " << buf;
-    // Analyze-only throughput (classify+fit stage time, generation
-    // excluded) gates what PRs actually change; benches that move no
-    // stage timers get no ".analyze" entry and stay wall-gated only.
-    if (r.analyze_packets_per_s > 0.0) {
-      std::snprintf(buf, sizeof buf, "%.1f", r.analyze_packets_per_s);
-      out << ",\n  \"" << r.bench << ".analyze\": " << buf;
-    }
-  }
-  out << "\n}\n";
-  return static_cast<bool>(out);
-}
-
-/// Parses a baseline-format file (flat "name": number object) into ordered
-/// (bench, packets_per_s) pairs; the "schema"/"quick" bookkeeping keys are
-/// skipped. Returns false when the file cannot be read.
-bool read_baseline_entries(
-    const std::string& path,
-    std::vector<std::pair<std::string, double>>& out) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot read %s\n", path.c_str());
-    return false;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string content = buf.str();
-  std::size_t pos = 0;
-  while ((pos = content.find('"', pos)) != std::string::npos) {
-    const std::size_t end = content.find('"', pos + 1);
-    if (end == std::string::npos) break;
-    const std::string key = content.substr(pos + 1, end - pos - 1);
-    pos = end + 1;
-    if (key == "schema" || key == "quick") continue;
-    const std::size_t colon = content.find(':', pos);
-    if (colon == std::string::npos) break;
-    out.emplace_back(key,
-                     std::strtod(content.c_str() + colon + 1, nullptr));
-  }
-  return true;
-}
-
-/// --compare mode: a Markdown delta table of B (candidate) over A
-/// (reference), one row per bench in either file.
-int run_compare(const std::string& a_path, const std::string& b_path) {
-  std::vector<std::pair<std::string, double>> a;
-  std::vector<std::pair<std::string, double>> b;
-  if (!read_baseline_entries(a_path, a) ||
-      !read_baseline_entries(b_path, b)) {
-    return 2;
-  }
-  const auto find = [](const std::vector<std::pair<std::string, double>>& v,
-                       const std::string& key) -> const double* {
-    for (const auto& [k, val] : v) {
-      if (k == key) return &val;
-    }
-    return nullptr;
-  };
-
-  std::printf("| bench | %s | %s | delta |\n", a_path.c_str(),
-              b_path.c_str());
-  std::printf("|---|---:|---:|---:|\n");
-  for (const auto& [name, base] : a) {
-    const double* cand = find(b, name);
-    if (cand == nullptr) {
-      std::printf("| %s | %.0f | - | removed |\n", name.c_str(), base);
-    } else if (base > 0.0) {
-      std::printf("| %s | %.0f | %.0f | %+.1f%% |\n", name.c_str(), base,
-                  *cand, (*cand / base - 1.0) * 100.0);
-    } else {
-      std::printf("| %s | %.0f | %.0f | - |\n", name.c_str(), base, *cand);
-    }
-  }
-  for (const auto& [name, cand] : b) {
-    if (find(a, name) == nullptr) {
-      std::printf("| %s | - | %.0f | new |\n", name.c_str(), cand);
-    }
-  }
-  return 0;
 }
 
 }  // namespace
@@ -211,10 +69,6 @@ int main(int argc, char** argv) {
   if (!parse_args(argc, argv, opt)) {
     usage(argv[0]);
     return 2;
-  }
-
-  if (!opt.compare_a.empty()) {
-    return run_compare(opt.compare_a, opt.compare_b);
   }
 
   auto benches = fbm::bench::registered_benches();
@@ -265,54 +119,6 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr, "cannot write %s\n", path.c_str());
       failed.push_back("BENCH_summary.json");
-    }
-  }
-
-  if (!opt.write_baseline_path.empty() &&
-      !write_baseline(opt.write_baseline_path, reports, opt.quick)) {
-    failed.push_back("baseline write");
-  }
-
-  if (!opt.baseline_path.empty()) {
-    std::ifstream in(opt.baseline_path);
-    if (!in) {
-      std::fprintf(stderr, "cannot read baseline %s\n",
-                   opt.baseline_path.c_str());
-      return 2;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string content = buf.str();
-    const auto gate_one = [&](const std::string& key, double measured,
-                              const char* missing_reason) {
-      const double base = baseline_value(content, key);
-      // Benches without a baseline entry or without packet telemetry are
-      // not gated — but say so, so a bench silently dropping out of the
-      // gate (renamed, or its counting broke) is visible in the log.
-      if (base <= 0.0 || measured <= 0.0) {
-        std::fprintf(stderr, "[fbm_bench] gate %-28s UNGATED (%s)\n",
-                     key.c_str(),
-                     base <= 0.0 ? "no baseline entry" : missing_reason);
-        return;
-      }
-      const double floor = base * (1.0 - opt.max_regression);
-      const bool regressed = measured < floor;
-      std::fprintf(stderr,
-                   "[fbm_bench] gate %-28s %12.0f vs baseline %12.0f "
-                   "(floor %12.0f) %s\n",
-                   key.c_str(), measured, base, floor,
-                   regressed ? "REGRESSED" : "ok");
-      if (regressed) failed.push_back(key + std::string(" (regression)"));
-    };
-    for (const auto& r : reports) {
-      gate_one(r.bench, r.packets_per_s, "no packets counted");
-      // The ".analyze" companion gates classify+fit throughput alone, so
-      // a regression in the analysis path can't hide behind the
-      // generator's share of the wall time.
-      if (baseline_value(content, r.bench + ".analyze") > 0.0) {
-        gate_one(r.bench + ".analyze", r.analyze_packets_per_s,
-                 "no stage time recorded");
-      }
     }
   }
 
