@@ -107,7 +107,6 @@ void print_header(const std::string& title) {
 void Context::check(const std::string& label, double value, double lo,
                     double hi, const std::string& source) {
   const bool ok = value >= lo && value <= hi;  // false for NaN
-  ++checks_;
   if (!ok) ++failed_;
   std::printf("check: %-46s %-11.6g in [%.6g, %.6g]  %s  (%s)\n",
               label.c_str(), value, lo, hi, ok ? "ok" : "FAIL",
@@ -161,8 +160,8 @@ int run_registered(const BenchInfo& info, bool quick,
           ? static_cast<double>(report.packets) / report.wall_s
           : 0.0;
   if (context.failed_checks() > 0) {
-    std::fprintf(stderr, "bench %s: %zu of %zu checks failed\n", info.name,
-                 context.failed_checks(), context.checks());
+    std::fprintf(stderr, "bench %s: %zu checks failed\n", info.name,
+                 context.failed_checks());
     if (rc == 0) rc = 1;
   }
   const obs::Snapshot obs_after = obs::Registry::global().snapshot();

@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "flow/classifier.hpp"
@@ -113,13 +112,11 @@ class Context {
   void check(const std::string& label, double value, double lo, double hi,
              const std::string& source);
 
-  [[nodiscard]] std::size_t checks() const { return checks_; }
   [[nodiscard]] std::size_t failed_checks() const { return failed_; }
 
  private:
   perf::BenchReport& report_;
   bool quick_;
-  std::size_t checks_ = 0;
   std::size_t failed_ = 0;
 };
 
