@@ -1,20 +1,27 @@
 // Model-driven traffic generation (paper Section VII-C).
 //
 // Fits the shot-noise model to a "real" (synthetic) trace via the fbm::api
-// pipeline, then re-generates traffic from the fitted model and verifies
-// the clone matches the original in mean and variance — the paper's
+// pipeline, then re-generates traffic from the fitted model — the paper's
 // proposed use in network simulation tools. Two clones are built:
-// the fluid gen:: process and an api::ModelTraceSource *packet* stream that
-// is pushed back through the same analysis pipeline. A rectangular-shot
-// ablation shows why the shot matters.
+//   - the fluid gen:: process, which resamples the fitted (S, D) pairs
+//     jointly and matches the original in mean and variance;
+//   - a *packet* stream from a baseline scenario
+//     (scenario::ScenarioTraceSource), pushed back through the same
+//     analysis pipeline. It draws S and D independently from lognormals
+//     with the fitted means and CVs, so it matches the mean, while its
+//     variance shows how much the S-D correlation (Figs. 5-6) matters.
+// A rectangular-shot ablation shows why the shot matters.
 //
 // Run:  ./examples/backbone_generator
 #include <cmath>
 #include <cstdio>
 
+#include <vector>
+
 #include "api/api.hpp"
 #include "core/model.hpp"
 #include "gen/traffic_gen.hpp"
+#include "scenario/source.hpp"
 #include "stats/descriptive.hpp"
 
 int main() {
@@ -48,8 +55,27 @@ int main() {
 
   // Clone 2: an actual packet stream from the model, analyzed by the same
   // pipeline that measured the original — the full loop trace -> model ->
-  // trace -> model.
-  api::ModelTraceSource packet_clone(model, horizon, b);
+  // trace -> model. One baseline segment at the fitted lambda and shot;
+  // S and D are drawn independently from lognormals with the mean and CV of
+  // the fitted population.
+  std::vector<double> sizes;
+  std::vector<double> durations;
+  for (const auto& f : model.samples()) {
+    sizes.push_back(f.size_bits);
+    durations.push_back(f.duration_s);
+  }
+  scenario::ScenarioSpec spec;
+  spec.name = "packet-clone";
+  spec.lambda = model.lambda();
+  spec.shot_b = b;
+  spec.size_mean_bits = stats::mean(sizes);
+  spec.size_cv = stats::coefficient_of_variation(sizes);
+  spec.duration_mean_s = stats::mean(durations);
+  spec.duration_cv = stats::coefficient_of_variation(durations);
+  scenario::Segment baseline;
+  baseline.duration_s = horizon;
+  spec.segments.push_back(baseline);
+  scenario::ScenarioTraceSource packet_clone(spec);
   const auto clone_reports = api::analyze(packet_clone, config);
   const api::AnalysisReport& re = clone_reports.at(0);
 

@@ -1,7 +1,7 @@
 // Structure-of-arrays packet batch — the unit of flow through the hot path.
 //
-// A per-packet pipeline (virtual TraceSource::next() returning an
-// std::optional, one classifier call per packet) spends most of its cycles
+// A per-packet pipeline (one virtual call returning an std::optional and
+// one classifier call per packet) spends most of its cycles
 // on call overhead and cache misses, not on classification. PacketBatch
 // moves packets through every analysis stage — push_batch is their only
 // entry point — a few hundred at a time in parallel arrays:

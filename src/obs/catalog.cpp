@@ -289,35 +289,14 @@ Gauge& checkpoint_last_bytes() {
   return g;
 }
 
-Counter& scenario_packets() {
-  static Counter& c = reg().counter(
-      {.name = "fbm_scenario_packets_total",
-       .help = "Packets generated by the scenario engine",
-       .unit = "packets",
-       .stage = kStageScenarioGen});
-  return c;
-}
-
-Counter& scenario_flows(const std::string& cls) {
-  static std::mutex mu;
-  static std::map<std::string, Counter*> cache;
-  return labeled(cache, mu, cls, [&]() -> Counter& {
-    return reg().counter({.name = "fbm_scenario_flows_total",
-                          .help = "Scenario flows started",
-                          .unit = "flows",
-                          .stage = kStageScenarioGen,
-                          .labels = {{"class", cls}}});
-  });
-}
-
 Counter& scenario_events(const std::string& kind) {
   static std::mutex mu;
   static std::map<std::string, Counter*> cache;
   return labeled(cache, mu, kind, [&]() -> Counter& {
     return reg().counter({.name = "fbm_scenario_events_total",
-                          .help = "Ground-truth events injected",
+                          .help = "Ground-truth events in the truth log",
                           .unit = "events",
-                          .stage = kStageScenarioGen,
+                          .stage = kStageScenarioScore,
                           .labels = {{"kind", kind}}});
   });
 }

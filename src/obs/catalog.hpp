@@ -34,7 +34,6 @@ inline constexpr const char* kStageFit = "fit";
 inline constexpr const char* kStageForecast = "forecast";
 inline constexpr const char* kStageStoreAppend = "store_append";
 inline constexpr const char* kStageCheckpoint = "checkpoint_write";
-inline constexpr const char* kStageScenarioGen = "scenario_gen";
 inline constexpr const char* kStageScenarioScore = "scenario_score";
 
 /// fbm_stage_seconds{stage=...} — per-stage wall time, log-scale buckets
@@ -126,12 +125,8 @@ class StageSpan {
 [[nodiscard]] Counter& checkpoint_writes();
 [[nodiscard]] Gauge& checkpoint_last_bytes();
 
-// --- scenario engine ------------------------------------------------------
-/// Packets generated by a ScenarioTraceSource run (fbm_scenario).
-[[nodiscard]] Counter& scenario_packets();
-/// Flows started, by class ("baseline" / "attack").
-[[nodiscard]] Counter& scenario_flows(const std::string& cls);
-/// Ground-truth events injected, by kind ("spike" / "drop").
+// --- scenario scoring (fbm_live --truth) -----------------------------------
+/// Ground-truth events in the truth log, by kind ("spike" / "drop").
 [[nodiscard]] Counter& scenario_events(const std::string& kind);
 /// Alert-scoring verdicts ("tp" / "fp" / "ignored").
 [[nodiscard]] Counter& scenario_alerts(const std::string& result);

@@ -136,9 +136,9 @@ void ScenarioTraceSource::start_flow(double t0) {
 }
 
 void ScenarioTraceSource::schedule_next_packet(ActiveFlow& f) const {
-  // Same power-shot pacing as api::ModelTraceSource: the cumulative bits
-  // sent at age u follow S * (u/D)^(b+1); packet j leaves when its last
-  // bit has been transmitted.
+  // Power-shot pacing: the cumulative bits sent at age u follow
+  // S * (u/D)^(b+1); packet j leaves when its last bit has been
+  // transmitted.
   const double total_bytes =
       static_cast<double>(f.bytes_left) +
       static_cast<double>(f.packets_sent) *
@@ -183,12 +183,6 @@ bool ScenarioTraceSource::step(double& ts, net::FiveTuple& tuple,
     }
     return true;
   }
-}
-
-std::optional<net::PacketRecord> ScenarioTraceSource::next() {
-  net::PacketRecord out;
-  if (!step(out.timestamp, out.tuple, out.size_bytes)) return std::nullopt;
-  return out;
 }
 
 std::size_t ScenarioTraceSource::next_batch(net::PacketBatch& out,

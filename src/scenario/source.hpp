@@ -4,10 +4,11 @@
 // api::TraceSource: flows arrive as an inhomogeneous Poisson process whose
 // intensity follows the spec's segments (gen::ThinningArrivals under a
 // global envelope), draw size/duration from the base lognormals scaled by
-// the active segment, and packetize with the same power-shot pacing as
-// api::ModelTraceSource — so the whole analysis pipeline (classification
-// included) runs on scenario output, and a baseline-only scenario is
-// statistically the stationary model source.
+// the active segment, and are packetized with power-shot pacing, so the
+// whole analysis pipeline (classification included) runs on scenario
+// output. A spec with one baseline segment is the stationary shot-noise
+// model itself: Poisson arrivals at `lambda`, each flow a power shot
+// S * (u/D)^(b+1).
 //
 // Regime mechanics, per arriving flow:
 //   - During ddos / flash-crowd segments the intensity is base*lambda_x;
@@ -25,8 +26,8 @@
 //
 // Determinism: the packet stream is a pure function of the spec (seed
 // included). Candidate arrivals cost a fixed two Rng draws, flow
-// attributes a fixed per-class draw sequence, so next() / next_batch(n)
-// / reset() replay all deliver bit-identical sequences — pinned by
+// attributes a fixed per-class draw sequence, so next_batch(n) at every n
+// and reset() replay all deliver bit-identical sequences — pinned by
 // tests/scenario/test_scenario_source.cpp.
 #pragma once
 
@@ -47,9 +48,6 @@ class ScenarioTraceSource final : public api::TraceSource {
   /// Validates the spec (ScenarioSpec::validate rules).
   explicit ScenarioTraceSource(ScenarioSpec spec);
 
-  [[nodiscard]] std::optional<net::PacketRecord> next() override;
-  /// Native SoA fill — same sequence as next(), no per-packet virtual
-  /// dispatch or optional<> shuffle.
   [[nodiscard]] std::size_t next_batch(net::PacketBatch& out,
                                        std::size_t max_n) override;
   /// Restarts the simulation from its seed: the replay is identical.
@@ -78,7 +76,7 @@ class ScenarioTraceSource final : public api::TraceSource {
   };
 
   /// Core generator: the next packet into (ts, tuple, size); false at end
-  /// of stream. next() and next_batch() are thin wrappers.
+  /// of stream. next_batch() is a thin wrapper.
   bool step(double& ts, net::FiveTuple& tuple, std::uint32_t& size);
   void start_flow(double t0);
   void advance_arrival();

@@ -1,7 +1,9 @@
 #include "scenario/spec.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -29,18 +31,30 @@ namespace {
   }
 }
 
-[[nodiscard]] std::uint64_t parse_u64(std::string_view origin,
+/// Reads all of `value` as an unsigned integer no greater than `max`,
+/// exactly: no sign, no whitespace, no wrap-around.
+[[nodiscard]] std::uint64_t parse_u64(
+    std::string_view origin, std::size_t line, const std::string& key,
+    const std::string& value,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  std::uint64_t v = 0;
+  const char* last = value.data() + value.size();
+  const auto [end, ec] = std::from_chars(value.data(), last, v);
+  if (value.empty() || ec != std::errc{} || end != last || v > max) {
+    fail(origin, line,
+         key + " wants an unsigned integer <= " + std::to_string(max) +
+             ", got \"" + value + "\"");
+  }
+  return v;
+}
+
+[[nodiscard]] std::uint32_t parse_u32(std::string_view origin,
                                       std::size_t line,
                                       const std::string& key,
                                       const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const std::uint64_t v = std::stoull(value, &used);
-    if (used != value.size()) throw std::invalid_argument("trailing junk");
-    return v;
-  } catch (const std::exception&) {
-    fail(origin, line, key + " wants an integer, got \"" + value + "\"");
-  }
+  return static_cast<std::uint32_t>(
+      parse_u64(origin, line, key, value,
+                std::numeric_limits<std::uint32_t>::max()));
 }
 
 [[nodiscard]] PrefixRange parse_range(std::string_view origin,
@@ -130,6 +144,13 @@ void ScenarioSpec::validate() const {
   const auto bad = [](const std::string& what) {
     throw std::invalid_argument("ScenarioSpec: " + what);
   };
+  // Every number must be finite: an infinite segment never ends, and NaN
+  // slips through the ordered comparisons below.
+  for (const double v : {lambda, size_mean_bits, size_cv, duration_mean_s,
+                         duration_cv, shot_b, grace_s, cooldown_s, window_s,
+                         stride_s}) {
+    if (!std::isfinite(v)) bad("non-finite value");
+  }
   if (name.empty()) bad("missing scenario name");
   if (!(lambda > 0.0)) bad("lambda <= 0");
   if (!(size_mean_bits > 0.0)) bad("size-mean-bits <= 0");
@@ -147,6 +168,10 @@ void ScenarioSpec::validate() const {
     const auto& s = segments[i];
     const std::string where = "segment " + std::to_string(i) + " (" +
                               std::string(to_string(s.kind)) + "): ";
+    for (const double v : {s.duration_s, s.lambda_x, s.size_x, s.duration_x,
+                           s.amplitude, s.period_s}) {
+      if (!std::isfinite(v)) bad(where + "non-finite value");
+    }
     if (!(s.duration_s > 0.0)) bad(where + "duration <= 0");
     if (!(s.lambda_x > 0.0)) bad(where + "lambda-x <= 0");
     if (!(s.size_x > 0.0)) bad(where + "size-x <= 0");
@@ -168,7 +193,11 @@ void ScenarioSpec::validate() const {
         bad(where + "needs prefixes= and to-prefixes=");
       }
     }
+    if (!std::isfinite(lambda * s.lambda_peak_x())) {
+      bad(where + "peak arrival rate overflows");
+    }
   }
+  if (!std::isfinite(total_duration_s())) bad("total duration overflows");
 }
 
 ScenarioSpec parse_scenario(std::istream& in, std::string_view origin) {
@@ -210,11 +239,10 @@ ScenarioSpec parse_scenario(std::istream& in, std::string_view origin) {
     } else if (key == "shot-b") {
       spec.shot_b = parse_double(origin, lineno, key, want_value(key));
     } else if (key == "packet-bytes") {
-      spec.packet_bytes = static_cast<std::uint32_t>(
-          parse_u64(origin, lineno, key, want_value(key)));
+      spec.packet_bytes = parse_u32(origin, lineno, key, want_value(key));
     } else if (key == "attack-packet-bytes") {
-      spec.attack_packet_bytes = static_cast<std::uint32_t>(
-          parse_u64(origin, lineno, key, want_value(key)));
+      spec.attack_packet_bytes =
+          parse_u32(origin, lineno, key, want_value(key));
     } else if (key == "prefix-pool") {
       spec.prefix_pool = static_cast<std::size_t>(
           parse_u64(origin, lineno, key, want_value(key)));

@@ -2,8 +2,9 @@
 // declared as data.
 //
 // A scenario composes timed segments over one base traffic model (Poisson
-// flow arrivals, lognormal size/duration, power-shot pacing — the same
-// model api::ModelTraceSource simulates). Each segment switches the regime:
+// flow arrivals, lognormal size/duration, power-shot pacing). A spec with
+// one baseline segment is that stationary model. Each segment switches the
+// regime:
 //
 //   baseline     stationary shot noise at the base parameters
 //   diurnal      lambda(t) modulated by a sinusoid (amplitude, period)
@@ -132,8 +133,8 @@ struct ScenarioSpec {
   double grace_s = 10.0;    ///< alert may trail the event by this much
   double cooldown_s = 60.0; ///< post-event alerts ignored for this long
 
-  // Suggested live-analysis cadence; fbm_scenario uses these unless
-  // overridden on its command line. 0 stride means "= window".
+  // The live-analysis cadence the scenario was tuned for, to pass on as
+  // fbm_live --window / --stride. 0 stride means "= window".
   double window_s = 5.0;
   double stride_s = 0.0;
 

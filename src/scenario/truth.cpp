@@ -1,5 +1,6 @@
 #include "scenario/truth.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -13,6 +14,29 @@ constexpr const char* kHeader = "# fbm-scenario-truth v1";
 [[noreturn]] void fail(std::size_t line, const std::string& what) {
   throw std::invalid_argument("truth log line " + std::to_string(line) +
                               ": " + what);
+}
+
+/// Reads the next token as an unsigned integer, exactly: a sign or a value
+/// past 2^64 - 1 fails the line instead of wrapping.
+[[nodiscard]] std::uint64_t read_u64(std::istream& ls, std::size_t line,
+                                     const std::string& key) {
+  std::string token;
+  std::uint64_t v = 0;
+  if (ls >> token) {
+    const char* last = token.data() + token.size();
+    const auto [end, ec] = std::from_chars(token.data(), last, v);
+    if (ec == std::errc{} && end == last) return v;
+  }
+  fail(line, key + " wants an unsigned integer");
+}
+
+/// Reads the next token as a number >= 0.
+[[nodiscard]] double read_nonnegative(std::istream& ls, std::size_t line,
+                                      const std::string& key) {
+  double v = 0.0;
+  if (!(ls >> v)) fail(line, key + " wants a number");
+  if (!(v >= 0.0)) fail(line, key + " < 0");
+  return v;
 }
 
 /// Resolved expectation of one segment's aggregate behaviour.
@@ -123,19 +147,22 @@ TruthLog parse_truth(std::istream& in) {
       if (!(ls >> log.scenario)) fail(lineno, "scenario wants a name");
       saw_scenario = true;
     } else if (key == "seed") {
-      if (!(ls >> log.seed)) fail(lineno, "seed wants an integer");
+      log.seed = read_u64(ls, lineno, key);
     } else if (key == "duration") {
-      if (!(ls >> log.duration_s)) fail(lineno, "duration wants a number");
+      log.duration_s = read_nonnegative(ls, lineno, key);
     } else if (key == "grace") {
-      if (!(ls >> log.grace_s)) fail(lineno, "grace wants a number");
+      log.grace_s = read_nonnegative(ls, lineno, key);
     } else if (key == "cooldown") {
-      if (!(ls >> log.cooldown_s)) fail(lineno, "cooldown wants a number");
+      log.cooldown_s = read_nonnegative(ls, lineno, key);
     } else if (key == "segment") {
-      std::size_t index = 0;
+      const std::uint64_t index = read_u64(ls, lineno, "segment index");
       std::string kind;
       TruthSegment seg;
-      if (!(ls >> index >> kind >> seg.start_s >> seg.end_s)) {
+      if (!(ls >> kind >> seg.start_s >> seg.end_s)) {
         fail(lineno, "segment wants INDEX KIND START END");
+      }
+      if (!(seg.end_s >= seg.start_s)) {
+        fail(lineno, "segment ends before it starts");
       }
       try {
         seg.kind = segment_kind_from_string(kind);
@@ -154,6 +181,9 @@ TruthLog parse_truth(std::istream& in) {
       if (!(ls >> kind >> ev.start_s >> ev.end_s >> link_kw >> link) ||
           link_kw != "link") {
         fail(lineno, "event wants KIND START END link NAME");
+      }
+      if (!(ev.end_s >= ev.start_s)) {
+        fail(lineno, "event ends before it starts");
       }
       try {
         ev.kind = live::alert_kind_from_string(kind);

@@ -6,7 +6,8 @@
 // tiling, overlapping and gapped windows, and the awkward edge packets
 // (exact interval-boundary multiples, timeout gaps, equal timestamps,
 // negative-free but zero-start streams). TraceSource::next_batch must
-// deliver exactly what next() does, for every source.
+// deliver the same sequence at every batch size as one packet per batch,
+// for every source.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,12 +15,13 @@
 #include <filesystem>
 #include <vector>
 
+#include "../support/model_spec.hpp"
 #include "../support/push.hpp"
 #include "api/api.hpp"
 #include "engine/engine.hpp"
 #include "live/live.hpp"
 #include "net/packet_batch.hpp"
-#include "stats/distributions.hpp"
+#include "scenario/source.hpp"
 #include "trace/pcap.hpp"
 #include "trace/synthetic.hpp"
 #include "trace/trace_format.hpp"
@@ -158,23 +160,23 @@ TEST(BatchDifferential, BoundaryAndTimeoutEdgePackets) {
 
 // ------------------------------------------------------- source batching ---
 
-/// next_batch must yield exactly the packets next() yields, in order, for
-/// every max_n — every source overrides it natively now, so each override
-/// is pinned against its own scalar path.
+/// next_batch(n) must yield exactly the packets next_batch(1) yields, in
+/// order, for every n: each source is pinned against its own
+/// one-packet-per-batch stream.
 void expect_source_batches_match(api::TraceSource& batched,
                                  api::TraceSource& scalar,
                                  std::size_t batch_size) {
   net::PacketBatch batch;
+  net::PacketBatch one;
   std::uint64_t seen = 0;
   while (batched.next_batch(batch, batch_size) > 0) {
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      const auto expected = scalar.next();
-      ASSERT_TRUE(expected.has_value()) << "packet " << seen;
-      EXPECT_EQ(batch.record(i), *expected) << "packet " << seen;
+      ASSERT_EQ(scalar.next_batch(one, 1), 1u) << "packet " << seen;
+      EXPECT_EQ(batch.record(i), one.record(0)) << "packet " << seen;
       ++seen;
     }
   }
-  EXPECT_FALSE(scalar.next().has_value());
+  EXPECT_EQ(scalar.next_batch(one, 1), 0u);
 }
 
 TEST(BatchDifferential, VectorSourceBatches) {
@@ -215,21 +217,16 @@ TEST(BatchDifferential, PcapSourceBatches) {
   std::filesystem::remove(path);
 }
 
-// Bit-pins the native ModelTraceSource::next_batch override (shared step()
-// core) against the scalar next() stream.
+// Bit-pins the model source (a baseline-only scenario, whose next_batch
+// wraps the generator's step() core) against its one-packet-per-batch
+// stream.
 TEST(BatchDifferential, ModelSourceBatchesNatively) {
-  api::ModelSourceConfig cfg;
-  cfg.duration_s = 15.0;
-  cfg.lambda = 40.0;
-  cfg.shot_b = 1.0;
-  cfg.size_bits = std::make_shared<stats::LogNormal>(std::log(4e4), 1.0);
-  cfg.duration_s_dist =
-      std::make_shared<stats::LogNormal>(std::log(0.5), 0.8);
-  cfg.seed = 21;
+  const auto spec = testsupport::model_spec(15.0, 40.0, std::log(4e4), 1.0,
+                                            std::log(0.5), 0.8, 21);
   for (const std::size_t batch_size : kBatchSizes) {
     SCOPED_TRACE("batch " + std::to_string(batch_size));
-    api::ModelTraceSource batched(cfg);
-    api::ModelTraceSource scalar(cfg);
+    scenario::ScenarioTraceSource batched(spec);
+    scenario::ScenarioTraceSource scalar(spec);
     expect_source_batches_match(batched, scalar, batch_size);
   }
 }

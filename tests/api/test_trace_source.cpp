@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <stdexcept>
 
+#include "../support/model_spec.hpp"
 #include "api/trace_source.hpp"
-#include "stats/distributions.hpp"
+#include "scenario/source.hpp"
 #include "trace/trace_format.hpp"
 
 namespace fbm {
@@ -27,14 +30,11 @@ std::vector<net::PacketRecord> tiny_trace() {
 TEST(VectorTraceSource, StreamsInOrder) {
   const auto packets = tiny_trace();
   api::VectorTraceSource source(packets);
-  EXPECT_EQ(source.count_hint(), packets.size());
-  for (const auto& expected : packets) {
-    const auto p = source.next();
-    ASSERT_TRUE(p.has_value());
-    EXPECT_EQ(*p, expected);
-  }
-  EXPECT_FALSE(source.next().has_value());
-  EXPECT_FALSE(source.next().has_value());  // stays exhausted
+  EXPECT_EQ(api::read_all(source), packets);
+  net::PacketBatch batch;
+  EXPECT_EQ(source.next_batch(batch, 4), 0u);
+  EXPECT_EQ(source.next_batch(batch, 4), 0u);  // stays exhausted
+  EXPECT_TRUE(batch.empty());
 }
 
 TEST(FileTraceSource, StreamsAnFbmtFileWithoutMaterializing) {
@@ -44,13 +44,7 @@ TEST(FileTraceSource, StreamsAnFbmtFileWithoutMaterializing) {
   trace::write_trace(path, packets);
 
   api::FileTraceSource source(path);
-  EXPECT_EQ(source.count_hint(), packets.size());
-  std::size_t n = 0;
-  source.for_each([&](const net::PacketRecord& p) {
-    EXPECT_EQ(p, packets[n]);
-    ++n;
-  });
-  EXPECT_EQ(n, packets.size());
+  EXPECT_EQ(api::read_all(source), packets);
   std::filesystem::remove(path);
 }
 
@@ -65,9 +59,7 @@ TEST(OpenTrace, DispatchesOnExtension) {
   for (const auto& path : {fbmt, csv}) {
     SCOPED_TRACE(path.string());
     auto source = api::open_trace(path);
-    std::size_t n = 0;
-    source->for_each([&](const net::PacketRecord&) { ++n; });
-    EXPECT_EQ(n, packets.size());
+    EXPECT_EQ(api::read_all(*source).size(), packets.size());
   }
   std::filesystem::remove(fbmt);
   std::filesystem::remove(csv);
@@ -81,46 +73,31 @@ TEST(SyntheticTraceSource, MatchesTheGenerator) {
   const auto direct = trace::generate_packets(cfg);
 
   api::SyntheticTraceSource source(cfg);
-  EXPECT_EQ(source.count_hint(), direct.size());
   EXPECT_EQ(source.report().packets, direct.size());
-  std::size_t n = 0;
-  source.for_each([&](const net::PacketRecord& p) {
-    ASSERT_LT(n, direct.size());
-    EXPECT_EQ(p, direct[n]);
-    ++n;
-  });
-  EXPECT_EQ(n, direct.size());
+  EXPECT_EQ(api::read_all(source), direct);
 }
 
-api::ModelSourceConfig model_config() {
-  api::ModelSourceConfig cfg;
-  cfg.duration_s = 20.0;
-  cfg.lambda = 50.0;
-  cfg.shot_b = 1.0;
-  cfg.size_bits = std::make_shared<stats::LogNormal>(
-      std::log(4e4), 1.0);
-  cfg.duration_s_dist =
-      std::make_shared<stats::LogNormal>(std::log(0.5), 0.8);
-  cfg.seed = 21;
-  return cfg;
+// The stationary model source: a baseline-only scenario.
+scenario::ScenarioSpec model_spec() {
+  return testsupport::model_spec(20.0, 50.0, std::log(4e4), 1.0,
+                                 std::log(0.5), 0.8, 21);
 }
 
-TEST(ModelTraceSource, EmitsTimestampOrderedPacketsInsideTheHorizon) {
-  api::ModelTraceSource source(model_config());
+TEST(ModelSource, EmitsTimestampOrderedPacketsInsideTheHorizon) {
+  scenario::ScenarioTraceSource source(model_spec());
   double last = -1.0;
-  std::uint64_t packets = 0;
   std::uint64_t bytes = 0;
-  source.for_each([&](const net::PacketRecord& p) {
+  const auto packets = api::read_all(source);
+  for (const auto& p : packets) {
     EXPECT_GE(p.timestamp, last);
     EXPECT_LT(p.timestamp, 20.0);
     EXPECT_GT(p.size_bytes, 0u);
     last = p.timestamp;
-    ++packets;
     bytes += p.size_bytes;
-  });
+  }
   EXPECT_GT(source.flows_started(), 500u);  // ~lambda * duration
   EXPECT_LT(source.flows_started(), 1500u);
-  EXPECT_GT(packets, source.flows_started());  // multi-packet flows exist
+  EXPECT_GT(packets.size(), source.flows_started());  // multi-packet flows
   // Offered load ~ lambda * E[S]; generous band (horizon truncation).
   const double rate_bps = static_cast<double>(bytes) * 8.0 / 20.0;
   const double expected = 50.0 * 4e4 * std::exp(0.5);  // lognormal mean
@@ -128,26 +105,21 @@ TEST(ModelTraceSource, EmitsTimestampOrderedPacketsInsideTheHorizon) {
   EXPECT_LT(rate_bps, 1.5 * expected);
 }
 
-TEST(ModelTraceSource, IsDeterministicPerSeed) {
-  api::ModelTraceSource a(model_config());
-  api::ModelTraceSource b(model_config());
-  while (true) {
-    const auto pa = a.next();
-    const auto pb = b.next();
-    ASSERT_EQ(pa.has_value(), pb.has_value());
-    if (!pa) break;
-    EXPECT_EQ(*pa, *pb);
-  }
+TEST(ModelSource, IsDeterministicPerSeed) {
+  scenario::ScenarioTraceSource a(model_spec());
+  scenario::ScenarioTraceSource b(model_spec());
+  const auto pa = api::read_all(a);
+  ASSERT_FALSE(pa.empty());
+  EXPECT_EQ(pa, api::read_all(b));
 }
 
-TEST(ModelTraceSource, RejectsBadConfig) {
-  auto cfg = model_config();
-  cfg.lambda = 0.0;
-  EXPECT_THROW(api::ModelTraceSource{cfg}, std::invalid_argument);
-  cfg = model_config();
-  cfg.size_bits = nullptr;
-  cfg.resample_pool.clear();
-  EXPECT_THROW(api::ModelTraceSource{cfg}, std::invalid_argument);
+TEST(ModelSource, RejectsBadConfig) {
+  auto spec = model_spec();
+  spec.lambda = 0.0;
+  EXPECT_THROW(scenario::ScenarioTraceSource{spec}, std::invalid_argument);
+  spec = model_spec();
+  spec.size_mean_bits = 0.0;
+  EXPECT_THROW(scenario::ScenarioTraceSource{spec}, std::invalid_argument);
 }
 
 }  // namespace

@@ -12,23 +12,19 @@
 #include <memory>
 #include <vector>
 
+#include "../support/model_spec.hpp"
 #include "api/api.hpp"
-#include "stats/distributions.hpp"
+#include "scenario/source.hpp"
 #include "trace/synthetic.hpp"
 #include "trace/trace_format.hpp"
 
 namespace fbm {
 namespace {
 
-api::ModelSourceConfig model_config(std::uint64_t seed = 31) {
-  api::ModelSourceConfig cfg;
-  cfg.duration_s = 15.0;
-  cfg.lambda = 40.0;
-  cfg.shot_b = 1.0;
-  cfg.size_bits = std::make_shared<stats::LogNormal>(std::log(3e4), 1.0);
-  cfg.duration_s_dist = std::make_shared<stats::LogNormal>(std::log(0.4), 0.8);
-  cfg.seed = seed;
-  return cfg;
+/// The stationary model source: a baseline-only scenario.
+scenario::ScenarioTraceSource model_source(std::uint64_t seed = 31) {
+  return scenario::ScenarioTraceSource(testsupport::model_spec(
+      15.0, 40.0, std::log(3e4), 1.0, std::log(0.4), 0.8, seed));
 }
 
 struct SourceTotals {
@@ -42,19 +38,23 @@ struct SourceTotals {
 SourceTotals drain_checking_order(api::TraceSource& source) {
   SourceTotals t;
   double last = -std::numeric_limits<double>::infinity();
-  while (auto p = source.next()) {
-    EXPECT_GE(p->timestamp, last) << "timestamps must be non-decreasing";
-    last = p->timestamp;
-    if (t.packets == 0) t.first_ts = p->timestamp;
-    t.last_ts = p->timestamp;
-    ++t.packets;
-    t.bytes += p->size_bytes;
+  net::PacketBatch batch;
+  while (source.next_batch(batch, 256) > 0) {
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const double ts = batch.timestamps[i];
+      EXPECT_GE(ts, last) << "timestamps must be non-decreasing";
+      last = ts;
+      if (t.packets == 0) t.first_ts = ts;
+      t.last_ts = ts;
+      ++t.packets;
+      t.bytes += batch.sizes[i];
+    }
   }
   return t;
 }
 
 TEST(TraceSourceProperties, ModelSourceTimestampsNeverDecrease) {
-  api::ModelTraceSource source(model_config());
+  auto source = model_source();
   const auto totals = drain_checking_order(source);
   EXPECT_GT(totals.packets, 0u);
 }
@@ -74,29 +74,20 @@ TEST(TraceSourceProperties, BytesConservedFromSourceThroughPipelines) {
   // The same packets, counted three ways: straight off the source, by the
   // serial pipeline's summary, and by the sharded pipeline's summary. All
   // must agree exactly — bytes are integers, nothing may leak.
-  const auto count = [](api::TraceSource& s) {
-    SourceTotals t;
-    s.for_each([&](const net::PacketRecord& p) {
-      ++t.packets;
-      t.bytes += p.size_bytes;
-    });
-    return t;
-  };
-
-  api::ModelTraceSource direct(model_config());
-  const auto totals = count(direct);
+  auto direct = model_source();
+  const auto totals = drain_checking_order(direct);
   ASSERT_GT(totals.packets, 0u);
 
   api::AnalysisConfig config;
   config.interval_s(5.0).timeout_s(1.0);
 
-  api::ModelTraceSource for_serial(model_config());
+  auto for_serial = model_source();
   api::AnalysisPipeline serial(config);
   serial.consume(for_serial);
   EXPECT_EQ(serial.summary().packets, totals.packets);
   EXPECT_EQ(serial.summary().total_bytes, totals.bytes);
 
-  api::ModelTraceSource for_parallel(model_config());
+  auto for_parallel = model_source();
   api::AnalysisPipeline parallel(config.threads(4));
   parallel.consume(for_parallel);
   EXPECT_EQ(parallel.summary().packets, totals.packets);
@@ -119,26 +110,13 @@ TEST(TraceSourceProperties, SyntheticReportMatchesStreamedTotals) {
 TEST(TraceSourceProperties, FileRoundTripConservesEverything) {
   const auto path =
       std::filesystem::temp_directory_path() / "fbm_props_roundtrip.fbmt";
-  api::ModelTraceSource source(model_config(77));
-  std::vector<net::PacketRecord> original;
-  source.for_each(
-      [&](const net::PacketRecord& p) { original.push_back(p); });
+  auto source = model_source(77);
+  const auto original = api::read_all(source);
+  ASSERT_FALSE(original.empty());
   trace::write_trace(path, original);
 
   api::FileTraceSource file(path);
-  EXPECT_EQ(file.count_hint(), original.size());
-  std::size_t i = 0;
-  std::uint64_t bytes = 0;
-  while (auto p = file.next()) {
-    ASSERT_LT(i, original.size());
-    EXPECT_EQ(*p, original[i]);
-    bytes += p->size_bytes;
-    ++i;
-  }
-  EXPECT_EQ(i, original.size());
-  std::uint64_t expected_bytes = 0;
-  for (const auto& p : original) expected_bytes += p.size_bytes;
-  EXPECT_EQ(bytes, expected_bytes);
+  EXPECT_EQ(api::read_all(file), original);
   std::filesystem::remove(path);
 }
 
@@ -146,15 +124,12 @@ TEST(TraceSourceProperties, ModelSourceSeedReproducibility) {
   // Same seed: identical packet streams. Different seed: the streams must
   // diverge (same length by coincidence is possible, identical content is
   // not).
-  api::ModelTraceSource a(model_config(123));
-  api::ModelTraceSource b(model_config(123));
-  api::ModelTraceSource c(model_config(124));
-  std::vector<net::PacketRecord> pa;
-  std::vector<net::PacketRecord> pb;
-  std::vector<net::PacketRecord> pc;
-  a.for_each([&](const net::PacketRecord& p) { pa.push_back(p); });
-  b.for_each([&](const net::PacketRecord& p) { pb.push_back(p); });
-  c.for_each([&](const net::PacketRecord& p) { pc.push_back(p); });
+  auto a = model_source(123);
+  auto b = model_source(123);
+  auto c = model_source(124);
+  const auto pa = api::read_all(a);
+  const auto pb = api::read_all(b);
+  const auto pc = api::read_all(c);
   ASSERT_EQ(pa.size(), pb.size());
   for (std::size_t i = 0; i < pa.size(); ++i) {
     ASSERT_EQ(pa[i], pb[i]) << "packet " << i;
@@ -169,7 +144,7 @@ TEST(TraceSourceProperties, SeedReproducibilitySurvivesThePipeline) {
   api::AnalysisConfig config;
   config.interval_s(5.0).timeout_s(1.0);
   const auto run = [&config](std::uint64_t seed) {
-    api::ModelTraceSource source(model_config(seed));
+    auto source = model_source(seed);
     api::AnalysisPipeline pipeline(config);
     pipeline.consume(source);
     const auto reports = pipeline.take_reports();

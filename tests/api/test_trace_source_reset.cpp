@@ -11,8 +11,9 @@
 #include <memory>
 #include <vector>
 
+#include "../support/model_spec.hpp"
 #include "api/api.hpp"
-#include "stats/distributions.hpp"
+#include "scenario/source.hpp"
 #include "stats/rng.hpp"
 #include "trace/pcap.hpp"
 #include "trace/synthetic.hpp"
@@ -62,11 +63,7 @@ std::vector<net::PacketRecord> sample_packets(int n, std::uint64_t seed = 7) {
   return out;
 }
 
-std::vector<net::PacketRecord> drain(api::TraceSource& source) {
-  std::vector<net::PacketRecord> out;
-  while (auto p = source.next()) out.push_back(*p);
-  return out;
-}
+using api::read_all;
 
 void expect_same(const std::vector<net::PacketRecord>& a,
                  const std::vector<net::PacketRecord>& b) {
@@ -79,11 +76,12 @@ void expect_same(const std::vector<net::PacketRecord>& a,
 }
 
 void expect_replays(api::TraceSource& source) {
-  const auto first = drain(source);
+  const auto first = read_all(source);
   EXPECT_FALSE(first.empty());
-  EXPECT_FALSE(source.next().has_value());  // exhausted
+  net::PacketBatch batch;
+  EXPECT_EQ(source.next_batch(batch, 16), 0u);  // exhausted
   ASSERT_TRUE(source.reset());
-  const auto second = drain(source);
+  const auto second = read_all(source);
   expect_same(first, second);
 }
 
@@ -117,14 +115,8 @@ TEST_F(TraceSourceResetTest, SyntheticSourceReplays) {
 }
 
 TEST_F(TraceSourceResetTest, ModelSourceReplays) {
-  api::ModelSourceConfig cfg;
-  cfg.duration_s = 5.0;
-  cfg.lambda = 30.0;
-  cfg.size_bits = std::make_shared<stats::LogNormal>(std::log(3e4), 1.0);
-  cfg.duration_s_dist =
-      std::make_shared<stats::LogNormal>(std::log(0.4), 0.8);
-  cfg.seed = 13;
-  api::ModelTraceSource source(cfg);
+  scenario::ScenarioTraceSource source(testsupport::model_spec(
+      5.0, 30.0, std::log(3e4), 1.0, std::log(0.4), 0.8, 13));
   expect_replays(source);
 }
 
@@ -133,15 +125,17 @@ TEST_F(TraceSourceResetTest, BaseContractIsSinglePass) {
   // so, instead of silently replaying garbage.
   struct OnceSource final : api::TraceSource {
     int left = 3;
-    std::optional<net::PacketRecord> next() override {
-      if (left == 0) return std::nullopt;
+    std::size_t next_batch(net::PacketBatch& out, std::size_t) override {
+      out.clear();
+      if (left == 0) return 0;
       --left;
       net::PacketRecord p;
       p.timestamp = static_cast<double>(3 - left);
-      return p;
+      out.push_back(p);
+      return 1;
     }
   } source;
-  (void)drain(source);
+  EXPECT_EQ(read_all(source).size(), 3u);
   EXPECT_FALSE(source.reset());
 }
 
@@ -154,7 +148,7 @@ TEST_F(TraceSourceResetTest, PcapStreamsIdenticalToBatchImport) {
 
   const auto batch = trace::import_pcap(path);
   auto source = api::open_trace(path);
-  const auto streamed = drain(*source);
+  const auto streamed = read_all(*source);
   ASSERT_EQ(batch.size(), streamed.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     EXPECT_EQ(batch[i].timestamp, streamed[i].timestamp) << i;
@@ -168,15 +162,13 @@ TEST_F(TraceSourceResetTest, OpenTraceServesPcapWithoutMaterializing) {
   const auto path = file("typed.pcap");
   trace::export_pcap(path, sample_packets(10));
   auto source = api::open_trace(path);
-  // The streaming reader reports no up-front count — the file is not read
-  // ahead (VectorTraceSource would know its size).
-  EXPECT_EQ(source->count_hint(), api::TraceSource::kUnknownCount);
+  // A pcap opens as the streaming reader, not as an imported vector.
   EXPECT_NE(dynamic_cast<api::PcapTraceSource*>(source.get()), nullptr);
 }
 
 TEST_F(TraceSourceResetTest, FollowPollsAppendedRecords) {
   // tail -f semantics on a growing .fbmt: EOF means "no data yet", and
-  // records appended later stream out on subsequent next() calls.
+  // records appended later stream out on subsequent next_batch() calls.
   const auto path = file("follow.fbmt");
   const auto packets = sample_packets(20);
   {
@@ -185,10 +177,9 @@ TEST_F(TraceSourceResetTest, FollowPollsAppendedRecords) {
     writer.close();
 
     api::FileTraceSource source(path, /*follow=*/true);
-    std::size_t n = 0;
-    while (source.next()) ++n;
-    EXPECT_EQ(n, 10u);
-    EXPECT_FALSE(source.next().has_value());  // nothing yet — no throw
+    EXPECT_EQ(read_all(source).size(), 10u);
+    net::PacketBatch batch;
+    EXPECT_EQ(source.next_batch(batch, 4), 0u);  // nothing yet — no throw
 
     // Append the rest (a fresh writer truncates, so re-write everything;
     // the reader keeps its own offset and must pick up records 10..19).
@@ -199,8 +190,7 @@ TEST_F(TraceSourceResetTest, FollowPollsAppendedRecords) {
     writer2.close();
 
     // The reader sits at record offset 10 of the (now longer) file.
-    std::vector<net::PacketRecord> tail;
-    while (auto p = source.next()) tail.push_back(*p);
+    const auto tail = read_all(source);
     ASSERT_EQ(tail.size(), 10u);
     for (std::size_t i = 0; i < tail.size(); ++i) {
       EXPECT_EQ(tail[i].timestamp, packets[10 + i].timestamp) << i;

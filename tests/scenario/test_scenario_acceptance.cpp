@@ -1,8 +1,9 @@
 // Acceptance: the bundled scenarios must be detected by the live monitor
 // with precision >= 0.9 AND recall >= 0.9, with detection latency
-// reported. This mirrors exactly what `fbm_scenario <spec>` does (same
-// defaults), so the scenario-smoke CI job and this test gate the same
-// pipeline from two angles.
+// reported. This mirrors the scenario run the scenario-smoke CI job gates
+// (`fbm_trace_gen OUT --scenario SPEC`, then `fbm_live OUT --truth
+// OUT.truth --window 5 --stride 0 --timeout 1 --delta 0.1 --warmup 8`), so
+// the job and this test gate the same pipeline from two angles.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -21,7 +22,8 @@ namespace {
 
 std::filesystem::path data_dir() { return FBM_TEST_DATA_DIR; }
 
-/// The fbm_scenario tool's default live configuration for a spec.
+/// The live configuration of the CI scenario run: the spec's window and
+/// stride, a 1 s flow timeout, Delta 0.1 s and 8 warm-up windows.
 live::LiveConfig tool_config(const ScenarioSpec& spec) {
   live::LiveConfig config;
   config.window_s = spec.window_s;

@@ -1,5 +1,5 @@
 // ScenarioTraceSource determinism: same spec + seed must yield the exact
-// same packet stream — across next() vs next_batch at every batch size,
+// same packet stream — across one packet per batch vs every batch size,
 // across reset() replay, across independent instances, and through serial
 // vs threaded engine consumption. The truth log derives from the spec
 // alone, so it is byte-identical by construction; pinned here anyway.
@@ -37,9 +37,12 @@ ScenarioSpec test_spec() {
       "segment reroute 6 prefixes=0-31 to-prefixes=32-63\n");
 }
 
+/// The stream read one packet per batch: the reference the other batch
+/// sizes are pinned against.
 std::vector<net::PacketRecord> drain_scalar(ScenarioTraceSource& source) {
   std::vector<net::PacketRecord> out;
-  while (auto p = source.next()) out.push_back(*p);
+  net::PacketBatch one;
+  while (source.next_batch(one, 1) > 0) out.push_back(one.record(0));
   return out;
 }
 
@@ -133,10 +136,10 @@ TEST(ScenarioSource, RerouteShiftsDestinationsToTheTargetRange) {
   std::size_t upper_after = 0;
   std::size_t lower_after = 0;
   std::size_t lower_before = 0;
-  while (auto p = source.next()) {
-    if (!seen.insert(p->tuple).second) continue;  // not the first packet
-    const bool upper = ((p->tuple.dst.value() >> 16) & 0xff) >= 2;
-    if (p->timestamp >= reroute_start) {
+  for (const auto& p : drain_scalar(source)) {
+    if (!seen.insert(p.tuple).second) continue;  // not the first packet
+    const bool upper = ((p.tuple.dst.value() >> 16) & 0xff) >= 2;
+    if (p.timestamp >= reroute_start) {
       (upper ? upper_after : lower_after) += 1;
     } else if (!upper) {
       ++lower_before;  // baseline spreads over the whole pool

@@ -2,8 +2,11 @@
 // errors (with line numbers), and ground-truth derivation.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "scenario/spec.hpp"
 #include "scenario/truth.hpp"
@@ -157,6 +160,39 @@ TEST(ScenarioSpec, ValidateRejectsInconsistencies) {
   // Non-positive duration.
   EXPECT_THROW((void)parse_scenario_text("scenario z\nsegment baseline 0\n"),
                std::invalid_argument);
+  // Non-finite values and overflowing totals. Parsed only: a generator on
+  // an infinite segment would never end.
+  for (const char* text :
+       {"scenario s\nsegment baseline inf\n",
+        "scenario s\nlambda inf\nsegment baseline 10\n",
+        "scenario s\nsize-cv nan\nsegment baseline 10\n",
+        "scenario s\ngrace inf\nsegment baseline 10\n",
+        "scenario s\nsegment ddos 10 lambda-x=inf\n",
+        "scenario s\nsegment diurnal 10 period=nan\n",
+        "scenario s\nlambda 1e300\nsegment ddos 10 lambda-x=1e300\n",
+        "scenario s\nsegment baseline 1e308\nsegment baseline 1e308\n"}) {
+    SCOPED_TRACE(text);
+    EXPECT_THROW((void)parse_scenario_text(text), std::invalid_argument);
+  }
+  ScenarioSpec spec = parse_scenario_text("scenario s\nsegment baseline 10\n");
+  spec.duration_cv = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+}
+
+TEST(ScenarioSpec, IntegersAreUnsignedAndExact) {
+  EXPECT_EQ(parse_scenario_text("scenario s\nseed 18446744073709551615\n"
+                                "segment baseline 10\n")
+                .seed,
+            18446744073709551615ull);
+  for (const char* line : {"seed -1", "seed +1", "seed 18446744073709551616",
+                           "seed 1.5", "prefix-pool -4", "seed 0x10",
+                           "packet-bytes 4294967297",
+                           "attack-packet-bytes 4294967296"}) {
+    SCOPED_TRACE(line);
+    EXPECT_THROW((void)parse_scenario_text(std::string("scenario s\n") +
+                                           line + "\nsegment baseline 10\n"),
+                 std::invalid_argument);
+  }
 }
 
 // ---------------------------------------------------------------- truth ---
@@ -192,29 +228,70 @@ TEST(ScenarioTruth, DerivesEventsFromExpectations) {
 }
 
 TEST(ScenarioTruth, TextRoundTripIsByteStable) {
-  const TruthLog truth = derive_truth(parse_scenario_text(kFullSpec));
-  const std::string text = write_truth(truth);
-  const TruthLog again = parse_truth_text(text);
-  EXPECT_EQ(write_truth(again), text);
-  EXPECT_EQ(again.scenario, truth.scenario);
-  EXPECT_EQ(again.seed, truth.seed);
-  ASSERT_EQ(again.events.size(), truth.events.size());
-  for (std::size_t i = 0; i < truth.events.size(); ++i) {
-    SCOPED_TRACE("event " + std::to_string(i));
-    EXPECT_EQ(again.events[i].kind, truth.events[i].kind);
-    EXPECT_EQ(again.events[i].link, truth.events[i].link);
-    EXPECT_DOUBLE_EQ(again.events[i].start_s, truth.events[i].start_s);
-    EXPECT_DOUBLE_EQ(again.events[i].end_s, truth.events[i].end_s);
+  const std::filesystem::path data = FBM_TEST_DATA_DIR;
+  std::vector<ScenarioSpec> specs = {parse_scenario_text(kFullSpec)};
+  for (const char* name : {"scenario_ddos.scn", "scenario_flash_crowd.scn",
+                           "scenario_reroute.scn"}) {
+    specs.push_back(load_scenario(data / name));
   }
+  for (const ScenarioSpec& spec : specs) {
+    SCOPED_TRACE(spec.name);
+    const TruthLog truth = derive_truth(spec);
+    const std::string text = write_truth(truth);
+    const TruthLog again = parse_truth_text(text);
+    EXPECT_EQ(write_truth(again), text);
+    EXPECT_EQ(again.scenario, truth.scenario);
+    EXPECT_EQ(again.seed, truth.seed);
+    EXPECT_EQ(again.duration_s, truth.duration_s);
+    EXPECT_EQ(again.grace_s, truth.grace_s);
+    EXPECT_EQ(again.cooldown_s, truth.cooldown_s);
+    ASSERT_EQ(again.segments.size(), truth.segments.size());
+    for (std::size_t i = 0; i < truth.segments.size(); ++i) {
+      SCOPED_TRACE("segment " + std::to_string(i));
+      EXPECT_EQ(again.segments[i].kind, truth.segments[i].kind);
+      EXPECT_EQ(again.segments[i].start_s, truth.segments[i].start_s);
+      EXPECT_EQ(again.segments[i].end_s, truth.segments[i].end_s);
+    }
+    ASSERT_EQ(again.events.size(), truth.events.size());
+    for (std::size_t i = 0; i < truth.events.size(); ++i) {
+      SCOPED_TRACE("event " + std::to_string(i));
+      EXPECT_EQ(again.events[i].kind, truth.events[i].kind);
+      EXPECT_EQ(again.events[i].link, truth.events[i].link);
+      EXPECT_EQ(again.events[i].start_s, truth.events[i].start_s);
+      EXPECT_EQ(again.events[i].end_s, truth.events[i].end_s);
+    }
+  }
+}
+
+/// A valid truth log with `line` appended; the base alone parses.
+std::string truth_with(const std::string& line) {
+  return "# fbm-scenario-truth v1\nscenario t\nseed 7\nduration 180\n"
+         "grace 10\ncooldown 60\nsegment 0 baseline 0 60\n"
+         "segment 1 ddos 60 90\nevent spike 60 90 link -\n" +
+         line + "\n";
 }
 
 TEST(ScenarioTruth, ParseRejectsGarbage) {
   EXPECT_THROW((void)parse_truth_text("not a truth file\n"),
                std::invalid_argument);
-  EXPECT_THROW(
-      (void)parse_truth_text("# fbm-scenario-truth v1\nevent bogus 0 1 "
-                             "link -\n"),
-      std::invalid_argument);
+  ASSERT_NO_THROW((void)parse_truth_text(truth_with("")));
+  EXPECT_EQ(parse_truth_text(truth_with("seed 18446744073709551615")).seed,
+            18446744073709551615ull);
+  EXPECT_NO_THROW((void)parse_truth_text(truth_with("event drop 5 5 link a")));
+  for (const char* line :
+       {"event bogus 0 1 link -",
+        // Negative or inexact integers, which would wrap.
+        "seed -1", "seed +1", "seed 18446744073709551616", "seed 2.5",
+        "segment -1 baseline 90 180",
+        // Negative spans.
+        "grace -5", "cooldown -1", "duration -180",
+        // Intervals that end before they start.
+        "event spike 90 60 link -", "event spike 1e308 -1e308 link -",
+        "segment 2 baseline 180 90"}) {
+    SCOPED_TRACE(line);
+    EXPECT_THROW((void)parse_truth_text(truth_with(line)),
+                 std::invalid_argument);
+  }
 }
 
 }  // namespace

@@ -8,6 +8,10 @@
 #   stripped, for tiling and overlapping windows at --threads 1 and 3;
 # - a checkpoint cut by --max-windows, resumed with --restore, continues
 #   the uninterrupted stream (kept prefix + resumed lines);
+# - a scenario run (fbm_trace_gen --scenario, then fbm_live --truth) passes
+#   its precision/recall gate and writes the score JSON, a truth event the
+#   trace never reaches fails the recall gate with status 1, and --truth
+#   refuses --emit-partial and --restore;
 # - NaN and infinite values and negative counts exit with status 2 in every
 #   tool that takes such a flag, and a Delta past the bin cap exits 1.
 set -euo pipefail
@@ -61,14 +65,38 @@ expect_exit() {
   "$bin/$@" > /dev/null 2>&1 || rc=$?
   test "$rc" -eq "$want" || fail "$* exited $rc, want $want"
 }
-scn=$data/scenario_ddos.scn
-for tool in "fbm_live t.fbmt" "fbm_scenario $scn"; do
-  # shellcheck disable=SC2086
-  expect_exit 2 $tool --stride nan
-  # shellcheck disable=SC2086
-  expect_exit 2 $tool --warmup -1
-done
-for tool in "fbm_analyze t.fbmt" "fbm_live t.fbmt" "fbm_scenario $scn"; do
+
+"$bin/fbm_trace_gen" ddos.fbmt --scenario "$data/scenario_ddos.scn" \
+  > /dev/null
+expect_exit 0 fbm_live ddos.fbmt --truth ddos.fbmt.truth --window 5 \
+  --stride 0 --timeout 1 --delta 0.1 --warmup 8 --json \
+  --min-precision 0.9 --min-recall 0.9 --score s.json
+grep -q '"fbm_scenario_score": 1' s.json || fail "score JSON schema key"
+rm ddos.fbmt
+cat > late.truth <<'TRUTH'
+# fbm-scenario-truth v1
+scenario late
+seed 1
+duration 200
+grace 10
+cooldown 60
+segment 0 baseline 0 100
+segment 1 ddos 100 200
+event spike 100 200 link -
+TRUTH
+rc=0
+"$bin/fbm_live" t.fbmt --window 5 --timeout 1 --truth late.truth \
+  --min-recall 0.9 > /dev/null 2> late.err || rc=$?
+test "$rc" -eq 1 && grep -q "gate: recall 0.000" late.err ||
+  fail "a truth event past the trace end passed the recall gate ($rc)"
+expect_exit 2 fbm_live t.fbmt --truth late.truth --emit-partial p.fbmp
+expect_exit 2 fbm_live t.fbmt --truth late.truth --restore ck.fbmc
+expect_exit 2 fbm_live t.fbmt --min-recall 0.9
+expect_exit 2 fbm_live t.fbmt --score s.json
+
+expect_exit 2 fbm_live t.fbmt --stride nan
+expect_exit 2 fbm_live t.fbmt --warmup -1
+for tool in "fbm_analyze t.fbmt" "fbm_live t.fbmt"; do
   # shellcheck disable=SC2086
   expect_exit 2 $tool --delta inf
   # shellcheck disable=SC2086

@@ -86,8 +86,9 @@ TEST_F(TraceMalformedTest, FbmtTruncatedRecordThrowsMidStream) {
                                std::filesystem::file_size(path("cut.fbmt")) -
                                    trace::kRecordSize / 2);
   auto source = api::open_trace(path("cut.fbmt"));
-  EXPECT_TRUE(source->next().has_value());  // first record still fine
-  EXPECT_THROW((void)source->next(), std::runtime_error);
+  net::PacketBatch batch;
+  EXPECT_EQ(source->next_batch(batch, 1), 1u);  // first record still fine
+  EXPECT_THROW((void)source->next_batch(batch, 1), std::runtime_error);
 }
 
 TEST_F(TraceMalformedTest, FbmtZeroLengthPacketSurvivesAnalysis) {

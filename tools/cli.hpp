@@ -252,8 +252,8 @@ inline std::vector<Flag> metrics_flags(MetricsOptions& m) {
           {"--metrics-prom", &m.prom, Kind::text, "FILE"}};
 }
 
-/// The analysis knobs fbm_analyze, fbm_live and fbm_scenario share; each
-/// tool initializes the struct with its own defaults.
+/// The analysis knobs fbm_analyze and fbm_live share; each tool initializes
+/// the struct with its own defaults.
 struct AnalysisOptions {
   double timeout = 60.0;
   double delta = measure::kPaperDelta;
@@ -282,7 +282,7 @@ inline std::vector<Flag> analysis_flags(AnalysisOptions& a) {
           {"--threads", &a.threads, Kind::threads, "N"}};
 }
 
-/// The live-monitoring knobs fbm_live and fbm_scenario share.
+/// The live-monitoring knobs of fbm_live.
 struct LiveOptions {
   AnalysisOptions analysis;
   double window = 60.0;

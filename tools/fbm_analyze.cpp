@@ -188,8 +188,7 @@ int run(const Options& opt, fbm::obs::MetricsExporter& metrics) {
   double interval_s = opt.interval;
   std::vector<net::PacketRecord> buffered;
   if (interval_s <= 0.0) {
-    auto probe = api::open_trace(opt.path);
-    probe->for_each([&](const net::PacketRecord& p) { buffered.push_back(p); });
+    buffered = api::read_all(*api::open_trace(opt.path));
     if (buffered.empty()) return tools::no_packets(opt.path);
     interval_s = buffered.back().timestamp + 1e-9;
     if (!(interval_s > 0.0)) {

@@ -49,10 +49,22 @@
 //   --store FILE             append every finished window to a queryable
 //                            on-disk report store (fbm_query reads it; a
 //                            SIGKILL mid-append is recovered on reopen).
+//
+// Alert acceptance (src/scenario/): --truth FILE reads a truth log, as
+// fbm_trace_gen --scenario writes next to the trace, and scores the windows
+// the run prints against its events (scenario::score): precision, recall
+// and detection latency, one summary line on stderr. --score FILE writes
+// the score JSON (schema in src/scenario/score.hpp). --min-precision and
+// --min-recall turn the run into a gate: exit 1 below either floor. A
+// scored run must see the whole stream, so --truth refuses --emit-partial
+// and --restore.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <memory>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -60,6 +72,8 @@
 #include "ckpt/checkpoint.hpp"
 #include "cli.hpp"
 #include "obs/catalog.hpp"
+#include "scenario/score.hpp"
+#include "scenario/truth.hpp"
 #include "store/report_store.hpp"
 
 namespace {
@@ -79,6 +93,10 @@ struct Options {
   std::uint64_t checkpoint_every = 1;  // closed windows per checkpoint
   std::string restore;                 // empty = start fresh
   std::string store;                   // empty = no on-disk report store
+  std::string truth;                   // empty = no alert scoring
+  std::string score;                   // score JSON; empty = none
+  double min_precision = -1.0;         // <0 = no floor
+  double min_recall = -1.0;
   fbm::tools::MetricsOptions metrics;
 };
 
@@ -95,10 +113,23 @@ Options parse_args(int argc, char** argv) {
            {"--checkpoint", &opt.checkpoint, Kind::text, "FILE"},
            {"--checkpoint-every", &opt.checkpoint_every, Kind::count, "N"},
            {"--restore", &opt.restore, Kind::text, "FILE"},
-           {"--store", &opt.store, Kind::text, "FILE"}})
+           {"--store", &opt.store, Kind::text, "FILE"},
+           {"--truth", &opt.truth, Kind::text, "FILE"},
+           {"--score", &opt.score, Kind::text, "FILE"},
+           {"--min-precision", &opt.min_precision, Kind::fraction, "P"},
+           {"--min-recall", &opt.min_recall, Kind::fraction, "R"}})
       .add(fbm::tools::metrics_flags(opt.metrics))
       .parse(argc, argv);
   const bool partial = !opt.emit_partial.empty();
+  if (opt.truth.empty() && (cli.given("--score") ||
+                            cli.given("--min-precision") ||
+                            cli.given("--min-recall"))) {
+    cli.fail("--score/--min-precision/--min-recall score against --truth");
+  }
+  if (!opt.truth.empty() && (partial || !opt.restore.empty())) {
+    cli.fail("--truth scores the windows this run prints; it cannot combine "
+             "with --emit-partial or --restore");
+  }
   if (opt.checkpoint_every == 0) cli.fail("--checkpoint-every wants N >= 1");
   if (opt.shard.count > 1 && !partial) {
     cli.fail("--shard only makes sense with --emit-partial (a fitted shard "
@@ -191,11 +222,56 @@ void drain(fbm::api::TraceSource& source, const Options& opt,
   }
 }
 
+/// Scores the printed windows against the truth log: the summary on
+/// stderr, the score JSON to --score. Returns 1 when a floor is missed.
+int score_run(const Options& opt, const fbm::scenario::TruthLog& truth,
+              const std::vector<fbm::scenario::ObservedWindow>& observed) {
+  using namespace fbm;
+  scenario::ScoreReport result;
+  {
+    obs::StageSpan span(obs::stage_seconds(obs::kStageScenarioScore));
+    result = scenario::score(truth, observed);
+  }
+  obs::scenario_alerts("tp").add(result.true_positives);
+  obs::scenario_alerts("fp").add(result.false_positives);
+  obs::scenario_alerts("ignored").add(result.ignored_alerts);
+  if (!opt.score.empty()) {
+    std::ofstream out(opt.score, std::ios::trunc);
+    out << scenario::to_json(result) << "\n";
+    if (!out) throw std::runtime_error("cannot write " + opt.score);
+  }
+  std::fprintf(stderr,
+               "%s: %zu windows, %zu alerts -> precision %.3f recall %.3f "
+               "(%zu/%zu events)\n",
+               truth.scenario.c_str(), result.windows, result.alerts,
+               result.precision, result.recall, result.detected_events,
+               result.events.size());
+  int status = 0;
+  if (opt.min_precision >= 0.0 && result.precision < opt.min_precision) {
+    std::fprintf(stderr, "gate: precision %.3f < floor %.3f\n",
+                 result.precision, opt.min_precision);
+    status = 1;
+  }
+  if (opt.min_recall >= 0.0 && result.recall < opt.min_recall) {
+    std::fprintf(stderr, "gate: recall %.3f < floor %.3f\n", result.recall,
+                 opt.min_recall);
+    status = 1;
+  }
+  return status;
+}
+
 int run(const Options& opt) {
   using namespace fbm;
   auto source = api::open_trace(opt.path, opt.follow);
   obs::MetricsExporter metrics = tools::make_metrics_exporter(opt.metrics);
   tools::MetricsFinishGuard metrics_guard(metrics);
+  std::optional<scenario::TruthLog> truth;
+  if (!opt.truth.empty()) {
+    truth = scenario::load_truth(opt.truth);
+    for (const auto& e : truth->events) {
+      obs::scenario_events(std::string(live::to_string(e.kind))).add(1);
+    }
+  }
 
   engine::EngineConfig config;
   config.mode = engine::EngineMode::live;
@@ -214,6 +290,7 @@ int run(const Options& opt) {
   std::atomic<std::uint64_t> closed{0};   // windows closed, restored ones too
   std::atomic<std::uint64_t> flows{0};    // their flows
   std::atomic<std::uint64_t> printed{0};  // windows this run printed
+  std::vector<scenario::ObservedWindow> observed;  // with --truth
   std::unique_ptr<agg::PartialWriter> writer;
   std::unique_ptr<store::StoreWriter> store_writer;
   engine::Engine eng(config);
@@ -298,6 +375,10 @@ int run(const Options& opt) {
       print_human(*r.window, tagged ? r.name.c_str() : nullptr);
     }
     std::fflush(stdout);
+    if (truth) {
+      observed.push_back(tagged ? scenario::observe(*r.window, r.name)
+                                : scenario::observe(*r.window));
+    }
     if (store_writer) {
       store_writer->append({static_cast<std::uint32_t>(r.link), tagged,
                             tagged ? r.name : std::string(),
@@ -340,23 +421,22 @@ int run(const Options& opt) {
   eng.finish();
 
   if (eng.summary().packets == 0) return tools::no_packets(opt.path);
-  if (opt.json) return 0;
   const auto packets = static_cast<unsigned long long>(eng.summary().packets);
-  if (!tagged) {
+  if (!opt.json && !tagged) {
     std::printf("\n%llu windows, %llu packets, %llu flows\n",
                 static_cast<unsigned long long>(closed), packets,
                 static_cast<unsigned long long>(flows));
-    return 0;
+  } else if (!opt.json) {
+    std::printf("\n%llu windows over %zu links, %llu packets\n",
+                static_cast<unsigned long long>(printed), links.size(),
+                packets);
+    for (const auto& link : eng.links()) {
+      std::printf("  %-10s %llu packets, %llu windows\n", link.name.c_str(),
+                  static_cast<unsigned long long>(link.counters.packets),
+                  static_cast<unsigned long long>(link.counters.reports));
+    }
   }
-  std::printf("\n%llu windows over %zu links, %llu packets\n",
-              static_cast<unsigned long long>(printed), links.size(),
-              packets);
-  for (const auto& link : eng.links()) {
-    std::printf("  %-10s %llu packets, %llu windows\n", link.name.c_str(),
-                static_cast<unsigned long long>(link.counters.packets),
-                static_cast<unsigned long long>(link.counters.reports));
-  }
-  return 0;
+  return truth ? score_run(opt, *truth, observed) : 0;
 }
 
 }  // namespace

@@ -10,8 +10,8 @@
 // With --scenario the packets come from the regime-switching scenario
 // engine instead: the spec's segments drive a seeded, replayable stream
 // (scenario::ScenarioTraceSource), written alongside its ground-truth
-// event log (--truth FILE, default <out>.truth) so the capture can be
-// re-analyzed and scored offline with fbm_scenario / fbm_live. --seed
+// event log (--truth FILE, default <out>.truth). `fbm_live OUT --truth
+// OUT.truth` then analyzes the capture and scores its alerts. --seed
 // overrides the spec's seed; the other generator flags do not apply.
 #include <cstdio>
 #include <cstring>
@@ -69,8 +69,7 @@ int main(int argc, char** argv) {
       std::uint64_t packets = 0;
       if (ends_with(".pcap") || ends_with(".csv")) {
         // The interop exporters are batch; materialize, then convert.
-        std::vector<net::PacketRecord> recs;
-        while (auto p = source.next()) recs.push_back(*p);
+        const auto recs = api::read_all(source);
         packets = recs.size();
         if (ends_with(".pcap")) {
           trace::export_pcap(out_path, recs);
