@@ -1,21 +1,22 @@
-// Sharded-pipeline throughput: packets/sec of AnalysisPipeline at 1, 2, 4
-// and 8 worker shards (AnalysisConfig::threads) on a synthetic 8 Mbps
-// backbone trace, against the api::analyze baseline.
+// Sharded-link throughput: packets/sec of one match-all engine link cut
+// into 1, 2, 4 and 8 flow-hash shards (EngineConfig::shards, one worker per
+// shard) on a synthetic 8 Mbps backbone trace, against the api::analyze
+// baseline.
 //
-// The sharded pipeline's merge is deterministic (flow-key-hashed shards,
+// The engine's per-link fold is deterministic (flow-key-hashed shards,
 // exact flow sums and integral bin sums), so besides timing each run this
 // bench verifies that every shard count reproduces the serial reports bit
 // for bit — a throughput number that silently changed the answers would be
 // worthless. Speedup tracks the physical core count: on a single-core
 // container every configuration runs at roughly the serial rate (the extra
-// shards just time-slice), while on a 4-core machine the 4-shard row is the
-// one the ISSUE's >= 2x criterion refers to.
+// shards just time-slice).
 #include <chrono>
 #include <cstdio>
 #include <vector>
 
 #include "api/api.hpp"
 #include "common.hpp"
+#include "engine/engine_api.hpp"
 #include "trace/synthetic.hpp"
 
 namespace {
@@ -52,7 +53,7 @@ using Clock = std::chrono::steady_clock;
 
 FBM_BENCH(parallel_throughput) {
   using namespace fbm;
-  bench::print_header("Sharded pipeline throughput (packets/sec)");
+  bench::print_header("Sharded link throughput (packets/sec)");
 
   // Synthetic 8 Mbps trace, long enough that per-run timing noise is small.
   trace::SyntheticConfig cfg;
@@ -67,7 +68,7 @@ FBM_BENCH(parallel_throughput) {
 
   std::printf("trace: %zu packets over %.0f s (~8 Mbps synthetic)\n\n",
               packets.size(), cfg.duration_s);
-  std::printf("%-14s %14s %12s %10s %10s\n", "pipeline", "packets/s",
+  std::printf("%-14s %14s %12s %10s %10s\n", "link", "packets/s",
               "elapsed s", "speedup", "identical");
 
   // Serial baseline (also the reference output).
@@ -79,23 +80,30 @@ FBM_BENCH(parallel_throughput) {
               serial_s, "1.00x", "-");
 
   bool all_identical = true;
-  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    auto config = base;
-    config.threads(threads);
-    // The single-shard row runs the serial code path (no routing, no pool
-    // thread), so it is a second sample of the baseline.
+  for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
+    engine::EngineConfig config;
+    config.mode = engine::EngineMode::batch;
+    config.analysis = base;
+    config.shards = shards;
+    config.threads = shards;
+    // The single-shard row runs inline (no pool thread), so it is the
+    // engine's own serial baseline.
     const auto t1 = Clock::now();
-    api::AnalysisPipeline pipeline(config);
-    bench::push_packets(pipeline, packets);
-    pipeline.finish();
-    const auto reports = pipeline.take_reports();
+    std::vector<api::AnalysisReport> reports;
+    engine::Engine eng(config);
+    eng.set_report_sink([&](engine::LinkReport&& r) {
+      reports.push_back(std::move(*r.interval));
+    });
+    (void)eng.attach(engine::parse_link_spec("all=*"));
+    bench::push_packets(eng, packets);
+    eng.finish();
     const double elapsed = seconds_since(t1);
     const double pps = static_cast<double>(packets.size()) / elapsed;
     const bool same = reports_identical(reference, reports);
     all_identical = all_identical && same;
     char label[32];
-    std::snprintf(label, sizeof label, "%zu shard%s", threads,
-                  threads == 1 ? "" : "s");
+    std::snprintf(label, sizeof label, "%zu shard%s", shards,
+                  shards == 1 ? "" : "s");
     std::printf("%-14s %14.0f %12.3f %9.2fx %10s\n", label, pps, elapsed,
                 serial_s / elapsed, same ? "yes" : "NO");
   }

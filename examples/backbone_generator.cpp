@@ -8,8 +8,11 @@
 //   - a *packet* stream from a baseline scenario
 //     (scenario::ScenarioTraceSource), pushed back through the same
 //     analysis pipeline. It draws S and D independently from lognormals
-//     with the fitted means and CVs, so it matches the mean, while its
-//     variance shows how much the S-D correlation (Figs. 5-6) matters.
+//     with the fitted means and the fitted size CV. Independence makes
+//     E[S^2/D] = E[S^2] (1 + cv_D^2) / E[D], so the duration CV is chosen
+//     to give the fitted E[S^2/D] — the moment the model's variance rests
+//     on (Corollary 1) — instead of the fitted population's duration CV,
+//     which would lose the S-D correlation (Figs. 5-6).
 // A rectangular-shot ablation shows why the shot matters.
 //
 // Run:  ./examples/backbone_generator
@@ -56,22 +59,37 @@ int main() {
   // Clone 2: an actual packet stream from the model, analyzed by the same
   // pipeline that measured the original — the full loop trace -> model ->
   // trace -> model. One baseline segment at the fitted lambda and shot;
-  // S and D are drawn independently from lognormals with the mean and CV of
-  // the fitted population.
+  // S and D are drawn independently from lognormals with the fitted means.
   std::vector<double> sizes;
   std::vector<double> durations;
+  std::vector<double> s2_over_d;
   for (const auto& f : model.samples()) {
     sizes.push_back(f.size_bits);
     durations.push_back(f.duration_s);
+    s2_over_d.push_back(f.size_bits * f.size_bits / f.duration_s);
   }
+  const double size_mean = stats::mean(sizes);
+  const double size_cv = stats::coefficient_of_variation(sizes);
+  const double duration_mean = stats::mean(durations);
+  // Independent S and D: E[S^2/D] = E[S^2] E[1/D], and a lognormal D has
+  // E[1/D] = (1 + cv_D^2) / E[D]. Solve for the cv_D that reproduces the
+  // fitted E[S^2/D].
+  const double size_m2 = size_mean * size_mean * (1.0 + size_cv * size_cv);
+  const double cv2 = stats::mean(s2_over_d) * duration_mean / size_m2 - 1.0;
+  if (!(cv2 > 0.0)) {
+    std::printf("note: the fitted E[S^2/D] needs cv_D^2 = %.3f <= 0; the "
+                "packet clone uses constant-mean durations (cv_D = 0)\n",
+                cv2);
+  }
+  const double duration_cv = cv2 > 0.0 ? std::sqrt(cv2) : 0.0;
   scenario::ScenarioSpec spec;
   spec.name = "packet-clone";
   spec.lambda = model.lambda();
   spec.shot_b = b;
-  spec.size_mean_bits = stats::mean(sizes);
-  spec.size_cv = stats::coefficient_of_variation(sizes);
-  spec.duration_mean_s = stats::mean(durations);
-  spec.duration_cv = stats::coefficient_of_variation(durations);
+  spec.size_mean_bits = size_mean;
+  spec.size_cv = size_cv;
+  spec.duration_mean_s = duration_mean;
+  spec.duration_cv = duration_cv;
   scenario::Segment baseline;
   baseline.duration_s = horizon;
   spec.segments.push_back(baseline);
@@ -98,8 +116,10 @@ int main() {
               stats::mean(rect.series.values) / 1e6,
               std::sqrt(rect_var) / 1e6);
 
-  std::printf("\npacket clone refit: b=%.2f (original fit %.2f)\n",
-              re.shot_b_used, b);
+  std::printf("\npacket clone refit: b=%.2f (original fit %.2f), "
+              "duration CV %.2f (population %.2f)\n",
+              re.shot_b_used, b, duration_cv,
+              stats::coefficient_of_variation(durations));
   std::printf("rectangular clone variance deficit: %.0f%% of original\n",
               100.0 * rect_var / real.measured.variance_bps2);
   return 0;

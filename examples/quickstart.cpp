@@ -22,10 +22,10 @@ int main() {
   api::SyntheticTraceSource source(cfg);
 
   // One analysis interval covering the whole trace (paper Section III/V-G).
-  // threads(4) shards classification over four workers; the reports are
-  // bit-for-bit identical to a serial run — drop the call to stay serial.
+  // To spread one link over several cores, run it through engine::Engine
+  // with EngineConfig::shards > 1; the reports are bit-for-bit identical.
   api::AnalysisConfig config;
-  config.interval_s(60.0).timeout_s(60.0).threads(4);
+  config.interval_s(60.0).timeout_s(60.0);
   const auto reports = api::analyze(source, config);
   const api::AnalysisReport& r = reports.at(0);
 

@@ -1,7 +1,8 @@
 // Fuzz target: the distributed-aggregation partial-report codec (.fbmp).
-// A parsed file is also folded into a merger twice: window frames are
-// fixed-size sums, and whatever the reader accepts must add without
-// overflow or undefined behaviour.
+// A parsed file is also folded into a merger twice and fitted: window
+// frames are fixed-size sums, whatever the reader accepts must add without
+// overflow or undefined behaviour, and whatever the merger accepts must fit
+// and render.
 #include <exception>
 #include <utility>
 
@@ -17,6 +18,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     fbm::agg::Merger merger;
     merger.add(std::move(file));
     merger.add(std::move(copy));
+    (void)merger.finish();
   } catch (const std::exception&) {
     // Malformed input rejected with a typed error: exactly the contract.
   }

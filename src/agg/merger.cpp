@@ -1,7 +1,9 @@
 #include "agg/merger.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "api/shard.hpp"
@@ -11,16 +13,82 @@
 
 namespace fbm::agg {
 
+namespace {
+
+/// Refuses a file no producing tool could have written: a config its own
+/// validation rejects (api::validate_config or LiveConfig::validate, a
+/// shot power that is not finite and >= 0), a window whose bin grid is not
+/// the one the config gives its index, or a link whose window indices do
+/// not run 0..n-1 once each (which also bounds what finish() fits).
+void check_file(const PartialFile& f) {
+  const PartialMeta& m = f.meta;
+  try {
+    if (m.kind == PartialKind::batch) {
+      api::validate_config(m.analysis_config());
+    } else {
+      m.live_config().validate();
+    }
+  } catch (const std::invalid_argument& e) {
+    throw std::runtime_error(std::string("invalid producer config: ") +
+                             e.what());
+  }
+  // fixed_b < 0 is the "fit per window" sentinel.
+  if (!std::isfinite(m.fixed_b) ||
+      !(std::isfinite(m.fallback_b) && m.fallback_b >= 0.0)) {
+    throw std::runtime_error(
+        "invalid producer config: fixed_b " + std::to_string(m.fixed_b) +
+        ", fallback_b " + std::to_string(m.fallback_b) +
+        " (a shot power must be finite and >= 0)");
+  }
+  const bool batch = m.kind == PartialKind::batch;
+  const double step = batch ? m.interval_s : m.live_config().stride();
+  const double width = batch ? m.interval_s : m.window_s;
+  std::map<std::uint32_t, std::vector<std::int64_t>> indices;
+  for (const auto& w : f.windows) {
+    const std::int64_t k = w.window.index;
+    indices[w.link_id].push_back(k);
+    const double start = static_cast<double>(k) * step;
+    const auto check = [&](const char* field, double got, double want) {
+      if (got == want) return;
+      throw std::runtime_error(
+          "window " + std::to_string(k) + " of link " +
+          std::to_string(w.link_id) + ": " + field + " " +
+          std::to_string(got) + " is not the config's " +
+          std::to_string(want));
+    };
+    check("grid_start", w.window.bins.grid_start(), start);
+    check("grid_end", w.window.bins.grid_end(), start + width);
+    check("grid_delta", w.window.bins.grid_delta(), m.delta_s);
+  }
+  for (auto& [link, ks] : indices) {
+    std::sort(ks.begin(), ks.end());
+    for (std::size_t i = 0; i < ks.size(); ++i) {
+      if (ks[i] == static_cast<std::int64_t>(i)) continue;
+      throw std::runtime_error("link " + std::to_string(link) +
+                               ": window index " + std::to_string(ks[i]) +
+                               " where " + std::to_string(i) + " belongs");
+    }
+  }
+}
+
+}  // namespace
+
 void Merger::add_file(const std::filesystem::path& path) {
-  add(read_partial_file(path));
+  PartialFile file = read_partial_file(path);
+  try {
+    add(std::move(file));
+  } catch (const std::exception& e) {
+    throw std::runtime_error("partial file " + path.string() + ": " +
+                             e.what());
+  }
 }
 
 void Merger::add(PartialFile&& file) {
-  if (files_ == 0) {
-    meta_ = std::move(file.meta);
-  } else {
-    check_compatible(meta_, file.meta);
-  }
+  // Everything is checked before anything folds: a refused file leaves the
+  // merger as it was.
+  check_file(file);
+  if (files_ > 0) check_compatible(meta_, file.meta);
+  if (files_ == 0) meta_ = std::move(file.meta);
   ++files_;
   if (obs::enabled()) obs::agg_partials_read().add(1);
 
@@ -46,25 +114,18 @@ void Merger::add(PartialFile&& file) {
     total.bytes += lt.bytes;
   }
 
-  for (auto& w : file.windows) fold_window(std::move(w));
-}
-
-void Merger::fold_window(PartialWindow&& w) {
-  if (obs::enabled()) obs::agg_windows_merged().add(1);
-  auto& cell = by_link_[w.link_id];
-  auto it = cell.find(w.window.index);
-  if (it == cell.end()) {
-    cell.emplace(w.window.index, std::move(w.window));
-    return;
-  }
   // Fold order is irrelevant: every field is an exact sum — the same
-  // argument api::AnalysisPipeline's shard merge relies on.
-  try {
-    it->second.merge(std::move(w.window));
-  } catch (const std::invalid_argument&) {
-    throw std::runtime_error(
-        "partial files disagree on the bin grid of window " +
-        std::to_string(w.window.index) + " and cannot be merged");
+  // argument the engine's per-link shard fold relies on. The grids agree:
+  // check_file pinned each window's to the (compatible) config.
+  for (auto& w : file.windows) {
+    if (obs::enabled()) obs::agg_windows_merged().add(1);
+    auto& cell = by_link_[w.link_id];
+    const auto it = cell.find(w.window.index);
+    if (it == cell.end()) {
+      cell.emplace(w.window.index, std::move(w.window));
+    } else {
+      it->second.merge(std::move(w.window));
+    }
   }
 }
 

@@ -48,10 +48,17 @@ class Merger {
  public:
   /// Reads, verifies and folds one partial file. Throws std::runtime_error
   /// (diagnostic names the file) when the file is unreadable, corrupt,
-  /// truncated, or incompatible with the files already folded.
+  /// truncated, or incompatible with the files already folded, and when
+  /// add() refuses it.
   void add_file(const std::filesystem::path& path);
 
   /// Folds an already-parsed file (the in-memory path used by tests).
+  /// Throws std::runtime_error naming the field, before folding anything,
+  /// when the file's config fails the validation its producing tool runs
+  /// (api::validate_config or LiveConfig::validate, and a finite fixed or
+  /// fallback shot b >= 0), when a link's window indices do not run
+  /// 0..n-1 once each, or when a window's bin grid (grid_start, grid_end,
+  /// grid_delta) is not the one the config implies for its index.
   void add(PartialFile&& file);
 
   [[nodiscard]] std::uint64_t files() const { return files_; }
@@ -63,8 +70,6 @@ class Merger {
  private:
   /// Merged raw material of one (link, window) cell.
   using WindowMap = std::map<std::int64_t, api::WindowPartial>;
-
-  void fold_window(PartialWindow&& w);
 
   PartialMeta meta_;
   std::map<std::uint32_t, WindowMap> by_link_;

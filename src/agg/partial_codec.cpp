@@ -265,8 +265,7 @@ api::AnalysisConfig PartialMeta::analysis_config() const {
       .delta_s(delta_s)
       .epsilon(eps)
       .min_flows(static_cast<std::size_t>(min_flows))
-      .fallback_shot_b(fallback_b)
-      .threads(1);
+      .fallback_shot_b(fallback_b);
   if (kind == PartialKind::batch) cfg.interval_s(interval_s);
   if (fixed_b >= 0.0) cfg.fixed_shot_b(fixed_b);
   return cfg;

@@ -97,8 +97,7 @@ struct PartialMeta {
   [[nodiscard]] static PartialMeta from_batch(const api::AnalysisConfig& cfg);
   [[nodiscard]] static PartialMeta from_live(const live::LiveConfig& cfg);
 
-  /// Rebuilds the configs the merger fits with (threads forced to 1; the
-  /// merger itself is single-threaded and deterministic).
+  /// Rebuilds the configs the merger fits with.
   [[nodiscard]] api::AnalysisConfig analysis_config() const;
   [[nodiscard]] live::LiveConfig live_config() const;
 };

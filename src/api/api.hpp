@@ -18,11 +18,10 @@
 //                        sessions share one worker pool;
 //                        per-link config layered over a base
 //
-// AnalysisConfig::threads(N) with N > 1 runs the pipeline as N
-// flow-key-hashed shards on a core::WorkerPool with a deterministic merge,
-// bit-for-bit identical output (see api/pipeline.hpp).
-// Engine output is likewise proven bit-for-bit equal to running each link's
-// pre-filtered packets through the single-link pipeline (tests/engine/).
+// Engine output is proven bit-for-bit equal to running each link's
+// pre-filtered packets through the single-link pipeline (tests/engine/),
+// also when EngineConfig::shards cuts each link into flow-key-hashed shards
+// on the worker pool (see engine/engine.hpp).
 //
 // Typical single-link use:
 //

@@ -1,44 +1,54 @@
 #include "api/pipeline.hpp"
 
 #include <algorithm>
-#include <mutex>
 #include <stdexcept>
 #include <utility>
 
 #include "api/shard.hpp"
-#include "core/worker_pool.hpp"
+#include "obs/catalog.hpp"
 
 namespace fbm::api {
 
-// -------------------------------------------------------- AnalysisPipeline ---
-//
-// The caller's thread owns the clock (ingest check, sweep cadence, close
-// watermark), the trace summary, routing and the merge; the shards own the
-// classifiers and all per-interval accumulation. Shard s runs on pool
-// worker s, so it sees its batches, sweeps and final flush in order.
+namespace {
 
-/// One flow-hash shard. `state` is touched by its worker's tasks and by the
-/// observability getters, `out` by those tasks and the merge: each has its
-/// own mutex so the merge never waits for a running batch.
-struct AnalysisPipeline::Shard {
-  explicit Shard(const AnalysisConfig& config) : state(config) {}
+/// First index in (i, end) of `ts` whose interval index differs from `idx`,
+/// or `end` when the whole range shares it. Timestamps are non-decreasing,
+/// so the crossing bisects — and only the canonical interval_index_of
+/// expression is ever evaluated, so every packet lands in the interval
+/// interval_index_of gives it.
+std::size_t interval_run_end(const double* ts, std::size_t i, std::size_t end,
+                             double interval_s, std::int64_t idx) {
+  if (interval_index_of(ts[end - 1], interval_s) == idx) return end;
+  std::size_t lo = i + 1;
+  std::size_t hi = end - 1;  // known: interval_index_of(ts[hi]) != idx
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (interval_index_of(ts[mid], interval_s) == idx) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
 
-  mutable std::mutex mu;
-  PipelineShard state;  ///< guarded by mu
-  std::mutex out_mu;
-  std::deque<WindowPartial> out;  ///< closed, contiguous indices (out_mu)
-  net::PacketBatch pending;       ///< routed, not yet submitted (caller)
-};
+}  // namespace
 
 AnalysisPipeline::AnalysisPipeline(AnalysisConfig config) : config_(config) {
-  // threads == 0 means "use every core" — resolve before the shard count
-  // and the per-shard reserve split read it.
-  config_.threads(resolve_threads(config_.threads()));
   validate_config(config_);
-  for (std::size_t s = 0; s < config_.threads(); ++s) {
-    shards_.push_back(std::make_unique<Shard>(config_));
-  }
-  pool_ = std::make_unique<core::WorkerPool>(config_.threads(), "pipeline");
+  flow::ClassifierOptions options;
+  options.timeout = config_.timeout_s();
+  options.interval = config_.interval_s();
+  options.record_discards = true;
+  options.reserve_flows = kReserveFlows;
+  classifier_ = make_flow_classifier(config_.flow_definition(), options);
+  // Resolve the obs instruments once (mutex-guarded registry lookups);
+  // after this the pipeline only ever does relaxed adds on its own cells.
+  obs_packets_ = obs::classify_packets().local();
+  obs_flows_ = obs::flows_emitted().local();
+  obs_discards_ = obs::flows_discarded().local();
+  obs_splits_ = obs::flow_boundary_splits().local();
+  obs_classify_seconds_ = &obs::stage_seconds(obs::kStageClassify);
 }
 
 AnalysisPipeline::~AnalysisPipeline() = default;
@@ -49,127 +59,157 @@ void AnalysisPipeline::push_batch(const net::PacketBatch& batch) {
     throw std::logic_error("AnalysisPipeline: push after finish");
   }
   net::check_order(batch.timestamps, last_ts_, "AnalysisPipeline");
-  const std::size_t n = batch.size();
-  if (summary_.packets == 0) {
-    next_sweep_ = batch.timestamps.front() + kExpireEveryS;
-  }
   summary_.add(batch);
-  last_ts_ = batch.timestamps.back();
-
-  // Timestamps are non-decreasing, so the batch's max interval index is the
-  // last packet's.
-  max_index_ =
-      std::max(max_index_, interval_index_of(last_ts_, config_.interval_s()));
-
-  if (shards_.size() == 1) {
-    shards_.front()->state.add_batch(batch);  // no routing, no copy
-  } else {
-    // Route into the per-shard staging batches (SoA stays SoA end to end).
-    const FlowDefinition def = config_.flow_definition();
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t s = flow_shard_of(batch.tuples[i], def, shards_.size());
-      net::PacketBatch& pending = shards_[s]->pending;
-      pending.emplace_back(batch.timestamps[i], batch.tuples[i],
-                           batch.sizes[i]);
-      if (pending.size() >= config_.batch_packets()) flush_pending(s);
-    }
+  {
+    obs::StageSpan span(*obs_classify_seconds_);  // batch granularity
+    classifier_->add_batch(batch);
+    bin_batch(batch);
+    drain_classifier();
+    sync_obs(/*sample_table=*/false);
   }
-
-  // Sweeping once at batch end instead of at each crossing inside the batch
-  // is result-neutral: an interval's content depends only on which flows and
+  // The clock moves once per batch, to its last (newest) packet. Sweeping
+  // at batch end instead of at each crossing inside the batch is
+  // result-neutral: an interval's content depends only on which flows and
   // bytes land in it, never on when the close watermark passes it.
-  if (last_ts_ >= next_sweep_) sweep(last_ts_);
+  advance(batch.timestamps.back());
 }
 
-void AnalysisPipeline::flush_pending(std::size_t shard) {
-  Shard* s = shards_[shard].get();
-  if (s->pending.empty()) return;
-  pool_->submit(shard, [s, batch = std::exchange(s->pending, {})] {
-    std::lock_guard lock(s->mu);
-    s->state.add_batch(batch);
-  });
+void AnalysisPipeline::advance(double now) {
+  if (finished_ || !(now > last_ts_)) return;
+  if (last_ts_ == -std::numeric_limits<double>::infinity()) {
+    next_sweep_ = now + kExpireEveryS;
+  }
+  last_ts_ = now;
+  max_index_ =
+      std::max(max_index_, interval_index_of(now, config_.interval_s()));
+  if (now >= next_sweep_) sweep(now);
 }
 
-void AnalysisPipeline::submit_close(std::size_t shard, double now,
-                                    std::int64_t last, bool final) {
-  pool_->submit(shard, [s = shards_[shard].get(), now, last, final] {
-    std::vector<WindowPartial> closed;
-    {
-      std::lock_guard lock(s->mu);
-      if (final) {
-        s->state.finish(last, closed);
-      } else {
-        s->state.close_through(now, last, closed);
-      }
+void AnalysisPipeline::bin_batch(const net::PacketBatch& batch) {
+  const double interval_s = config_.interval_s();
+  const double* ts = batch.timestamps.data();
+  const std::uint32_t* sizes = batch.sizes.data();
+  const std::size_t n = batch.size();
+  std::size_t i = 0;
+  while (i < n) {
+    const std::int64_t idx = interval_index_of(ts[i], interval_s);
+    const std::size_t run = interval_run_end(ts, i, n, interval_s, idx);
+    stats::RateBinner& bins = open_at(idx).bins;
+    for (std::size_t k = i; k < run; ++k) {
+      bins.add(ts[k], static_cast<double>(sizes[k]));
     }
-    std::lock_guard lock(s->out_mu);
-    for (auto& iv : closed) s->out.push_back(std::move(iv));
-  });
+    i = run;
+  }
+}
+
+WindowPartial AnalysisPipeline::make_interval(std::int64_t index) const {
+  const double start = static_cast<double>(index) * config_.interval_s();
+  return WindowPartial{.index = index,
+                       .bins = stats::RateBinner(start,
+                                                 start + config_.interval_s(),
+                                                 config_.delta_s())};
+}
+
+WindowPartial& AnalysisPipeline::open_at(std::int64_t index) {
+  auto it = open_.find(index);
+  if (it == open_.end()) it = open_.emplace(index, make_interval(index)).first;
+  return it->second;
+}
+
+void AnalysisPipeline::drain_classifier() {
+  for (const auto& f : classifier_->take_flows()) {
+    const std::int64_t idx = interval_index_of(f.start, config_.interval_s());
+    if (idx < next_close_) continue;  // unreachable by the close invariant
+    WindowPartial& iv = open_at(idx);
+    iv.sums.add(f);
+    if (config_.keep_flows()) iv.flows.push_back(f);
+  }
+  for (const auto& d : classifier_->take_discards()) {
+    const std::int64_t idx =
+        interval_index_of(d.timestamp, config_.interval_s());
+    if (idx < next_close_) continue;
+    open_at(idx).bins.add(d.timestamp, -static_cast<double>(d.size_bytes));
+  }
+}
+
+void AnalysisPipeline::sync_obs(bool sample_table) {
+  if (!obs::enabled()) return;
+  const flow::ClassifierCounters& c = classifier_->counters();
+  // Deltas saturate at 0: a huge unsigned wrap must never reach the
+  // registry.
+  const auto fold = [](obs::ShardedCounter::Local& local, std::uint64_t cur,
+                       std::uint64_t prev) {
+    if (cur > prev) local.add(cur - prev);
+  };
+  fold(obs_packets_, c.packets, obs_synced_.packets);
+  fold(obs_flows_, c.flows_emitted, obs_synced_.flows_emitted);
+  fold(obs_discards_, c.single_packet_discards,
+       obs_synced_.single_packet_discards);
+  fold(obs_splits_, c.boundary_splits, obs_synced_.boundary_splits);
+  obs_synced_ = c;
+  if (sample_table) {
+    // Sampled, last-writer-wins across pipelines: keys hash uniformly, so
+    // any shard's table geometry is representative of all of them.
+    obs::flow_table_active("pipeline")
+        .set(static_cast<double>(classifier_->active_flows()));
+    obs::flow_table_load_factor("pipeline")
+        .set(classifier_->table_load_factor());
+    obs::flow_table_avg_probe("pipeline")
+        .set(classifier_->table_mean_probe());
+  }
 }
 
 void AnalysisPipeline::sweep(double now) {
-  // After a shard's expiry pass, every flow contained in interval k has
-  // been emitted once now - interval_end > timeout, so k can be closed.
+  // After the expiry pass, every flow contained in interval k has been
+  // emitted once now - interval_end > timeout, so k can be closed.
   std::int64_t last = next_close_ - 1;
   while (last + 1 <= max_index_ &&
          now - static_cast<double>(last + 2) * config_.interval_s() >
              config_.timeout_s()) {
     ++last;
   }
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    flush_pending(s);
-    submit_close(s, now, last, false);
-  }
-  next_close_ = std::max(next_close_, last + 1);
+  classifier_->expire_idle(now);
+  drain_classifier();
+  sync_obs(/*sample_table=*/true);  // sweep cadence: sample table geometry
+  close_through(last);
   while (next_sweep_ <= now) next_sweep_ += kExpireEveryS;
-  merge_ready();
 }
 
-void AnalysisPipeline::merge_ready() {
-  // Every shard closes the same contiguous index sequence, so the oldest
-  // unmerged interval is complete once no shard's output is empty.
-  const auto pop = [](Shard& shard) {
-    std::lock_guard lock(shard.out_mu);
-    WindowPartial iv = std::move(shard.out.front());
-    shard.out.pop_front();
-    return iv;
-  };
-  for (;;) {
-    for (auto& shard : shards_) {
-      std::lock_guard lock(shard->out_mu);
-      if (shard->out.empty()) return;
+void AnalysisPipeline::close_through(std::int64_t last) {
+  for (; next_close_ <= last; ++next_close_) {
+    if (const auto it = open_.find(next_close_); it != open_.end()) {
+      WindowPartial raw = std::move(it->second);
+      open_.erase(it);
+      emit(std::move(raw));
+    } else {
+      emit(make_interval(next_close_));
     }
-    // Fold order is irrelevant: flow sums and byte bins add exactly.
-    WindowPartial iv = pop(*shards_.front());
-    for (std::size_t s = 1; s < shards_.size(); ++s) {
-      iv.merge(pop(*shards_[s]));
-    }
-    if (partial_sink_) {
-      // Distributed mode: the raw material leaves for agg::Merger, which
-      // fits once after the final (cross-process) fold.
-      partial_sink_(std::move(iv));
-      continue;
-    }
-    AnalysisReport report = finalize_interval(config_, std::move(iv));
-    if (report.inputs.flows >= config_.min_flows()) {
-      if (sink_) {
-        sink_(std::move(report));
-      } else {
-        ready_.push_back(std::move(report));
-      }
-    }
+  }
+}
+
+void AnalysisPipeline::emit(WindowPartial&& raw) {
+  if (partial_sink_) {
+    // The raw material leaves for a fold (the engine's, or agg::Merger's),
+    // which fits once after the last shard or process is added.
+    partial_sink_(std::move(raw));
+    return;
+  }
+  AnalysisReport report = finalize_interval(config_, std::move(raw));
+  if (report.inputs.flows < config_.min_flows()) return;
+  if (sink_) {
+    sink_(std::move(report));
+  } else {
+    ready_.push_back(std::move(report));
   }
 }
 
 void AnalysisPipeline::finish() {
   if (finished_) return;
   finished_ = true;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    flush_pending(s);
-    submit_close(s, 0.0, max_index_, true);
-  }
-  pool_->join();
-  merge_ready();
+  classifier_->flush();
+  drain_classifier();
+  sync_obs(/*sample_table=*/true);
+  close_through(max_index_);
 }
 
 void AnalysisPipeline::consume(TraceSource& source) {
@@ -179,7 +219,6 @@ void AnalysisPipeline::consume(TraceSource& source) {
 }
 
 AnalysisReport AnalysisPipeline::pop_report() {
-  merge_ready();
   if (ready_.empty()) {
     throw std::logic_error("AnalysisPipeline: no report ready");
   }
@@ -189,42 +228,18 @@ AnalysisReport AnalysisPipeline::pop_report() {
 }
 
 std::vector<AnalysisReport> AnalysisPipeline::take_reports() {
-  merge_ready();
   std::vector<AnalysisReport> out(std::make_move_iterator(ready_.begin()),
                                   std::make_move_iterator(ready_.end()));
   ready_.clear();
   return out;
 }
 
-flow::ClassifierCounters AnalysisPipeline::counters() const {
-  flow::ClassifierCounters total;
-  for (const auto& shard : shards_) {
-    std::lock_guard lock(shard->mu);
-    const auto& c = shard->state.counters();
-    total.packets += c.packets;
-    total.flows_emitted += c.flows_emitted;
-    total.single_packet_discards += c.single_packet_discards;
-    total.boundary_splits += c.boundary_splits;
-  }
-  return total;
+const flow::ClassifierCounters& AnalysisPipeline::counters() const {
+  return classifier_->counters();
 }
 
 std::size_t AnalysisPipeline::active_flows() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard lock(shard->mu);
-    total += shard->state.active_flows();
-  }
-  return total;
-}
-
-std::size_t AnalysisPipeline::open_intervals() const {
-  std::size_t widest = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard lock(shard->mu);
-    widest = std::max(widest, shard->state.open_intervals());
-  }
-  return widest;
+  return classifier_->active_flows();
 }
 
 // ------------------------------------------------------------ convenience ---

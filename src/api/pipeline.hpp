@@ -2,30 +2,28 @@
 //
 // AnalysisPipeline pushes each packet batch through flow classification,
 // rate measurement, and analysis-interval bookkeeping, in one pass.
-// An interval is closed — its flows sorted, model inputs estimated, shot
+// An interval is closed — its flows summed, model inputs estimated, shot
 // power fitted, capacity planned — as soon as the stream's clock passes its
 // end by more than the flow timeout, so memory is bounded by the analysis
 // window (plus the active-flow table), never by the trace length. This is
 // exactly the paper's online monitoring story (Section V-G): multi-GB
 // captures analyzed with a fixed-size footprint.
 //
-// The accumulation runs in config.threads() PipelineShards (api/shard.hpp).
-// With more than one, each packet goes to the shard that owns its flow key
-// (a stable hash), the shards run on a core::WorkerPool, and a merge on the
-// caller's thread folds every shard's copy of interval k before fitting it.
-// Flows are independent shots in the paper's model, so each shard's
-// classifier sees exactly the per-key packet subsequence a single shard
-// would; the merge adds exact flow sums (flow::FlowSums) and integral byte
-// bins, both of which come out the same in any order. Reports are therefore
-// bit-for-bit identical at every thread count and every batch size, and
-// identical to the batch path (classify_all + group_by_interval +
-// estimate_inputs + measure_rate).
+// One pipeline is one thread's work. Parallelism lives in engine::Engine:
+// a link there is K pipelines, each fed the packets whose flow key hashes
+// to it (api::flow_shard_of) and run in partial mode, and one fold per link
+// adds the K WindowPartials of each interval before fitting once. Flows are
+// independent shots in the paper's model and every partial field is an
+// exact sum, so that fold reproduces this pipeline's reports bit for bit.
+// advance() moves a pipeline's clock without a packet, so a shard that
+// sees no traffic still closes what its link's clock has passed.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -36,11 +34,9 @@
 #include "measure/rate_meter.hpp"
 #include "net/packet.hpp"
 #include "net/packet_batch.hpp"
+#include "obs/metrics.hpp"
+#include "stats/timeseries.hpp"
 #include "trace/trace_stats.hpp"
-
-namespace fbm::core {
-class WorkerPool;
-}  // namespace fbm::core
 
 namespace fbm::api {
 
@@ -48,9 +44,9 @@ namespace fbm::api {
 /// destination /24 prefix.
 enum class FlowDefinition { five_tuple, prefix24 };
 
-/// Active-flow table slots reserved ahead per pipeline (split across
-/// shards, and across the open windows of a live estimator): skips the
-/// rehash cascade during ramp-up. Results do not depend on it.
+/// Active-flow table slots reserved ahead per pipeline (split across the
+/// open windows of a live estimator): skips the rehash cascade during
+/// ramp-up. Results do not depend on it.
 inline constexpr std::size_t kReserveFlows = 4096;
 
 /// Trace-time cadence at which idle flows are expired and closed intervals
@@ -77,13 +73,8 @@ class AnalysisConfig {
   AnalysisConfig& fallback_shot_b(double v) { fallback_b_ = v; return *this; }
   /// Carry each interval's FlowRecords in its report (costs memory).
   AnalysisConfig& keep_flows(bool v) { keep_flows_ = v; return *this; }
-  /// Flow-hashed worker shards; 1 (the default) runs everything on the
-  /// caller's thread, 0 auto-detects the machine's core count
-  /// (std::thread::hardware_concurrency). Output is bit-for-bit identical
-  /// at every value.
-  AnalysisConfig& threads(std::size_t v) { threads_ = v; return *this; }
-  /// Packets read per batch by consume() and handed to a worker shard per
-  /// task (purely a throughput knob — results do not depend on it).
+  /// Packets read per batch by consume() (purely a throughput knob —
+  /// results do not depend on it).
   AnalysisConfig& batch_packets(std::size_t v) { batch_packets_ = v; return *this; }
 
   [[nodiscard]] FlowDefinition flow_definition() const { return flow_def_; }
@@ -96,7 +87,6 @@ class AnalysisConfig {
   [[nodiscard]] bool has_fixed_shot_b() const { return fixed_b_ >= 0.0; }
   [[nodiscard]] double fallback_shot_b() const { return fallback_b_; }
   [[nodiscard]] bool keep_flows() const { return keep_flows_; }
-  [[nodiscard]] std::size_t threads() const { return threads_; }
   [[nodiscard]] std::size_t batch_packets() const { return batch_packets_; }
 
  private:
@@ -109,20 +99,46 @@ class AnalysisConfig {
   double fixed_b_ = -1.0;  ///< < 0 means "fit per interval"
   double fallback_b_ = 1.0;
   bool keep_flows_ = false;
-  std::size_t threads_ = 1;
   std::size_t batch_packets_ = 1024;
 };
 
-struct WindowPartial;  // api/shard.hpp
+/// One closed window's raw pre-fit material — a batch analysis interval or
+/// a live sliding window, from one shard, one process or a merge of many.
+/// Every field is an exact additive statistic: the flow sums, the packet
+/// bytes binned at delta (discarded single-packet flows subtracted, exact
+/// integral byte counts) and the counters. Folding the partials of
+/// key-disjoint producers with merge() and fitting once therefore
+/// reproduces a single-machine run bit for bit, in any fold order.
+///
+/// The engine's per-link fold, PartialSink and agg::Merger all carry
+/// these; fitting (and min_flows filtering) happens exactly once, after
+/// the last fold.
+struct WindowPartial {
+  std::int64_t index = 0;
+  std::uint64_t packets = 0;   ///< live windows only (batch leaves 0)
+  std::uint64_t bytes = 0;     ///< live windows only
+  std::uint64_t discards = 0;  ///< live windows only
+  flow::FlowSums sums{};
+  stats::RateBinner bins;
+  /// The flow records themselves, unsorted — kept only under
+  /// AnalysisConfig::keep_flows (batch figure benches); never serialized.
+  std::vector<flow::FlowRecord> flows{};
 
-/// Pre-fit flush hook for distributed aggregation: when set, every closed
-/// window is handed over as raw sufficient statistics (exact flow sums +
-/// exact integral byte bins, see api/shard.hpp) instead of being fitted
-/// locally — agg::Merger runs api::fit_window exactly once after the final
-/// fold, so K processes x M hosts reproduce a single-machine run bit for
-/// bit. min_flows filtering defers with the fit. Mutually exclusive with
-/// queued reports: while a partial sink is set, no reports are produced at
-/// all. Shared by AnalysisPipeline and live::WindowedEstimator.
+  /// Adds `other`'s statistics (and kept flows). Throws
+  /// std::invalid_argument when the bin grids differ.
+  void merge(WindowPartial&& other);
+};
+
+class FlowClassifierHandle;  // api/shard.hpp
+
+/// Pre-fit flush hook: when set, every closed window is handed over as raw
+/// sufficient statistics (exact flow sums + exact integral byte bins)
+/// instead of being fitted locally — the engine's per-link fold or
+/// agg::Merger fits once after the last fold, so K shards x M hosts
+/// reproduce a single-machine run bit for bit. min_flows filtering defers
+/// with the fit. Mutually exclusive with queued reports: while a partial
+/// sink is set, no reports are produced at all. Shared by AnalysisPipeline
+/// and live::WindowedEstimator.
 using PartialSink = std::function<void(WindowPartial&&)>;
 
 /// Per-window flush hook: invoked exactly once per closed analysis interval,
@@ -138,8 +154,7 @@ using ReportSink = std::function<void(AnalysisReport&&)>;
 class AnalysisPipeline {
  public:
   /// Throws std::invalid_argument on non-positive timeout/interval/delta,
-  /// batch_packets == 0 or threads > kMaxThreads. Spawns config.threads()
-  /// workers when that is > 1.
+  /// eps outside (0,1) or batch_packets == 0.
   explicit AnalysisPipeline(AnalysisConfig config);
   ~AnalysisPipeline();
   AnalysisPipeline(const AnalysisPipeline&) = delete;
@@ -151,18 +166,20 @@ class AnalysisPipeline {
   /// are bit-for-bit identical at every batch size, size 1 included.
   void push_batch(const net::PacketBatch& batch);
 
-  /// End of stream: flush the classifiers, close all pending intervals and
-  /// join the workers. push_batch() must not be called afterwards. A worker
-  /// failure is rethrown here, or earlier at the first push that hands the
-  /// pool more work after it.
+  /// Moves the stream clock to `now` without a packet: expires, closes and
+  /// counts exactly what a packet at `now` would, and nothing else — no
+  /// result changes. A no-op unless `now` is past the last packet or
+  /// advance. Later packets must not be older than `now`.
+  void advance(double now);
+
+  /// End of stream: flush the classifier and close all pending intervals.
+  /// push_batch() must not be called afterwards.
   void finish();
 
   /// Convenience: drain an entire source through the pipeline and finish.
   void consume(TraceSource& source);
 
-  /// Closed-interval reports ready so far, oldest first. With threads > 1
-  /// the merge trails the workers, so a report may show up a few batches
-  /// later than with one thread — the sequence is identical.
+  /// Closed-interval reports ready so far, oldest first.
   [[nodiscard]] bool has_report() const { return !ready_.empty(); }
   [[nodiscard]] AnalysisReport pop_report();
   /// All pending reports at once (clears the queue).
@@ -182,42 +199,54 @@ class AnalysisPipeline {
 
   /// Running totals over everything pushed so far.
   [[nodiscard]] const trace::TraceSummary& summary() const { return summary_; }
-  /// Classifier counters summed over the shards: exact once finish() has
-  /// returned, a lower bound while workers still hold queued batches.
-  [[nodiscard]] flow::ClassifierCounters counters() const;
-  /// config.threads() resolved (0 becomes the core count).
+  [[nodiscard]] const flow::ClassifierCounters& counters() const;
   [[nodiscard]] const AnalysisConfig& config() const { return config_; }
 
-  /// Observability for the bounded-memory story: intervals held open (by
-  /// the widest shard) and flows tracked (summed over the shards).
-  [[nodiscard]] std::size_t open_intervals() const;
+  /// Observability for the bounded-memory story: intervals held open and
+  /// flows tracked.
+  [[nodiscard]] std::size_t open_intervals() const { return open_.size(); }
   [[nodiscard]] std::size_t active_flows() const;
 
  private:
-  struct Shard;
-
-  void flush_pending(std::size_t shard);
-  /// Queues "close `shard` through `last`" (a sweep at `now`, or the final
-  /// flush when `final`) on the shard's worker.
-  void submit_close(std::size_t shard, double now, std::int64_t last,
-                    bool final);
+  [[nodiscard]] WindowPartial make_interval(std::int64_t index) const;
+  [[nodiscard]] WindowPartial& open_at(std::int64_t index);
+  /// Bins the batch's bytes into their intervals, one interval lookup per
+  /// interval-homogeneous run.
+  void bin_batch(const net::PacketBatch& batch);
+  /// Moves completed flows and discards into their open intervals.
+  void drain_classifier();
+  /// Expires idle flows as of `now` and closes every interval whose flows
+  /// are all complete by then.
   void sweep(double now);
-  /// Folds and finalizes every interval that all shards have closed.
-  void merge_ready();
+  /// Closes every index not yet closed up to `last` inclusive, empty
+  /// intervals included, so the index sequence stays contiguous.
+  void close_through(std::int64_t last);
+  void emit(WindowPartial&& raw);
+  /// Folds classifier-counter deltas into the obs counters and samples the
+  /// flow-table gauges. Batch/sweep cadence, no-op when obs is disabled.
+  void sync_obs(bool sample_table);
 
   AnalysisConfig config_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::unique_ptr<FlowClassifierHandle> classifier_;
+  std::map<std::int64_t, WindowPartial> open_;
   std::deque<AnalysisReport> ready_;
   ReportSink sink_;
   PartialSink partial_sink_;
   trace::TraceSummary summary_;
   double last_ts_ = -std::numeric_limits<double>::infinity();
-  double next_sweep_ = 0.0;
-  std::int64_t next_close_ = 0;  ///< lowest interval index not yet swept
+  double next_sweep_ = -std::numeric_limits<double>::infinity();
+  std::int64_t next_close_ = 0;  ///< lowest interval index not yet closed
   std::int64_t max_index_ = -1;  ///< highest interval index seen
   bool finished_ = false;
-  /// Declared last, so it is joined before the shards its tasks touch go.
-  std::unique_ptr<core::WorkerPool> pool_;
+
+  // obs: this pipeline's private counter cells (one relaxed add each at
+  // sync time) and the classifier-counter values already folded in.
+  obs::ShardedCounter::Local obs_packets_;
+  obs::ShardedCounter::Local obs_flows_;
+  obs::ShardedCounter::Local obs_discards_;
+  obs::ShardedCounter::Local obs_splits_;
+  flow::ClassifierCounters obs_synced_{};
+  obs::Histogram* obs_classify_seconds_ = nullptr;
 };
 
 /// One-shot convenience: run a whole source through a fresh pipeline and

@@ -12,6 +12,7 @@
 #include "flow/interval.hpp"
 #include "measure/rate_meter.hpp"
 #include "net/ip.hpp"
+#include "obs/catalog.hpp"
 
 namespace fbm::api {
 
@@ -103,22 +104,6 @@ class ClassifierImpl final : public FlowClassifierHandle {
 }  // namespace
 
 std::unique_ptr<FlowClassifierHandle> make_flow_classifier(
-    const AnalysisConfig& config) {
-  flow::ClassifierOptions options;
-  options.timeout = config.timeout_s();
-  options.interval = config.interval_s();
-  options.record_discards = true;
-  // Reserve ahead, split across shards: each worker only ever owns the flow
-  // keys that hash to it, so the per-classifier share shrinks with the
-  // thread count (floor of 64 keeps tiny configs from degenerate tables).
-  // AnalysisPipeline resolves threads() first; the max guards a caller
-  // handing in a still-unresolved "auto" (0) config.
-  const std::size_t shards = std::max<std::size_t>(1, config.threads());
-  options.reserve_flows = std::max<std::size_t>(64, kReserveFlows / shards);
-  return make_flow_classifier(config.flow_definition(), options);
-}
-
-std::unique_ptr<FlowClassifierHandle> make_flow_classifier(
     FlowDefinition def, const flow::ClassifierOptions& options) {
   switch (def) {
     case FlowDefinition::prefix24:
@@ -142,7 +127,6 @@ void validate_config(const AnalysisConfig& config) {
   if (!(config.epsilon() > 0.0 && config.epsilon() < 1.0)) {
     throw std::invalid_argument("AnalysisPipeline: eps outside (0,1)");
   }
-  (void)resolve_threads(config.threads());  // bounds check only
   if (config.batch_packets() == 0) {
     throw std::invalid_argument("AnalysisPipeline: batch_packets == 0");
   }
@@ -172,153 +156,6 @@ std::size_t flow_shard_of(const net::FiveTuple& tuple, FlowDefinition def,
       break;
   }
   return h % nshards;
-}
-
-// ----------------------------------------------------------- PipelineShard ---
-
-PipelineShard::PipelineShard(const AnalysisConfig& config) : config_(config) {
-  validate_config(config_);
-  classifier_ = make_flow_classifier(config_);
-  // Resolve the obs instruments once (mutex-guarded registry lookups);
-  // after this the shard only ever does relaxed adds on its own cells.
-  obs_packets_ = obs::classify_packets().local();
-  obs_flows_ = obs::flows_emitted().local();
-  obs_discards_ = obs::flows_discarded().local();
-  obs_splits_ = obs::flow_boundary_splits().local();
-  obs_classify_seconds_ = &obs::stage_seconds(obs::kStageClassify);
-}
-
-WindowPartial PipelineShard::make_interval(std::int64_t index) const {
-  const double start = static_cast<double>(index) * config_.interval_s();
-  return WindowPartial{.index = index,
-                       .bins = stats::RateBinner(start,
-                                                 start + config_.interval_s(),
-                                                 config_.delta_s())};
-}
-
-WindowPartial& PipelineShard::open_at(std::int64_t index) {
-  auto it = open_.find(index);
-  if (it == open_.end()) it = open_.emplace(index, make_interval(index)).first;
-  return it->second;
-}
-
-namespace {
-
-/// First index in (i, end) of `ts` whose interval index differs from `idx`,
-/// or `end` when the whole range shares it. Timestamps are non-decreasing,
-/// so the crossing bisects — and only the canonical interval_index_of
-/// expression is ever evaluated, so every packet lands in the interval
-/// interval_index_of gives it.
-std::size_t interval_run_end(const double* ts, std::size_t i, std::size_t end,
-                             double interval_s, std::int64_t idx) {
-  if (interval_index_of(ts[end - 1], interval_s) == idx) return end;
-  std::size_t lo = i + 1;
-  std::size_t hi = end - 1;  // known: interval_index_of(ts[hi]) != idx
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (interval_index_of(ts[mid], interval_s) == idx) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
-}  // namespace
-
-void PipelineShard::add_batch(const net::PacketBatch& batch) {
-  if (batch.empty()) return;
-  obs::StageSpan span(*obs_classify_seconds_);  // batch granularity
-  classifier_->add_batch(batch);  // validates timestamp ordering
-  const double interval_s = config_.interval_s();
-  const double* ts = batch.timestamps.data();
-  const std::uint32_t* sizes = batch.sizes.data();
-  const std::size_t n = batch.size();
-  std::size_t i = 0;
-  while (i < n) {
-    const std::int64_t idx = interval_index_of(ts[i], interval_s);
-    const std::size_t run = interval_run_end(ts, i, n, interval_s, idx);
-    stats::RateBinner& bins = open_at(idx).bins;
-    for (std::size_t k = i; k < run; ++k) {
-      bins.add(ts[k], static_cast<double>(sizes[k]));
-    }
-    i = run;
-  }
-  drain_classifier();
-  sync_obs(/*sample_table=*/false);
-}
-
-void PipelineShard::sync_obs(bool sample_table) {
-  if (!obs::enabled()) return;
-  const flow::ClassifierCounters& c = classifier_->counters();
-  // Deltas saturate at 0: a restored classifier can rewind the counters
-  // below what was already folded in (checkpoint restore), and a huge
-  // unsigned wrap must never reach the registry.
-  const auto fold = [](obs::ShardedCounter::Local& local, std::uint64_t cur,
-                       std::uint64_t prev) {
-    if (cur > prev) local.add(cur - prev);
-  };
-  fold(obs_packets_, c.packets, obs_synced_.packets);
-  fold(obs_flows_, c.flows_emitted, obs_synced_.flows_emitted);
-  fold(obs_discards_, c.single_packet_discards,
-       obs_synced_.single_packet_discards);
-  fold(obs_splits_, c.boundary_splits, obs_synced_.boundary_splits);
-  obs_synced_ = c;
-  if (sample_table) {
-    // Sampled, last-writer-wins across shards: keys hash uniformly, so any
-    // shard's table geometry is representative of all of them.
-    obs::flow_table_active("pipeline")
-        .set(static_cast<double>(classifier_->active_flows()));
-    obs::flow_table_load_factor("pipeline")
-        .set(classifier_->table_load_factor());
-    obs::flow_table_avg_probe("pipeline")
-        .set(classifier_->table_mean_probe());
-  }
-}
-
-void PipelineShard::drain_classifier() {
-  for (const auto& f : classifier_->take_flows()) {
-    const std::int64_t idx = interval_index_of(f.start, config_.interval_s());
-    if (idx < next_close_) continue;  // unreachable by the close invariant
-    WindowPartial& iv = open_at(idx);
-    iv.sums.add(f);
-    if (config_.keep_flows()) iv.flows.push_back(f);
-  }
-  for (const auto& d : classifier_->take_discards()) {
-    const std::int64_t idx =
-        interval_index_of(d.timestamp, config_.interval_s());
-    if (idx < next_close_) continue;
-    open_at(idx).bins.add(d.timestamp, -static_cast<double>(d.size_bytes));
-  }
-}
-
-void PipelineShard::emit_through(std::int64_t last_index,
-                                 std::vector<WindowPartial>& out) {
-  for (; next_close_ <= last_index; ++next_close_) {
-    if (const auto it = open_.find(next_close_); it != open_.end()) {
-      out.push_back(std::move(it->second));
-      open_.erase(it);
-    } else {
-      out.push_back(make_interval(next_close_));
-    }
-  }
-}
-
-void PipelineShard::close_through(double now, std::int64_t last_index,
-                                  std::vector<WindowPartial>& out) {
-  classifier_->expire_idle(now);
-  drain_classifier();
-  sync_obs(/*sample_table=*/true);  // sweep cadence: sample table geometry
-  emit_through(last_index, out);
-}
-
-void PipelineShard::finish(std::int64_t last_index,
-                           std::vector<WindowPartial>& out) {
-  classifier_->flush();
-  drain_classifier();
-  sync_obs(/*sample_table=*/true);
-  emit_through(last_index, out);
 }
 
 // ----------------------------------------------------------- WindowPartial ---

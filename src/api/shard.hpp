@@ -1,23 +1,21 @@
-// Sharded flow analysis building blocks (fbm::api).
+// Flow analysis building blocks shared by every pipeline (fbm::api).
 //
 // Flow classification over millions of 5-tuples is embarrassingly shardable:
-// every packet of a flow key lands on the shard that owns the key, so each
-// shard's classifier sees exactly the per-key packet subsequence it would
-// have seen in a single-threaded run — timeouts and interval splits depend
-// only on that subsequence, never on other keys. PipelineShard is the
-// single-threaded worker state (classifier + per-interval flow sums and
-// rate-bin accumulation); AnalysisPipeline owns config.threads() of them,
-// runs them on a core::WorkerPool and adds up their closed intervals.
+// every packet of a flow key lands on the shard that owns the key
+// (flow_shard_of), so each shard's classifier sees exactly the per-key
+// packet subsequence it would have seen in a single-threaded run —
+// timeouts and interval splits depend only on that subsequence, never on
+// other keys. engine::Engine runs a link as K such shards and folds their
+// WindowPartials; agg::Merger folds the partials of K processes.
 //
-// finalize_interval() is the one place interval math happens — every
-// thread count closes intervals through it, so all agree bit for bit by
-// construction.
+// fit_window() and finalize_interval() are the one place window math
+// happens — every shard count, the live estimator and the merger close
+// windows through them, so all agree bit for bit by construction.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -28,7 +26,6 @@
 #include "flow/interval.hpp"
 #include "measure/rate_meter.hpp"
 #include "net/packet.hpp"
-#include "obs/catalog.hpp"
 #include "stats/timeseries.hpp"
 
 namespace fbm::api {
@@ -84,32 +81,28 @@ class FlowClassifierHandle {
   virtual void restore_state(const ClassifierState& state) = 0;
 };
 
-/// Classifier for the configured flow definition, timeout and interval.
-[[nodiscard]] std::unique_ptr<FlowClassifierHandle> make_flow_classifier(
-    const AnalysisConfig& config);
-
-/// Classifier with explicit options (fbm::live runs one classifier per
-/// sliding window, with boundary splitting disabled — the window itself is
-/// the interval).
+/// Classifier for the flow definition `def` (the pipeline splits flows at
+/// its interval boundaries; fbm::live runs one classifier per sliding
+/// window, with boundary splitting disabled — the window itself is the
+/// interval).
 [[nodiscard]] std::unique_ptr<FlowClassifierHandle> make_flow_classifier(
     FlowDefinition def, const flow::ClassifierOptions& options);
 
 /// Throws std::invalid_argument for out-of-range pipeline parameters.
 void validate_config(const AnalysisConfig& config);
 
-/// Largest worker count a pipeline or engine accepts.
+/// Largest worker or shard count an engine accepts.
 inline constexpr std::size_t kMaxThreads = 4096;
 
 /// A thread count of 0 means "use every core": resolves to
 /// std::thread::hardware_concurrency() (floor 1 when the runtime cannot
 /// tell). Any other value in [1, kMaxThreads] passes through unchanged;
-/// larger ones throw std::invalid_argument. AnalysisConfig, the engine and
-/// the tools' --threads all go through here.
+/// larger ones throw std::invalid_argument. The engine's threads and shards
+/// and the tools' --threads all go through here.
 [[nodiscard]] std::size_t resolve_threads(std::size_t configured);
 
-/// Analysis-interval index of a timestamp — the single definition the
-/// pipeline and its shards use, so a flow lands in the same interval
-/// everywhere.
+/// Analysis-interval index of a timestamp — the single definition every
+/// pipeline uses, so a flow lands in the same interval everywhere.
 [[nodiscard]] inline std::int64_t interval_index_of(double ts,
                                                     double interval_s) {
   return static_cast<std::int64_t>(std::floor(ts / interval_s));
@@ -122,94 +115,11 @@ inline constexpr std::size_t kMaxThreads = 4096;
                                         FlowDefinition def,
                                         std::size_t nshards);
 
-/// One closed window's raw pre-fit material — a batch analysis interval or
-/// a live sliding window, from one shard, one process or a merge of many.
-/// Every field is an exact additive statistic: the flow sums, the packet
-/// bytes binned at delta (discarded single-packet flows subtracted, exact
-/// integral byte counts) and the counters. Folding the partials of
-/// key-disjoint producers with merge() and fitting once therefore
-/// reproduces a single-machine run bit for bit, in any fold order.
-///
-/// PartialSink (api/pipeline.hpp) and the live partial sink hand these to
-/// fbm::agg instead of fitting locally; fitting (and min_flows filtering)
-/// then happens exactly once, after agg::Merger folds every producer.
-struct WindowPartial {
-  std::int64_t index = 0;
-  std::uint64_t packets = 0;   ///< live windows only (batch leaves 0)
-  std::uint64_t bytes = 0;     ///< live windows only
-  std::uint64_t discards = 0;  ///< live windows only
-  flow::FlowSums sums{};
-  stats::RateBinner bins;
-  /// The flow records themselves, unsorted — kept only under
-  /// AnalysisConfig::keep_flows (batch figure benches); never serialized.
-  std::vector<flow::FlowRecord> flows{};
-
-  /// Adds `other`'s statistics (and kept flows). Throws
-  /// std::invalid_argument when the bin grids differ.
-  void merge(WindowPartial&& other);
-};
-
-/// Single-threaded per-shard pipeline state. Not thread-safe: exactly one
-/// thread drives it (AnalysisPipeline pins each instance to one pool worker
-/// and guards it with a mutex for its observability getters). Feed only
-/// packets whose flow key hashes to this shard, in global timestamp order.
-class PipelineShard {
- public:
-  explicit PipelineShard(const AnalysisConfig& config);
-
-  /// Classify the batch and bin its bytes into their analysis intervals:
-  /// the classifier runs its hash-ahead batch path (and the ingest check),
-  /// the interval lookup happens once per interval-homogeneous run, and
-  /// completed flows are drained once per batch.
-  void add_batch(const net::PacketBatch& batch);
-
-  /// Expire flows idle as of `now`, then emit one WindowPartial for every
-  /// index not yet closed up to `last_index` inclusive (empty intervals
-  /// included, so all shards produce the same contiguous index sequence).
-  void close_through(double now, std::int64_t last_index,
-                     std::vector<WindowPartial>& out);
-
-  /// End of stream: terminate all active flows and close through
-  /// `last_index`.
-  void finish(std::int64_t last_index, std::vector<WindowPartial>& out);
-
-  [[nodiscard]] const flow::ClassifierCounters& counters() const {
-    return classifier_->counters();
-  }
-  [[nodiscard]] std::size_t active_flows() const {
-    return classifier_->active_flows();
-  }
-  [[nodiscard]] std::size_t open_intervals() const { return open_.size(); }
-
- private:
-  [[nodiscard]] WindowPartial make_interval(std::int64_t index) const;
-  [[nodiscard]] WindowPartial& open_at(std::int64_t index);
-  void drain_classifier();
-  void emit_through(std::int64_t last_index, std::vector<WindowPartial>& out);
-  /// Folds classifier-counter deltas into the obs locals and samples the
-  /// flow-table gauges. Batch/sweep cadence, no-op when obs is disabled.
-  void sync_obs(bool sample_table);
-
-  AnalysisConfig config_;
-  std::unique_ptr<FlowClassifierHandle> classifier_;
-  std::map<std::int64_t, WindowPartial> open_;
-  std::int64_t next_close_ = 0;
-
-  // obs: this shard's private counter cells (one relaxed add each at sync
-  // time) and the classifier-counter values already folded in.
-  obs::ShardedCounter::Local obs_packets_;
-  obs::ShardedCounter::Local obs_flows_;
-  obs::ShardedCounter::Local obs_discards_;
-  obs::ShardedCounter::Local obs_splits_;
-  flow::ClassifierCounters obs_synced_{};
-  obs::Histogram* obs_classify_seconds_ = nullptr;
-};
-
 /// One fitted window of trace time: everything the paper derives from a
 /// window's flow sums plus its exact byte bins. Produced by fit_window() —
-/// the single implementation of the per-window math that the serial
-/// pipeline, the sharded merge and live::WindowedEstimator all share, so
-/// all three agree bit for bit by construction.
+/// the single implementation of the per-window math that the batch
+/// pipeline, the engine's per-link fold and live::WindowedEstimator all
+/// share, so they agree bit for bit by construction.
 struct WindowFit {
   flow::ModelInputs inputs;
   measure::RateMoments measured;
@@ -231,9 +141,9 @@ struct WindowFit {
 
 /// Turns one interval's merged raw material into the finished
 /// AnalysisReport via fit_window(); with keep_flows the report carries the
-/// interval's flows sorted by flow::ByStart. Both pipelines and the merger
-/// close intervals through here; min_flows filtering stays with the
-/// caller.
+/// interval's flows sorted by flow::ByStart. The pipeline, the engine's
+/// fold and the merger close intervals through here; min_flows filtering
+/// stays with the caller.
 [[nodiscard]] AnalysisReport finalize_interval(const AnalysisConfig& config,
                                                WindowPartial&& raw);
 

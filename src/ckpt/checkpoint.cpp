@@ -17,6 +17,7 @@ constexpr std::uint32_t kFrameEstimator = 2;  ///< live::EstimatorState
 constexpr std::uint32_t kFrameEngine = 3;     ///< stream totals + link count
 constexpr std::uint32_t kFrameSession = 4;    ///< one per link, attach order
 constexpr std::uint32_t kFrameEnd = 5;        ///< frame count + packet total
+constexpr std::uint32_t kFrameShard = 6;  ///< shards 1..K-1 of the last link
 
 // ------------------------------------------------------------- serializing ---
 
@@ -172,9 +173,15 @@ void check_count(const ByteCursor& c, std::uint64_t count,
 
 // ------------------------------------------------------------------ writing --
 
+/// One body frame: its type and payload.
+struct Frame {
+  std::uint32_t type;
+  ByteBuffer payload;
+};
+
 void write_frames(const std::filesystem::path& path, CheckpointKind kind,
                   const agg::PartialMeta& meta, std::uint64_t packets,
-                  const std::vector<ByteBuffer>& body) {
+                  const std::vector<Frame>& body) {
   static obs::Histogram& ckpt_seconds =
       obs::stage_seconds(obs::kStageCheckpoint);
   obs::StageSpan span(ckpt_seconds);  // encode + write + fsync + rename
@@ -183,14 +190,7 @@ void write_frames(const std::filesystem::path& path, CheckpointKind kind,
     core::FrameWriter out(tmp, kCheckpointMagic, kCheckpointVersion,
                           "checkpoint");
     out.write_frame(kFrameMeta, encode_meta_frame(kind, meta));
-    std::uint32_t type = kind == CheckpointKind::estimator ? kFrameEstimator
-                                                           : kFrameEngine;
-    for (const auto& b : body) {
-      out.write_frame(type, b);
-      // An engine checkpoint's first body frame is the engine frame; the
-      // rest are per-session frames.
-      if (type == kFrameEngine) type = kFrameSession;
-    }
+    for (const auto& f : body) out.write_frame(f.type, f.payload);
     out.write_frame(kFrameEnd,
                     encode_end(1 + body.size() + 1, packets));
     out.flush();
@@ -217,10 +217,8 @@ void write_frames(const std::filesystem::path& path, CheckpointKind kind,
 void write_checkpoint(const std::filesystem::path& path,
                       const agg::PartialMeta& meta,
                       const live::EstimatorState& state) {
-  ByteBuffer b;
-  put_estimator(b, state);
-  std::vector<ByteBuffer> body;
-  body.push_back(std::move(b));
+  std::vector<Frame> body(1, Frame{kFrameEstimator, {}});
+  put_estimator(body.front().payload, state);
   write_frames(path, CheckpointKind::estimator, meta, state.counters.packets,
                body);
 }
@@ -228,7 +226,7 @@ void write_checkpoint(const std::filesystem::path& path,
 void write_checkpoint(const std::filesystem::path& path,
                       const agg::PartialMeta& meta,
                       const engine::EngineState& state) {
-  std::vector<ByteBuffer> body;
+  std::vector<Frame> body;
   {
     ByteBuffer b;
     b.put(state.summary.packets);
@@ -237,18 +235,22 @@ void write_checkpoint(const std::filesystem::path& path,
     b.put(state.summary.last_ts);
     b.put(state.last_ts);
     b.put(static_cast<std::uint64_t>(state.sessions.size()));
-    body.push_back(std::move(b));
+    body.push_back({kFrameEngine, std::move(b)});
   }
   for (const auto& s : state.sessions) {
     ByteBuffer b;
     b.put_string(s.name);
     b.put(static_cast<std::uint32_t>(s.attached ? 1 : 0));
-    b.put(static_cast<std::uint32_t>(s.has_live ? 1 : 0));
+    b.put(static_cast<std::uint32_t>(s.shards.empty() ? 0 : 1));
     b.put(s.counters.packets);
     b.put(s.counters.bytes);
     b.put(s.counters.reports);
-    if (s.has_live) put_estimator(b, s.live);
-    body.push_back(std::move(b));
+    if (!s.shards.empty()) put_estimator(b, s.shards.front());
+    body.push_back({kFrameSession, std::move(b)});
+    for (std::size_t k = 1; k < s.shards.size(); ++k) {
+      body.push_back({kFrameShard, {}});
+      put_estimator(body.back().payload, s.shards[k]);
+    }
   }
   write_frames(path, CheckpointKind::engine, meta, state.summary.packets,
                body);
@@ -322,13 +324,22 @@ Checkpoint read_checkpoint(const std::filesystem::path& path) {
         engine::EngineSessionState ss;
         ss.name = c.get_string();
         ss.attached = c.get<std::uint32_t>() != 0;
-        ss.has_live = c.get<std::uint32_t>() != 0;
+        const bool has_live = c.get<std::uint32_t>() != 0;
         ss.counters.packets = c.get<std::uint64_t>();
         ss.counters.bytes = c.get<std::uint64_t>();
         ss.counters.reports = c.get<std::uint64_t>();
-        if (ss.has_live) ss.live = get_estimator(c);
+        if (has_live) ss.shards.push_back(get_estimator(c));
         c.expect_done();
         ck.engine.sessions.push_back(std::move(ss));
+        break;
+      }
+      case kFrameShard: {
+        if (ck.engine.sessions.empty() ||
+            ck.engine.sessions.back().shards.empty()) {
+          throw std::runtime_error(where + ": unexpected shard frame");
+        }
+        ck.engine.sessions.back().shards.push_back(get_estimator(c));
+        c.expect_done();
         break;
       }
       case kFrameEnd: {

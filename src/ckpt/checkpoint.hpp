@@ -18,8 +18,10 @@
 // agg::PartialMeta — restore refuses a checkpoint taken under different
 // knobs with the same field-naming diagnostics as a partial merge), then
 // one estimator frame (kind estimator) or one engine frame followed by one
-// session frame per link in attach order (kind engine), then exactly one
-// end frame cross-checking the frame count and packet total. A truncated
+// session frame per link in attach order (kind engine; a link of K > 1
+// flow-hash shards carries shard 0 in its session frame and shards
+// 1..K-1 in K-1 shard frames right after it), then exactly one end frame
+// cross-checking the frame count and packet total. A truncated
 // or bit-flipped file is always detected, never silently restored; writes
 // go through a temp file + atomic rename so a crash mid-checkpoint leaves
 // the previous checkpoint intact.

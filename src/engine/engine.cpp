@@ -12,8 +12,8 @@ namespace fbm::engine {
 
 namespace {
 
-/// Packets a session's demux buffer collects before it is handed to the
-/// session's worker (threaded pool only; per-link results do not depend on
+/// Packets a shard's demux buffer collects before it is handed to the
+/// shard's worker (threaded pool only; per-link results do not depend on
 /// it), and the read batch size of consume().
 constexpr std::size_t kBatchPackets = 512;
 
@@ -23,58 +23,88 @@ constexpr double kFlushEveryS = 1.0;
 
 }  // namespace
 
-/// One per-link session: the analysis state (exactly one of batch/live) plus
-/// demux bookkeeping. Driven by exactly one thread at a time — the caller
-/// inline, or the pool worker it is pinned to.
-struct Engine::Session {
-  LinkId id = 0;
-  std::string name;
-  MatchRule rule;
-  bool attached = true;
-  std::size_t worker = 0;  ///< pool worker this session is pinned to
+/// One flow-hash shard of a link: its analysis state (exactly one of
+/// batch/live, in partial mode) plus demux bookkeeping. Driven by exactly
+/// one thread at a time — the caller inline, or the worker it is pinned to.
+struct Engine::Shard {
+  Link* link = nullptr;
+  std::size_t index = 0;   ///< position in the link's shards
+  std::size_t worker = 0;  ///< pool worker this shard is pinned to
 
+  /// Both null once finished: a detached link holds no flow tables.
   std::unique_ptr<api::AnalysisPipeline> batch;
   std::unique_ptr<live::WindowedEstimator> live;
 
   /// Demux buffer: this batch's packets with an inline pool, packets not
   /// yet handed to the worker with a threaded one.
   net::PacketBatch pending;
-  LinkCounters counters;  ///< packets/bytes: demux thread; reports: emit_mu_
+  /// Demux thread: the newest link clock handed to this shard.
+  double clock = -std::numeric_limits<double>::infinity();
 
-  // obs: this link's exported gauges, resolved once at attach.
-  obs::Gauge* g_packets = nullptr;
-  obs::Gauge* g_reports = nullptr;
-
-  void push(const net::PacketBatch& packets) {
-    if (batch) {
-      batch->push_batch(packets);
-    } else {
-      live->push_batch(packets);
-    }
+  /// Runs `f` on the shard's pipeline or estimator, if it has one left.
+  template <typename F>
+  void with(F&& f) {
+    if (batch) f(*batch);
+    if (live) f(*live);
   }
 
-  /// Flushes the session, then frees its analysis state (classifier flow
-  /// tables above all) so detached links don't hold memory for the
-  /// engine's lifetime. Only the counters outlive it, for links().
+  /// Takes `packets` (possibly none), then the link's clock `now`.
+  void run(const net::PacketBatch& packets, double now) {
+    with([&](auto& a) {
+      a.push_batch(packets);
+      a.advance(now);  // a no-op for a shard that saw a packet at `now`
+    });
+  }
+
   void finish() {
-    if (batch) {
-      batch->finish();
-    } else {
-      live->finish();
-    }
+    with([](auto& a) { a.finish(); });
     batch.reset();
     live.reset();
   }
 };
 
+/// One link: identity, match rule, its shards and their fold. The fold is
+/// driven by whichever worker delivers a window's last shard, under
+/// fold_mu; counters.reports/flows are written under emit_mu_.
+struct Engine::Link {
+  LinkId id = 0;
+  std::string name;
+  MatchRule rule;
+  bool attached = true;
+  api::FlowDefinition flow_def = api::FlowDefinition::five_tuple;
+  /// Demux thread: timestamp of the newest packet routed to the link,
+  /// kept for K > 1 only (a lone shard sees every packet of its link).
+  double clock = -std::numeric_limits<double>::infinity();
+  /// Sized once at attach: each shard's partial sink holds its address.
+  std::vector<Shard> shards;
+  LinkCounters counters;  ///< packets/bytes: demux thread
+
+  // obs: this link's exported gauges, resolved once at attach.
+  obs::Gauge* g_packets = nullptr;
+  obs::Gauge* g_reports = nullptr;
+
+  // The fold. Each shard closes the same contiguous index sequence, so
+  // window k is complete once no shard's queue is empty.
+  std::mutex fold_mu;
+  std::vector<std::deque<api::WindowPartial>> waiting;  ///< per shard
+  api::AnalysisConfig analysis;  ///< batch: the layered fit config
+  live::LiveConfig live;         ///< live: the layered fit config
+  std::unique_ptr<live::RollingForecaster> forecaster;  ///< live only
+  std::unique_ptr<live::AnomalyMonitor> monitor;        ///< live only
+};
+
 Engine::Engine(EngineConfig config) : config_(std::move(config)) {
-  // threads == 0 means "use every core", exactly as in api::AnalysisConfig.
+  // 0 means "use every core", for workers and shards alike.
   config_.threads = api::resolve_threads(config_.threads);
+  if (config_.shards > api::kMaxThreads) {
+    throw std::invalid_argument("Engine: shards above api::kMaxThreads");
+  }
+  config_.shards = api::resolve_threads(config_.shards);
   pool_ = std::make_unique<core::WorkerPool>(config_.threads, "engine");
 }
 
-// The pool is declared last, so it drains and joins before the sessions its
-// tasks point at go away. Sessions left unfinished are simply dropped.
+// The pool is declared last, so it drains and joins before the shards its
+// tasks point at go away. Links left unfinished are simply dropped.
 Engine::~Engine() = default;
 
 LinkId Engine::attach(LinkSpec spec) {
@@ -82,57 +112,54 @@ LinkId Engine::attach(LinkSpec spec) {
   if (spec.name.empty()) {
     throw std::invalid_argument("Engine: empty link name");
   }
-  for (const auto& s : sessions_) {
-    if (s->attached && s->name == spec.name) {
+  for (const auto& l : links_) {
+    if (l->attached && l->name == spec.name) {
       throw std::invalid_argument("Engine: duplicate link name \"" +
                                   spec.name + "\"");
     }
   }
 
-  auto session = std::make_unique<Session>();
-  session->id = next_id_;
-  session->name = spec.name;
-  session->rule = spec.rule;
+  auto link = std::make_unique<Link>();
+  link->id = next_id_;
+  link->name = spec.name;
+  link->rule = spec.rule;
 
-  // Build the layered session config and its analysis state first: a
+  // Build the layered config and every shard's analysis state first: a
   // throwing override or an invalid config must leave the engine unchanged.
-  Session* raw = session.get();
+  Link* raw = link.get();
   if (config_.mode == EngineMode::batch) {
-    api::AnalysisConfig cfg = config_.analysis;
-    if (spec.tune_analysis) spec.tune_analysis(cfg);
-    cfg.threads(1);  // the engine pool is the only threading
-    session->batch = std::make_unique<api::AnalysisPipeline>(cfg);
-    if (partial_sink_) {
-      session->batch->set_partial_sink([this, raw](api::WindowPartial&& iv) {
-        emit_partial(*raw, std::move(iv));
-      });
-    } else {
-      session->batch->set_report_sink([this, raw](api::AnalysisReport&& r) {
-        LinkReport report;
-        report.link = raw->id;
-        report.name = raw->name;
-        report.interval = std::move(r);
-        emit(*raw, std::move(report));
-      });
-    }
+    link->analysis = config_.analysis;
+    if (spec.tune_analysis) spec.tune_analysis(link->analysis);
+    link->flow_def = link->analysis.flow_definition();
   } else {
-    live::LiveConfig cfg = config_.live;
-    if (spec.tune_live) spec.tune_live(cfg);
-    session->live = std::make_unique<live::WindowedEstimator>(cfg);
-    if (partial_sink_) {
-      session->live->set_partial_sink([this, raw](api::WindowPartial&& p) {
-        emit_partial(*raw, std::move(p));
-      });
+    link->live = config_.live;
+    if (spec.tune_live) spec.tune_live(link->live);
+    link->flow_def = link->live.analysis.flow_definition();
+    link->forecaster = std::make_unique<live::RollingForecaster>(
+        link->live.forecast_max_order, link->live.forecast_history,
+        link->live.band_k_sigma);
+  }
+  link->shards.resize(config_.shards);
+  for (std::size_t k = 0; k < config_.shards; ++k) {
+    Shard& shard = link->shards[k];
+    shard.link = raw;
+    shard.index = k;
+    const auto sink = [this, s = &shard](api::WindowPartial&& p) {
+      fold(*s, std::move(p));
+    };
+    if (config_.mode == EngineMode::batch) {
+      shard.batch = std::make_unique<api::AnalysisPipeline>(link->analysis);
+      shard.batch->set_partial_sink(sink);
     } else {
-      session->live->set_window_sink([this, raw](live::WindowReport&& r) {
-        LinkReport report;
-        report.link = raw->id;
-        report.name = raw->name;
-        report.window = std::move(r);
-        emit(*raw, std::move(report));
-      });
+      shard.live = std::make_unique<live::WindowedEstimator>(link->live);
+      shard.live->set_partial_sink(sink);
     }
   }
+  if (config_.mode == EngineMode::live) {
+    // After the estimators: their constructors validate the config.
+    link->monitor = std::make_unique<live::AnomalyMonitor>(link->live);
+  }
+  link->waiting.resize(config_.shards);
 
   // Index the match rule. Prefix links share one routing table, so inserts
   // can collide with another attached link's claim — roll back for the
@@ -145,14 +172,14 @@ LinkId Engine::attach(LinkSpec spec) {
     std::vector<net::Prefix> inserted;
     inserted.reserve(match->prefixes.size());
     for (const auto& prefix : match->prefixes) {
-      if (const auto prev = prefix_table_.insert(prefix, session->id)) {
+      if (const auto prev = prefix_table_.insert(prefix, link->id)) {
         // insert() replaced the previous owner's entry — restore it, then
         // unwind the prefixes this attach already claimed (for a duplicate
         // within this very spec, the restored entry is among them).
         (void)prefix_table_.insert(prefix, *prev);
         for (const auto& p : inserted) (void)prefix_table_.erase(p);
         throw std::invalid_argument(
-            *prev == session->id
+            *prev == link->id
                 ? "Engine: duplicate prefix " + prefix.to_string() +
                       " in link \"" + spec.name + "\""
                 : "Engine: prefix " + prefix.to_string() +
@@ -163,30 +190,29 @@ LinkId Engine::attach(LinkSpec spec) {
     ++prefix_links_;
   }
 
-  session->worker = next_worker_++ % pool_->size();
-  session->g_packets = &obs::link_packets(session->name);
-  session->g_reports = &obs::link_reports(session->name);
-  routing_.push_back(session.get());
-  sessions_.push_back(std::move(session));
+  for (auto& shard : link->shards) {
+    shard.worker = next_worker_++ % pool_->size();
+  }
+  link->g_packets = &obs::link_packets(link->name);
+  link->g_reports = &obs::link_reports(link->name);
+  routing_.push_back(link.get());
+  links_.push_back(std::move(link));
   return next_id_++;
 }
 
 bool Engine::detach(LinkId id) {
-  for (auto& s : sessions_) {
-    if (s->id != id) continue;
-    if (!s->attached) return false;
-    s->attached = false;
-    std::erase(routing_, s.get());
-    if (const auto* match = std::get_if<MatchPrefixes>(&s->rule)) {
+  for (auto& l : links_) {
+    if (l->id != id) continue;
+    if (!l->attached) return false;
+    l->attached = false;
+    std::erase(routing_, l.get());
+    if (const auto* match = std::get_if<MatchPrefixes>(&l->rule)) {
       for (const auto& prefix : match->prefixes) {
         (void)prefix_table_.erase(prefix);
       }
       --prefix_links_;
     }
-    if (!finished_) {
-      flush_session(*s);
-      finish_session(*s);
-    }
+    if (!finished_) finish_link(*l);
     return true;
   }
   return false;
@@ -203,7 +229,7 @@ void Engine::push_batch(const net::PacketBatch& batch) {
   // Checking the flush deadline once per batch bounds buffered-packet
   // latency at batch granularity — a latency knob only, never a result
   // change.
-  if (last_ts_ >= flush_deadline_) flush_all_pending(last_ts_);
+  if (last_ts_ >= flush_deadline_) flush();
 }
 
 void Engine::route_batch(const net::PacketBatch& batch) {
@@ -213,103 +239,122 @@ void Engine::route_batch(const net::PacketBatch& batch) {
   obs::StageSpan span(demux_seconds);  // whole-batch demux span
   if (obs::enabled()) obs::demux_packets().add(n);
   // One pass over the batch for every prefix link at once: a packet's LPM
-  // result is its session's id, and the packet goes straight into that
-  // session's demux buffer.
+  // result is its link's id, and the packet goes straight into the demux
+  // buffer of that link's shard.
   if (prefix_links_ > 0) {
     for (std::size_t i = 0; i < n; ++i) {
       const auto id = prefix_table_.lookup(batch.tuples[i].dst);
-      if (id) take(*sessions_[*id], batch, i);
+      if (id) take(*links_[*id], batch, i);
     }
   }
-  for (Session* s : routing_) {
-    if (std::holds_alternative<MatchAll>(s->rule)) {
-      s->counters.packets += n;
-      for (std::size_t i = 0; i < n; ++i) s->counters.bytes += batch.sizes[i];
-      if (!pool_->threaded()) {
-        s->push(batch);  // the whole batch, no copy
-        continue;
+  for (Link* l : routing_) {
+    if (std::holds_alternative<MatchAll>(l->rule)) {
+      if (l->shards.size() > 1) {
+        for (std::size_t i = 0; i < n; ++i) take(*l, batch, i);
+      } else {
+        l->counters.packets += n;
+        for (std::size_t i = 0; i < n; ++i) l->counters.bytes += batch.sizes[i];
+        Shard& s = l->shards.front();
+        if (!pool_->threaded()) {
+          s.run(batch, l->clock);  // the whole batch, no copy
+          continue;
+        }
+        s.pending.append(batch);
       }
-      s->pending.append(batch);
-    } else if (const auto* rule = std::get_if<MatchTuple>(&s->rule)) {
+    } else if (const auto* rule = std::get_if<MatchTuple>(&l->rule)) {
       for (std::size_t i = 0; i < n; ++i) {
-        if (rule->matches(batch.tuples[i])) take(*s, batch, i);
+        if (rule->matches(batch.tuples[i])) take(*l, batch, i);
       }
     }
-    deliver_pending(*s);
+    deliver_pending(*l);
   }
 }
 
-void Engine::take(Session& s, const net::PacketBatch& batch,
-                  std::size_t i) {
+void Engine::take(Link& l, const net::PacketBatch& batch, std::size_t i) {
+  Shard* to = &l.shards.front();
+  if (const std::size_t k = l.shards.size(); k > 1) {
+    to += api::flow_shard_of(batch.tuples[i], l.flow_def, k);
+    l.clock = batch.timestamps[i];
+  }
+  Shard& s = *to;
   // A buffer is one allocation per array, handed off the moment it is full:
   // every queued task holds exactly kBatchPackets packets.
   if (s.pending.empty()) s.pending.reserve(kBatchPackets);
   s.pending.emplace_back(batch.timestamps[i], batch.tuples[i],
                          batch.sizes[i]);
-  ++s.counters.packets;
-  s.counters.bytes += batch.sizes[i];
-  if (s.pending.size() == kBatchPackets && pool_->threaded()) {
-    flush_session(s);
+  ++l.counters.packets;
+  l.counters.bytes += batch.sizes[i];
+  if (s.pending.size() == kBatchPackets && pool_->threaded()) deliver(s);
+}
+
+void Engine::deliver_pending(Link& l) {
+  if (!pool_->threaded()) {
+    // Inline: every shard takes this batch's packets now, in attach order,
+    // and the ones that got none catch up with the link's clock.
+    for (auto& s : l.shards) deliver(s);
+    return;
+  }
+  for (auto& s : l.shards) {
+    if (s.pending.empty()) continue;
+    flush_deadline_ = std::min(flush_deadline_,
+                               s.pending.timestamps.front() + kFlushEveryS);
+    if (s.pending.size() >= kBatchPackets) deliver(s);
   }
 }
 
-void Engine::deliver_pending(Session& s) {
-  if (s.pending.empty()) return;
+void Engine::deliver(Shard& s) {
+  const double now = s.link->clock;
+  if (s.pending.empty() && !(s.clock < now)) return;
+  s.clock = now;
   if (!pool_->threaded()) {
-    // Inline: every session takes this batch's packets now, in attach order.
-    s.push(s.pending);
+    s.run(s.pending, now);
     s.pending.clear();
     return;
   }
-  flush_deadline_ =
-      std::min(flush_deadline_, s.pending.timestamps.front() + kFlushEveryS);
-  if (s.pending.size() >= kBatchPackets) flush_session(s);
-}
-
-void Engine::flush_session(Session& s) {
-  if (s.pending.empty()) return;
   pool_->submit(s.worker,
-                [session = &s, packets = std::exchange(s.pending, {})] {
-                  session->push(packets);
+                [shard = &s, packets = std::exchange(s.pending, {}), now] {
+                  shard->run(packets, now);
                 });
 }
 
-void Engine::flush_all_pending(double /*now*/) {
-  for (auto& s : sessions_) flush_session(*s);
+void Engine::flush() {
+  if (finished_) return;
+  for (auto& l : links_) {
+    if (!l->attached) continue;
+    for (auto& s : l->shards) deliver(s);
+  }
   if (obs::enabled()) {
     // Refresh the per-link exported gauges at flush cadence. reports is
     // written by pool workers under emit_mu_, so read it under the same
     // lock; packets/bytes are demux-thread-owned.
     std::lock_guard lock(emit_mu_);
-    for (const auto& s : sessions_) {
-      if (s->g_packets != nullptr) {
-        s->g_packets->set(static_cast<double>(s->counters.packets));
+    for (const auto& l : links_) {
+      if (l->g_packets != nullptr) {
+        l->g_packets->set(static_cast<double>(l->counters.packets));
       }
-      if (s->g_reports != nullptr) {
-        s->g_reports->set(static_cast<double>(s->counters.reports));
+      if (l->g_reports != nullptr) {
+        l->g_reports->set(static_cast<double>(l->counters.reports));
       }
     }
   }
   flush_deadline_ = std::numeric_limits<double>::infinity();
 }
 
-void Engine::flush() {
-  if (finished_) return;
-  flush_all_pending(last_ts_);
-}
-
-void Engine::finish_session(Session& s) {
-  // Runs on the caller at once with an inline pool.
-  pool_->submit(s.worker, [session = &s] { session->finish(); });
+void Engine::finish_link(Link& l) {
+  // Every shard first catches up with the link's clock, so all K close
+  // through the same last index. Runs on the caller at once with an inline
+  // pool.
+  for (auto& s : l.shards) {
+    deliver(s);
+    pool_->submit(s.worker, [shard = &s] { shard->finish(); });
+  }
 }
 
 void Engine::finish() {
   if (finished_) return;
   finished_ = true;
-  for (auto& s : sessions_) {
-    if (!s->attached) continue;
-    flush_session(*s);
-    finish_session(*s);
+  for (auto& l : links_) {
+    if (l->attached) finish_link(*l);
   }
   pool_->join();
 }
@@ -322,20 +367,55 @@ std::uint64_t Engine::consume(api::TraceSource& source) {
   return n;
 }
 
-void Engine::emit(Session& s, LinkReport&& report) {
+void Engine::fold(Shard& s, api::WindowPartial&& partial) {
+  Link& l = *s.link;
+  std::lock_guard lock(l.fold_mu);
+  l.waiting[s.index].push_back(std::move(partial));
+  for (;;) {
+    for (const auto& q : l.waiting) {
+      if (q.empty()) return;
+    }
+    // Fold order is irrelevant: flow sums and byte bins add exactly.
+    api::WindowPartial sum = std::move(l.waiting.front().front());
+    l.waiting.front().pop_front();
+    for (std::size_t k = 1; k < l.waiting.size(); ++k) {
+      sum.merge(std::move(l.waiting[k].front()));
+      l.waiting[k].pop_front();
+    }
+    complete(l, std::move(sum));
+  }
+}
+
+void Engine::complete(Link& l, api::WindowPartial&& raw) {
+  const std::uint64_t flows = raw.sums.n;
+  LinkReport report;
+  bool keep = true;
+  if (!partial_sink_) {
+    // Fit outside emit_mu_, so other links' folds fit in parallel; the
+    // link's own fold_mu keeps its forecaster in window order.
+    report.link = l.id;
+    report.name = l.name;
+    if (config_.mode == EngineMode::batch) {
+      report.interval = api::finalize_interval(l.analysis, std::move(raw));
+      keep = report.interval->inputs.flows >= l.analysis.min_flows();
+    } else {
+      report.window =
+          live::fit_window_report(l.live, raw, *l.forecaster, *l.monitor);
+    }
+  }
   std::lock_guard lock(emit_mu_);
-  ++s.counters.reports;
-  if (sink_) {
+  l.counters.flows += flows;
+  if (!keep) return;
+  ++l.counters.reports;
+  if (partial_sink_) {
+    // Distributed mode: the folded raw material leaves for agg::Merger,
+    // which fits once after the cross-process fold.
+    partial_sink_(l.id, l.name, std::move(raw));
+  } else if (sink_) {
     sink_(std::move(report));
   } else {
     ready_.push_back(std::move(report));
   }
-}
-
-void Engine::emit_partial(Session& s, api::WindowPartial&& partial) {
-  std::lock_guard lock(emit_mu_);  // pool workers flush concurrently
-  ++s.counters.reports;
-  partial_sink_(s.id, s.name, std::move(partial));
 }
 
 LinkReport Engine::pop_report() {
@@ -357,16 +437,16 @@ std::vector<LinkReport> Engine::take_reports() {
 std::vector<LinkInfo> Engine::links() const {
   std::lock_guard lock(emit_mu_);  // counters.reports updates under it
   std::vector<LinkInfo> out;
-  out.reserve(sessions_.size());
-  for (const auto& s : sessions_) {
-    out.push_back({s->id, s->name, s->attached, s->counters});
+  out.reserve(links_.size());
+  for (const auto& l : links_) {
+    out.push_back({l->id, l->name, l->attached, l->counters});
   }
   return out;
 }
 
 std::size_t Engine::link_count() const {
   std::size_t n = 0;
-  for (const auto& s : sessions_) n += s->attached ? 1 : 0;
+  for (const auto& l : links_) n += l->attached ? 1 : 0;
   return n;
 }
 
@@ -378,11 +458,13 @@ EngineState Engine::save_state() {
   if (partial_sink_) {
     throw std::logic_error("Engine: save_state with a partial sink");
   }
-  // Quiesce: hand every demux-buffered packet to its worker, wait for the
-  // queues to drain (rethrowing any worker failure). After this every
-  // routed packet is inside its session and every closed window has been
-  // emitted — the per-session states are a consistent cut of the stream.
-  flush_all_pending(last_ts_);
+  // Quiesce: hand every demux-buffered packet to its worker, advance every
+  // shard to its link's clock, wait for the queues to drain (rethrowing any
+  // worker failure). After this every routed packet is inside its shard,
+  // and every shard of a link has closed the same windows, so each fold is
+  // empty and every closed window has been emitted — the states are a
+  // consistent cut of the stream.
+  flush();
   pool_->wait_idle();
   {
     std::lock_guard lock(emit_mu_);
@@ -394,18 +476,27 @@ EngineState Engine::save_state() {
   EngineState st;
   st.summary = summary_;
   st.last_ts = last_ts_;
-  st.sessions.reserve(sessions_.size());
-  // emit_mu_ also orders the workers' counters.reports writes before our
-  // reads; packets/bytes are demux-thread-owned and need no lock.
-  std::lock_guard lock(emit_mu_);
-  for (const auto& s : sessions_) {
+  st.sessions.reserve(links_.size());
+  for (const auto& l : links_) {
     EngineSessionState ss;
-    ss.name = s->name;
-    ss.attached = s->attached;
-    ss.counters = s->counters;
-    if (s->live) {
-      ss.has_live = true;
-      ss.live = s->live->save_state();
+    ss.name = l->name;
+    ss.attached = l->attached;
+    {
+      // emit_mu_ orders the workers' counters.reports writes before this
+      // read; packets/bytes are demux-thread-owned.
+      std::lock_guard lock(emit_mu_);
+      ss.counters = l->counters;
+    }
+    if (l->attached) {
+      for (const auto& s : l->shards) {
+        ss.shards.push_back(s.live->save_state());
+      }
+      live::EstimatorState& first = ss.shards.front();
+      first.forecast_history = l->forecaster->history();
+      first.monitor_consecutive =
+          static_cast<std::uint64_t>(l->monitor->consecutive_outside());
+      first.monitor_last_kind =
+          static_cast<std::uint32_t>(l->monitor->last_kind());
     }
     st.sessions.push_back(std::move(ss));
   }
@@ -420,38 +511,55 @@ void Engine::restore_state(const EngineState& state) {
   if (summary_.packets != 0) {
     throw std::logic_error("Engine: restore_state needs a fresh engine");
   }
-  if (sessions_.size() != state.sessions.size()) {
+  if (links_.size() != state.sessions.size()) {
     throw std::runtime_error(
         "Engine: restore link set mismatch (checkpoint has " +
         std::to_string(state.sessions.size()) + " links, engine has " +
-        std::to_string(sessions_.size()) +
+        std::to_string(links_.size()) +
         " — attach the checkpoint's links first, in order)");
   }
   // Two passes: validate the whole link set before mutating anything, so a
   // mismatch leaves the engine untouched (strong guarantee).
-  for (std::size_t i = 0; i < sessions_.size(); ++i) {
-    const Session& s = *sessions_[i];
+  for (std::size_t i = 0; i < links_.size(); ++i) {
+    const Link& l = *links_[i];
     const EngineSessionState& ss = state.sessions[i];
-    if (s.name != ss.name) {
+    if (l.name != ss.name) {
       throw std::runtime_error("Engine: restore link mismatch at position " +
                                std::to_string(i) + " (checkpoint says \"" +
-                               ss.name + "\", engine has \"" + s.name +
+                               ss.name + "\", engine has \"" + l.name +
                                "\")");
     }
-    if (s.attached != ss.attached) {
+    if (l.attached != ss.attached) {
       throw std::runtime_error("Engine: restore attach-state mismatch for \"" +
                                ss.name + "\"");
     }
-    if (ss.attached && static_cast<bool>(s.live) != ss.has_live) {
-      throw std::runtime_error("Engine: restore session-state mismatch for \"" +
-                               ss.name + "\"");
+    if (ss.attached && ss.shards.size() != l.shards.size()) {
+      throw std::runtime_error(
+          "Engine: restore shard-count mismatch for \"" + ss.name +
+          "\" (checkpoint has " + std::to_string(ss.shards.size()) +
+          " shards per link, engine has " + std::to_string(l.shards.size()) +
+          ")");
     }
   }
-  for (std::size_t i = 0; i < sessions_.size(); ++i) {
-    Session& s = *sessions_[i];
+  for (std::size_t i = 0; i < links_.size(); ++i) {
+    Link& l = *links_[i];
     const EngineSessionState& ss = state.sessions[i];
-    s.counters = ss.counters;
-    if (s.live && ss.has_live) s.live->restore_state(ss.live);
+    l.counters = ss.counters;
+    l.counters.flows = 0;
+    if (!l.attached) continue;
+    for (std::size_t k = 0; k < l.shards.size(); ++k) {
+      const live::EstimatorState& st = ss.shards[k];
+      l.shards[k].live->restore_state(st);  // validates the monitor fields
+      l.counters.flows += st.counters.flows;
+      // Every shard was advanced to its link's clock before the snapshot.
+      l.clock = std::max(l.clock, st.last_ts);
+    }
+    for (auto& s : l.shards) s.clock = l.clock;
+    const live::EstimatorState& first = ss.shards.front();
+    l.forecaster->restore_history(first.forecast_history);
+    l.monitor->restore_hysteresis(
+        static_cast<std::size_t>(first.monitor_consecutive),
+        static_cast<live::AlertKind>(first.monitor_last_kind));
   }
   summary_ = state.summary;
   last_ts_ = state.last_ts;

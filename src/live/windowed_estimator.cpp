@@ -22,7 +22,7 @@ WindowReport fit_window_report(const LiveConfig& config,
   report.bytes = raw.bytes;
   report.discards = raw.discards;
 
-  // The exact same fit the serial pipeline and the sharded merge run when
+  // The exact same fit the batch pipeline and the engine's fold run when
   // they close an analysis interval.
   api::WindowFit fit =
       api::fit_window(config.analysis, config.window_s, raw.sums, raw.bins);
@@ -44,6 +44,14 @@ WindowReport fit_window_report(const LiveConfig& config,
   if (auto f = forecaster.forecast()) report.forecast = *f;
   monitor.evaluate(report, fit.series);
   forecaster.observe(report.measured.mean_bps);
+  if (obs::enabled()) {
+    obs::live_windows_closed().add(1);
+    if (report.anomaly.alert) {
+      obs::live_alerts(report.anomaly.kind == AlertKind::spike ? "spike"
+                                                               : "drop")
+          .add(1);
+    }
+  }
   return report;
 }
 
@@ -147,7 +155,7 @@ void WindowedEstimator::push_batch(const net::PacketBatch& batch) {
     throw std::invalid_argument("WindowedEstimator: negative timestamp");
   }
 
-  if (counters_.packets == 0) {
+  if (last_ts_ == -std::numeric_limits<double>::infinity()) {
     next_expire_ = ts[0] + api::kExpireEveryS;
   }
   last_ts_ = ts[n - 1];
@@ -158,24 +166,7 @@ void WindowedEstimator::push_batch(const net::PacketBatch& batch) {
   std::size_t i = 0;
   while (i < n) {
     const double t = ts[i];
-    // Close (and report) every window the stream clock has passed, empty
-    // windows included, so the emitted index sequence stays contiguous.
-    if (t >= next_close_end_) close_through(t);
-    // Newest window whose start is <= t, tracked by boundary comparison (a
-    // loop iteration per stride crossed, no per-packet division).
-    while (t >= kmax_boundary_) {
-      ++cur_kmax_;
-      kmax_boundary_ = window_start(cur_kmax_ + 1);
-    }
-    max_window_ = std::max(max_window_, cur_kmax_);
-    while (next_close_ + static_cast<std::int64_t>(open_.size()) <=
-           cur_kmax_) {
-      open_.emplace_back(nullptr);
-    }
-    // Expiring before the run is result-neutral: a flow idle past the
-    // timeout at t emits the same record whether the sweep or the
-    // classifier's own timeout step completes it.
-    if (t >= next_expire_) expire_all(t);
+    step_clock(t);
 
     // Maximal run [i, j) with no window boundary, close watermark or expiry
     // deadline inside: every packet in it has ts < limit, found by
@@ -218,6 +209,35 @@ void WindowedEstimator::push_batch(const net::PacketBatch& batch) {
   }
 }
 
+void WindowedEstimator::step_clock(double t) {
+  // Close (and report) every window the stream clock has passed, empty
+  // windows included, so the emitted index sequence stays contiguous.
+  if (t >= next_close_end_) close_through(t);
+  // Newest window whose start is <= t, tracked by boundary comparison (a
+  // loop iteration per stride crossed, no per-packet division).
+  while (t >= kmax_boundary_) {
+    ++cur_kmax_;
+    kmax_boundary_ = window_start(cur_kmax_ + 1);
+  }
+  max_window_ = std::max(max_window_, cur_kmax_);
+  while (next_close_ + static_cast<std::int64_t>(open_.size()) <= cur_kmax_) {
+    open_.emplace_back(nullptr);
+  }
+  // Expiring before the run is result-neutral: a flow idle past the
+  // timeout at t emits the same record whether the sweep or the
+  // classifier's own timeout step completes it.
+  if (t >= next_expire_) expire_all(t);
+}
+
+void WindowedEstimator::advance(double now) {
+  if (finished_ || !(now > last_ts_) || now < 0.0) return;
+  if (last_ts_ == -std::numeric_limits<double>::infinity()) {
+    next_expire_ = now + api::kExpireEveryS;
+  }
+  last_ts_ = now;
+  step_clock(now);
+}
+
 void WindowedEstimator::close_through(double now) {
   while (now >= next_close_end_) {
     std::unique_ptr<WindowState> state;
@@ -244,15 +264,15 @@ void WindowedEstimator::finalize_window(std::int64_t k, WindowState* state) {
   ++counters_.windows;
   counters_.flows += raw.sums.n;
   if (obs::enabled()) {
-    obs::live_windows_closed().add(1);
     obs::live_open_windows().set(static_cast<double>(open_.size()));
   }
 
   if (partial_sink_) {
-    // Distributed mode: the raw material leaves for agg::Merger, which
-    // fits/forecasts/judges once after the final fold. The local forecaster
-    // and monitor never advance (they only ever saw this producer's key
-    // slice, which would poison the merged history).
+    // The raw material leaves for a fold (the engine's per-link fold, or
+    // agg::Merger), which fits/forecasts/judges once after the last shard
+    // or process is added. The local forecaster and monitor never advance
+    // (they only ever saw this shard's key slice, which would poison the
+    // merged history).
     partial_sink_(std::move(raw));
     return;
   }
@@ -261,11 +281,6 @@ void WindowedEstimator::finalize_window(std::int64_t k, WindowState* state) {
 }
 
 void WindowedEstimator::emit(WindowReport&& report) {
-  if (obs::enabled() && report.anomaly.alert) {
-    obs::live_alerts(report.anomaly.kind == AlertKind::spike ? "spike"
-                                                             : "drop")
-        .add(1);
-  }
   if (sink_) {
     sink_(std::move(report));
   } else {

@@ -8,8 +8,8 @@
 // analysis interval), its exact completed-flow sums and exact Delta byte
 // bins. A window closes the moment the stream clock passes its end: the
 // classifier flushes into the sums, and api::fit_window — the same
-// function the serial and sharded pipelines close intervals through —
-// produces the parameters. Replaying a finished trace therefore
+// function the batch pipeline closes intervals through — produces the
+// parameters. Replaying a finished trace therefore
 // reproduces, bit for bit, what a batch fit restricted to each window's
 // packets computes in isolation (tests/live/test_windowed_differential.cpp
 // proves it against the independent batch primitives and against
@@ -53,11 +53,12 @@ struct LiveCounters {
 using WindowPartial = api::WindowPartial;
 
 /// Turns one window's merged raw material into the finished WindowReport:
-/// api::fit_window (the same function the serial pipeline and the sharded
-/// merge close intervals through), the streaming flow-population moments,
-/// then forecast/judge/observe against the rolling state. The single
-/// implementation WindowedEstimator and agg::Merger share, so live
-/// monitoring and distributed aggregation agree bit for bit by
+/// api::fit_window (the same function the batch pipeline closes intervals
+/// through), the streaming flow-population moments, then
+/// forecast/judge/observe against the rolling state, counting the window
+/// (and its alert) in obs. The single implementation WindowedEstimator, the
+/// engine's per-link fold and agg::Merger share, so live monitoring, a
+/// sharded link and distributed aggregation agree bit for bit by
 /// construction. Windows must be finalized in index order (the forecaster
 /// and monitor are stateful).
 [[nodiscard]] WindowReport fit_window_report(const LiveConfig& config,
@@ -107,6 +108,12 @@ class WindowedEstimator {
   /// loop). Reports are bit-for-bit identical at every batch size, size 1
   /// included, for tiling, overlapping and gapped windows alike.
   void push_batch(const net::PacketBatch& batch);
+
+  /// Moves the stream clock to `now` without a packet: closes, opens and
+  /// expires exactly what a packet at `now` would, and nothing else — no
+  /// result changes. A no-op unless `now` is past the last packet or
+  /// advance. Later packets must not be older than `now`.
+  void advance(double now);
 
   /// End of stream: close every window up to the last packet's.
   /// push_batch() must not be called afterwards.
@@ -173,6 +180,9 @@ class WindowedEstimator {
   /// Window k's material before any packet: zero sums, zero bins.
   [[nodiscard]] WindowPartial empty_window(std::int64_t k) const;
   void drain(WindowState& state);
+  /// Everything the clock reaching `t` does before a packet at `t` lands:
+  /// close passed windows, open the newest, expire on cadence.
+  void step_clock(double t);
   void expire_all(double now);  ///< expire + drain every open window
   void close_through(double now);  ///< close windows with end <= now
   void finalize_window(std::int64_t k, WindowState* state);

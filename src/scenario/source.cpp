@@ -10,6 +10,11 @@ namespace fbm::scenario {
 
 namespace {
 
+/// The spec allows a CV of 0 (constant sizes or durations), but a lognormal
+/// needs sigma = sqrt(log(1 + cv^2)) > 0: this is the smallest CV whose
+/// sigma survives that expression in doubles with room to spare.
+constexpr double kMinCv = 1e-6;
+
 [[nodiscard]] double envelope_lambda(const ScenarioSpec& spec) {
   double peak = 1.0;
   for (const auto& s : spec.segments) {
@@ -26,9 +31,9 @@ ScenarioTraceSource::ScenarioTraceSource(ScenarioSpec spec)
         return std::move(spec);
       }()),
       size_dist_(stats::LogNormal::from_mean_cv(
-          spec_.size_mean_bits, std::max(1e-9, spec_.size_cv))),
+          spec_.size_mean_bits, std::max(kMinCv, spec_.size_cv))),
       duration_dist_(stats::LogNormal::from_mean_cv(
-          spec_.duration_mean_s, std::max(1e-9, spec_.duration_cv))),
+          spec_.duration_mean_s, std::max(kMinCv, spec_.duration_cv))),
       rng_(spec_.seed),
       arrivals_(envelope_lambda(spec_)) {
   segment_start_.reserve(spec_.segments.size());

@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -95,8 +96,8 @@ std::string batch_reference(const api::AnalysisConfig& config,
   return api::to_json(pipeline.summary(), reports);
 }
 
-/// One shard producer: pushes `packets` through a pipeline (serial or
-/// sharded by `threads`) with a partial sink, writes one partial file.
+/// One shard producer: pushes `packets` through a pipeline with a partial
+/// sink, writes one partial file.
 void produce_batch_partial(const api::AnalysisConfig& config,
                            const std::vector<net::PacketRecord>& packets,
                            const std::filesystem::path& path) {
@@ -136,18 +137,29 @@ TEST(AggregateDifferential, BatchSplitsMergeByteIdentical) {
 }
 
 TEST(AggregateDifferential, ShardedProducersMergeByteIdentical) {
-  // Each producer itself runs the multi-threaded pipeline — partials are
-  // identical to serial producers' (threads is a throughput knob, not
-  // identity), so a mixed fleet folds too.
+  // A producer that is itself a link of 3 flow-hash shards on 3 workers
+  // emits the partials a serial producer would (shards are a throughput
+  // knob, not identity), so a mixed fleet folds too.
   const auto packets = seeded_trace(77);
   const auto def = api::FlowDefinition::five_tuple;
-  api::AnalysisConfig config = batch_config(def);
+  const api::AnalysisConfig config = batch_config(def);
   const std::string reference = batch_reference(config, packets);
 
-  config.threads(3);
-  produce_batch_partial(config, shard_of(packets, def, 0, 2),
-                        temp_partial(0));
-  config.threads(1);
+  {
+    engine::EngineConfig ec;
+    ec.analysis = config;
+    ec.shards = 3;
+    ec.threads = 3;
+    agg::PartialWriter writer(temp_partial(0),
+                              agg::PartialMeta::from_batch(config));
+    engine::Engine eng(ec);
+    eng.set_partial_sink([&](engine::LinkId, const std::string&,
+                             api::WindowPartial&& iv) { writer.add(0, iv); });
+    (void)eng.attach(engine::parse_link_spec("all=*"));
+    push_all(eng, shard_of(packets, def, 0, 2));
+    eng.finish();
+    writer.finish({eng.summary(), {}});
+  }
   produce_batch_partial(config, shard_of(packets, def, 1, 2),
                         temp_partial(1));
   EXPECT_EQ(merge_files(2), reference);
@@ -469,6 +481,63 @@ TEST(AggregateDifferential, MergerRejectsCorruptAndIncompatibleInputs) {
 
   // No files, and all-empty merges, are errors too.
   EXPECT_THROW((void)agg::Merger().finish(), std::runtime_error);
+}
+
+TEST(AggregateDifferential, MergerRefusesInvalidConfigsAndForeignGrids) {
+  // A well-formed file (fresh checksums) whose meta no producer could have
+  // run with, or whose window grids are not the meta's, must be refused
+  // before anything folds, by file and field name — never fitted.
+  const auto packets = seeded_trace(606);
+  produce_batch_partial(batch_config(api::FlowDefinition::five_tuple),
+                        packets, temp_partial(0));
+  produce_live_partial(live_config(api::FlowDefinition::five_tuple), packets,
+                       temp_partial(1));
+  const auto expect_refused = [&](std::size_t source, const char* field,
+                                  const auto& edit) {
+    SCOPED_TRACE(field);
+    agg::PartialFile bad = agg::read_partial_file(temp_partial(source));
+    edit(bad);
+    {
+      agg::PartialWriter writer(temp_partial(2), bad.meta);
+      for (const auto& w : bad.windows) writer.add(w.link_id, w.window);
+      writer.finish(bad.totals);
+    }
+    agg::Merger merger;
+    try {
+      merger.add_file(temp_partial(2));
+      ADD_FAILURE() << "merged a file with a bad " << field;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(temp_partial(2).string()), std::string::npos)
+          << what;
+      EXPECT_NE(what.find(field), std::string::npos) << what;
+    }
+    EXPECT_EQ(merger.files(), 0u);
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  // Batch: 10 s frames under a 1 ms interval, a Delta the frames were not
+  // binned at, an epsilon and shot powers the fit cannot use...
+  using File = agg::PartialFile;
+  expect_refused(0, "grid_end",
+                 [](File& f) { f.meta.interval_s = 0.001; });
+  expect_refused(0, "grid_delta", [](File& f) { f.meta.delta_s = 0.1; });
+  expect_refused(0, "eps", [](File& f) { f.meta.eps = 2.0; });
+  expect_refused(0, "fixed_b", [&](File& f) { f.meta.fixed_b = inf; });
+  expect_refused(0, "fallback_b", [](File& f) { f.meta.fallback_b = -1.0; });
+  // ...and a link whose frames skip an index.
+  expect_refused(0, "window index",
+                 [](File& f) { f.windows.erase(f.windows.begin()); });
+  // Live: a window the frames were not cut at, a stride that moves every
+  // window but the first, a forecaster no producer validates.
+  expect_refused(1, "grid_end", [](File& f) { f.meta.window_s = 7.0; });
+  expect_refused(1, "grid_start", [](File& f) { f.meta.stride_s = 2.0; });
+  expect_refused(1, "forecast_history",
+                 [](File& f) { f.meta.forecast_history = 2; });
+
+  // The untouched files still merge.
+  agg::Merger merger;
+  merger.add_file(temp_partial(0));
+  EXPECT_EQ(merger.files(), 1u);
 }
 
 }  // namespace

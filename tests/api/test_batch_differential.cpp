@@ -17,6 +17,7 @@
 
 #include "../support/model_spec.hpp"
 #include "../support/push.hpp"
+#include "../support/sharded.hpp"
 #include "api/api.hpp"
 #include "engine/engine.hpp"
 #include "live/live.hpp"
@@ -116,25 +117,28 @@ void expect_reports_identical(const std::vector<api::AnalysisReport>& a,
   }
 }
 
-/// One-packet-per-batch reference vs push_batch at every batch size and
-/// thread count.
+/// One-packet-per-batch reference vs push_batch at every batch size, for
+/// the pipeline itself and for an engine link of 2 and 4 flow-hash shards
+/// on as many workers.
 void expect_batched_matches_per_packet(
     const std::vector<net::PacketRecord>& packets,
-    api::AnalysisConfig config) {
-  config.threads(1);
+    const api::AnalysisConfig& config) {
   api::AnalysisPipeline reference(config);
   push_all(reference, packets, 1);
   reference.finish();
   const auto expected = reference.take_reports();
 
-  for (const std::size_t threads : {1u, 2u, 4u}) {
-    for (const std::size_t batch_size : kBatchSizes) {
-      SCOPED_TRACE(std::to_string(threads) + " threads, batch " +
-                   std::to_string(batch_size));
-      api::AnalysisPipeline pipeline(config.threads(threads));
-      push_all(pipeline, packets, batch_size);
-      pipeline.finish();
-      expect_reports_identical(expected, pipeline.take_reports());
+  for (const std::size_t batch_size : kBatchSizes) {
+    SCOPED_TRACE("batch " + std::to_string(batch_size));
+    api::AnalysisPipeline pipeline(config);
+    push_all(pipeline, packets, batch_size);
+    pipeline.finish();
+    expect_reports_identical(expected, pipeline.take_reports());
+    for (const std::size_t shards : {2u, 4u}) {
+      SCOPED_TRACE(std::to_string(shards) + " shards");
+      expect_reports_identical(
+          expected, testsupport::sharded_analyze(packets, config, shards,
+                                                 shards, batch_size));
     }
   }
 }

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "../support/json_fields.hpp"
+#include "../support/sharded.hpp"
 #include "api/api.hpp"
 
 #ifndef FBM_TEST_DATA_DIR
@@ -39,16 +40,18 @@ std::string read_file(const std::string& path) {
 
 using testsupport::parse_fields;
 
-/// The exact analysis fbm_analyze ran to produce the golden file.
+/// The exact analysis fbm_analyze --threads N ran to produce the golden
+/// file: one match-all engine link of N flow-hash shards on N workers.
 std::string analyze_golden_trace(std::size_t threads) {
   auto source =
       api::open_trace(std::string(FBM_TEST_DATA_DIR) + "/golden_small.fbmt");
   api::AnalysisConfig config;
-  config.interval_s(4.0).timeout_s(1.0).min_flows(0).threads(threads);
-  api::AnalysisPipeline pipeline(config);
-  pipeline.consume(*source);
-  const auto reports = pipeline.take_reports();
-  return api::to_json(pipeline.summary(), reports) + "\n";
+  config.interval_s(4.0).timeout_s(1.0).min_flows(0);
+  auto eng = testsupport::sharded_engine(config, threads, threads);
+  (void)eng->consume(*source);
+  std::vector<api::AnalysisReport> reports;
+  for (auto& r : eng->take_reports()) reports.push_back(std::move(*r.interval));
+  return api::to_json(eng->summary(), reports) + "\n";
 }
 
 TEST(GoldenReport, FieldByFieldAgainstCheckedInJson) {

@@ -79,11 +79,17 @@ std::string run(Stage stage, const std::vector<net::PacketRecord>& packets,
       break;
     }
     case Stage::parallel: {
-      api::AnalysisPipeline p(analysis_config().threads(2));
-      p.set_report_sink(
-          [&](api::AnalysisReport&& r) { out += api::to_json(r) + "\n"; });
-      drive(p);
-      out += std::to_string(p.summary().packets);
+      engine::EngineConfig ec;
+      ec.analysis = analysis_config();
+      ec.shards = 2;
+      ec.threads = 2;
+      engine::Engine e(ec);
+      e.set_report_sink([&](engine::LinkReport&& r) {
+        out += api::to_json(*r.interval) + "\n";
+      });
+      (void)e.attach(engine::parse_link_spec("all=*"));
+      drive(e);
+      out += std::to_string(e.summary().packets);
       break;
     }
     case Stage::live: {
@@ -187,9 +193,14 @@ TEST(IngestCheckFile, ConsumeThrowsOnTrailingInfinity) {
   }
   {
     api::FileTraceSource source(path);
-    api::AnalysisPipeline p(analysis_config().threads(2));
-    EXPECT_THROW(p.consume(source), std::invalid_argument)
-        << "parallel pipeline";
+    engine::EngineConfig ec;
+    ec.analysis = analysis_config();
+    ec.shards = 2;
+    ec.threads = 2;
+    engine::Engine e(ec);
+    (void)e.attach(engine::parse_link_spec("all=*"));
+    EXPECT_THROW((void)e.consume(source), std::invalid_argument)
+        << "sharded engine link";
   }
   {
     api::FileTraceSource source(path);

@@ -1,14 +1,17 @@
-// Differential determinism harness: AnalysisPipeline sharded over N threads
-// must reproduce the single-threaded run bit for bit — every report field,
-// for every thread count, both flow definitions, any packet batching, and
-// across the awkward cases (interval-boundary splits, timeout expiry, equal
-// timestamps, single-packet discards, empty leading intervals).
+// Differential determinism harness: one engine link cut into K flow-hash
+// shards (EngineConfig::shards, folded per window) must reproduce the
+// single AnalysisPipeline bit for bit — every report field, for every shard
+// count, inline and threaded pools, both flow definitions, any packet
+// batching, and across the awkward cases (interval-boundary splits, timeout
+// expiry, equal timestamps, single-packet discards, empty leading
+// intervals).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
 #include "../support/push.hpp"
+#include "../support/sharded.hpp"
 #include "api/api.hpp"
 #include "api/shard.hpp"
 #include "flow/classifier.hpp"
@@ -19,6 +22,8 @@ namespace {
 
 using testsupport::push_all;
 using testsupport::push_one;
+using testsupport::sharded_analyze;
+using testsupport::sharded_engine;
 
 std::vector<net::PacketRecord> seeded_trace(double duration_s = 60.0,
                                             double util_bps = 8e6,
@@ -45,7 +50,7 @@ void expect_flows_identical(const std::vector<flow::FlowRecord>& a,
 }
 
 /// Every field of every report, compared with exact (bitwise for doubles)
-/// equality — the parallel pipeline promises identity, not closeness.
+/// equality — a sharded link promises identity, not closeness.
 void expect_reports_identical(const std::vector<api::AnalysisReport>& serial,
                               const std::vector<api::AnalysisReport>& par) {
   ASSERT_EQ(serial.size(), par.size());
@@ -87,16 +92,18 @@ void expect_reports_identical(const std::vector<api::AnalysisReport>& serial,
 }
 
 void expect_differential(const std::vector<net::PacketRecord>& packets,
-                         api::AnalysisConfig config) {
-  config.threads(1);
+                         const api::AnalysisConfig& config) {
   const auto serial = api::analyze(packets, config);
   ASSERT_FALSE(serial.empty());
-  for (const std::size_t threads : {1u, 2u, 4u, 7u}) {
-    SCOPED_TRACE(std::to_string(threads) + " threads");
-    api::AnalysisPipeline pipeline(config.threads(threads));
-    push_all(pipeline, packets, 1);
-    pipeline.finish();
-    expect_reports_identical(serial, pipeline.take_reports());
+  // K = 1 runs inline, every other K both inline and on K workers.
+  for (const std::size_t shards : {1u, 2u, 4u, 7u}) {
+    for (std::size_t threads = 1; threads <= shards; threads += shards - 1) {
+      SCOPED_TRACE(std::to_string(shards) + " shards, " +
+                   std::to_string(threads) + " threads");
+      expect_reports_identical(
+          serial, sharded_analyze(packets, config, shards, threads, 1));
+      if (shards == 1) break;
+    }
   }
 }
 
@@ -127,13 +134,13 @@ TEST(ParallelDifferential, PaperTimeoutWholeTraceInterval) {
 TEST(ParallelDifferential, BatchSizeDoesNotChangeResults) {
   const auto packets = seeded_trace(30.0, 6e6, 11);
   api::AnalysisConfig config;
-  config.interval_s(10.0).timeout_s(1.0).keep_flows(true).threads(1);
+  config.interval_s(10.0).timeout_s(1.0).keep_flows(true);
   const auto serial = api::analyze(packets, config);
   ASSERT_FALSE(serial.empty());
   for (const std::size_t batch : {1u, 3u, 64u, 4096u}) {
     SCOPED_TRACE("batch " + std::to_string(batch));
-    config.threads(4).batch_packets(batch);
-    expect_reports_identical(serial, api::analyze(packets, config));
+    expect_reports_identical(serial,
+                             sharded_analyze(packets, config, 4, 4, batch));
   }
 }
 
@@ -187,21 +194,16 @@ TEST(ParallelDifferential, MinFlowsFilterMatchesSerial) {
   const auto packets = seeded_trace(30.0, 6e6, 13);
   api::AnalysisConfig config;
   config.interval_s(5.0).timeout_s(1.0).min_flows(25);
-  config.threads(1);
   const auto serial = api::analyze(packets, config);
-  config.threads(4);
-  const auto par = api::analyze(packets, config);
-  expect_reports_identical(serial, par);
+  expect_reports_identical(serial, sharded_analyze(packets, config, 4, 4));
 }
 
 TEST(ParallelDifferential, FixedShotMatchesSerial) {
   const auto packets = seeded_trace(30.0, 6e6, 17);
   api::AnalysisConfig config;
   config.interval_s(10.0).timeout_s(1.0).fixed_shot_b(0.0);
-  config.threads(1);
   const auto serial = api::analyze(packets, config);
-  config.threads(3);
-  expect_reports_identical(serial, api::analyze(packets, config));
+  expect_reports_identical(serial, sharded_analyze(packets, config, 3, 3));
 }
 
 TEST(ParallelStreaming, MidStreamPopsPreserveTheSerialSequence) {
@@ -210,14 +212,18 @@ TEST(ParallelStreaming, MidStreamPopsPreserveTheSerialSequence) {
   config.interval_s(10.0).timeout_s(1.0);
   const auto serial = api::analyze(packets, config);
 
-  api::AnalysisPipeline pipeline(config.threads(4));
+  auto eng = sharded_engine(config, 4, 4);
   std::vector<api::AnalysisReport> streamed;
   for (const auto& p : packets) {
-    push_one(pipeline, p);
-    while (pipeline.has_report()) streamed.push_back(pipeline.pop_report());
+    push_one(*eng, p);
+    while (eng->has_report()) {
+      streamed.push_back(std::move(*eng->pop_report().interval));
+    }
   }
-  pipeline.finish();
-  for (auto& r : pipeline.take_reports()) streamed.push_back(std::move(r));
+  eng->finish();
+  for (auto& r : eng->take_reports()) {
+    streamed.push_back(std::move(*r.interval));
+  }
   expect_reports_identical(serial, streamed);
 }
 
@@ -230,53 +236,63 @@ TEST(ParallelSummary, MatchesSerialAndTraceTotals) {
   push_all(serial, packets);
   serial.finish();
 
-  api::AnalysisPipeline par(config.threads(4));
-  push_all(par, packets);
-  par.finish();
+  auto par = sharded_engine(config, 4, 4);
+  push_all(*par, packets);
+  par->finish();
 
-  EXPECT_EQ(par.summary().packets, serial.summary().packets);
-  EXPECT_EQ(par.summary().total_bytes, serial.summary().total_bytes);
-  EXPECT_EQ(par.summary().first_ts, serial.summary().first_ts);
-  EXPECT_EQ(par.summary().last_ts, serial.summary().last_ts);
+  EXPECT_EQ(par->summary().packets, serial.summary().packets);
+  EXPECT_EQ(par->summary().total_bytes, serial.summary().total_bytes);
+  EXPECT_EQ(par->summary().first_ts, serial.summary().first_ts);
+  EXPECT_EQ(par->summary().last_ts, serial.summary().last_ts);
 
-  const auto pc = par.counters();
+  // The link's counters sum its shards: every packet routed, every
+  // completed flow counted once, and one report per interval.
+  const auto links = par->links();
+  ASSERT_EQ(links.size(), 1u);
   const auto& sc = serial.counters();
-  EXPECT_EQ(pc.packets, sc.packets);
-  EXPECT_EQ(pc.flows_emitted, sc.flows_emitted);
-  EXPECT_EQ(pc.single_packet_discards, sc.single_packet_discards);
-  EXPECT_EQ(pc.boundary_splits, sc.boundary_splits);
-  EXPECT_EQ(par.active_flows(), 0u);
+  EXPECT_EQ(links[0].counters.packets, sc.packets);
+  EXPECT_EQ(links[0].counters.flows, sc.flows_emitted);
+  EXPECT_EQ(links[0].counters.reports, serial.take_reports().size());
+  EXPECT_EQ(serial.active_flows(), 0u);
 }
 
 TEST(ParallelConfig, RejectsBadParameters) {
-  EXPECT_THROW(api::AnalysisPipeline(api::AnalysisConfig{}.timeout_s(0.0)),
+  engine::EngineConfig config;
+  config.analysis.timeout_s(0.0);
+  config.shards = 4;
+  engine::Engine eng(config);
+  EXPECT_THROW((void)eng.attach(engine::parse_link_spec("all=*")),
                std::invalid_argument);
-  // threads(0) is not bad — it auto-detects the core count (see
+  // shards = 0 is not bad — it auto-detects the core count (see
   // test_threads_auto.cpp).
-  EXPECT_NO_THROW(api::AnalysisPipeline(api::AnalysisConfig{}.threads(0)));
+  config.analysis.timeout_s(1.0);
+  config.shards = 0;
+  EXPECT_NO_THROW(engine::Engine{config});
+  config.shards = api::kMaxThreads + 1;
+  EXPECT_THROW(engine::Engine{config}, std::invalid_argument);
   EXPECT_THROW(api::AnalysisPipeline(api::AnalysisConfig{}.batch_packets(0)),
                std::invalid_argument);
 }
 
 TEST(ParallelConfig, OutOfOrderPacketThrows) {
-  api::AnalysisPipeline pipeline(api::AnalysisConfig{}.threads(2));
-  push_one(pipeline, {1.0, {}, 100});
-  EXPECT_THROW(push_one(pipeline, {0.5, {}, 100}), std::invalid_argument);
+  auto eng = sharded_engine(api::AnalysisConfig{}, 2, 2);
+  push_one(*eng, {1.0, {}, 100});
+  EXPECT_THROW(push_one(*eng, {0.5, {}, 100}), std::invalid_argument);
 }
 
 TEST(ParallelConfig, PushAfterFinishThrows) {
-  api::AnalysisPipeline pipeline(api::AnalysisConfig{}.threads(2));
-  push_one(pipeline, {0.0, {}, 100});
-  pipeline.finish();
-  EXPECT_THROW(push_one(pipeline, {1.0, {}, 100}), std::logic_error);
+  auto eng = sharded_engine(api::AnalysisConfig{}, 2, 2);
+  push_one(*eng, {0.0, {}, 100});
+  eng->finish();
+  EXPECT_THROW(push_one(*eng, {1.0, {}, 100}), std::logic_error);
 }
 
 TEST(ParallelConfig, EmptyStreamFinishesCleanly) {
-  api::AnalysisPipeline pipeline(api::AnalysisConfig{}.threads(4));
-  pipeline.finish();
-  EXPECT_FALSE(pipeline.has_report());
-  EXPECT_TRUE(pipeline.take_reports().empty());
-  EXPECT_EQ(pipeline.summary().packets, 0u);
+  auto eng = sharded_engine(api::AnalysisConfig{}, 4, 4);
+  eng->finish();
+  EXPECT_FALSE(eng->has_report());
+  EXPECT_TRUE(eng->take_reports().empty());
+  EXPECT_EQ(eng->summary().packets, 0u);
 }
 
 TEST(ParallelShardRouting, StablePerKeyAndCoversAllShards) {

@@ -1,7 +1,7 @@
 // threads == 0 means "use every core": resolve_threads() turns it into
-// std::thread::hardware_concurrency() (floor 1), and both the sharded
-// pipeline and the engine accept it — with output bit-identical to any
-// other thread count, since threads is a throughput knob, never identity.
+// std::thread::hardware_concurrency() (floor 1), and the engine accepts it
+// for both its workers and its shards per link — with output bit-identical
+// to any other count, since both are throughput knobs, never identity.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "../support/push.hpp"
+#include "../support/sharded.hpp"
 #include "api/api.hpp"
 #include "api/shard.hpp"
 #include "trace/synthetic.hpp"
@@ -42,37 +43,46 @@ TEST(ThreadsAuto, ResolveThreadsMapsZeroToHardwareConcurrency) {
 }
 
 TEST(ThreadsAuto, ResolveThreadsBoundsExplicitCounts) {
-  // One bound for AnalysisConfig, EngineConfig and every tool's --threads.
-  // Only the checks run here: no pool is built with a rejected count.
+  // One bound for EngineConfig's threads and shards and every tool's
+  // --threads. Only the checks run here: no pool is built with a rejected
+  // count, and no link is attached to the engine of kMaxThreads shards.
   EXPECT_EQ(api::resolve_threads(api::kMaxThreads), api::kMaxThreads);
   EXPECT_THROW((void)api::resolve_threads(api::kMaxThreads + 1),
                std::invalid_argument);
   EXPECT_THROW((void)api::resolve_threads(static_cast<std::size_t>(-1)),
                std::invalid_argument);
 
-  api::AnalysisConfig config = base_config();
-  EXPECT_NO_THROW(api::validate_config(config.threads(api::kMaxThreads)));
-  EXPECT_THROW(api::validate_config(config.threads(api::kMaxThreads + 1)),
-               std::invalid_argument);
+  engine::EngineConfig config;
+  config.analysis = base_config();
+  config.shards = api::kMaxThreads;
+  EXPECT_NO_THROW(engine::Engine{config});
+  config.shards = api::kMaxThreads + 1;
+  EXPECT_THROW(engine::Engine{config}, std::invalid_argument);
+  config.shards = 1;
+  config.threads = api::kMaxThreads + 1;
+  EXPECT_THROW(engine::Engine{config}, std::invalid_argument);
 }
 
 TEST(ThreadsAuto, AutoDetectedPipelineMatchesSerialBitForBit) {
   const auto packets = small_trace();
 
-  const auto run = [&](auto&& pipeline) {
-    std::vector<api::AnalysisReport> reports;
-    pipeline.set_report_sink(
-        [&](api::AnalysisReport&& r) { reports.push_back(std::move(r)); });
-    push_all(pipeline, packets);
-    pipeline.finish();
-    return api::to_json(pipeline.summary(), reports);
-  };
+  api::AnalysisPipeline serial(base_config());
+  push_all(serial, packets);
+  serial.finish();
+  const std::string expected =
+      api::to_json(serial.summary(), serial.take_reports());
 
-  api::AnalysisConfig serial = base_config();
-  api::AnalysisConfig autodetect = base_config();
-  autodetect.threads(0);
-  EXPECT_EQ(run(api::AnalysisPipeline(autodetect)),
-            run(api::AnalysisPipeline(serial)));
+  // Auto shards on auto workers: one per core, each.
+  auto autodetect = testsupport::sharded_engine(base_config(), 0, 0);
+  EXPECT_EQ(autodetect->config().shards, api::resolve_threads(0));
+  EXPECT_EQ(autodetect->config().threads, api::resolve_threads(0));
+  push_all(*autodetect, packets);
+  autodetect->finish();
+  std::vector<api::AnalysisReport> reports;
+  for (auto& r : autodetect->take_reports()) {
+    reports.push_back(std::move(*r.interval));
+  }
+  EXPECT_EQ(api::to_json(autodetect->summary(), reports), expected);
 }
 
 TEST(ThreadsAuto, EngineAcceptsThreadsZero) {

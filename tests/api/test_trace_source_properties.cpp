@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "../support/model_spec.hpp"
+#include "../support/sharded.hpp"
 #include "api/api.hpp"
 #include "scenario/source.hpp"
 #include "trace/synthetic.hpp"
@@ -88,10 +89,12 @@ TEST(TraceSourceProperties, BytesConservedFromSourceThroughPipelines) {
   EXPECT_EQ(serial.summary().total_bytes, totals.bytes);
 
   auto for_parallel = model_source();
-  api::AnalysisPipeline parallel(config.threads(4));
-  parallel.consume(for_parallel);
-  EXPECT_EQ(parallel.summary().packets, totals.packets);
-  EXPECT_EQ(parallel.summary().total_bytes, totals.bytes);
+  auto parallel = testsupport::sharded_engine(config, 4, 4);
+  (void)parallel->consume(for_parallel);
+  EXPECT_EQ(parallel->summary().packets, totals.packets);
+  EXPECT_EQ(parallel->summary().total_bytes, totals.bytes);
+  EXPECT_EQ(parallel->links().at(0).counters.packets, totals.packets);
+  EXPECT_EQ(parallel->links().at(0).counters.bytes, totals.bytes);
 }
 
 TEST(TraceSourceProperties, SyntheticReportMatchesStreamedTotals) {

@@ -235,8 +235,81 @@ TEST(CheckpointCodec, EngineCheckpointRoundTrips) {
   ASSERT_EQ(ck.engine.sessions.size(), 2u);
   EXPECT_EQ(ck.engine.sessions[0].name, "a");
   EXPECT_EQ(ck.engine.sessions[1].name, "tap");
-  EXPECT_TRUE(ck.engine.sessions[0].has_live);
+  EXPECT_EQ(ck.engine.sessions[0].shards.size(), 1u);
   EXPECT_GT(ck.packets_consumed(), 0u);
+}
+
+/// `bytes` without its last frame of `type` (16-byte file header; frame
+/// header u32 type, u32 reserved, u64 length; payload; u64 checksum).
+std::vector<char> drop_last_frame(const std::vector<char>& bytes,
+                                  std::uint32_t type) {
+  std::size_t pos = 16;
+  std::size_t frame_start = 0;
+  std::size_t frame_end = 0;
+  while (pos + 16 <= bytes.size()) {
+    std::uint32_t t = 0;
+    std::uint64_t len = 0;
+    std::memcpy(&t, bytes.data() + pos, sizeof(t));
+    std::memcpy(&len, bytes.data() + pos + 8, sizeof(len));
+    const std::size_t next = pos + 16 + len + 8;
+    if (t == type) {
+      frame_start = pos;
+      frame_end = next;
+    }
+    pos = next;
+  }
+  EXPECT_GT(frame_end, frame_start) << "no frame of type " << type;
+  std::vector<char> spliced(bytes.begin(),
+                            bytes.begin() + static_cast<long>(frame_start));
+  spliced.insert(spliced.end(), bytes.begin() + static_cast<long>(frame_end),
+                 bytes.end());
+  return spliced;
+}
+
+TEST(CheckpointCodec, EngineShardFramesRoundTrip) {
+  // A link of K > 1 shards writes shard 0 in its session frame and the
+  // rest in shard frames right after it; dropping one is detected.
+  trace::SyntheticConfig cfg;
+  cfg.duration_s = 12.0;
+  cfg.apply_defaults();
+  cfg.target_utilization_bps(4e6);
+  cfg.seed = 11;
+  const auto packets = trace::generate_packets(cfg);
+
+  engine::EngineConfig config;
+  config.mode = engine::EngineMode::live;
+  config.live = sample_config();
+  config.shards = 3;
+  engine::Engine eng(config);
+  (void)eng.attach(engine::parse_link_spec("a=10.0.0.0/8"));
+  (void)eng.attach(engine::parse_link_spec("tap=all"));
+  eng.set_report_sink([](engine::LinkReport&&) {});
+  push_all(eng, std::span(packets).first(packets.size() / 2));
+  const engine::EngineState state = eng.save_state();
+
+  agg::PartialMeta meta = agg::PartialMeta::from_live(config.live);
+  meta.engine = true;
+  meta.links = {{0, "a"}, {1, "tap"}};
+  const auto path = temp_path("shards");
+  write_checkpoint(path, meta, state);
+  const Checkpoint ck = read_checkpoint(path);
+  ASSERT_EQ(ck.engine.sessions.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    ASSERT_EQ(ck.engine.sessions[i].shards.size(), 3u);
+    for (std::size_t k = 0; k < 3; ++k) {
+      const auto& got = ck.engine.sessions[i].shards[k];
+      const auto& want = state.sessions[i].shards[k];
+      EXPECT_EQ(got.counters.packets, want.counters.packets);
+      EXPECT_EQ(got.last_ts, want.last_ts);
+      EXPECT_EQ(got.forecast_history, want.forecast_history);
+      EXPECT_EQ(got.open.size(), want.open.size());
+    }
+  }
+
+  // A spliced-out shard frame (checksums intact) breaks the end frame's
+  // frame-count cross-check.
+  spit(path, drop_last_frame(slurp(path), 6));
+  expect_rejected(path, "mismatch");
 }
 
 TEST(CheckpointCodec, EngineRejectsSpliceDroppedSessionFrame) {
@@ -266,28 +339,7 @@ TEST(CheckpointCodec, EngineRejectsSpliceDroppedSessionFrame) {
 
   // Splice the last session frame out wholesale (checksum intact, end
   // frame intact): the end frame's frame-count cross-check must notice.
-  const auto bytes = slurp(path);
-  std::size_t pos = 16;
-  std::size_t frame_start = 0;
-  std::size_t frame_end = 0;
-  while (pos + 16 <= bytes.size()) {
-    std::uint32_t type = 0;
-    std::uint64_t len = 0;
-    std::memcpy(&type, bytes.data() + pos, sizeof(type));
-    std::memcpy(&len, bytes.data() + pos + 8, sizeof(len));
-    const std::size_t next = pos + 16 + len + 8;
-    if (type == 4) {  // session frame
-      frame_start = pos;
-      frame_end = next;
-    }
-    pos = next;
-  }
-  ASSERT_GT(frame_end, frame_start);
-  std::vector<char> spliced(bytes.begin(),
-                            bytes.begin() + static_cast<long>(frame_start));
-  spliced.insert(spliced.end(),
-                 bytes.begin() + static_cast<long>(frame_end), bytes.end());
-  spit(path, spliced);
+  spit(path, drop_last_frame(slurp(path), 4));  // 4: session frame
   expect_rejected(path, "mismatch");
 }
 

@@ -208,11 +208,13 @@ std::vector<engine::LinkSpec> test_links() {
   return specs;
 }
 
-engine::EngineConfig engine_config(std::size_t threads) {
+engine::EngineConfig engine_config(std::size_t threads,
+                                   std::size_t shards = 1) {
   engine::EngineConfig config;
   config.mode = engine::EngineMode::live;
   config.live = live_config(api::FlowDefinition::five_tuple, 4.0, 4.0);
   config.threads = threads;
+  config.shards = shards;
   return config;
 }
 
@@ -242,9 +244,10 @@ std::vector<std::string> engine_reference(
 
 std::vector<std::string> engine_resumed(
     const std::vector<net::PacketRecord>& packets, std::size_t threads,
-    std::size_t cut, const std::filesystem::path& path) {
+    std::size_t cut, const std::filesystem::path& path,
+    std::size_t shards = 1) {
   std::vector<std::string> lines;
-  const engine::EngineConfig config = engine_config(threads);
+  const engine::EngineConfig config = engine_config(threads, shards);
   {
     engine::Engine first(config);
     for (auto& spec : test_links()) (void)first.attach(std::move(spec));
@@ -314,6 +317,49 @@ TEST(CheckpointDifferential, EngineWorkerPool) {
     ASSERT_EQ(want.size(), have.size()) << "link " << name;
     for (std::size_t i = 0; i < want.size(); ++i) {
       ASSERT_EQ(want[i], have[i]) << "link " << name << ", report " << i;
+    }
+  }
+}
+
+TEST(CheckpointDifferential, EngineShardedLinks) {
+  // A link of K flow-hash shards snapshots every shard plus its fold's
+  // forecaster and monitor; resuming reproduces the one-shard stream.
+  const auto packets = seeded_trace();
+  const auto ref = engine_reference(packets, 1);
+  for (const std::size_t cut : {packets.size() / 3, packets.size() / 2}) {
+    const auto got = engine_resumed(packets, 1, cut,
+                                    temp_ckpt("k3_" + std::to_string(cut)), 3);
+    ASSERT_EQ(ref, got) << "inline, 3 shards, cut " << cut;
+  }
+  const auto got = engine_resumed(packets, 3, packets.size() / 2,
+                                  temp_ckpt("k4_pool"), 4);
+  for (const char* name : {"wide", "narrow", "tap"}) {
+    EXPECT_EQ(link_lines(ref, name), link_lines(got, name)) << name;
+  }
+}
+
+TEST(CheckpointDifferential, EngineRestoreRefusesOtherShardCount) {
+  const auto packets = seeded_trace(20.0);
+  const auto path = temp_ckpt("shards");
+  {
+    engine::Engine eng(engine_config(1, 3));
+    for (auto& spec : test_links()) (void)eng.attach(std::move(spec));
+    eng.set_report_sink([](engine::LinkReport&&) {});
+    push_all(eng, std::span(packets).first(2000));
+    ckpt::write_checkpoint(path, engine_meta(engine_config(1, 3)),
+                           eng.save_state());
+  }
+  const auto ck = ckpt::read_checkpoint(path);
+  ASSERT_EQ(ck.engine.sessions.at(0).shards.size(), 3u);
+  for (const std::size_t shards : {1u, 2u}) {
+    engine::Engine eng(engine_config(1, shards));
+    for (auto& spec : test_links()) (void)eng.attach(std::move(spec));
+    try {
+      eng.restore_state(ck.engine);
+      ADD_FAILURE() << "restored 3 shards into " << shards;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("3 shards"), std::string::npos)
+          << e.what();
     }
   }
 }

@@ -4,7 +4,8 @@
 // packets — across link-set shapes (disjoint prefixes, overlapping prefixes
 // with longest-match, predicates + match-all, a 16-link POP, a link detached
 // mid-stream), in both batch (api::analyze) and live
-// (live::WindowedEstimator) modes, and for any worker-pool size.
+// (live::WindowedEstimator) modes, for any worker-pool size, and with every
+// link cut into K flow-hash shards.
 //
 // The reference filter is computed here by brute force (linear scan over
 // every link's prefixes, longest match wins), sharing no code with the
@@ -247,7 +248,8 @@ api::AnalysisConfig batch_config() {
 
 void run_batch_differential(const std::vector<LinkDef>& links,
                             std::size_t threads, std::size_t cut = 0,
-                            const std::string& detach = {}) {
+                            const std::string& detach = {},
+                            std::size_t shards = 1) {
   const auto packets = seeded_trace();
   const auto split = reference_split(packets, links, cut, detach);
 
@@ -255,6 +257,7 @@ void run_batch_differential(const std::vector<LinkDef>& links,
   config.mode = engine::EngineMode::batch;
   config.analysis = batch_config();
   config.threads = threads;
+  config.shards = shards;
   auto got = engine_streams(config, links, packets, cut, detach);
 
   for (const auto& link : links) {
@@ -300,6 +303,16 @@ TEST(EngineDifferential, BatchDetachFallsBackToCoveringLink) {
   run_batch_differential(detach_links(), 3, cut, "specific");
 }
 
+TEST(EngineDifferential, BatchShardedLinksMatchSerial) {
+  // K flow-hash shards per link, inline and on a pool; detaching a sharded
+  // link mid-stream still flushes every window its shards hold.
+  run_batch_differential(disjoint_links(), 1, 0, {}, 2);
+  run_batch_differential(overlapping_links(), 3, 0, {}, 4);
+  const std::size_t cut = detach_cut();
+  run_batch_differential(detach_links(), 1, cut, "specific", 4);
+  run_batch_differential(detach_links(), 3, cut, "specific", 2);
+}
+
 // ---------------------------------------------------------------- live ---
 
 live::LiveConfig live_config(double width, double stride) {
@@ -313,7 +326,8 @@ live::LiveConfig live_config(double width, double stride) {
 void run_live_differential(const std::vector<LinkDef>& links, double width,
                            double stride, std::size_t threads,
                            std::size_t cut = 0,
-                           const std::string& detach = {}) {
+                           const std::string& detach = {},
+                           std::size_t shards = 1) {
   const auto packets = seeded_trace();
   const auto split = reference_split(packets, links, cut, detach);
 
@@ -321,6 +335,7 @@ void run_live_differential(const std::vector<LinkDef>& links, double width,
   config.mode = engine::EngineMode::live;
   config.live = live_config(width, stride);
   config.threads = threads;
+  config.shards = shards;
   auto got = engine_streams(config, links, packets, cut, detach);
 
   for (const auto& link : links) {
@@ -358,6 +373,16 @@ TEST(EngineDifferential, LiveWorkerPoolMatchesInline) {
 TEST(EngineDifferential, LivePopSixteenLinks) {
   run_live_differential(pop_links(), 7.0, 0.0, 1);
   run_live_differential(pop_links(), 7.0, 0.0, 3);
+}
+
+TEST(EngineDifferential, LiveShardedLinksMatchSerial) {
+  run_live_differential(disjoint_links(), 7.0, 0.0, 1, 0, {}, 2);
+  run_live_differential(disjoint_links(), 7.0, 0.0, 3, 0, {}, 4);
+  run_live_differential(overlapping_links(), 9.0, 4.0, 3, 0, {}, 4);
+  run_live_differential(overlapping_links(), 9.0, 4.0, 1, 0, {}, 2);
+  const std::size_t cut = detach_cut();
+  run_live_differential(detach_links(), 7.0, 0.0, 1, cut, "specific", 4);
+  run_live_differential(detach_links(), 7.0, 0.0, 3, cut, "specific", 2);
 }
 
 TEST(EngineDifferential, LiveDetachFallsBackToCoveringLink) {

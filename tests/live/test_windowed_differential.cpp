@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "../support/push.hpp"
+#include "../support/sharded.hpp"
 #include "api/api.hpp"
 #include "core/fitting.hpp"
 #include "core/moments.hpp"
@@ -189,7 +190,7 @@ TEST(WindowedDifferential, GappedPrefix24) {
 /// primitives and demanding bitwise equality with the live inputs. The
 /// measured moments and downstream fit of the live window are pinned
 /// bitwise against the isolation reference by the Tiling* tests above.
-void run_vs_pipeline(api::FlowDefinition def, std::size_t threads) {
+void run_vs_pipeline(api::FlowDefinition def, std::size_t shards) {
   const auto packets = seeded_trace();
   const double width = 10.0;
 
@@ -202,9 +203,12 @@ void run_vs_pipeline(api::FlowDefinition def, std::size_t threads) {
   const auto live_reports = estimator.take_reports();
 
   api::AnalysisConfig batch = config.analysis;
-  batch.interval_s(width).threads(threads).keep_flows(true);
+  batch.interval_s(width).keep_flows(true);
   auto source = api::make_vector_source(packets);
-  const auto pipeline_reports = api::analyze(*source, batch);
+  const auto pipeline_reports =
+      shards == 1
+          ? api::analyze(*source, batch)
+          : testsupport::sharded_analyze(packets, batch, shards, shards);
 
   std::size_t single_pieces_total = 0;
   ASSERT_EQ(live_reports.size(), pipeline_reports.size());

@@ -1,7 +1,8 @@
 // Differential guard for the telemetry layer's core promise: metrics NEVER
 // change analysis results. The same trace analyzed with obs enabled and
 // disabled must produce byte-identical JSON reports — across both flow
-// definitions and both the serial and sharded pipelines. A violation means
+// definitions, for the pipeline and for an engine link of 4 flow-hash
+// shards. A violation means
 // an instrumentation site leaked into the data path (reordered floats,
 // consumed entropy, perturbed a container) and must be found, not averaged
 // away.
@@ -10,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "../support/sharded.hpp"
 #include "api/api.hpp"
 #include "obs/metrics.hpp"
 #include "trace/synthetic.hpp"
@@ -42,16 +44,18 @@ std::vector<net::PacketRecord> seeded_trace() {
 /// Every interval report of one full analysis, serialized — the byte string
 /// the two runs must agree on.
 std::string analysis_bytes(const std::vector<net::PacketRecord>& packets,
-                           api::FlowDefinition def, std::size_t threads) {
+                           api::FlowDefinition def, std::size_t shards) {
   api::AnalysisConfig config;
   config.flow_definition(def)
       .interval_s(15.0)
       .timeout_s(1.0)
       .min_flows(0)
-      .keep_flows(true)
-      .threads(threads);
+      .keep_flows(true);
   std::string out;
-  for (const auto& report : api::analyze(packets, config)) {
+  for (const auto& report :
+       shards == 1
+           ? api::analyze(packets, config)
+           : testsupport::sharded_analyze(packets, config, shards, shards)) {
     out += api::to_json(report);
     out += '\n';
   }
@@ -63,17 +67,17 @@ TEST(MetricsDifferential, AnalysisBytesIdenticalOnAndOff) {
   const auto packets = seeded_trace();
   for (const auto def :
        {api::FlowDefinition::five_tuple, api::FlowDefinition::prefix24}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
       obs::set_enabled(false);
-      const std::string off = analysis_bytes(packets, def, threads);
+      const std::string off = analysis_bytes(packets, def, shards);
       obs::set_enabled(true);
-      const std::string on = analysis_bytes(packets, def, threads);
+      const std::string on = analysis_bytes(packets, def, shards);
       ASSERT_FALSE(off.empty());
       EXPECT_EQ(off, on)
           << "metrics changed analysis output (def="
           << (def == api::FlowDefinition::prefix24 ? "prefix24"
                                                    : "five_tuple")
-          << ", threads=" << threads << ")";
+          << ", shards=" << shards << ")";
     }
   }
 }

@@ -4,10 +4,14 @@
 # Usage: test_tools.sh <dir with the tool binaries> <tests/data dir>
 #
 # - fbm_analyze reproduces the golden JSON;
+# - untagged fbm_analyze (one link of N flow-hash shards) writes the same
+#   table, JSON, partial file and report store at --threads 1, 3 and 0;
 # - fbm_live without --link equals --link 'all=*' with the link field
 #   stripped, for tiling and overlapping windows at --threads 1 and 3;
 # - a checkpoint cut by --max-windows, resumed with --restore, continues
-#   the uninterrupted stream (kept prefix + resumed lines);
+#   the uninterrupted stream (kept prefix + resumed lines), and so does a
+#   --threads 3 checkpoint of a stream that went quiet (--follow --idle);
+#   a restore under another --threads is refused, naming the shard count;
 # - a scenario run (fbm_trace_gen --scenario, then fbm_live --truth) passes
 #   its precision/recall gate and writes the score JSON, a truth event the
 #   trace never reaches fails the recall gate with status 1, and --truth
@@ -32,6 +36,24 @@ fail() {
   fail "fbm_analyze drifted from golden_small.json"
 
 "$bin/fbm_trace_gen" t.fbmt --duration 30 --mbps 6 --seed 5 > /dev/null
+for threads in 1 3 0; do
+  "$bin/fbm_analyze" t.fbmt --interval 5 --timeout 1 --threads "$threads" \
+    > "table$threads.txt"
+  "$bin/fbm_analyze" t.fbmt --interval 5 --timeout 1 --threads "$threads" \
+    --json > "doc$threads.json"
+  "$bin/fbm_analyze" t.fbmt --interval 5 --timeout 1 --threads "$threads" \
+    --emit-partial "part$threads.fbmp" 2> /dev/null
+  "$bin/fbm_analyze" t.fbmt --interval 5 --timeout 1 --threads "$threads" \
+    --store "store$threads.fbms" > /dev/null 2>&1
+done
+test -s doc1.json || fail "fbm_analyze --json wrote nothing"
+for threads in 3 0; do
+  for f in "table$threads.txt" "doc$threads.json" "part$threads.fbmp" \
+    "store$threads.fbms"; do
+    cmp "$f" "${f/$threads./1.}" ||
+      fail "fbm_analyze --threads $threads: $f differs from --threads 1"
+  done
+done
 for windows in "--window 5" "--window 10 --stride 4"; do
   # shellcheck disable=SC2086  # $windows holds two flags
   "$bin/fbm_live" t.fbmt $windows --timeout 1 --json > ref.jsonl
@@ -57,6 +79,25 @@ n=$(sed -n 's/.*resuming after \([0-9]*\) reports.*/\1/p' run2.err)
 test -n "$n" || fail "no resume banner"
 { head -n "$n" run1.jsonl; cat run2.jsonl; } | cmp - full.jsonl ||
   fail "checkpoint prefix + resume differs from the uninterrupted run"
+
+# A sharded untagged run: the first half of the trace (24-byte .fbmt header,
+# 28-byte records), followed until it goes quiet, checkpoints the windows
+# its workers closed; the resume on the whole trace continues the stream.
+packets=$(( ($(stat -c%s t.fbmt) - 24) / 28 ))
+head -c $(( 24 + 28 * (packets / 2) )) t.fbmt > half.fbmt
+"$bin/fbm_live" half.fbmt --window 5 --timeout 1 --json --threads 3 \
+  --follow --idle 1 --checkpoint ck3.fbmc > run1.jsonl
+"$bin/fbm_live" t.fbmt --window 5 --timeout 1 --json --threads 3 \
+  --restore ck3.fbmc > run2.jsonl 2> run2.err
+n=$(sed -n 's/.*resuming after \([0-9]*\) reports.*/\1/p' run2.err)
+test -n "$n" || fail "no resume banner (--threads 3)"
+{ head -n "$n" run1.jsonl; cat run2.jsonl; } | cmp - full.jsonl ||
+  fail "--threads 3 checkpoint prefix + resume differs from the full run"
+rc=0
+"$bin/fbm_live" t.fbmt --window 5 --timeout 1 --json --threads 1 \
+  --restore ck3.fbmc > /dev/null 2> wrong.err || rc=$?
+test "$rc" -ne 0 && grep -q "3 shards" wrong.err ||
+  fail "a 3-shard checkpoint restored under --threads 1 ($rc)"
 
 # expect_exit STATUS TOOL ARGS...: the tool exits with STATUS.
 expect_exit() {

@@ -145,8 +145,9 @@ TEST_F(TraceMalformedTest, FbmtOutOfOrderTimestampsErrorNeverCrash) {
     out.write(reinterpret_cast<const char*>(&count), 8);
   }
 
-  // The reader streams what the file says; the pipelines are the ordering
-  // gate and must reject, not crash — serial and sharded alike.
+  // The reader streams what the file says; the stages are the ordering
+  // gate and must reject, not crash — a pipeline and a sharded engine link
+  // alike.
   {
     auto source = api::open_trace(path("ooo.fbmt"));
     api::AnalysisPipeline pipeline(api::AnalysisConfig{});
@@ -154,8 +155,12 @@ TEST_F(TraceMalformedTest, FbmtOutOfOrderTimestampsErrorNeverCrash) {
   }
   {
     auto source = api::open_trace(path("ooo.fbmt"));
-    api::AnalysisPipeline pipeline(api::AnalysisConfig{}.threads(3));
-    EXPECT_THROW(pipeline.consume(*source), std::invalid_argument);
+    engine::EngineConfig config;
+    config.shards = 3;
+    config.threads = 3;
+    engine::Engine eng(config);
+    (void)eng.attach(engine::parse_link_spec("all=*"));
+    EXPECT_THROW((void)eng.consume(*source), std::invalid_argument);
   }
 }
 

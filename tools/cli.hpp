@@ -260,6 +260,8 @@ struct AnalysisOptions {
   bool prefix24 = false;
   double eps = 0.01;
   std::vector<std::string> links;  ///< --link specs; empty = untagged run
+  /// Engine workers; an untagged run also cuts its one link into this many
+  /// flow-hash shards.
   std::uint64_t threads = 1;
 
   /// Sets the flow definition, timeout, Delta and epsilon of `config`.
@@ -320,7 +322,7 @@ inline std::vector<Flag> live_flags(LiveOptions& l) {
 
 // ------------------------------------------------------------ run plumbing ---
 
-/// Attaches one engine session per --link spec, or — with none — one
+/// Attaches one engine link per --link spec, or — with none — one
 /// match-all link whose reports the tool renders untagged (the single-link
 /// run). Returns the run's config identity for partial files and
 /// checkpoints: `meta` with the link set declared (unchanged when
@@ -373,7 +375,7 @@ inline void finish_partials(agg::PartialWriter& writer,
 }
 
 /// Keeps exactly the packets whose flow key hashes to `shard` (the stable
-/// hash the parallel pipeline shards by), in stream order, so K such
+/// hash the engine shards a link by), in stream order, so K such
 /// processes partition the stream by flow and every flow's packet
 /// subsequence survives intact — the property that makes merged partials
 /// bit-identical to a single run. A count <= 1 keeps everything.

@@ -15,12 +15,14 @@
 //
 // Without --link the run is one match-all link rendered untagged: the
 // single-link JSONL schema, a table without a link column. --link
-// (repeatable) demuxes the stream to one session per link instead
+// (repeatable) demuxes the stream to one engine link per spec instead
 // (longest-prefix match for overlapping claims; NAME=all or NAME=* for a
 // match-all aggregate) and every window report carries its link — a "link"
 // name column, or a leading "link" JSONL field (schema pinned by the
-// engine-smoke CI job). --threads N spreads the sessions over a worker pool
-// (0 = every core), with or without --link.
+// engine-smoke CI job). --threads N (0 = every core) means what it means in
+// fbm_analyze: an untagged run is one link of N flow-key shards on N
+// workers, a --link run is one shard per link on N workers. The output is
+// byte-identical at every N.
 //
 // --emit-partial FILE switches to distributed-aggregation mode: no window
 // is fitted, forecast or judged; each closed window's raw sufficient
@@ -38,9 +40,9 @@
 //                            engine checkpoint (FBMC) with or without --link.
 //   --restore FILE           resume from an engine checkpoint (a
 //                            single-estimator file, which only library
-//                            callers write, is refused): the config and
-//                            link set are validated against the file's
-//                            meta, the first
+//                            callers write, is refused): the config, link
+//                            set and shard count (--threads, untagged) are
+//                            validated against the file, the first
 //                            <checkpointed packets> records of the trace are
 //                            skipped, and the remaining output is
 //                            byte-identical to the uninterrupted run's
@@ -178,10 +180,11 @@ void print_human(const fbm::live::WindowReport& r, const char* link) {
 /// analysis batch size), with --follow/--idle polling; `done` flips when
 /// --max-windows is reached. `push` gets the batch mutable, so it can
 /// filter it in place. `idle_tick` runs before each quiet sleep (the engine
-/// flushes its demux buffers there, so a stalled stream still delivers
-/// buffered windows). `metrics` is ticked every few thousand packets and
-/// on every idle poll; in --follow mode each tick also refreshes the
-/// window-lag gauge (wall clock minus the newest packet timestamp).
+/// flushes its demux buffers there, so a stalled stream still delivers and
+/// checkpoints buffered windows). `metrics` is ticked every few thousand
+/// packets and on every idle poll; in --follow mode each tick also
+/// refreshes the window-lag gauge (wall clock minus the newest packet
+/// timestamp).
 template <typename Push, typename IdleTick>
 void drain(fbm::api::TraceSource& source, const Options& opt,
            std::size_t batch_packets, const std::atomic<bool>& done,
@@ -276,10 +279,11 @@ int run(const Options& opt) {
   engine::EngineConfig config;
   config.mode = engine::EngineMode::live;
   config.live = opt.live.config();
-  config.threads = opt.live.analysis.threads;
-  const std::size_t batch_packets = config.live.analysis.batch_packets();
   const auto& links = opt.live.analysis.links;
   const bool tagged = !links.empty();
+  config.threads = opt.live.analysis.threads;
+  config.shards = tagged ? 1 : opt.live.analysis.threads;
+  const std::size_t batch_packets = config.live.analysis.batch_packets();
 
   // The sinks run on pool workers under --threads, possibly until ~Engine
   // joins them — so the state they capture is declared before the engine
@@ -352,7 +356,9 @@ int run(const Options& opt) {
     eng.restore_state(ck.engine);
     skip = ck.packets_consumed();
     closed = ck.reports_emitted();
-    for (const auto& s : ck.engine.sessions) flows += s.live.counters.flows;
+    for (const auto& s : ck.engine.sessions) {
+      for (const auto& shard : s.shards) flows += shard.counters.flows;
+    }
     std::fprintf(stderr, "resuming after %llu reports (%llu packets) from %s\n",
                  static_cast<unsigned long long>(ck.reports_emitted()),
                  static_cast<unsigned long long>(skip), opt.restore.c_str());
@@ -388,7 +394,7 @@ int run(const Options& opt) {
     if (opt.max_windows > 0 && closed >= opt.max_windows) done = true;
   });
 
-  // Checkpoints are cut between batches (never inside the sink — a session
+  // Checkpoints are cut between batches (never inside the sink — a shard
   // is mid-mutation there), after the sink has printed and flushed every
   // window the snapshot counts as delivered. save_state() quiesces the
   // pool, so the snapshot is a consistent cut.
@@ -414,7 +420,13 @@ int run(const Options& opt) {
         eng.push_batch(b);
         maybe_checkpoint();
       },
-      [&] { eng.flush(); });
+      [&] {
+        // A quiet stream's buffered windows close on this flush; with a
+        // pool they are counted once the workers fold them, so a later
+        // idle tick checkpoints them.
+        eng.flush();
+        maybe_checkpoint();
+      });
   stopped = done.load();
   // Unconditional: it joins the pool workers (the sink drops what they still
   // report once `stopped`), so the footer below reads settled counters.
