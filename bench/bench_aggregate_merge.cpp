@@ -45,8 +45,11 @@ FBM_BENCH(aggregate_merge) {
   {
     api::AnalysisPipeline pipeline(analysis);
     std::vector<api::AnalysisReport> reports;
-    pipeline.set_report_sink(
-        [&](api::AnalysisReport&& r) { reports.push_back(std::move(r)); });
+    pipeline.set_partial_sink([&](api::WindowPartial&& iv) {
+      if (auto r = api::finalize_interval(analysis, std::move(iv))) {
+        reports.push_back(std::move(*r));
+      }
+    });
     bench::push_packets(pipeline, packets);
     pipeline.finish();
     reference = api::to_json(pipeline.summary(), reports);

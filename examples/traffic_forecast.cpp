@@ -39,9 +39,11 @@ int main() {
   config.window_s = iota;
   config.analysis.timeout_s(10.0);
   live::WindowedEstimator monitor(config);
+  std::vector<live::WindowReport> reports;
+  monitor.set_window_sink(
+      [&](live::WindowReport&& w) { reports.push_back(std::move(w)); });
   api::VectorTraceSource source(packets);
   monitor.consume(source);
-  const auto reports = monitor.take_reports();
 
   std::printf("live rolling forecast (iota = %.0f s windows):\n", iota);
   std::printf("%8s %12s %12s %18s\n", "t0", "actual", "predicted", "band");

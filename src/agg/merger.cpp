@@ -168,12 +168,10 @@ MergeResult Merger::finish() {
       for (std::int64_t k = 0; k <= max_index(link); ++k) {
         const double start = static_cast<double>(k) * config.interval_s();
         ++result.windows;
-        api::AnalysisReport report = api::finalize_interval(
-            config, take(link, k, start, start + config.interval_s(),
-                         config.delta_s()));
-        // min_flows deferred with the fit: applied here, exactly once.
-        if (report.inputs.flows >= config.min_flows()) {
-          reports.push_back(std::move(report));
+        if (auto report = api::finalize_interval(
+                config, take(link, k, start, start + config.interval_s(),
+                             config.delta_s()))) {
+          reports.push_back(std::move(*report));
         }
       }
       return reports;

@@ -1,11 +1,11 @@
 // fbm::api — the library's public entry point.
 //
-// Single link (one pipeline per stream):
+// Single link (one pipeline per stream, api::analyze):
 //
-//   TraceSource  ──►  AnalysisPipeline  ──►  AnalysisReport
-//   (packets,         (classify + measure     (model inputs, fitted shot,
-//    streamed)         + fit, one pass,        Gaussian approximation,
-//                      window-bounded memory)  capacity plan, JSON)
+//   TraceSource ──► AnalysisPipeline ──► WindowPartial ──► finalize_interval
+//   (packets,       (classify + measure,  (exact flow     (model inputs,
+//    streamed)       one pass, window-     sums + byte     fitted shot, plan;
+//                    bounded memory)       bins)           AnalysisReport)
 //
 // Many links, one process (the documented front door for monitoring
 // deployments — fbm::engine, re-exported below):

@@ -32,6 +32,16 @@ std::size_t interval_run_end(const double* ts, std::size_t i, std::size_t end,
   return lo;
 }
 
+/// A partial sink that fits each closed interval into `out`.
+PartialSink fit_into(std::vector<AnalysisReport>& out,
+                     const AnalysisConfig& config) {
+  return [&out, &config](WindowPartial&& raw) {
+    if (auto report = finalize_interval(config, std::move(raw))) {
+      out.push_back(std::move(*report));
+    }
+  };
+}
+
 }  // namespace
 
 AnalysisPipeline::AnalysisPipeline(AnalysisConfig config) : config_(config) {
@@ -42,18 +52,13 @@ AnalysisPipeline::AnalysisPipeline(AnalysisConfig config) : config_(config) {
   options.record_discards = true;
   options.reserve_flows = kReserveFlows;
   classifier_ = make_flow_classifier(config_.flow_definition(), options);
-  // Resolve the obs instruments once (mutex-guarded registry lookups);
-  // after this the pipeline only ever does relaxed adds on its own cells.
-  obs_packets_ = obs::classify_packets().local();
-  obs_flows_ = obs::flows_emitted().local();
-  obs_discards_ = obs::flows_discarded().local();
-  obs_splits_ = obs::flow_boundary_splits().local();
   obs_classify_seconds_ = &obs::stage_seconds(obs::kStageClassify);
 }
 
 AnalysisPipeline::~AnalysisPipeline() = default;
 
 void AnalysisPipeline::push_batch(const net::PacketBatch& batch) {
+  require_sink();
   if (batch.empty()) return;
   if (finished_) {
     throw std::logic_error("AnalysisPipeline: push after finish");
@@ -75,6 +80,7 @@ void AnalysisPipeline::push_batch(const net::PacketBatch& batch) {
 }
 
 void AnalysisPipeline::advance(double now) {
+  require_sink();
   if (finished_ || !(now > last_ts_)) return;
   if (last_ts_ == -std::numeric_limits<double>::infinity()) {
     next_sweep_ = now + kExpireEveryS;
@@ -83,6 +89,13 @@ void AnalysisPipeline::advance(double now) {
   max_index_ =
       std::max(max_index_, interval_index_of(now, config_.interval_s()));
   if (now >= next_sweep_) sweep(now);
+}
+
+void AnalysisPipeline::require_sink() const {
+  if (!partial_sink_) {
+    throw std::logic_error(
+        "AnalysisPipeline: set_partial_sink before the first push");
+  }
 }
 
 void AnalysisPipeline::bin_batch(const net::PacketBatch& batch) {
@@ -137,15 +150,16 @@ void AnalysisPipeline::sync_obs(bool sample_table) {
   const flow::ClassifierCounters& c = classifier_->counters();
   // Deltas saturate at 0: a huge unsigned wrap must never reach the
   // registry.
-  const auto fold = [](obs::ShardedCounter::Local& local, std::uint64_t cur,
+  const auto fold = [](obs::Counter& counter, std::uint64_t cur,
                        std::uint64_t prev) {
-    if (cur > prev) local.add(cur - prev);
+    if (cur > prev) counter.add(cur - prev);
   };
-  fold(obs_packets_, c.packets, obs_synced_.packets);
-  fold(obs_flows_, c.flows_emitted, obs_synced_.flows_emitted);
-  fold(obs_discards_, c.single_packet_discards,
+  fold(obs::classify_packets(), c.packets, obs_synced_.packets);
+  fold(obs::flows_emitted(), c.flows_emitted, obs_synced_.flows_emitted);
+  fold(obs::flows_discarded(), c.single_packet_discards,
        obs_synced_.single_packet_discards);
-  fold(obs_splits_, c.boundary_splits, obs_synced_.boundary_splits);
+  fold(obs::flow_boundary_splits(), c.boundary_splits,
+       obs_synced_.boundary_splits);
   obs_synced_ = c;
   if (sample_table) {
     // Sampled, last-writer-wins across pipelines: keys hash uniformly, so
@@ -177,29 +191,15 @@ void AnalysisPipeline::sweep(double now) {
 
 void AnalysisPipeline::close_through(std::int64_t last) {
   for (; next_close_ <= last; ++next_close_) {
+    // The raw material leaves for a fold (the engine's, agg::Merger's or
+    // analyze()'s), which fits once after the last shard or process.
     if (const auto it = open_.find(next_close_); it != open_.end()) {
       WindowPartial raw = std::move(it->second);
       open_.erase(it);
-      emit(std::move(raw));
+      partial_sink_(std::move(raw));
     } else {
-      emit(make_interval(next_close_));
+      partial_sink_(make_interval(next_close_));
     }
-  }
-}
-
-void AnalysisPipeline::emit(WindowPartial&& raw) {
-  if (partial_sink_) {
-    // The raw material leaves for a fold (the engine's, or agg::Merger's),
-    // which fits once after the last shard or process is added.
-    partial_sink_(std::move(raw));
-    return;
-  }
-  AnalysisReport report = finalize_interval(config_, std::move(raw));
-  if (report.inputs.flows < config_.min_flows()) return;
-  if (sink_) {
-    sink_(std::move(report));
-  } else {
-    ready_.push_back(std::move(report));
   }
 }
 
@@ -218,22 +218,6 @@ void AnalysisPipeline::consume(TraceSource& source) {
   finish();
 }
 
-AnalysisReport AnalysisPipeline::pop_report() {
-  if (ready_.empty()) {
-    throw std::logic_error("AnalysisPipeline: no report ready");
-  }
-  AnalysisReport r = std::move(ready_.front());
-  ready_.pop_front();
-  return r;
-}
-
-std::vector<AnalysisReport> AnalysisPipeline::take_reports() {
-  std::vector<AnalysisReport> out(std::make_move_iterator(ready_.begin()),
-                                  std::make_move_iterator(ready_.end()));
-  ready_.clear();
-  return out;
-}
-
 const flow::ClassifierCounters& AnalysisPipeline::counters() const {
   return classifier_->counters();
 }
@@ -246,16 +230,20 @@ std::size_t AnalysisPipeline::active_flows() const {
 
 std::vector<AnalysisReport> analyze(TraceSource& source,
                                     const AnalysisConfig& config) {
+  std::vector<AnalysisReport> out;
   AnalysisPipeline pipeline(config);
+  pipeline.set_partial_sink(fit_into(out, config));
   pipeline.consume(source);
-  return pipeline.take_reports();
+  return out;
 }
 
 std::vector<AnalysisReport> analyze(std::span<const net::PacketRecord> packets,
                                     const AnalysisConfig& config) {
   // Chunk the span through the batched path (AoS -> SoA transpose per
   // chunk); results are identical at every chunk size.
+  std::vector<AnalysisReport> out;
   AnalysisPipeline pipeline(config);
+  pipeline.set_partial_sink(fit_into(out, config));
   net::PacketBatch batch;
   const std::size_t cap = std::max<std::size_t>(1, config.batch_packets());
   for (std::size_t i = 0; i < packets.size(); i += cap) {
@@ -263,7 +251,7 @@ std::vector<AnalysisReport> analyze(std::span<const net::PacketRecord> packets,
     pipeline.push_batch(batch);
   }
   pipeline.finish();
-  return pipeline.take_reports();
+  return out;
 }
 
 }  // namespace fbm::api

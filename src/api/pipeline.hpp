@@ -2,25 +2,25 @@
 //
 // AnalysisPipeline pushes each packet batch through flow classification,
 // rate measurement, and analysis-interval bookkeeping, in one pass.
-// An interval is closed — its flows summed, model inputs estimated, shot
-// power fitted, capacity planned — as soon as the stream's clock passes its
-// end by more than the flow timeout, so memory is bounded by the analysis
-// window (plus the active-flow table), never by the trace length. This is
-// exactly the paper's online monitoring story (Section V-G): multi-GB
-// captures analyzed with a fixed-size footprint.
+// An interval is closed — its flows summed and its bytes binned into a
+// WindowPartial, handed to the partial sink — as soon as the stream's clock
+// passes its end by more than the flow timeout, so memory is bounded by the
+// analysis window (plus the active-flow table), never by the trace length.
+// finalize_interval then fits the partial: model inputs, shot power,
+// capacity plan. This is exactly the paper's online monitoring story
+// (Section V-G): multi-GB captures analyzed with a fixed-size footprint.
 //
 // One pipeline is one thread's work. Parallelism lives in engine::Engine:
 // a link there is K pipelines, each fed the packets whose flow key hashes
-// to it (api::flow_shard_of) and run in partial mode, and one fold per link
-// adds the K WindowPartials of each interval before fitting once. Flows are
+// to it (api::flow_shard_of), and one fold per link adds the K
+// WindowPartials of each interval before fitting once. Flows are
 // independent shots in the paper's model and every partial field is an
-// exact sum, so that fold reproduces this pipeline's reports bit for bit.
+// exact sum, so that fold reproduces a lone pipeline's reports bit for bit.
 // advance() moves a pipeline's clock without a packet, so a shard that
 // sees no traffic still closes what its link's clock has passed.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <map>
@@ -111,8 +111,8 @@ class AnalysisConfig {
 /// reproduces a single-machine run bit for bit, in any fold order.
 ///
 /// The engine's per-link fold, PartialSink and agg::Merger all carry
-/// these; fitting (and min_flows filtering) happens exactly once, after
-/// the last fold.
+/// these; fitting (and min_flows filtering, in finalize_interval) happens
+/// exactly once, after the last fold.
 struct WindowPartial {
   std::int64_t index = 0;
   std::uint64_t packets = 0;   ///< live windows only (batch leaves 0)
@@ -131,26 +131,18 @@ struct WindowPartial {
 
 class FlowClassifierHandle;  // api/shard.hpp
 
-/// Pre-fit flush hook: when set, every closed window is handed over as raw
-/// sufficient statistics (exact flow sums + exact integral byte bins)
-/// instead of being fitted locally — the engine's per-link fold or
-/// agg::Merger fits once after the last fold, so K shards x M hosts
-/// reproduce a single-machine run bit for bit. min_flows filtering defers
-/// with the fit. Mutually exclusive with queued reports: while a partial
-/// sink is set, no reports are produced at all. Shared by AnalysisPipeline
-/// and live::WindowedEstimator.
+/// Pre-fit flush hook: every closed window is handed over as raw
+/// sufficient statistics (exact flow sums + exact integral byte bins) —
+/// the engine's per-link fold, agg::Merger or api::analyze fits once after
+/// the last fold, so K shards x M hosts reproduce a single-machine run bit
+/// for bit. Shared by AnalysisPipeline and live::WindowedEstimator.
 using PartialSink = std::function<void(WindowPartial&&)>;
 
-/// Per-window flush hook: invoked exactly once per closed analysis interval,
-/// in interval order, as soon as the interval is finalized (min_flows
-/// filtering already applied). Always runs on the caller's thread.
-using ReportSink = std::function<void(AnalysisReport&&)>;
-
-/// Streaming pipeline: push packet batches (timestamp order) and poll
-/// reports, both from one thread. Reports are emitted in interval order;
-/// every interval index up to the last packet's interval gets exactly one
-/// report (unless filtered by min_flows), so indices line up with
-/// wall-clock windows as in the batch group_by_interval.
+/// Streaming pipeline: push packet batches (timestamp order) from one
+/// thread; every closed interval leaves through the partial sink, in
+/// interval order. Every interval index up to the last packet's interval
+/// is handed over exactly once, empty ones included, so indices line up
+/// with wall-clock windows as in the batch group_by_interval.
 class AnalysisPipeline {
  public:
   /// Throws std::invalid_argument on non-positive timeout/interval/delta,
@@ -162,8 +154,9 @@ class AnalysisPipeline {
 
   /// Feed the next batch. Timestamps must be finite and non-decreasing,
   /// within the batch and from one batch to the next (throws
-  /// std::invalid_argument otherwise, before any state changes). Reports
+  /// std::invalid_argument otherwise, before any state changes). Partials
   /// are bit-for-bit identical at every batch size, size 1 included.
+  /// Throws std::logic_error while no partial sink is set.
   void push_batch(const net::PacketBatch& batch);
 
   /// Moves the stream clock to `now` without a packet: expires, closes and
@@ -179,20 +172,8 @@ class AnalysisPipeline {
   /// Convenience: drain an entire source through the pipeline and finish.
   void consume(TraceSource& source);
 
-  /// Closed-interval reports ready so far, oldest first.
-  [[nodiscard]] bool has_report() const { return !ready_.empty(); }
-  [[nodiscard]] AnalysisReport pop_report();
-  /// All pending reports at once (clears the queue).
-  [[nodiscard]] std::vector<AnalysisReport> take_reports();
-
-  /// Streams reports into `sink` the moment each interval closes instead of
-  /// queueing them (pop_report/take_reports then never see them). Set before
-  /// the first push.
-  void set_report_sink(ReportSink sink) { sink_ = std::move(sink); }
-
-  /// Diverts closed intervals to `sink` as raw pre-fit material (see
-  /// PartialSink): no fitting, no min_flows filtering, no reports. Set
-  /// before the first push.
+  /// Where closed intervals go, as raw pre-fit material (see PartialSink);
+  /// finalize_interval fits one. Set before the first push.
   void set_partial_sink(PartialSink sink) {
     partial_sink_ = std::move(sink);
   }
@@ -208,6 +189,8 @@ class AnalysisPipeline {
   [[nodiscard]] std::size_t active_flows() const;
 
  private:
+  /// Throws std::logic_error while no partial sink is set.
+  void require_sink() const;
   [[nodiscard]] WindowPartial make_interval(std::int64_t index) const;
   [[nodiscard]] WindowPartial& open_at(std::int64_t index);
   /// Bins the batch's bytes into their intervals, one interval lookup per
@@ -221,7 +204,6 @@ class AnalysisPipeline {
   /// Closes every index not yet closed up to `last` inclusive, empty
   /// intervals included, so the index sequence stays contiguous.
   void close_through(std::int64_t last);
-  void emit(WindowPartial&& raw);
   /// Folds classifier-counter deltas into the obs counters and samples the
   /// flow-table gauges. Batch/sweep cadence, no-op when obs is disabled.
   void sync_obs(bool sample_table);
@@ -229,8 +211,6 @@ class AnalysisPipeline {
   AnalysisConfig config_;
   std::unique_ptr<FlowClassifierHandle> classifier_;
   std::map<std::int64_t, WindowPartial> open_;
-  std::deque<AnalysisReport> ready_;
-  ReportSink sink_;
   PartialSink partial_sink_;
   trace::TraceSummary summary_;
   double last_ts_ = -std::numeric_limits<double>::infinity();
@@ -239,18 +219,13 @@ class AnalysisPipeline {
   std::int64_t max_index_ = -1;  ///< highest interval index seen
   bool finished_ = false;
 
-  // obs: this pipeline's private counter cells (one relaxed add each at
-  // sync time) and the classifier-counter values already folded in.
-  obs::ShardedCounter::Local obs_packets_;
-  obs::ShardedCounter::Local obs_flows_;
-  obs::ShardedCounter::Local obs_discards_;
-  obs::ShardedCounter::Local obs_splits_;
+  // obs: the classifier-counter values already added to the registry.
   flow::ClassifierCounters obs_synced_{};
   obs::Histogram* obs_classify_seconds_ = nullptr;
 };
 
 /// One-shot convenience: run a whole source through a fresh pipeline and
-/// return every report.
+/// return the report of every interval finalize_interval keeps.
 [[nodiscard]] std::vector<AnalysisReport> analyze(TraceSource& source,
                                                   const AnalysisConfig& config);
 [[nodiscard]] std::vector<AnalysisReport> analyze(

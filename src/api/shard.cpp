@@ -201,11 +201,12 @@ WindowFit fit_window(const AnalysisConfig& config, double length_s,
 
 // ------------------------------------------------------- finalize_interval ---
 
-AnalysisReport finalize_interval(const AnalysisConfig& config,
-                                 WindowPartial&& raw) {
+std::optional<AnalysisReport> finalize_interval(const AnalysisConfig& config,
+                                                WindowPartial&& raw) {
   const double start_s = static_cast<double>(raw.index) * config.interval_s();
   WindowFit fit =
       fit_window(config, config.interval_s(), raw.sums, raw.bins);
+  if (fit.inputs.flows < config.min_flows()) return std::nullopt;
 
   AnalysisReport report;
   report.interval_index = static_cast<std::size_t>(raw.index);

@@ -117,9 +117,10 @@ inline constexpr std::size_t kMaxThreads = 4096;
 
 /// One fitted window of trace time: everything the paper derives from a
 /// window's flow sums plus its exact byte bins. Produced by fit_window() —
-/// the single implementation of the per-window math that the batch
-/// pipeline, the engine's per-link fold and live::WindowedEstimator all
-/// share, so they agree bit for bit by construction.
+/// the single implementation of the per-window math that
+/// finalize_interval, the engine's per-link fold and
+/// live::WindowedEstimator all share, so they agree bit for bit by
+/// construction.
 struct WindowFit {
   flow::ModelInputs inputs;
   measure::RateMoments measured;
@@ -141,10 +142,10 @@ struct WindowFit {
 
 /// Turns one interval's merged raw material into the finished
 /// AnalysisReport via fit_window(); with keep_flows the report carries the
-/// interval's flows sorted by flow::ByStart. The pipeline, the engine's
-/// fold and the merger close intervals through here; min_flows filtering
-/// stays with the caller.
-[[nodiscard]] AnalysisReport finalize_interval(const AnalysisConfig& config,
-                                               WindowPartial&& raw);
+/// interval's flows sorted by flow::ByStart. nullopt for an interval with
+/// fewer than min_flows flows: the one place min_flows filters. analyze(),
+/// the engine's fold and the merger close intervals through here.
+[[nodiscard]] std::optional<AnalysisReport> finalize_interval(
+    const AnalysisConfig& config, WindowPartial&& raw);
 
 }  // namespace fbm::api

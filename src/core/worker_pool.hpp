@@ -1,8 +1,7 @@
 // Fixed-size worker pool with per-worker FIFO queues (fbm::core).
 //
-// The one threading primitive in the tree: api::AnalysisPipeline runs its
-// flow-hashed shards on it and engine::Engine its per-link sessions. Work is
-// pinned, not stolen — a caller that submits everything for one piece of
+// The one threading primitive in the tree: engine::Engine runs every link's
+// flow-hash shards on it. Work is pinned, not stolen — a caller that submits everything for one piece of
 // state to the same worker gets that state's tasks run in submission order,
 // which is what keeps sharded and multi-link output bit-for-bit identical
 // to a single-threaded run.

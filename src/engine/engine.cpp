@@ -1,6 +1,7 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
+#include <deque>
 #include <stdexcept>
 #include <utility>
 
@@ -219,6 +220,10 @@ bool Engine::detach(LinkId id) {
 }
 
 void Engine::push_batch(const net::PacketBatch& batch) {
+  if (!sink_ && !partial_sink_) {
+    throw std::logic_error(
+        "Engine: set_report_sink or set_partial_sink before the first push");
+  }
   if (batch.empty()) return;
   if (finished_) throw std::logic_error("Engine: push after finish");
   net::check_order(batch.timestamps, last_ts_, "Engine");
@@ -388,50 +393,31 @@ void Engine::fold(Shard& s, api::WindowPartial&& partial) {
 
 void Engine::complete(Link& l, api::WindowPartial&& raw) {
   const std::uint64_t flows = raw.sums.n;
-  LinkReport report;
-  bool keep = true;
-  if (!partial_sink_) {
-    // Fit outside emit_mu_, so other links' folds fit in parallel; the
-    // link's own fold_mu keeps its forecaster in window order.
-    report.link = l.id;
-    report.name = l.name;
-    if (config_.mode == EngineMode::batch) {
-      report.interval = api::finalize_interval(l.analysis, std::move(raw));
-      keep = report.interval->inputs.flows >= l.analysis.min_flows();
-    } else {
-      report.window =
-          live::fit_window_report(l.live, raw, *l.forecaster, *l.monitor);
-    }
-  }
-  std::lock_guard lock(emit_mu_);
-  l.counters.flows += flows;
-  if (!keep) return;
-  ++l.counters.reports;
   if (partial_sink_) {
     // Distributed mode: the folded raw material leaves for agg::Merger,
     // which fits once after the cross-process fold.
+    std::lock_guard lock(emit_mu_);
+    l.counters.flows += flows;
+    ++l.counters.reports;
     partial_sink_(l.id, l.name, std::move(raw));
-  } else if (sink_) {
-    sink_(std::move(report));
-  } else {
-    ready_.push_back(std::move(report));
+    return;
   }
-}
-
-LinkReport Engine::pop_report() {
+  // Fit outside emit_mu_, so other links' folds fit in parallel; the link's
+  // own fold_mu keeps its forecaster in window order.
+  LinkReport report;
+  report.link = l.id;
+  report.name = l.name;
+  if (config_.mode == EngineMode::batch) {
+    report.interval = api::finalize_interval(l.analysis, std::move(raw));
+  } else {
+    report.window =
+        live::fit_window_report(l.live, raw, *l.forecaster, *l.monitor);
+  }
   std::lock_guard lock(emit_mu_);
-  if (ready_.empty()) throw std::logic_error("Engine: no report ready");
-  LinkReport r = std::move(ready_.front());
-  ready_.pop_front();
-  return r;
-}
-
-std::vector<LinkReport> Engine::take_reports() {
-  std::lock_guard lock(emit_mu_);
-  std::vector<LinkReport> out(std::make_move_iterator(ready_.begin()),
-                              std::make_move_iterator(ready_.end()));
-  ready_.clear();
-  return out;
+  l.counters.flows += flows;
+  if (!report.interval && !report.window) return;  // below min_flows
+  ++l.counters.reports;
+  sink_(std::move(report));
 }
 
 std::vector<LinkInfo> Engine::links() const {
@@ -466,13 +452,6 @@ EngineState Engine::save_state() {
   // consistent cut of the stream.
   flush();
   pool_->wait_idle();
-  {
-    std::lock_guard lock(emit_mu_);
-    if (!ready_.empty()) {
-      throw std::logic_error(
-          "Engine: take queued reports before save_state");
-    }
-  }
   EngineState st;
   st.summary = summary_;
   st.last_ts = last_ts_;

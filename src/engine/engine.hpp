@@ -16,8 +16,9 @@
 // the shard api::flow_shard_of(tuple, link flow definition, K) names, and
 // every shard runs in partial mode. One fold per link adds the K
 // api::WindowPartials of window k in shard order and fits once:
-// api::finalize_interval then min_flows (batch), or live::fit_window_report
-// with the link's own forecaster and monitor (live). Flows are independent
+// api::finalize_interval, which drops windows below min_flows (batch), or
+// live::fit_window_report with the link's own forecaster and monitor
+// (live). Flows are independent
 // shots in the paper's model and every partial field is an exact sum, so a
 // link's reports are bit-for-bit identical at every K; K = 1 takes the same
 // path. Each shard is advanced to its link's clock (its newest packet) by a
@@ -43,7 +44,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -101,7 +101,8 @@ struct LinkReport {
 /// Unified sink: every link's reports funnel here, in per-link order.
 /// Invoked on the caller's thread when threads == 1, on worker threads
 /// otherwise (serialized — never concurrently). Must not call back into the
-/// engine.
+/// engine. An engine without a report or partial sink refuses its first
+/// push.
 using ReportSink = std::function<void(LinkReport&&)>;
 
 /// Pre-fit flush hook for distributed aggregation: every closed analysis
@@ -180,7 +181,8 @@ class Engine {
   /// detached. The link's counters remain visible through links().
   bool detach(LinkId id);
 
-  /// Set before the first push. See ReportSink for the threading contract.
+  /// Where fitted reports go. Set before the first push. See ReportSink for
+  /// the threading contract.
   void set_report_sink(ReportSink sink) { sink_ = std::move(sink); }
 
   /// Diverts every link's closed intervals/windows to `sink` as raw
@@ -201,7 +203,7 @@ class Engine {
   /// filter the batch into their own buffers, and match-all links take it
   /// whole. Within a link of K > 1 shards the flow-key hash picks the
   /// buffer. Per-link results are bit-for-bit identical at every batch
-  /// size.
+  /// size. Throws std::logic_error while neither sink is set.
   void push_batch(const net::PacketBatch& batch);
 
   /// Hands any demux-buffered packets to their workers now and advances
@@ -220,15 +222,6 @@ class Engine {
   /// consumed.
   std::uint64_t consume(api::TraceSource& source);
 
-  /// Queued reports (only when no sink is set), oldest first per link.
-  /// (Locked: pool workers fill the queue from their own threads.)
-  [[nodiscard]] bool has_report() const {
-    std::lock_guard lock(emit_mu_);
-    return !ready_.empty();
-  }
-  [[nodiscard]] LinkReport pop_report();
-  [[nodiscard]] std::vector<LinkReport> take_reports();
-
   /// threads and shards resolved (0 becomes the core count).
   [[nodiscard]] const EngineConfig& config() const { return config_; }
   /// Totals over the whole stream (every packet, routed or not).
@@ -244,8 +237,7 @@ class Engine {
   /// the worker pool first, so the captured states are exactly "every
   /// routed packet processed, every closed window folded and emitted".
   /// Call between pushes; throws std::logic_error after finish(), in batch
-  /// mode, with a partial sink, or while reports sit undrained in the
-  /// queue.
+  /// mode, or with a partial sink.
   [[nodiscard]] EngineState save_state();
 
   /// Rebuilds a saved state. The caller must first attach the checkpoint's
@@ -285,8 +277,7 @@ class Engine {
 
   std::size_t next_worker_ = 0;
 
-  mutable std::mutex emit_mu_;  ///< serializes sink_/ready_/report counters
-  std::deque<LinkReport> ready_;
+  mutable std::mutex emit_mu_;  ///< serializes the sinks, report counters
 
   trace::TraceSummary summary_;
   double last_ts_ = -std::numeric_limits<double>::infinity();

@@ -22,8 +22,8 @@ WindowReport fit_window_report(const LiveConfig& config,
   report.bytes = raw.bytes;
   report.discards = raw.discards;
 
-  // The exact same fit the batch pipeline and the engine's fold run when
-  // they close an analysis interval.
+  // The exact same fit api::finalize_interval runs when it closes a batch
+  // analysis interval.
   api::WindowFit fit =
       api::fit_window(config.analysis, config.window_s, raw.sums, raw.bins);
   report.inputs = fit.inputs;
@@ -142,7 +142,16 @@ void WindowedEstimator::expire_all(double now) {
   while (next_expire_ <= now) next_expire_ += api::kExpireEveryS;
 }
 
+void WindowedEstimator::require_sink() const {
+  if (!sink_ && !partial_sink_) {
+    throw std::logic_error(
+        "WindowedEstimator: set_window_sink or set_partial_sink before the "
+        "first push");
+  }
+}
+
 void WindowedEstimator::push_batch(const net::PacketBatch& batch) {
+  require_sink();
   if (batch.empty()) return;
   if (finished_) {
     throw std::logic_error("WindowedEstimator: push after finish");
@@ -230,6 +239,7 @@ void WindowedEstimator::step_clock(double t) {
 }
 
 void WindowedEstimator::advance(double now) {
+  require_sink();
   if (finished_ || !(now > last_ts_) || now < 0.0) return;
   if (last_ts_ == -std::numeric_limits<double>::infinity()) {
     next_expire_ = now + api::kExpireEveryS;
@@ -277,15 +287,7 @@ void WindowedEstimator::finalize_window(std::int64_t k, WindowState* state) {
     return;
   }
 
-  emit(fit_window_report(config_, raw, forecaster_, monitor_));
-}
-
-void WindowedEstimator::emit(WindowReport&& report) {
-  if (sink_) {
-    sink_(std::move(report));
-  } else {
-    ready_.push_back(std::move(report));
-  }
+  sink_(fit_window_report(config_, raw, forecaster_, monitor_));
 }
 
 void WindowedEstimator::finish() {
@@ -311,31 +313,11 @@ std::uint64_t WindowedEstimator::consume(api::TraceSource& source) {
   return n;
 }
 
-WindowReport WindowedEstimator::pop_report() {
-  if (ready_.empty()) {
-    throw std::logic_error("WindowedEstimator: no report ready");
-  }
-  WindowReport r = std::move(ready_.front());
-  ready_.pop_front();
-  return r;
-}
-
-std::vector<WindowReport> WindowedEstimator::take_reports() {
-  std::vector<WindowReport> out(std::make_move_iterator(ready_.begin()),
-                                std::make_move_iterator(ready_.end()));
-  ready_.clear();
-  return out;
-}
-
 // ------------------------------------------------------- snapshot/restore ---
 
 EstimatorState WindowedEstimator::save_state() {
   if (finished_) {
     throw std::logic_error("WindowedEstimator: snapshot after finish");
-  }
-  if (!ready_.empty()) {
-    throw std::logic_error(
-        "WindowedEstimator: drain pending reports before snapshot");
   }
   EstimatorState st;
   st.counters = counters_;
@@ -363,7 +345,7 @@ EstimatorState WindowedEstimator::save_state() {
 
 void WindowedEstimator::restore_state(const EstimatorState& state) {
   if (finished_ || counters_.packets != 0 || counters_.windows != 0 ||
-      next_close_ != 0 || !open_.empty() || !ready_.empty()) {
+      next_close_ != 0 || !open_.empty()) {
     throw std::logic_error(
         "WindowedEstimator: restore needs a fresh estimator");
   }

@@ -8,8 +8,8 @@
 // analysis interval), its exact completed-flow sums and exact Delta byte
 // bins. A window closes the moment the stream clock passes its end: the
 // classifier flushes into the sums, and api::fit_window — the same
-// function the batch pipeline closes intervals through — produces the
-// parameters. Replaying a finished trace therefore
+// function api::finalize_interval closes batch intervals through —
+// produces the parameters. Replaying a finished trace therefore
 // reproduces, bit for bit, what a batch fit restricted to each window's
 // packets computes in isolation (tests/live/test_windowed_differential.cpp
 // proves it against the independent batch primitives and against
@@ -53,8 +53,8 @@ struct LiveCounters {
 using WindowPartial = api::WindowPartial;
 
 /// Turns one window's merged raw material into the finished WindowReport:
-/// api::fit_window (the same function the batch pipeline closes intervals
-/// through), the streaming flow-population moments, then
+/// api::fit_window (the same function api::finalize_interval closes batch
+/// intervals through), the streaming flow-population moments, then
 /// forecast/judge/observe against the rolling state, counting the window
 /// (and its alert) in obs. The single implementation WindowedEstimator, the
 /// engine's per-link fold and agg::Merger share, so live monitoring, a
@@ -123,9 +123,9 @@ class WindowedEstimator {
   /// consumed.
   std::uint64_t consume(api::TraceSource& source);
 
-  /// Reports stream here the moment each window closes, in window order,
-  /// when set (pop_report/take_reports then never see them). Set before the
-  /// first push.
+  /// Reports stream here the moment each window closes, in window order.
+  /// Set this or the partial sink before the first push: push_batch()
+  /// throws std::logic_error while neither is set.
   using WindowSink = std::function<void(WindowReport&&)>;
   void set_window_sink(WindowSink sink) { sink_ = std::move(sink); }
 
@@ -138,10 +138,6 @@ class WindowedEstimator {
     partial_sink_ = std::move(sink);
   }
 
-  [[nodiscard]] bool has_report() const { return !ready_.empty(); }
-  [[nodiscard]] WindowReport pop_report();
-  [[nodiscard]] std::vector<WindowReport> take_reports();
-
   [[nodiscard]] const LiveConfig& config() const { return config_; }
   [[nodiscard]] const LiveCounters& counters() const { return counters_; }
 
@@ -150,10 +146,10 @@ class WindowedEstimator {
   [[nodiscard]] std::size_t active_flows() const;
 
   /// Snapshot of the complete mid-stream state. Call between pushes —
-  /// throws std::logic_error after finish() or while reports sit undrained
-  /// (a sink-less caller must pop them first; the snapshot counts them as
-  /// already delivered). Drains each open window's completed flows into
-  /// its sums first, which no result can tell apart from a later drain.
+  /// throws std::logic_error after finish(). Every window closed so far
+  /// has left through the sink and counts as delivered. Drains each open
+  /// window's completed flows into its sums first, which no result can
+  /// tell apart from a later drain.
   [[nodiscard]] EstimatorState save_state();
 
   /// Rebuilds a saved state in this estimator. Only valid on a fresh
@@ -176,6 +172,8 @@ class WindowedEstimator {
     return window_start(k) + config_.window_s;
   }
 
+  /// Throws std::logic_error while neither sink is set.
+  void require_sink() const;
   [[nodiscard]] WindowState& state_at(std::int64_t k);
   /// Window k's material before any packet: zero sums, zero bins.
   [[nodiscard]] WindowPartial empty_window(std::int64_t k) const;
@@ -186,7 +184,6 @@ class WindowedEstimator {
   void expire_all(double now);  ///< expire + drain every open window
   void close_through(double now);  ///< close windows with end <= now
   void finalize_window(std::int64_t k, WindowState* state);
-  void emit(WindowReport&& report);
 
   LiveConfig config_;
   double stride_ = 0.0;
@@ -207,7 +204,6 @@ class WindowedEstimator {
   RollingForecaster forecaster_;
   AnomalyMonitor monitor_;
 
-  std::deque<WindowReport> ready_;
   WindowSink sink_;
   api::PartialSink partial_sink_;
   LiveCounters counters_;

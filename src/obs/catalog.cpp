@@ -38,8 +38,8 @@ Histogram& stage_seconds(const std::string& stage) {
   });
 }
 
-ShardedCounter& classify_packets() {
-  static ShardedCounter& c = reg().sharded_counter(
+Counter& classify_packets() {
+  static Counter& c = reg().counter(
       {.name = "fbm_classify_packets_total",
        .help = "Packets classified into flows",
        .unit = "packets",
@@ -47,8 +47,8 @@ ShardedCounter& classify_packets() {
   return c;
 }
 
-ShardedCounter& flows_emitted() {
-  static ShardedCounter& c = reg().sharded_counter(
+Counter& flows_emitted() {
+  static Counter& c = reg().counter(
       {.name = "fbm_flows_emitted_total",
        .help = "Flows emitted to the rate binner",
        .unit = "flows",
@@ -56,8 +56,8 @@ ShardedCounter& flows_emitted() {
   return c;
 }
 
-ShardedCounter& flows_discarded() {
-  static ShardedCounter& c = reg().sharded_counter(
+Counter& flows_discarded() {
+  static Counter& c = reg().counter(
       {.name = "fbm_flows_discarded_total",
        .help = "Single-packet flows discarded (paper filtering rule)",
        .unit = "flows",
@@ -65,8 +65,8 @@ ShardedCounter& flows_discarded() {
   return c;
 }
 
-ShardedCounter& flow_boundary_splits() {
-  static ShardedCounter& c = reg().sharded_counter(
+Counter& flow_boundary_splits() {
+  static Counter& c = reg().counter(
       {.name = "fbm_flow_boundary_splits_total",
        .help = "Flow pieces created by interval-boundary splitting",
        .unit = "flows",

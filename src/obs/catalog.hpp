@@ -68,14 +68,14 @@ class StageSpan {
 };
 
 // --- classify -------------------------------------------------------------
-/// Packets classified (all pipelines; per-shard local cells).
-[[nodiscard]] ShardedCounter& classify_packets();
+/// Packets classified (all pipelines, added at batch and sweep cadence).
+[[nodiscard]] Counter& classify_packets();
 /// Flows emitted to the rate binner.
-[[nodiscard]] ShardedCounter& flows_emitted();
+[[nodiscard]] Counter& flows_emitted();
 /// Single-packet flows discarded per the paper's filtering rule.
-[[nodiscard]] ShardedCounter& flows_discarded();
+[[nodiscard]] Counter& flows_discarded();
 /// Flow pieces created by analysis-interval boundary splitting.
-[[nodiscard]] ShardedCounter& flow_boundary_splits();
+[[nodiscard]] Counter& flow_boundary_splits();
 /// Flow-table occupancy / geometry, refreshed at flush/sweep cadence.
 [[nodiscard]] Gauge& flow_table_active(const std::string& pipeline);
 [[nodiscard]] Gauge& flow_table_load_factor(const std::string& pipeline);

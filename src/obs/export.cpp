@@ -77,7 +77,6 @@ void jsonl_metric(core::JsonWriter& w, const MetricValue& m) {
   w.end_object();
   switch (m.type) {
     case MetricType::counter:
-    case MetricType::sharded_counter:
       w.field("value", m.counter);
       break;
     case MetricType::gauge:
@@ -105,7 +104,6 @@ void jsonl_metric(core::JsonWriter& w, const MetricValue& m) {
 const char* type_name(MetricType t) {
   switch (t) {
     case MetricType::counter:
-    case MetricType::sharded_counter:
       return "counter";
     case MetricType::gauge:
       return "gauge";
@@ -148,7 +146,6 @@ std::string to_prometheus(const Snapshot& snap) {
     const std::string labels = prom_labels(m.meta.labels);
     switch (m.type) {
       case MetricType::counter:
-      case MetricType::sharded_counter:
         out += m.meta.name + labels + ' ' + std::to_string(m.counter) + '\n';
         break;
       case MetricType::gauge:

@@ -78,39 +78,4 @@ std::vector<double> log_scale_bounds(double first, double factor,
   return out;
 }
 
-// ----------------------------------------------------------- ShardedCounter ---
-
-ShardedCounter::Local ShardedCounter::local() {
-  std::lock_guard lock(mu_);
-  std::atomic<std::uint64_t>* cell;
-  if (!free_.empty()) {
-    cell = free_.back();
-    free_.pop_back();
-  } else {
-    cell = &cells_.emplace_back(0);
-  }
-  return Local(this, cell);
-}
-
-void ShardedCounter::Local::release() {
-  if (owner_ == nullptr || cell_ == nullptr) return;
-  std::lock_guard lock(owner_->mu_);
-  // Fold the cell into the base so the family total survives this local,
-  // then recycle the (zeroed) cell.
-  owner_->base_.fetch_add(cell_->exchange(0, std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-  owner_->free_.push_back(cell_);
-  owner_ = nullptr;
-  cell_ = nullptr;
-}
-
-std::uint64_t ShardedCounter::value() const {
-  std::lock_guard lock(mu_);
-  std::uint64_t total = base_.load(std::memory_order_relaxed);
-  for (const auto& cell : cells_) {
-    total += cell.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
 }  // namespace fbm::obs

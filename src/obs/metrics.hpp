@@ -1,20 +1,15 @@
 // Runtime metric instruments (fbm::obs).
 //
 // The hot path must never contend: every instrument is built from relaxed
-// atomics that a single writer owns (per shard, per worker, per classifier)
-// and a scraper merges at snapshot time. Instruments are registered once in
+// atomics, and hot loops add their counts in bulk at batch cadence, never
+// per packet. Instruments are registered once in
 // an obs::Registry (registry.hpp) and live for the registry's lifetime, so
 // instrumentation sites cache plain references.
 //
-//   Counter        monotonic u64; one cell, shared (low-rate sites).
-//   Gauge          last-written double (queue depth, load factor, lag).
-//   Histogram      fixed-boundary distribution (log-scale helper below);
-//                  atomic buckets, safe to observe from many threads.
-//   ShardedCounter a counter family: each shard/worker/classifier acquires
-//                  its own Local cell (one relaxed add, never shared), and
-//                  value() folds base + live cells at scrape time. Dying
-//                  locals fold their count into the base, so totals survive
-//                  short-lived owners (live windows open a classifier each).
+//   Counter    monotonic u64; one relaxed atomic, shared by every writer.
+//   Gauge      last-written double (queue depth, load factor, lag).
+//   Histogram  fixed-boundary distribution (log-scale helper below);
+//              atomic buckets, safe to observe from many threads.
 //
 // Everything here is cheap enough to leave always-on; obs::enabled() is the
 // process-wide kill switch (FBM_OBS_OFF=1, or set_enabled(false)) that the
@@ -24,9 +19,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <mutex>
-#include <utility>
 #include <vector>
 
 namespace fbm::obs {
@@ -90,52 +82,5 @@ class Histogram {
 /// The standard grid for stage durations (e.g. 1 us .. 16 s at factor 4).
 [[nodiscard]] std::vector<double> log_scale_bounds(double first, double factor,
                                                    std::size_t n);
-
-/// A counter whose writers each own a private cell. local() hands out a
-/// Local handle (mutex-guarded allocation, reusing cells of dead locals);
-/// Local::add is one relaxed atomic add on memory no other writer touches.
-/// value() merges base + every cell with relaxed loads — the scraper never
-/// blocks a writer.
-class ShardedCounter {
- public:
-  class Local {
-   public:
-    Local() = default;
-    Local(Local&& other) noexcept
-        : owner_(std::exchange(other.owner_, nullptr)),
-          cell_(std::exchange(other.cell_, nullptr)) {}
-    Local& operator=(Local&& other) noexcept {
-      release();
-      owner_ = std::exchange(other.owner_, nullptr);
-      cell_ = std::exchange(other.cell_, nullptr);
-      return *this;
-    }
-    Local(const Local&) = delete;
-    Local& operator=(const Local&) = delete;
-    ~Local() { release(); }
-
-    void add(std::uint64_t n = 1) {
-      if (cell_ != nullptr) cell_->fetch_add(n, std::memory_order_relaxed);
-    }
-
-   private:
-    friend class ShardedCounter;
-    Local(ShardedCounter* owner, std::atomic<std::uint64_t>* cell)
-        : owner_(owner), cell_(cell) {}
-    void release();
-
-    ShardedCounter* owner_ = nullptr;
-    std::atomic<std::uint64_t>* cell_ = nullptr;
-  };
-
-  [[nodiscard]] Local local();
-  [[nodiscard]] std::uint64_t value() const;
-
- private:
-  mutable std::mutex mu_;  ///< guards cell allocation/recycling, not add()
-  std::deque<std::atomic<std::uint64_t>> cells_;  ///< stable addresses
-  std::vector<std::atomic<std::uint64_t>*> free_;
-  std::atomic<std::uint64_t> base_{0};  ///< folded-in counts of dead locals
-};
 
 }  // namespace fbm::obs

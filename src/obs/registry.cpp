@@ -37,7 +37,6 @@ Snapshot delta(const Snapshot& before, const Snapshot& after) {
     if (prev == nullptr || prev->type != m.type) continue;
     switch (m.type) {
       case MetricType::counter:
-      case MetricType::sharded_counter:
         m.counter -= std::min(m.counter, prev->counter);
         break;
       case MetricType::gauge:
@@ -99,13 +98,6 @@ Histogram& Registry::histogram(MetricMeta meta, std::vector<double> bounds) {
   return *e.histogram;
 }
 
-ShardedCounter& Registry::sharded_counter(MetricMeta meta) {
-  Entry& e = resolve(std::move(meta), MetricType::sharded_counter);
-  std::lock_guard lock(mu_);
-  if (!e.sharded) e.sharded = std::make_unique<ShardedCounter>();
-  return *e.sharded;
-}
-
 Snapshot Registry::snapshot() const {
   Snapshot out;
   {
@@ -121,9 +113,6 @@ Snapshot Registry::snapshot() const {
           break;
         case MetricType::gauge:
           v.gauge = e->gauge ? e->gauge->value() : 0.0;
-          break;
-        case MetricType::sharded_counter:
-          v.counter = e->sharded ? e->sharded->value() : 0;
           break;
         case MetricType::histogram:
           if (e->histogram) {

@@ -27,7 +27,7 @@
 
 namespace fbm::obs {
 
-enum class MetricType { counter, gauge, histogram, sharded_counter };
+enum class MetricType { counter, gauge, histogram };
 
 /// Everything that describes a metric besides its value — the
 /// "self-describing" part of every snapshot.
@@ -54,7 +54,7 @@ struct HistogramValue {
 struct MetricValue {
   MetricMeta meta;
   MetricType type = MetricType::counter;
-  std::uint64_t counter = 0;  ///< counter / sharded_counter
+  std::uint64_t counter = 0;
   double gauge = 0.0;
   HistogramValue hist;
 };
@@ -81,7 +81,6 @@ class Registry {
   /// `bounds` are the fixed upper bounds (log_scale_bounds for the standard
   /// grid); ignored when the histogram already exists.
   Histogram& histogram(MetricMeta meta, std::vector<double> bounds);
-  ShardedCounter& sharded_counter(MetricMeta meta);
 
   [[nodiscard]] Snapshot snapshot() const;
 
@@ -95,7 +94,6 @@ class Registry {
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
-    std::unique_ptr<ShardedCounter> sharded;
   };
 
   Entry& resolve(MetricMeta&& meta, MetricType type);

@@ -22,7 +22,9 @@
 #include <string>
 #include <vector>
 
+#include "../support/collect.hpp"
 #include "../support/push.hpp"
+#include "../support/sharded.hpp"
 #include "agg/agg.hpp"
 #include "api/api.hpp"
 #include "api/shard.hpp"
@@ -88,12 +90,10 @@ api::AnalysisConfig batch_config(api::FlowDefinition def,
 std::string batch_reference(const api::AnalysisConfig& config,
                             const std::vector<net::PacketRecord>& packets) {
   api::AnalysisPipeline pipeline(config);
-  std::vector<api::AnalysisReport> reports;
-  pipeline.set_report_sink(
-      [&](api::AnalysisReport&& r) { reports.push_back(std::move(r)); });
+  const auto reports = testsupport::collect(pipeline);
   push_all(pipeline, packets);
   pipeline.finish();
-  return api::to_json(pipeline.summary(), reports);
+  return api::to_json(pipeline.summary(), reports->take());
 }
 
 /// One shard producer: pushes `packets` through a pipeline with a partial
@@ -177,6 +177,51 @@ TEST(AggregateDifferential, MinFlowsFilterDefersToTheMerge) {
                           temp_partial(i));
   }
   EXPECT_EQ(merge_files(5), reference);
+}
+
+TEST(AggregateDifferential, MinFlowsBoundaryAgreesOnEveryPath) {
+  // Interval 0 holds exactly min_flows two-packet flows and interval 1 one
+  // fewer: the first is reported and the second is not, by api::analyze, by
+  // a two-shard engine link and by a two-producer emit-and-merge alike.
+  constexpr std::size_t kMinFlows = 6;
+  std::vector<net::PacketRecord> packets;
+  for (std::size_t iv = 0; iv < 2; ++iv) {
+    for (std::size_t f = 0; f < kMinFlows - iv; ++f) {
+      net::PacketRecord p;
+      p.timestamp = 10.0 * static_cast<double>(iv) + 1.0 +
+                    0.1 * static_cast<double>(f);
+      p.tuple.src = net::Ipv4Address(10, 0, 0, 1);
+      p.tuple.dst = net::Ipv4Address(10, 1, 0, 1);
+      p.tuple.src_port = static_cast<std::uint16_t>(1000 + 100 * iv + f);
+      p.tuple.dst_port = 80;
+      p.tuple.protocol = 6;
+      p.size_bytes = 1000;
+      packets.push_back(p);
+      p.timestamp += 0.05;
+      packets.push_back(p);
+    }
+  }
+  const auto def = api::FlowDefinition::five_tuple;
+  const api::AnalysisConfig config = batch_config(def, kMinFlows);
+
+  const auto expect_interval_0_only =
+      [&](const std::vector<api::AnalysisReport>& reports) {
+        ASSERT_EQ(reports.size(), 1u);
+        EXPECT_EQ(reports[0].interval_index, 0u);
+        EXPECT_EQ(reports[0].inputs.flows, kMinFlows);
+      };
+  expect_interval_0_only(api::analyze(packets, config));
+  expect_interval_0_only(testsupport::sharded_analyze(packets, config, 2));
+
+  for (std::size_t i = 0; i < 2; ++i) {
+    const auto shard = shard_of(packets, def, i, 2);
+    ASSERT_FALSE(shard.empty());
+    produce_batch_partial(config, shard, temp_partial(i));
+  }
+  const std::string merged = merge_files(2);
+  EXPECT_NE(merged.find("\"interval_index\": 0"), std::string::npos);
+  EXPECT_EQ(merged.find("\"interval_index\": 1"), std::string::npos);
+  EXPECT_EQ(merged, batch_reference(config, packets));
 }
 
 live::LiveConfig live_config(api::FlowDefinition def) {

@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <vector>
 
+#include "../support/collect.hpp"
 #include "../support/model_spec.hpp"
 #include "../support/push.hpp"
 #include "../support/sharded.hpp"
@@ -124,16 +125,18 @@ void expect_batched_matches_per_packet(
     const std::vector<net::PacketRecord>& packets,
     const api::AnalysisConfig& config) {
   api::AnalysisPipeline reference(config);
+  const auto reference_reports = testsupport::collect(reference);
   push_all(reference, packets, 1);
   reference.finish();
-  const auto expected = reference.take_reports();
+  const auto expected = reference_reports->take();
 
   for (const std::size_t batch_size : kBatchSizes) {
     SCOPED_TRACE("batch " + std::to_string(batch_size));
     api::AnalysisPipeline pipeline(config);
+    const auto pipeline_reports = testsupport::collect(pipeline);
     push_all(pipeline, packets, batch_size);
     pipeline.finish();
-    expect_reports_identical(expected, pipeline.take_reports());
+    expect_reports_identical(expected, pipeline_reports->take());
     for (const std::size_t shards : {2u, 4u}) {
       SCOPED_TRACE(std::to_string(shards) + " shards");
       expect_reports_identical(
@@ -263,24 +266,27 @@ void expect_window_reports_identical(
 void expect_live_batches_match(const std::vector<net::PacketRecord>& packets,
                                const live::LiveConfig& config) {
   live::WindowedEstimator reference(config);
+  const auto reference_reports = testsupport::collect(reference);
   push_all(reference, packets, 1);
   reference.finish();
-  const auto expected = reference.take_reports();
+  const auto expected = reference_reports->take();
   ASSERT_FALSE(expected.empty());
 
   for (const std::size_t batch_size : kBatchSizes) {
     SCOPED_TRACE("batch " + std::to_string(batch_size));
     live::WindowedEstimator batched(config);
+    const auto batched_reports = testsupport::collect(batched);
     push_all(batched, packets, batch_size);
     batched.finish();
-    expect_window_reports_identical(expected, batched.take_reports());
+    expect_window_reports_identical(expected, batched_reports->take());
   }
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     SCOPED_TRACE("random splits, seed " + std::to_string(seed));
     live::WindowedEstimator batched(config);
+    const auto batched_reports = testsupport::collect(batched);
     push_split(batched, packets, seed);
     batched.finish();
-    expect_window_reports_identical(expected, batched.take_reports());
+    expect_window_reports_identical(expected, batched_reports->take());
   }
 }
 

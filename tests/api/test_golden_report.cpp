@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "../support/collect.hpp"
 #include "../support/json_fields.hpp"
 #include "../support/sharded.hpp"
 #include "api/api.hpp"
@@ -48,9 +49,10 @@ std::string analyze_golden_trace(std::size_t threads) {
   api::AnalysisConfig config;
   config.interval_s(4.0).timeout_s(1.0).min_flows(0);
   auto eng = testsupport::sharded_engine(config, threads, threads);
+  const auto eng_reports = testsupport::collect(*eng);
   (void)eng->consume(*source);
   std::vector<api::AnalysisReport> reports;
-  for (auto& r : eng->take_reports()) reports.push_back(std::move(*r.interval));
+  for (auto& r : eng_reports->take()) reports.push_back(std::move(*r.interval));
   return api::to_json(eng->summary(), reports) + "\n";
 }
 

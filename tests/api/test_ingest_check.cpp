@@ -13,6 +13,7 @@
 #include <tuple>
 #include <vector>
 
+#include "../support/collect.hpp"
 #include "../support/push.hpp"
 #include "api/api.hpp"
 #include "engine/engine.hpp"
@@ -72,9 +73,9 @@ std::string run(Stage stage, const std::vector<net::PacketRecord>& packets,
   switch (stage) {
     case Stage::pipeline: {
       api::AnalysisPipeline p(analysis_config());
-      p.set_report_sink(
-          [&](api::AnalysisReport&& r) { out += api::to_json(r) + "\n"; });
+      const auto reports = testsupport::collect(p);
       drive(p);
+      for (const auto& r : reports->take()) out += api::to_json(r) + "\n";
       out += std::to_string(p.summary().packets);
       break;
     }
@@ -188,6 +189,7 @@ TEST(IngestCheckFile, ConsumeThrowsOnTrailingInfinity) {
   {
     api::FileTraceSource source(path);
     api::AnalysisPipeline p(analysis_config());
+    (void)testsupport::collect(p);
     EXPECT_THROW(p.consume(source), std::invalid_argument)
         << "sequential pipeline";
   }
@@ -198,6 +200,7 @@ TEST(IngestCheckFile, ConsumeThrowsOnTrailingInfinity) {
     ec.shards = 2;
     ec.threads = 2;
     engine::Engine e(ec);
+    (void)testsupport::collect(e);
     (void)e.attach(engine::parse_link_spec("all=*"));
     EXPECT_THROW((void)e.consume(source), std::invalid_argument)
         << "sharded engine link";
@@ -205,6 +208,7 @@ TEST(IngestCheckFile, ConsumeThrowsOnTrailingInfinity) {
   {
     api::FileTraceSource source(path);
     live::WindowedEstimator e(live_config());
+    (void)testsupport::collect(e);
     EXPECT_THROW((void)e.consume(source), std::invalid_argument)
         << "windowed estimator";
   }
@@ -214,6 +218,7 @@ TEST(IngestCheckFile, ConsumeThrowsOnTrailingInfinity) {
     config.mode = engine::EngineMode::live;
     config.live = live_config();
     engine::Engine eng(config);
+    (void)testsupport::collect(eng);
     (void)eng.attach(engine::parse_link_spec("tap=*"));
     EXPECT_THROW((void)eng.consume(source), std::invalid_argument)
         << "engine";

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "../support/collect.hpp"
 #include "../support/push.hpp"
 #include "../support/sharded.hpp"
 #include "api/api.hpp"
@@ -20,6 +21,7 @@
 namespace fbm {
 namespace {
 
+using testsupport::collect;
 using testsupport::push_all;
 using testsupport::push_one;
 using testsupport::sharded_analyze;
@@ -213,15 +215,16 @@ TEST(ParallelStreaming, MidStreamPopsPreserveTheSerialSequence) {
   const auto serial = api::analyze(packets, config);
 
   auto eng = sharded_engine(config, 4, 4);
+  const auto reports = collect(*eng);
   std::vector<api::AnalysisReport> streamed;
   for (const auto& p : packets) {
     push_one(*eng, p);
-    while (eng->has_report()) {
-      streamed.push_back(std::move(*eng->pop_report().interval));
+    for (auto& r : reports->take()) {
+      streamed.push_back(std::move(*r.interval));
     }
   }
   eng->finish();
-  for (auto& r : eng->take_reports()) {
+  for (auto& r : reports->take()) {
     streamed.push_back(std::move(*r.interval));
   }
   expect_reports_identical(serial, streamed);
@@ -233,10 +236,12 @@ TEST(ParallelSummary, MatchesSerialAndTraceTotals) {
   config.interval_s(10.0).timeout_s(1.0);
 
   api::AnalysisPipeline serial(config);
+  const auto serial_reports = collect(serial);
   push_all(serial, packets);
   serial.finish();
 
   auto par = sharded_engine(config, 4, 4);
+  (void)collect(*par);
   push_all(*par, packets);
   par->finish();
 
@@ -252,7 +257,7 @@ TEST(ParallelSummary, MatchesSerialAndTraceTotals) {
   const auto& sc = serial.counters();
   EXPECT_EQ(links[0].counters.packets, sc.packets);
   EXPECT_EQ(links[0].counters.flows, sc.flows_emitted);
-  EXPECT_EQ(links[0].counters.reports, serial.take_reports().size());
+  EXPECT_EQ(links[0].counters.reports, serial_reports->size());
   EXPECT_EQ(serial.active_flows(), 0u);
 }
 
@@ -276,12 +281,14 @@ TEST(ParallelConfig, RejectsBadParameters) {
 
 TEST(ParallelConfig, OutOfOrderPacketThrows) {
   auto eng = sharded_engine(api::AnalysisConfig{}, 2, 2);
+  (void)collect(*eng);
   push_one(*eng, {1.0, {}, 100});
   EXPECT_THROW(push_one(*eng, {0.5, {}, 100}), std::invalid_argument);
 }
 
 TEST(ParallelConfig, PushAfterFinishThrows) {
   auto eng = sharded_engine(api::AnalysisConfig{}, 2, 2);
+  (void)collect(*eng);
   push_one(*eng, {0.0, {}, 100});
   eng->finish();
   EXPECT_THROW(push_one(*eng, {1.0, {}, 100}), std::logic_error);
@@ -289,9 +296,9 @@ TEST(ParallelConfig, PushAfterFinishThrows) {
 
 TEST(ParallelConfig, EmptyStreamFinishesCleanly) {
   auto eng = sharded_engine(api::AnalysisConfig{}, 4, 4);
+  const auto reports = collect(*eng);
   eng->finish();
-  EXPECT_FALSE(eng->has_report());
-  EXPECT_TRUE(eng->take_reports().empty());
+  EXPECT_TRUE(reports->take().empty());
   EXPECT_EQ(eng->summary().packets, 0u);
 }
 

@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
+#include "../support/collect.hpp"
 #include "../support/push.hpp"
 #include "api/api.hpp"
 #include "core/fitting.hpp"
@@ -18,6 +20,7 @@
 namespace fbm {
 namespace {
 
+using testsupport::collect;
 using testsupport::push_all;
 using testsupport::push_one;
 
@@ -142,12 +145,12 @@ TEST(PipelineStreaming, ReportsEmittedIncrementally) {
   const auto packets = seeded_trace();
   api::AnalysisPipeline pipeline(
       api::AnalysisConfig{}.interval_s(10.0).timeout_s(1.0));
+  const auto reports = collect(pipeline);
 
   std::size_t emitted_mid_stream = 0;
   for (const auto& p : packets) {
     push_one(pipeline, p);
-    while (pipeline.has_report()) {
-      const auto r = pipeline.pop_report();
+    for (const auto& r : reports->take()) {
       EXPECT_EQ(r.interval_index, emitted_mid_stream);
       // Never early: interval k closes only after the clock passes its end
       // by more than the flow timeout.
@@ -159,7 +162,7 @@ TEST(PipelineStreaming, ReportsEmittedIncrementally) {
   // must have been reported before end of stream.
   EXPECT_GE(emitted_mid_stream, 4u);
   pipeline.finish();
-  const auto rest = pipeline.take_reports();
+  const auto rest = reports->take();
   EXPECT_EQ(emitted_mid_stream + rest.size(), 6u);
 }
 
@@ -167,12 +170,13 @@ TEST(PipelineStreaming, MemoryBoundedByWindow) {
   const auto packets = seeded_trace();
   api::AnalysisPipeline pipeline(
       api::AnalysisConfig{}.interval_s(5.0).timeout_s(1.0));
+  const auto reports = collect(pipeline);
 
   std::size_t max_open = 0;
   for (const auto& p : packets) {
     push_one(pipeline, p);
     max_open = std::max(max_open, pipeline.open_intervals());
-    (void)pipeline.take_reports();  // a consumer drains as it goes
+    (void)reports->take();  // a consumer drains as it goes
   }
   // Closing lags the clock by timeout + expire cadence, so at most the
   // current interval plus ~ceil((timeout + cadence) / interval) stay open —
@@ -210,11 +214,27 @@ TEST(PipelineConfig, RejectsBadParameters) {
   // A finite Delta too small for the interval's bin grid is refused when
   // the first interval opens.
   api::AnalysisPipeline tiny(api::AnalysisConfig{}.delta_s(1e-300));
+  (void)collect(tiny);
   EXPECT_THROW(push_one(tiny, {0.0, {}, 100}), std::invalid_argument);
+}
+
+TEST(PipelineConfig, PushWithoutSinkThrows) {
+  // Closed intervals leave through the partial sink only: a pipeline
+  // without one refuses its first push and names the setter.
+  api::AnalysisPipeline pipeline(api::AnalysisConfig{});
+  try {
+    push_one(pipeline, {0.0, {}, 100});
+    FAIL() << "push without a sink did not throw";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("set_partial_sink"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(PipelineConfig, PushAfterFinishThrows) {
   api::AnalysisPipeline pipeline(api::AnalysisConfig{});
+  (void)collect(pipeline);
   push_one(pipeline, {0.0, {}, 100});
   pipeline.finish();
   EXPECT_THROW(push_one(pipeline, {1.0, {}, 100}), std::logic_error);
@@ -254,6 +274,7 @@ TEST(PipelineReport, JsonContainsTheHeadlineNumbers) {
 TEST(PipelineSummary, MatchesTraceTotals) {
   const auto packets = seeded_trace();
   api::AnalysisPipeline pipeline(api::AnalysisConfig{});
+  (void)collect(pipeline);
   push_all(pipeline, packets);
   pipeline.finish();
   std::uint64_t total_bytes = 0;

@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "../support/collect.hpp"
 #include "../support/push.hpp"
 #include "../support/sharded.hpp"
 #include "api/api.hpp"
@@ -67,19 +68,21 @@ TEST(ThreadsAuto, AutoDetectedPipelineMatchesSerialBitForBit) {
   const auto packets = small_trace();
 
   api::AnalysisPipeline serial(base_config());
+  const auto serial_reports = testsupport::collect(serial);
   push_all(serial, packets);
   serial.finish();
   const std::string expected =
-      api::to_json(serial.summary(), serial.take_reports());
+      api::to_json(serial.summary(), serial_reports->take());
 
   // Auto shards on auto workers: one per core, each.
   auto autodetect = testsupport::sharded_engine(base_config(), 0, 0);
+  const auto autodetect_reports = testsupport::collect(*autodetect);
   EXPECT_EQ(autodetect->config().shards, api::resolve_threads(0));
   EXPECT_EQ(autodetect->config().threads, api::resolve_threads(0));
   push_all(*autodetect, packets);
   autodetect->finish();
   std::vector<api::AnalysisReport> reports;
-  for (auto& r : autodetect->take_reports()) {
+  for (auto& r : autodetect_reports->take()) {
     reports.push_back(std::move(*r.interval));
   }
   EXPECT_EQ(api::to_json(autodetect->summary(), reports), expected);

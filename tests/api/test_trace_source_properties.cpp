@@ -12,6 +12,7 @@
 #include <memory>
 #include <vector>
 
+#include "../support/collect.hpp"
 #include "../support/model_spec.hpp"
 #include "../support/sharded.hpp"
 #include "api/api.hpp"
@@ -84,12 +85,14 @@ TEST(TraceSourceProperties, BytesConservedFromSourceThroughPipelines) {
 
   auto for_serial = model_source();
   api::AnalysisPipeline serial(config);
+  (void)testsupport::collect(serial);
   serial.consume(for_serial);
   EXPECT_EQ(serial.summary().packets, totals.packets);
   EXPECT_EQ(serial.summary().total_bytes, totals.bytes);
 
   auto for_parallel = model_source();
   auto parallel = testsupport::sharded_engine(config, 4, 4);
+  (void)testsupport::collect(*parallel);
   (void)parallel->consume(for_parallel);
   EXPECT_EQ(parallel->summary().packets, totals.packets);
   EXPECT_EQ(parallel->summary().total_bytes, totals.bytes);
@@ -149,8 +152,9 @@ TEST(TraceSourceProperties, SeedReproducibilitySurvivesThePipeline) {
   const auto run = [&config](std::uint64_t seed) {
     auto source = model_source(seed);
     api::AnalysisPipeline pipeline(config);
+    const auto pipeline_reports = testsupport::collect(pipeline);
     pipeline.consume(source);
-    const auto reports = pipeline.take_reports();
+    const auto reports = pipeline_reports->take();
     return api::to_json(pipeline.summary(), reports);
   };
   EXPECT_EQ(run(55), run(55));

@@ -158,17 +158,6 @@ TEST(CheckpointDifferential, CutExactlyOnWindowBoundary) {
   for (std::size_t i = 0; i < ref.size(); ++i) EXPECT_EQ(ref[i], got[i]);
 }
 
-TEST(CheckpointDifferential, SaveStateRefusesUndrainedReports) {
-  const auto packets = seeded_trace(20.0);
-  live::WindowedEstimator est(
-      live_config(api::FlowDefinition::five_tuple, 4.0, 4.0));
-  push_all(est, packets);  // no sink: reports queue up
-  ASSERT_TRUE(est.has_report());
-  EXPECT_THROW((void)est.save_state(), std::logic_error);
-  (void)est.take_reports();
-  EXPECT_NO_THROW((void)est.save_state());
-}
-
 TEST(CheckpointDifferential, RestoreRefusesUsedEstimator) {
   const auto packets = seeded_trace(20.0);
   const auto config =

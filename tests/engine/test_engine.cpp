@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "../support/collect.hpp"
 #include "../support/push.hpp"
 #include "api/api.hpp"
 
@@ -105,6 +106,7 @@ TEST(Engine, RejectsBadConfigAndSpecs) {
     EXPECT_NO_THROW(engine::Engine e(config));
   }
   engine::Engine eng(batch_config());
+  (void)testsupport::collect(eng);
   EXPECT_THROW((void)eng.attach({}), std::invalid_argument);  // empty name
   engine::LinkSpec empty_prefixes;
   empty_prefixes.name = "empty";
@@ -131,6 +133,7 @@ TEST(Engine, RejectsBadConfigAndSpecs) {
 
 TEST(Engine, DemuxCountersSplitTraffic) {
   engine::Engine eng(batch_config());
+  (void)testsupport::collect(eng);
   const auto a = eng.attach(engine::parse_link_spec("a=10.0.0.0/16"));
   const auto b = eng.attach(engine::parse_link_spec("b=10.1.0.0/16"));
   const auto tap = eng.attach(engine::parse_link_spec("tap=all"));
@@ -154,6 +157,7 @@ TEST(Engine, DemuxCountersSplitTraffic) {
 
 TEST(Engine, RuntimeAttachSeesOnlyLaterPackets) {
   engine::Engine eng(batch_config());
+  (void)testsupport::collect(eng);
   (void)eng.attach(engine::parse_link_spec("early=all"));
   push_one(eng, packet(0.0, net::Ipv4Address(10, 0, 0, 1)));
   (void)eng.attach(engine::parse_link_spec("late=all"));
@@ -200,6 +204,7 @@ TEST(Engine, DetachFinalizesSessionAndStopsRouting) {
 
 TEST(Engine, DetachedPrefixBecomesClaimable) {
   engine::Engine eng(batch_config());
+  (void)testsupport::collect(eng);
   const auto id = eng.attach(engine::parse_link_spec("a=10.0.0.0/8"));
   ASSERT_TRUE(eng.detach(id));
   const auto id2 = eng.attach(engine::parse_link_spec("a=10.0.0.0/8"));
@@ -214,6 +219,7 @@ TEST(Engine, PerLinkOverridesLayerOverBase) {
   engine::EngineConfig config = batch_config();
   config.analysis.min_flows(100);  // base suppresses everything
   engine::Engine eng(config);
+  const auto eng_reports = testsupport::collect(eng);
   engine::LinkSpec verbose;
   verbose.name = "verbose";
   verbose.rule = engine::MatchAll{};
@@ -224,15 +230,31 @@ TEST(Engine, PerLinkOverridesLayerOverBase) {
   push_one(eng, packet(0.0, net::Ipv4Address(10, 0, 0, 1)));
   push_one(eng, packet(1.0, net::Ipv4Address(10, 0, 0, 1)));
   eng.finish();
-  const auto reports = eng.take_reports();
+  const auto reports = eng_reports->take();
   // Only the tuned link reports: the base min_flows(100) still governs the
   // other session.
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_EQ(reports[0].name, "verbose");
 }
 
+TEST(Engine, PushWithoutSinkThrows) {
+  // Reports leave through a sink only: an engine without a report or
+  // partial sink refuses its first push and names the setter.
+  engine::Engine eng(batch_config());
+  (void)eng.attach(engine::parse_link_spec("tap=all"));
+  try {
+    push_one(eng, packet(0.0, net::Ipv4Address(10, 0, 0, 1)));
+    FAIL() << "push without a sink did not throw";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("set_report_sink"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Engine, OrderingAndLifecycleErrors) {
   engine::Engine eng(batch_config());
+  (void)testsupport::collect(eng);
   (void)eng.attach(engine::parse_link_spec("tap=all"));
   push_one(eng, packet(1.0, net::Ipv4Address(10, 0, 0, 1)));
   EXPECT_THROW(push_one(eng, packet(0.5, net::Ipv4Address(10, 0, 0, 1))),
@@ -258,12 +280,13 @@ TEST(Engine, LiveModeEmitsTaggedWindows) {
   config.live.window_s = 1.0;
   config.live.analysis.timeout_s(0.5);
   engine::Engine eng(config);
+  const auto eng_reports = testsupport::collect(eng);
   (void)eng.attach(engine::parse_link_spec("tap=all"));
   for (int i = 0; i < 40; ++i) {
     push_one(eng, packet(0.1 * i, net::Ipv4Address(10, 0, 0, 1)));
   }
   eng.finish();
-  const auto reports = eng.take_reports();
+  const auto reports = eng_reports->take();
   ASSERT_GE(reports.size(), 3u);
   for (const auto& r : reports) {
     EXPECT_EQ(r.name, "tap");

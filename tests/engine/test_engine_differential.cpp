@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "../support/collect.hpp"
 #include "../support/push.hpp"
 #include "api/api.hpp"
 #include "trace/synthetic.hpp"
@@ -342,9 +343,10 @@ void run_live_differential(const std::vector<LinkDef>& links, double width,
     SCOPED_TRACE(link.name);
     const auto& filtered = split.at(link.name);
     live::WindowedEstimator reference(live_config(width, stride));
+    const auto reference_reports = testsupport::collect(reference);
     push_all(reference, filtered, 1);
     reference.finish();
-    const auto expected = reference.take_reports();
+    const auto expected = reference_reports->take();
     const auto& actual = got[link.name];
     ASSERT_EQ(expected.size(), actual.size());
     for (std::size_t i = 0; i < expected.size(); ++i) {

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "../support/collect.hpp"
 #include "../support/push.hpp"
 #include "api/api.hpp"
 #include "../support/json_fields.hpp"
@@ -85,11 +86,12 @@ TEST(EngineJsonl, EngineOutputMatchesSchema) {
   config.live.window_s = 5.0;
   config.live.analysis.timeout_s(2.0);
   engine::Engine eng(config);
+  const auto eng_reports = testsupport::collect(eng);
   (void)eng.attach(engine::parse_link_spec("low=10.0.0.0/15"));
   (void)eng.attach(engine::parse_link_spec("tap=all"));
   push_all(eng, packets);
   eng.finish();
-  const auto reports = eng.take_reports();
+  const auto reports = eng_reports->take();
   ASSERT_GE(reports.size(), 6u);
   for (const auto& r : reports) {
     SCOPED_TRACE(r.name);

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "../support/collect.hpp"
 #include "../support/push.hpp"
 #include "../support/sharded.hpp"
 #include "agg/partial_codec.hpp"
@@ -129,12 +130,14 @@ std::vector<net::PacketRecord> single_flow(double seconds) {
 }
 
 /// Waits up to five seconds for a threaded engine's first report.
-bool report_arrives(engine::Engine& eng) {
-  for (int i = 0; i < 500 && !eng.has_report(); ++i) {
+bool report_arrives(
+    engine::Engine& eng,
+    const testsupport::Collected<engine::LinkReport>& reports) {
+  for (int i = 0; i < 500 && reports.size() == 0; ++i) {
     eng.flush();
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  return eng.has_report();
+  return reports.size() > 0;
 }
 
 TEST(EngineShards, SingleFlowLinkReportsBeforeFinish) {
@@ -152,12 +155,13 @@ TEST(EngineShards, SingleFlowLinkReportsBeforeFinish) {
       config.shards = 4;
       config.threads = threads;
       engine::Engine eng(config);
+      const auto eng_reports = testsupport::collect(eng);
       (void)eng.attach(engine::parse_link_spec("all=*"));
       push_all(eng, packets, 7);
       if (threads == 1) {
-        EXPECT_TRUE(eng.has_report());
+        EXPECT_GT(eng_reports->size(), 0u);
       } else {
-        EXPECT_TRUE(report_arrives(eng));
+        EXPECT_TRUE(report_arrives(eng, *eng_reports));
       }
       eng.finish();
     }
@@ -174,22 +178,24 @@ TEST(EngineShards, DetachFlushesEveryShardAtOnce) {
     {
       engine::EngineConfig config = base_config(live_mode);
       engine::Engine solo(config);
+      const auto solo_reports = testsupport::collect(solo);
       (void)solo.attach(engine::parse_link_spec("x=*"));
       push_all(solo, std::span(packets).first(half));
       solo.finish();
-      expected = solo.take_reports().size();
+      expected = solo_reports->take().size();
     }
     ASSERT_GT(expected, 2u);
 
     engine::EngineConfig config = base_config(live_mode);
     config.shards = 4;
     engine::Engine eng(config);  // inline: detach flushes before returning
+    const auto eng_reports = testsupport::collect(eng);
     const auto x = eng.attach(engine::parse_link_spec("x=*"));
     (void)eng.attach(engine::parse_link_spec("tap=*"));
     push_all(eng, std::span(packets).first(half));
-    (void)eng.take_reports();
+    (void)eng_reports->take();
     ASSERT_TRUE(eng.detach(x));
-    const auto flushed = eng.take_reports();
+    const auto flushed = eng_reports->take();
     std::size_t from_x = 0;
     for (const auto& r : flushed) from_x += r.link == x ? 1 : 0;
     const auto links = eng.links();
@@ -252,10 +258,11 @@ TEST(EngineShards, PushOneAtATimeMatchesBatches) {
   api::AnalysisConfig config;
   config.interval_s(1.0).timeout_s(0.3).min_flows(0);
   auto eng = sharded_engine(config, 4, 1);
+  const auto eng_reports = testsupport::collect(*eng);
   for (const auto& p : packets) push_one(*eng, p);
   eng->finish();
   std::vector<std::string> got;
-  for (auto& r : eng->take_reports()) {
+  for (auto& r : eng_reports->take()) {
     got.push_back(api::to_json(*r.interval));
   }
   std::vector<std::string> want;

@@ -5,8 +5,10 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
+#include "../support/collect.hpp"
 #include "../support/push.hpp"
 #include "live/live.hpp"
 #include "predict/predictor.hpp"
@@ -43,9 +45,10 @@ std::vector<live::WindowReport> run(const live::LiveConfig& config,
                                     const std::vector<net::PacketRecord>&
                                         packets) {
   live::WindowedEstimator estimator(config);
+  const auto estimator_reports = testsupport::collect(estimator);
   push_all(estimator, packets);
   estimator.finish();
-  return estimator.take_reports();
+  return estimator_reports->take();
 }
 
 TEST(LiveEdgeCases, EmptyWindowsStillReport) {
@@ -143,13 +146,14 @@ TEST(LiveEdgeCases, IdleFlowsExpireBeforeTheirWindowCloses) {
     packets.push_back(packet(t, 2));
   }
   live::WindowedEstimator estimator(tiling_config(10.0, 2.0));
+  const auto estimator_reports = testsupport::collect(estimator);
   push_all(estimator, packets, 1);
   ASSERT_EQ(estimator.open_windows(), 3u);
   // Flow 2 in each of the three windows; without expiry the idle flows
   // would add three more (flow 1 in window 0, flow 3 in windows 0 and 1).
   EXPECT_EQ(estimator.active_flows(), 3u);
   estimator.finish();
-  const auto reports = estimator.take_reports();
+  const auto reports = estimator_reports->take();
   ASSERT_EQ(reports.size(), 3u);
   EXPECT_EQ(reports[0].inputs.flows, 3u);  // expired flows are not lost
   EXPECT_EQ(reports[1].inputs.flows, 2u);
@@ -202,8 +206,23 @@ TEST(LiveEdgeCases, WarmupWindowsCarryNoForecast) {
   EXPECT_FALSE(reports[0].anomaly.alert);
 }
 
+TEST(LiveEdgeCases, PushWithoutSinkThrows) {
+  // Windows leave through a sink only: an estimator without one refuses
+  // its first push and names the setter.
+  live::WindowedEstimator estimator(tiling_config(5.0));
+  try {
+    push_one(estimator, packet(1.0, 1));
+    FAIL() << "push without a sink did not throw";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("set_window_sink"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(LiveEdgeCases, RejectsBadStreams) {
   live::WindowedEstimator estimator(tiling_config(5.0));
+  (void)testsupport::collect(estimator);
   net::PacketRecord negative = packet(1.0, 1);
   negative.timestamp = -0.5;
   EXPECT_THROW(push_one(estimator, negative), std::invalid_argument);
@@ -236,6 +255,7 @@ TEST(LiveEdgeCases, RejectsBadConfig) {
   // instead of a NaN mean in the report.
   config.analysis.delta_s(1e-300);
   live::WindowedEstimator tiny(config);
+  (void)testsupport::collect(tiny);
   EXPECT_THROW(push_one(tiny, packet(0.5, 9)), std::invalid_argument);
 }
 
@@ -248,7 +268,6 @@ TEST(LiveEdgeCases, SinkStreamsInsteadOfQueueing) {
     push_one(estimator, packet(t, 9));
   }
   estimator.finish();
-  EXPECT_FALSE(estimator.has_report());
   ASSERT_EQ(seen.size(), 4u);
   for (std::size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], i);
 }

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "../support/collect.hpp"
 #include "../support/push.hpp"
 #include "live/live.hpp"
 #include "../support/json_fields.hpp"
@@ -120,9 +121,10 @@ TEST(LiveJsonl, EstimatorOutputMatchesSchema) {
   config.window_s = 5.0;
   config.analysis.timeout_s(2.0);
   live::WindowedEstimator estimator(config);
+  const auto estimator_reports = testsupport::collect(estimator);
   push_all(estimator, packets);
   estimator.finish();
-  const auto reports = estimator.take_reports();
+  const auto reports = estimator_reports->take();
   ASSERT_GE(reports.size(), 3u);
   for (const auto& r : reports) {
     SCOPED_TRACE(r.window_index);

@@ -18,6 +18,7 @@
 #include <optional>
 #include <vector>
 
+#include "../support/collect.hpp"
 #include "../support/push.hpp"
 #include "../support/sharded.hpp"
 #include "api/api.hpp"
@@ -125,9 +126,10 @@ void run_differential(api::FlowDefinition def, double width, double stride) {
   config.stride_s = stride;
   config.analysis.flow_definition(def).timeout_s(10.0);
   live::WindowedEstimator estimator(config);
+  const auto estimator_reports = testsupport::collect(estimator);
   push_all(estimator, packets);
   estimator.finish();
-  const auto reports = estimator.take_reports();
+  const auto reports = estimator_reports->take();
   ASSERT_GT(reports.size(), 3u);
 
   for (const auto& r : reports) {
@@ -198,9 +200,10 @@ void run_vs_pipeline(api::FlowDefinition def, std::size_t shards) {
   config.window_s = width;
   config.analysis.flow_definition(def).timeout_s(10.0);
   live::WindowedEstimator estimator(config);
+  const auto estimator_reports = testsupport::collect(estimator);
   push_all(estimator, packets);
   estimator.finish();
-  const auto live_reports = estimator.take_reports();
+  const auto live_reports = estimator_reports->take();
 
   api::AnalysisConfig batch = config.analysis;
   batch.interval_s(width).keep_flows(true);

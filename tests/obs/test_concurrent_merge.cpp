@@ -1,7 +1,8 @@
 // Concurrency tests for the obs instruments — written to be meaningful
-// under ThreadSanitizer (FBM_SANITIZE=thread): writers hammer their private
-// cells while a scraper merges, and the totals must come out exact once the
-// writers quiesce. No test here sleeps; contention comes from raw loops.
+// under ThreadSanitizer (FBM_SANITIZE=thread): writers hammer shared
+// instruments while a scraper reads, and the totals must come out exact
+// once the writers quiesce. No test here sleeps; contention comes from raw
+// loops.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -30,7 +31,9 @@ obs::MetricMeta meta(
 }
 
 TEST(ObsConcurrent, ShardedCounterExactUnderContention) {
-  obs::ShardedCounter family;
+  // One shared counter, as every pipeline shard's classify counts use it:
+  // writers on several threads add in bulk while a scraper reads.
+  obs::Counter counter;
   constexpr int kWriters = 8;
   constexpr std::uint64_t kAdds = 20000;
 
@@ -40,8 +43,8 @@ TEST(ObsConcurrent, ShardedCounterExactUnderContention) {
     // (TSan checks the synchronization, the final assert checks the math).
     std::uint64_t last = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      const std::uint64_t v = family.value();
-      EXPECT_GE(v, last);  // monotonic: adds only, folds preserve totals
+      const std::uint64_t v = counter.value();
+      EXPECT_GE(v, last);  // monotonic: adds only
       last = v;
     }
   });
@@ -49,20 +52,16 @@ TEST(ObsConcurrent, ShardedCounterExactUnderContention) {
   std::vector<std::thread> writers;
   writers.reserve(kWriters);
   for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&family] {
-      // Acquire, write, and destroy the local mid-run so fold-on-destroy
-      // races against the scraper too.
-      for (int half = 0; half < 2; ++half) {
-        obs::ShardedCounter::Local cell = family.local();
-        for (std::uint64_t i = 0; i < kAdds / 2; ++i) cell.add(1);
-      }
+    writers.emplace_back([&counter] {
+      for (std::uint64_t i = 0; i < kAdds / 2; ++i) counter.add(1);
+      counter.add(kAdds / 2);  // a batch-cadence bulk add
     });
   }
   for (auto& t : writers) t.join();
   stop.store(true, std::memory_order_relaxed);
   scraper.join();
 
-  EXPECT_EQ(family.value(), kWriters * kAdds);
+  EXPECT_EQ(counter.value(), kWriters * kAdds);
 }
 
 TEST(ObsConcurrent, SnapshotWhileObserving) {

@@ -1,8 +1,7 @@
 // Unit tests for the obs instruments (src/obs/metrics.hpp) and registry
 // (src/obs/registry.hpp): histogram bucket edges (zero, exact boundary,
 // max bound, overflow, negative clamp), the log-scale bound helper,
-// registry idempotence and type checking, sharded-counter fold-on-destroy,
-// and snapshot deltas.
+// registry idempotence and type checking, and snapshot deltas.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -63,34 +62,6 @@ TEST(ObsHistogram, LogScaleBounds) {
   EXPECT_THROW(obs::log_scale_bounds(0.0, 4.0, 5), std::invalid_argument);
   EXPECT_THROW(obs::log_scale_bounds(1.0, 1.0, 5), std::invalid_argument);
   EXPECT_THROW(obs::log_scale_bounds(1.0, 4.0, 0), std::invalid_argument);
-}
-
-TEST(ObsShardedCounter, FoldsDeadLocalsIntoBase) {
-  obs::ShardedCounter family;
-  {
-    obs::ShardedCounter::Local a = family.local();
-    obs::ShardedCounter::Local b = family.local();
-    a.add(10);
-    b.add(5);
-    EXPECT_EQ(family.value(), 15u);  // live cells merge at scrape time
-  }
-  // Both locals died: their counts must survive in the base.
-  EXPECT_EQ(family.value(), 15u);
-
-  // A recycled cell starts from zero, not from the dead owner's count.
-  obs::ShardedCounter::Local c = family.local();
-  c.add(1);
-  EXPECT_EQ(family.value(), 16u);
-}
-
-TEST(ObsShardedCounter, LocalMoveTransfersOwnership) {
-  obs::ShardedCounter family;
-  obs::ShardedCounter::Local a = family.local();
-  a.add(3);
-  obs::ShardedCounter::Local b = std::move(a);
-  a.add(100);  // moved-from: must be a no-op, not a crash
-  b.add(4);
-  EXPECT_EQ(family.value(), 7u);
 }
 
 TEST(ObsRegistry, LookupsAreIdempotent) {

@@ -9,13 +9,15 @@
 #include <utility>
 #include <vector>
 
+#include "collect.hpp"
 #include "engine/engine_api.hpp"
 #include "push.hpp"
 
 namespace fbm::testsupport {
 
 /// A batch-mode engine with one match-all link "all" of `shards` flow-hash
-/// shards on `threads` workers (1 = inline), reports queued.
+/// shards on `threads` workers (1 = inline), no sink set yet (see
+/// collect()).
 inline std::unique_ptr<engine::Engine> sharded_engine(
     const api::AnalysisConfig& config, std::size_t shards,
     std::size_t threads) {
@@ -49,10 +51,11 @@ inline std::vector<api::AnalysisReport> sharded_analyze(
     const api::AnalysisConfig& config, std::size_t shards,
     std::size_t threads = 1, std::size_t batch = 1024) {
   auto eng = sharded_engine(config, shards, threads);
+  const auto reports = collect(*eng);
   push_all(*eng, packets, batch);
   eng->finish();
   std::vector<api::AnalysisReport> out;
-  for (auto& r : eng->take_reports()) out.push_back(std::move(*r.interval));
+  for (auto& r : reports->take()) out.push_back(std::move(*r.interval));
   return out;
 }
 
@@ -62,10 +65,11 @@ inline std::vector<live::WindowReport> sharded_live(
     std::span<const net::PacketRecord> packets, const live::LiveConfig& config,
     std::size_t shards, std::size_t threads = 1, std::size_t batch = 1024) {
   auto eng = sharded_engine(config, shards, threads);
+  const auto reports = collect(*eng);
   push_all(*eng, packets, batch);
   eng->finish();
   std::vector<live::WindowReport> out;
-  for (auto& r : eng->take_reports()) out.push_back(std::move(*r.window));
+  for (auto& r : reports->take()) out.push_back(std::move(*r.window));
   return out;
 }
 

@@ -10,7 +10,8 @@
 #   stripped, for tiling and overlapping windows at --threads 1 and 3;
 # - a checkpoint cut by --max-windows, resumed with --restore, continues
 #   the uninterrupted stream (kept prefix + resumed lines), and so does a
-#   --threads 3 checkpoint of a stream that went quiet (--follow --idle);
+#   --threads 3 checkpoint of a stream that went quiet (--follow --idle),
+#   and one of a finite file read to its end;
 #   a restore under another --threads is refused, naming the shard count;
 # - a scenario run (fbm_trace_gen --scenario, then fbm_live --truth) passes
 #   its precision/recall gate and writes the score JSON, a truth event the
@@ -93,6 +94,18 @@ n=$(sed -n 's/.*resuming after \([0-9]*\) reports.*/\1/p' run2.err)
 test -n "$n" || fail "no resume banner (--threads 3)"
 { head -n "$n" run1.jsonl; cat run2.jsonl; } | cmp - full.jsonl ||
   fail "--threads 3 checkpoint prefix + resume differs from the full run"
+# The same half read to its end without --follow: the workers run behind
+# the reader, so the windows they close after the last push are only
+# counted once the drain ends, and the run checkpoints them then.
+"$bin/fbm_live" half.fbmt --window 5 --timeout 1 --json --threads 3 \
+  --checkpoint ck4.fbmc > run1.jsonl
+test -s ck4.fbmc || fail "a finite --threads 3 run wrote no checkpoint"
+"$bin/fbm_live" t.fbmt --window 5 --timeout 1 --json --threads 3 \
+  --restore ck4.fbmc > run2.jsonl 2> run2.err
+n=$(sed -n 's/.*resuming after \([0-9]*\) reports.*/\1/p' run2.err)
+test -n "$n" || fail "no resume banner (finite --threads 3)"
+{ head -n "$n" run1.jsonl; cat run2.jsonl; } | cmp - full.jsonl ||
+  fail "finite --threads 3 checkpoint prefix + resume differs from the full run"
 rc=0
 "$bin/fbm_live" t.fbmt --window 5 --timeout 1 --json --threads 1 \
   --restore ck3.fbmc > /dev/null 2> wrong.err || rc=$?

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "../support/collect.hpp"
 #include "api/api.hpp"
 #include "trace/pcap.hpp"
 #include "trace/trace_format.hpp"
@@ -102,10 +103,11 @@ TEST_F(TraceMalformedTest, FbmtZeroLengthPacketSurvivesAnalysis) {
   api::AnalysisConfig config;
   config.interval_s(2.0).timeout_s(10.0);
   api::AnalysisPipeline pipeline(config);
+  const auto pipeline_reports = testsupport::collect(pipeline);
   pipeline.consume(*source);
   EXPECT_EQ(pipeline.summary().packets, 4u);
   EXPECT_EQ(pipeline.summary().total_bytes, 1400u);
-  const auto reports = pipeline.take_reports();
+  const auto reports = pipeline_reports->take();
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_EQ(reports[0].inputs.flows, 2u);  // the zero-size flow counts too
 }
@@ -151,6 +153,7 @@ TEST_F(TraceMalformedTest, FbmtOutOfOrderTimestampsErrorNeverCrash) {
   {
     auto source = api::open_trace(path("ooo.fbmt"));
     api::AnalysisPipeline pipeline(api::AnalysisConfig{});
+    (void)testsupport::collect(pipeline);
     EXPECT_THROW(pipeline.consume(*source), std::invalid_argument);
   }
   {
@@ -159,6 +162,7 @@ TEST_F(TraceMalformedTest, FbmtOutOfOrderTimestampsErrorNeverCrash) {
     config.shards = 3;
     config.threads = 3;
     engine::Engine eng(config);
+    (void)testsupport::collect(eng);
     (void)eng.attach(engine::parse_link_spec("all=*"));
     EXPECT_THROW((void)eng.consume(*source), std::invalid_argument);
   }

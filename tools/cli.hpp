@@ -420,8 +420,8 @@ inline std::size_t drop_front(net::PacketBatch& batch, std::size_t n) {
 
 /// Forces the final snapshot on scope exit, so tools with many return
 /// paths (and exception unwinds) still emit end-of-run totals. Declare it
-/// immediately after the exporter, before the pipeline/engine it observes:
-/// the pipeline then destructs (and folds its counters) first.
+/// immediately after the exporter, before the engine it observes: the
+/// engine then destructs (and joins its workers) first.
 class MetricsFinishGuard {
  public:
   explicit MetricsFinishGuard(obs::MetricsExporter& m) : m_(m) {}

@@ -428,6 +428,15 @@ int run(const Options& opt) {
         maybe_checkpoint();
       });
   stopped = done.load();
+  if (!stopped && !opt.checkpoint.empty()) {
+    // With a pool the reader runs ahead of the workers, so the last pushes
+    // may have closed windows no maybe_checkpoint() saw counted. save_state()
+    // quiesces the pool first, which settles `closed`.
+    const engine::EngineState state = eng.save_state();
+    if (closed - last_ckpt >= opt.checkpoint_every) {
+      ckpt::write_checkpoint(opt.checkpoint, meta, state);
+    }
+  }
   // Unconditional: it joins the pool workers (the sink drops what they still
   // report once `stopped`), so the footer below reads settled counters.
   eng.finish();
