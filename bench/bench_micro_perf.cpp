@@ -47,19 +47,16 @@ double rate_per_s(double min_s, Body&& body) {
   return static_cast<double>(reps) / watch.elapsed_s();
 }
 
-/// Classification packets/sec, with the reserve-ahead the production
-/// pipeline configures (api::kReserveFlows), so the loop measures steady
-/// classification rather than allocator ramp-up; best of three trials.
+/// Classification packets/sec; best of three trials.
 template <typename Key>
 double classify_rate(bench::Context& ctx,
                      const std::vector<net::PacketRecord>& packets,
                      double min_s) {
-  flow::ClassifierOptions options;
-  options.reserve_flows = api::kReserveFlows;
   // One long-lived classifier, as in a production monitor: each pass
-  // replays the trace and flush() ends the capture, so the timed loop
-  // measures steady classification, not table construction.
-  flow::FlowClassifier<Key> classifier(options);
+  // replays the trace and flush() ends the capture, and the table keeps the
+  // capacity it grew to, so the timed loop measures steady classification,
+  // not table construction or rehashing.
+  flow::FlowClassifier<Key> classifier;
   std::uint64_t flows = 0;
   const auto one_pass = [&] {
     for (const auto& p : packets) classifier.add(p);

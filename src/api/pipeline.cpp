@@ -50,7 +50,6 @@ AnalysisPipeline::AnalysisPipeline(AnalysisConfig config) : config_(config) {
   options.timeout = config_.timeout_s();
   options.interval = config_.interval_s();
   options.record_discards = true;
-  options.reserve_flows = kReserveFlows;
   classifier_ = make_flow_classifier(config_.flow_definition(), options);
   obs_classify_seconds_ = &obs::stage_seconds(obs::kStageClassify);
 }
@@ -107,10 +106,7 @@ void AnalysisPipeline::bin_batch(const net::PacketBatch& batch) {
   while (i < n) {
     const std::int64_t idx = interval_index_of(ts[i], interval_s);
     const std::size_t run = interval_run_end(ts, i, n, interval_s, idx);
-    stats::RateBinner& bins = open_at(idx).bins;
-    for (std::size_t k = i; k < run; ++k) {
-      bins.add(ts[k], static_cast<double>(sizes[k]));
-    }
+    open_at(idx).bins.add_run({ts + i, run - i}, {sizes + i, run - i});
     i = run;
   }
 }
@@ -130,19 +126,22 @@ WindowPartial& AnalysisPipeline::open_at(std::int64_t index) {
 }
 
 void AnalysisPipeline::drain_classifier() {
-  for (const auto& f : classifier_->take_flows()) {
-    const std::int64_t idx = interval_index_of(f.start, config_.interval_s());
-    if (idx < next_close_) continue;  // unreachable by the close invariant
-    WindowPartial& iv = open_at(idx);
-    iv.sums.add(f);
-    if (config_.keep_flows()) iv.flows.push_back(f);
-  }
-  for (const auto& d : classifier_->take_discards()) {
-    const std::int64_t idx =
-        interval_index_of(d.timestamp, config_.interval_s());
-    if (idx < next_close_) continue;
-    open_at(idx).bins.add(d.timestamp, -static_cast<double>(d.size_bytes));
-  }
+  classifier_->drain(
+      [this](const flow::FlowRecord& f) {
+        const std::int64_t idx =
+            interval_index_of(f.start, config_.interval_s());
+        if (idx < next_close_) return;  // unreachable by the close invariant
+        WindowPartial& iv = open_at(idx);
+        iv.sums.add(f);
+        if (config_.keep_flows()) iv.flows.push_back(f);
+      },
+      [this](const flow::DiscardedPacket& d) {
+        const std::int64_t idx =
+            interval_index_of(d.timestamp, config_.interval_s());
+        if (idx < next_close_) return;
+        open_at(idx).bins.add(d.timestamp,
+                              -static_cast<double>(d.size_bytes));
+      });
 }
 
 void AnalysisPipeline::sync_obs(bool sample_table) {

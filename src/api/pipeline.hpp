@@ -44,11 +44,6 @@ namespace fbm::api {
 /// destination /24 prefix.
 enum class FlowDefinition { five_tuple, prefix24 };
 
-/// Active-flow table slots reserved ahead per pipeline (split across the
-/// open windows of a live estimator): skips the rehash cascade during
-/// ramp-up. Results do not depend on it.
-inline constexpr std::size_t kReserveFlows = 4096;
-
 /// Trace-time cadence at which idle flows are expired and closed intervals
 /// swept. Results do not depend on it.
 inline constexpr double kExpireEveryS = 1.0;

@@ -52,11 +52,10 @@ class ClassifierImpl final : public FlowClassifierHandle {
   }
   void expire_idle(double now) override { classifier_.expire_idle(now); }
   void flush() override { classifier_.flush(); }
-  [[nodiscard]] std::vector<flow::FlowRecord> take_flows() override {
-    return classifier_.take_flows();
-  }
-  [[nodiscard]] std::vector<flow::DiscardedPacket> take_discards() override {
-    return classifier_.take_discards();
+  void reset() override { classifier_.reset(); }
+  void drain(const FlowVisitor& on_flow,
+             const DiscardVisitor& on_discard) override {
+    classifier_.drain(on_flow, on_discard);
   }
   [[nodiscard]] const flow::ClassifierCounters& counters() const override {
     return classifier_.counters();
@@ -74,7 +73,7 @@ class ClassifierImpl final : public FlowClassifierHandle {
   [[nodiscard]] ClassifierState save_state() const override {
     if (!classifier_.flows().empty() || !classifier_.discards().empty()) {
       throw std::logic_error(
-          "ClassifierState: take completed flows and discards first");
+          "ClassifierState: drain completed flows and discards first");
     }
     ClassifierState st;
     st.active.reserve(classifier_.active_flows());

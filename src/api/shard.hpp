@@ -36,8 +36,9 @@ namespace fbm::api {
 /// in `dst` and its prefix length in `src_port`, all other fields zero.
 /// Only the key set matters, not the table layout: flows are summed into
 /// order-free flow::FlowSums, so the order the table emits them in never
-/// reaches a result. For the same reason a snapshot is taken right after
-/// the completed flows and discards were taken: they hold none.
+/// reaches a result (a reused table, larger than a fresh one, lists the same
+/// flows in another order). For the same reason a snapshot is taken right
+/// after the completed flows and discards were drained: it holds none.
 struct ClassifierState {
   struct ActiveFlow {
     net::FiveTuple key;
@@ -63,8 +64,15 @@ class FlowClassifierHandle {
   }
   virtual void expire_idle(double now) = 0;
   virtual void flush() = 0;
-  [[nodiscard]] virtual std::vector<flow::FlowRecord> take_flows() = 0;
-  [[nodiscard]] virtual std::vector<flow::DiscardedPacket> take_discards() = 0;
+  /// Back to a fresh classifier's state, keeping the table's capacity (see
+  /// flow::FlowClassifier::reset).
+  virtual void reset() = 0;
+  /// Visits the completed flows, then the discards, and empties both
+  /// buffers in place (see flow::FlowClassifier::drain).
+  using FlowVisitor = std::function<void(const flow::FlowRecord&)>;
+  using DiscardVisitor = std::function<void(const flow::DiscardedPacket&)>;
+  virtual void drain(const FlowVisitor& on_flow,
+                     const DiscardVisitor& on_discard) = 0;
   [[nodiscard]] virtual const flow::ClassifierCounters& counters() const = 0;
   [[nodiscard]] virtual std::size_t active_flows() const = 0;
   /// Flow-table geometry for telemetry (occupancy / capacity; mean
@@ -73,7 +81,7 @@ class FlowClassifierHandle {
   [[nodiscard]] virtual double table_mean_probe() const = 0;
   /// Complete mid-stream state, canonical-keyed (see ClassifierState).
   /// Throws std::logic_error while completed flows or discards are still
-  /// waiting to be taken.
+  /// waiting to be drained.
   [[nodiscard]] virtual ClassifierState save_state() const = 0;
   /// Rebuilds the saved state in a fresh classifier created with the same
   /// options, re-inserting the active flows. Throws std::invalid_argument
@@ -82,9 +90,10 @@ class FlowClassifierHandle {
 };
 
 /// Classifier for the flow definition `def` (the pipeline splits flows at
-/// its interval boundaries; fbm::live runs one classifier per sliding
+/// its interval boundaries; fbm::live runs one classifier per open sliding
 /// window, with boundary splitting disabled — the window itself is the
-/// interval).
+/// interval — and hands a closed window's classifier, reset, to the next
+/// window it opens).
 [[nodiscard]] std::unique_ptr<FlowClassifierHandle> make_flow_classifier(
     FlowDefinition def, const flow::ClassifierOptions& options);
 

@@ -22,15 +22,22 @@
 //    modulo std::unordered_map pays for the same protection;
 //  - try_emplace probes for an existing key first (the per-packet common
 //    case) and only falls into the out-of-line insert path on a miss, so
-//    the hit path stays small enough to inline.
+//    the hit path stays small enough to inline;
+//  - the key/value array starts on a cache-line boundary (LineAllocator).
+//    The 5-tuple classifier's slot is 64 bytes, so each slot is one line
+//    and a probe of a table past the caches misses once, not twice. On a
+//    flood of new flows, where almost every probe misses, it cut the CPU
+//    per packet of perfbench's ddos_live_durable from 235 to 216 ns
+//    (medians of 6 pairs, shared 4-vCPU host).
 //
 // API: the subset of std::unordered_map the classifier uses (try_emplace,
 // find, erase(iterator), clear, reserve, size, iteration), so the two are
 // drop-in interchangeable for A/B benchmarking.
 //
 // Requirements on Key and T: default-constructible and move-assignable
-// (empty slots hold default-constructed pairs; displacement and backward
-// shift move pairs between slots).
+// (displacement and backward shift move pairs between slots). An empty
+// slot's pair is never read; it is default-constructed, or left stale by
+// clear() when it owns nothing.
 //
 // Iteration caveat (by design, matching the classifier's usage): erase(it)
 // backward-shifts later elements toward the erased slot, so a full
@@ -46,14 +53,45 @@
 // a restore simply re-inserts it.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <new>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 namespace fbm::core {
+
+/// Allocates on cache-line boundaries, so a slot no wider than a line sits
+/// in one line and a probe that reads it misses once. It over-allocates by
+/// a line from plain operator new and keeps the block's address in the
+/// word below the aligned one: the aligned operator new measured about
+/// 5 MB more peak RSS on a flood trace.
+template <typename U>
+struct LineAllocator {
+  using value_type = U;
+  static constexpr std::uintptr_t kLine = 64;
+  LineAllocator() = default;
+  template <typename V>
+  explicit LineAllocator(const LineAllocator<V>& /*unused*/) {}
+  [[nodiscard]] U* allocate(std::size_t n) {
+    static_assert(__STDCPP_DEFAULT_NEW_ALIGNMENT__ >= sizeof(void*));
+    void* block = ::operator new(n * sizeof(U) + kLine);
+    // At least one alignment step above `block`: room for its address.
+    const std::uintptr_t line =
+        (reinterpret_cast<std::uintptr_t>(block) + kLine) & ~(kLine - 1);
+    reinterpret_cast<void**>(line)[-1] = block;
+    return reinterpret_cast<U*>(line);
+  }
+  void deallocate(U* p, std::size_t /*n*/) {
+    ::operator delete(reinterpret_cast<void**>(p)[-1]);
+  }
+  friend bool operator==(const LineAllocator&, const LineAllocator&) {
+    return true;
+  }
+};
 
 template <typename Key, typename T, typename Hash = std::hash<Key>>
 class FlatHashMap {
@@ -148,13 +186,16 @@ class FlatHashMap {
     if (cap > dist_.size()) rehash(cap);
   }
 
+  /// Empties the table; the capacity is kept. No empty slot's pair is
+  /// ever read, so pairs that own nothing are left as they are.
   void clear() {
-    for (size_type i = 0; i < dist_.size(); ++i) {
-      if (dist_[i] != 0) {
-        kv_[i] = value_type{};
-        dist_[i] = 0;
+    if (size_ == 0) return;
+    if constexpr (!std::is_trivially_destructible_v<value_type>) {
+      for (size_type i = 0; i < dist_.size(); ++i) {
+        if (dist_[i] != 0) kv_[i] = value_type{};
       }
     }
+    std::fill(dist_.begin(), dist_.end(), 0);
     size_ = 0;
   }
 
@@ -316,7 +357,7 @@ class FlatHashMap {
 
   void rehash(size_type new_capacity) {
     std::vector<std::uint32_t> old_dist = std::move(dist_);
-    std::vector<value_type> old_kv = std::move(kv_);
+    auto old_kv = std::move(kv_);
     dist_.assign(new_capacity, 0);
     kv_.assign(new_capacity, value_type{});
     shift_ = 64;
@@ -348,7 +389,7 @@ class FlatHashMap {
   /// factor there is always an empty slot, so a probe distance can never
   /// reach the capacity and 32 bits are ample.
   std::vector<std::uint32_t> dist_;
-  std::vector<value_type> kv_;
+  std::vector<value_type, LineAllocator<value_type>> kv_;
   size_type size_ = 0;
   /// 64 - log2(capacity), so home_of() lands in [0, capacity) directly.
   int shift_ = 64;

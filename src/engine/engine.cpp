@@ -328,21 +328,19 @@ void Engine::flush() {
     if (!l->attached) continue;
     for (auto& s : l->shards) deliver(s);
   }
-  if (obs::enabled()) {
-    // Refresh the per-link exported gauges at flush cadence. reports is
-    // written by pool workers under emit_mu_, so read it under the same
-    // lock; packets/bytes are demux-thread-owned.
-    std::lock_guard lock(emit_mu_);
-    for (const auto& l : links_) {
-      if (l->g_packets != nullptr) {
-        l->g_packets->set(static_cast<double>(l->counters.packets));
-      }
-      if (l->g_reports != nullptr) {
-        l->g_reports->set(static_cast<double>(l->counters.reports));
-      }
-    }
-  }
+  refresh_link_gauges();
   flush_deadline_ = std::numeric_limits<double>::infinity();
+}
+
+void Engine::refresh_link_gauges() {
+  if (!obs::enabled()) return;
+  // reports is written by pool workers under emit_mu_, so read it under the
+  // same lock; packets/bytes are demux-thread-owned.
+  std::lock_guard lock(emit_mu_);
+  for (const auto& l : links_) {
+    l->g_packets->set(static_cast<double>(l->counters.packets));
+    l->g_reports->set(static_cast<double>(l->counters.reports));
+  }
 }
 
 void Engine::finish_link(Link& l) {
@@ -362,6 +360,7 @@ void Engine::finish() {
     if (l->attached) finish_link(*l);
   }
   pool_->join();
+  refresh_link_gauges();  // the run's final totals
 }
 
 std::uint64_t Engine::consume(api::TraceSource& source) {

@@ -214,8 +214,9 @@ class Engine {
   /// after finish().
   void flush();
 
-  /// End of stream: finalize every attached link, join the pool.
-  /// push_batch()/attach() must not be called afterwards.
+  /// End of stream: finalize every attached link, join the pool, and set
+  /// the per-link gauges to the final totals. push_batch()/attach() must
+  /// not be called afterwards.
   void finish();
 
   /// Drains `source` (api::read_batches) and finishes; returns packets
@@ -260,6 +261,9 @@ class Engine {
   /// every window all K shards have delivered.
   void fold(Shard& shard, api::WindowPartial&& partial);
   void complete(Link& link, api::WindowPartial&& raw);
+  /// Sets each link's fbm_link_packets/fbm_link_reports gauge to its
+  /// counters (flush cadence, and once more after finish's join).
+  void refresh_link_gauges();
 
   EngineConfig config_;
   ReportSink sink_;

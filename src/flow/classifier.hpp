@@ -98,10 +98,6 @@ struct ClassifierOptions {
   /// Keep (timestamp, bytes) of discarded single-packet flows so the rate
   /// measurement can exclude them, as the paper does.
   bool record_discards = false;
-  /// Active-flow table capacity reserved up front (0 = grow on demand).
-  /// Backbone traces hold tens of thousands of concurrent flows; reserving
-  /// ahead skips the rehash cascade during ramp-up.
-  std::size_t reserve_flows = 0;
 };
 
 /// A packet belonging to a discarded single-packet flow.
@@ -138,7 +134,6 @@ class FlowClassifier {
     if (!(options_.interval > 0.0)) {
       throw std::invalid_argument("FlowClassifier: interval <= 0");
     }
-    if (options_.reserve_flows > 0) active_.reserve(options_.reserve_flows);
   }
 
   /// Packets must arrive in non-decreasing timestamp order (throws
@@ -206,6 +201,19 @@ class FlowClassifier {
     last_ts_ = -std::numeric_limits<double>::infinity();
   }
 
+  /// Returns to the state of a freshly constructed classifier — no active
+  /// flows, no buffered records, zero counters, stream clock at -inf — but
+  /// the flow table and the buffers keep their capacity, so a classifier
+  /// reused capture after capture sizes itself once. Active flows and
+  /// buffered records are dropped: flush() and drain() first to keep them.
+  void reset() {
+    active_.clear();
+    flows_.clear();
+    discards_.clear();
+    counters_ = {};
+    last_ts_ = -std::numeric_limits<double>::infinity();
+  }
+
   /// Emits and removes every flow idle for longer than the timeout as of
   /// `now` (NetFlow's inactive timer). Without this, a flow whose 5-tuple
   /// never recurs stays in the table until flush(). Full-table scan: call
@@ -237,10 +245,21 @@ class FlowClassifier {
   [[nodiscard]] const std::vector<DiscardedPacket>& discards() const {
     return discards_;
   }
-  /// Takes ownership of the discard list (streaming consumers drain it so
-  /// it does not grow with the trace).
+  /// Takes ownership of the discard list.
   [[nodiscard]] std::vector<DiscardedPacket> take_discards() {
     return std::exchange(discards_, {});
+  }
+
+  /// Streaming consumers: calls on_flow(record) for every completed flow,
+  /// then on_discard(packet) for every discard, in buffer order, and
+  /// empties both buffers in place — their capacity is kept, so a steady
+  /// stream allocates nothing.
+  template <typename OnFlow, typename OnDiscard>
+  void drain(OnFlow&& on_flow, OnDiscard&& on_discard) {
+    for (const FlowRecord& f : flows_) on_flow(f);
+    for (const DiscardedPacket& d : discards_) on_discard(d);
+    flows_.clear();
+    discards_.clear();
   }
 
   // --- checkpoint hooks ------------------------------------------------

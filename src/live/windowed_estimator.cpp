@@ -69,8 +69,6 @@ WindowedEstimator::WindowedEstimator(LiveConfig config)
   // its packets, re-derived from that window's packets alone.
   classifier_options_.interval = std::numeric_limits<double>::infinity();
   classifier_options_.record_discards = true;
-  classifier_options_.reserve_flows =
-      std::max<std::size_t>(64, api::kReserveFlows / config_.overlap());
 
   kmax_boundary_ = 0.0;  // first packet advances cur_kmax_ from -1
   next_close_end_ = window_end(0);
@@ -87,10 +85,16 @@ std::size_t WindowedEstimator::active_flows() const {
 WindowedEstimator::WindowState& WindowedEstimator::state_at(std::int64_t k) {
   auto& slot = open_[static_cast<std::size_t>(k - next_close_)];
   if (!slot) {
-    slot = std::make_unique<WindowState>(WindowState{
-        api::make_flow_classifier(config_.analysis.flow_definition(),
-                                  classifier_options_),
-        empty_window(k)});
+    std::unique_ptr<api::FlowClassifierHandle> classifier;
+    if (spare_.empty()) {
+      classifier = api::make_flow_classifier(
+          config_.analysis.flow_definition(), classifier_options_);
+    } else {
+      classifier = std::move(spare_.back());
+      spare_.pop_back();
+    }
+    slot = std::make_unique<WindowState>(
+        WindowState{std::move(classifier), empty_window(k)});
   }
   return *slot;
 }
@@ -103,13 +107,16 @@ WindowPartial WindowedEstimator::empty_window(std::int64_t k) const {
 }
 
 void WindowedEstimator::drain(WindowState& state) {
-  for (const auto& f : state.classifier->take_flows()) state.raw.sums.add(f);
-  for (const auto& d : state.classifier->take_discards()) {
-    // The paper excludes discarded single-packet flows from the variance
-    // measurement; subtract them from their bin, as the batch path does.
-    state.raw.bins.add(d.timestamp, -static_cast<double>(d.size_bytes));
-    ++state.raw.discards;
-  }
+  WindowPartial& raw = state.raw;
+  state.classifier->drain(
+      [&raw](const flow::FlowRecord& f) { raw.sums.add(f); },
+      [&raw](const flow::DiscardedPacket& d) {
+        // The paper excludes discarded single-packet flows from the
+        // variance measurement; subtract them from their bin, as the batch
+        // path does.
+        raw.bins.add(d.timestamp, -static_cast<double>(d.size_bytes));
+        ++raw.discards;
+      });
 }
 
 void WindowedEstimator::expire_all(double now) {
@@ -208,9 +215,7 @@ void WindowedEstimator::push_batch(const net::PacketBatch& batch) {
     for (std::int64_t k = next_close_; k <= cur_kmax_; ++k) {
       WindowState& state = state_at(k);
       state.classifier->add_batch(batch, i, j);
-      for (std::size_t m = i; m < j; ++m) {
-        state.raw.bins.add(ts[m], static_cast<double>(sizes[m]));
-      }
+      state.raw.bins.add_run({ts + i, j - i}, {sizes + i, j - i});
       state.raw.packets += j - i;
       state.raw.bytes += run_bytes;
     }
@@ -263,10 +268,13 @@ void WindowedEstimator::close_through(double now) {
 
 void WindowedEstimator::finalize_window(std::int64_t k, WindowState* state) {
   // Flush/drain the window into its raw material. Untouched windows build
-  // their (zero) bins here; touched windows hand over what they accumulated.
+  // their (zero) bins here; touched windows hand over what they accumulated
+  // and leave their classifier, reset, for the next window that opens.
   if (state != nullptr) {
     state->classifier->flush();
     drain(*state);
+    state->classifier->reset();
+    spare_.push_back(std::move(state->classifier));
   }
   WindowPartial raw =
       state != nullptr ? std::move(state->raw) : empty_window(k);
@@ -303,6 +311,7 @@ void WindowedEstimator::finish() {
     ++next_close_;
   }
   open_.clear();
+  spare_.clear();
 }
 
 std::uint64_t WindowedEstimator::consume(api::TraceSource& source) {

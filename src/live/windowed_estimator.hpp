@@ -7,9 +7,10 @@
 // (idle-timeout semantics, no boundary splitting — the window IS the
 // analysis interval), its exact completed-flow sums and exact Delta byte
 // bins. A window closes the moment the stream clock passes its end: the
-// classifier flushes into the sums, and api::fit_window — the same
-// function api::finalize_interval closes batch intervals through —
-// produces the parameters. Replaying a finished trace therefore
+// classifier flushes into the sums (and, reset, serves the next window
+// that opens), and api::fit_window — the same function
+// api::finalize_interval closes batch intervals through — produces the
+// parameters. Replaying a finished trace therefore
 // reproduces, bit for bit, what a batch fit restricted to each window's
 // packets computes in isolation (tests/live/test_windowed_differential.cpp
 // proves it against the independent batch primitives and against
@@ -191,6 +192,10 @@ class WindowedEstimator {
 
   /// Open windows, indices [next_close_, next_close_ + open_.size()).
   std::deque<std::unique_ptr<WindowState>> open_;
+  /// Closed windows' classifiers, reset, waiting for the next window to
+  /// open: a table is built once per run and keeps the capacity it grew
+  /// to, instead of rehashing up to a window's flow count every window.
+  std::vector<std::unique_ptr<api::FlowClassifierHandle>> spare_;
   std::int64_t next_close_ = 0;   ///< lowest window index not yet closed
   std::int64_t max_window_ = -1;  ///< highest window index seen
 

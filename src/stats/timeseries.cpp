@@ -74,6 +74,36 @@ void RateBinner::add(double timestamp, double bytes) {
   total_bytes_ += bytes;
 }
 
+void RateBinner::add_run(std::span<const double> timestamps,
+                         std::span<const std::uint32_t> bytes) {
+  // Each bin and the total see the same additions in the same order as a
+  // loop of add(), so the sums are the same bits; only the loads and
+  // stores between events are gone.
+  const std::size_t last = bytes_.size() - 1;
+  double total = total_bytes_;
+  std::size_t open = bytes_.size();  // no bin loaded yet
+  double sum = 0.0;
+  for (std::size_t i = 0; i < timestamps.size(); ++i) {
+    const double t = timestamps[i];
+    if (t < start_ || t >= end_) {
+      ++dropped_;
+      continue;
+    }
+    auto idx = static_cast<std::size_t>((t - start_) / delta_);
+    if (idx > last) idx = last;
+    if (idx != open) {
+      if (open != bytes_.size()) bytes_[open] = sum;
+      open = idx;
+      sum = bytes_[idx];
+    }
+    const auto b = static_cast<double>(bytes[i]);
+    sum += b;
+    total += b;
+  }
+  if (open != bytes_.size()) bytes_[open] = sum;
+  total_bytes_ = total;
+}
+
 void RateBinner::merge(const RateBinner& other) {
   if (start_ != other.start_ || end_ != other.end_ || delta_ != other.delta_ ||
       bytes_.size() != other.bytes_.size()) {

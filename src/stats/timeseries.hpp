@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -65,6 +66,12 @@ class RateBinner {
   /// Adds `bytes` at `timestamp`; events outside [start, end) are counted in
   /// `dropped()` and otherwise ignored.
   void add(double timestamp, double bytes);
+
+  /// add(timestamps[i], bytes[i]) for every i in order, bit for bit (same
+  /// dropped() and last-bin rules), with the open bin's sum and the total
+  /// kept in registers across the run. The spans have equal length.
+  void add_run(std::span<const double> timestamps,
+               std::span<const std::uint32_t> bytes);
 
   /// Accumulates another binner built over the identical grid (same start,
   /// end and delta; throws std::invalid_argument otherwise). Bin contents,

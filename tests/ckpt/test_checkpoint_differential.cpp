@@ -5,17 +5,21 @@
 // across window shapes (tiling, overlapping, gapped), both flow
 // definitions, and several cut points — including cuts that land mid-window
 // with open classifier tables, whose active flows a restore re-inserts
-// (their emission order is free: flows land in exact flow sums).
+// (their emission order is free: flows land in exact flow sums). The flood
+// cases cut where the uninterrupted run's windows run on tables the flood
+// grew, and the restore rebuilds them in fresh ones.
 //
 // Every snapshot goes through the on-disk codec (write_checkpoint →
 // read_checkpoint on a real file), so the differential also proves the
 // serialization loses nothing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 #include <vector>
 
+#include "../support/flood.hpp"
 #include "../support/push.hpp"
 #include "agg/partial_codec.hpp"
 #include "ckpt/checkpoint.hpp"
@@ -156,6 +160,41 @@ TEST(CheckpointDifferential, CutExactlyOnWindowBoundary) {
   const auto got = resumed_lines(packets, config, cut + 1, temp_ckpt("b"));
   ASSERT_EQ(ref.size(), got.size());
   for (std::size_t i = 0; i < ref.size(); ++i) EXPECT_EQ(ref[i], got[i]);
+}
+
+/// Cuts on the flood scenario (1 s timeout): mid-flood, and in the first
+/// window after the flood.
+void run_flood_differential(double width, double stride) {
+  const auto packets = testsupport::flood_trace();
+  live::LiveConfig config =
+      live_config(api::FlowDefinition::five_tuple, width, stride);
+  config.analysis.timeout_s(1.0);
+  const auto ref = reference_lines(packets, config);
+  const auto first_at = [&](double t) {
+    return static_cast<std::size_t>(
+        std::lower_bound(packets.begin(), packets.end(), t,
+                         [](const net::PacketRecord& p, double v) {
+                           return p.timestamp < v;
+                         }) -
+        packets.begin());
+  };
+  for (const double t :
+       {testsupport::kFloodStart + 30.3, testsupport::kFloodEnd + 0.7}) {
+    const std::size_t cut = first_at(t);
+    const auto got = resumed_lines(
+        packets, config, cut,
+        temp_ckpt(std::to_string(static_cast<int>(t))));
+    ASSERT_EQ(ref.size(), got.size()) << "cut at t = " << t;
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      ASSERT_EQ(ref[i], got[i]) << "report " << i << ", cut at t = " << t;
+    }
+  }
+}
+
+TEST(CheckpointDifferential, FloodTiling) { run_flood_differential(2.0, 2.0); }
+
+TEST(CheckpointDifferential, FloodOverlapping) {
+  run_flood_differential(4.0, 1.0);
 }
 
 TEST(CheckpointDifferential, RestoreRefusesUsedEstimator) {

@@ -9,6 +9,7 @@
 #include "../support/collect.hpp"
 #include "../support/push.hpp"
 #include "api/api.hpp"
+#include "obs/catalog.hpp"
 
 namespace fbm {
 namespace {
@@ -293,6 +294,44 @@ TEST(Engine, LiveModeEmitsTaggedWindows) {
     ASSERT_TRUE(r.window.has_value());
     const std::string line = engine::to_jsonl(r);
     EXPECT_EQ(line.rfind("{\"link\": \"tap\", \"window\": ", 0), 0u) << line;
+  }
+}
+
+TEST(Engine, LinkGaugesHoldTheFinalTotals) {
+  if (!obs::enabled()) GTEST_SKIP() << "obs disabled";
+  for (const std::size_t threads : {1u, 3u}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    engine::EngineConfig config;
+    config.mode = engine::EngineMode::live;
+    config.threads = threads;
+    config.live.window_s = 1.0;
+    config.live.analysis.timeout_s(0.5);
+    engine::Engine eng(config);
+    (void)testsupport::collect(eng);
+    // Names unique to this case: the gauges live in the global registry.
+    const std::string suffix = "_final_" + std::to_string(threads);
+    (void)eng.attach(engine::parse_link_spec("near" + suffix + "=10.0.0.0/16"));
+    (void)eng.attach(engine::parse_link_spec("tap" + suffix + "=all"));
+    net::PacketBatch batch;
+    for (int i = 0; i < 600; ++i) {
+      const auto dst = net::Ipv4Address(10, static_cast<std::uint8_t>(i % 2),
+                                        0, 1);
+      batch.push_back(packet(0.01 * i, dst, 1000,
+                             static_cast<std::uint16_t>(1000 + i % 7)));
+      if (batch.size() == 50) {
+        eng.push_batch(batch);
+        batch.clear();
+      }
+    }
+    eng.finish();
+    for (const auto& link : eng.links()) {
+      SCOPED_TRACE(link.name);
+      EXPECT_GT(link.counters.reports, 0u);
+      EXPECT_EQ(obs::link_packets(link.name).value(),
+                static_cast<double>(link.counters.packets));
+      EXPECT_EQ(obs::link_reports(link.name).value(),
+                static_cast<double>(link.counters.reports));
+    }
   }
 }
 

@@ -1,11 +1,14 @@
 // Window edge cases the satellite checklist pins: empty windows, flows
-// straddling a window boundary, stride > width gaps, and the predictor fed
-// a series shorter than its lag order.
+// straddling a window boundary, stride > width gaps, the predictor fed a
+// series shorter than its lag order, and a window opened on a closed
+// window's classifier.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "../support/collect.hpp"
@@ -292,6 +295,81 @@ TEST(LiveEdgeCases, SpikeRaisesAlert) {
   for (std::size_t i = 6; i < 11; ++i) {
     EXPECT_FALSE(reports[i].anomaly.alert) << i;
   }
+}
+
+TEST(LiveEdgeCases, ReusedClassifierStartsLikeAFreshOne) {
+  // Per 2 s window: a 3-packet flow, a single packet, a flow whose second
+  // packet comes after the 1 s timeout (a discard mid-window), a 2-packet
+  // flow completed by the timeout mid-window, and one flow through all
+  // windows.
+  std::vector<net::PacketRecord> packets;
+  for (int w = 0; w < 4; ++w) {
+    const double base = 2.0 * w;
+    const auto port = static_cast<std::uint16_t>(100 + 10 * w);
+    for (const double dt : {0.1, 0.2, 0.3}) {
+      packets.push_back(packet(base + dt, port));
+    }
+    packets.push_back(packet(base + 0.15, port + 1));
+    packets.push_back(packet(base + 0.05, port + 2));
+    packets.push_back(packet(base + 1.2, port + 2));
+    for (const double dt : {0.05, 0.1, 1.25}) {
+      packets.push_back(packet(base + dt, port + 3, 500));
+    }
+  }
+  for (double t = 0.0; t < 8.0; t += 0.25) packets.push_back(packet(t, 7));
+  std::stable_sort(packets.begin(), packets.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.timestamp < b.timestamp;
+                   });
+
+  // Cut inside window 3 [6, 8). The whole stream opens window 3 on the
+  // classifier windows 0-2 used; its tail alone opens it on a fresh one.
+  const double cut = 7.3;
+  std::vector<net::PacketRecord> whole;
+  std::vector<net::PacketRecord> tail;
+  for (const auto& p : packets) {
+    if (p.timestamp >= cut) continue;
+    whole.push_back(p);
+    if (p.timestamp >= 6.0) tail.push_back(p);
+  }
+  const auto window3 = [](const std::vector<net::PacketRecord>& stream) {
+    live::WindowedEstimator estimator(tiling_config(2.0));
+    (void)testsupport::collect(estimator);
+    push_all(estimator, stream, 4);
+    live::EstimatorState st = estimator.save_state();
+    EXPECT_EQ(st.next_close, 3);
+    EXPECT_EQ(st.open.size(), 1u);
+    EXPECT_TRUE(st.open.front().has_value());
+    return std::move(*st.open.front());
+  };
+  const auto reused = window3(whole);
+  const auto fresh = window3(tail);
+
+  const flow::ClassifierCounters& r = reused.classifier.counters;
+  const flow::ClassifierCounters& f = fresh.classifier.counters;
+  EXPECT_EQ(r.packets, tail.size());
+  EXPECT_EQ(r.packets, f.packets);
+  EXPECT_EQ(r.flows_emitted, 1u);
+  EXPECT_EQ(r.flows_emitted, f.flows_emitted);
+  EXPECT_EQ(r.single_packet_discards, 1u);
+  EXPECT_EQ(r.single_packet_discards, f.single_packet_discards);
+  EXPECT_EQ(r.boundary_splits, f.boundary_splits);
+  EXPECT_EQ(reused.classifier.last_ts, fresh.classifier.last_ts);
+
+  // The same active flows, whatever order each table lists them in.
+  const auto active = [](const api::ClassifierState& st) {
+    std::vector<std::tuple<std::uint16_t, double, double, std::uint64_t>> v;
+    for (const auto& a : st.active) {
+      v.emplace_back(a.key.src_port, a.record.start, a.record.end,
+                     a.record.packets);
+    }
+    std::sort(v.begin(), v.end());
+    return v;
+  };
+  EXPECT_EQ(active(reused.classifier), active(fresh.classifier));
+  EXPECT_EQ(reused.classifier.active.size(), 5u);
+  EXPECT_EQ(reused.window.packets, fresh.window.packets);
+  EXPECT_EQ(reused.window.discards, fresh.window.discards);
 }
 
 }  // namespace

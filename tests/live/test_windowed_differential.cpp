@@ -11,14 +11,17 @@
 //     windows.
 //
 // Both run across both flow definitions and multiple window/stride shapes
-// (tiling, overlapping, gapped).
+// (tiling, overlapping, gapped), and over the bundled flood scenario, where
+// every window after the first runs on a table a closed window grew.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "../support/collect.hpp"
+#include "../support/flood.hpp"
 #include "../support/push.hpp"
 #include "../support/sharded.hpp"
 #include "api/api.hpp"
@@ -192,27 +195,11 @@ TEST(WindowedDifferential, GappedPrefix24) {
 /// primitives and demanding bitwise equality with the live inputs. The
 /// measured moments and downstream fit of the live window are pinned
 /// bitwise against the isolation reference by the Tiling* tests above.
-void run_vs_pipeline(api::FlowDefinition def, std::size_t shards) {
-  const auto packets = seeded_trace();
-  const double width = 10.0;
-
-  live::LiveConfig config;
-  config.window_s = width;
-  config.analysis.flow_definition(def).timeout_s(10.0);
-  live::WindowedEstimator estimator(config);
-  const auto estimator_reports = testsupport::collect(estimator);
-  push_all(estimator, packets);
-  estimator.finish();
-  const auto live_reports = estimator_reports->take();
-
-  api::AnalysisConfig batch = config.analysis;
-  batch.interval_s(width).keep_flows(true);
-  auto source = api::make_vector_source(packets);
-  const auto pipeline_reports =
-      shards == 1
-          ? api::analyze(*source, batch)
-          : testsupport::sharded_analyze(packets, batch, shards, shards);
-
+/// `pipeline_reports` come from intervals of the live window's width with
+/// keep_flows set.
+void expect_matches_pipeline(
+    const std::vector<live::WindowReport>& live_reports,
+    const std::vector<api::AnalysisReport>& pipeline_reports) {
   std::size_t single_pieces_total = 0;
   ASSERT_EQ(live_reports.size(), pipeline_reports.size());
   for (std::size_t i = 0; i < live_reports.size(); ++i) {
@@ -246,6 +233,28 @@ void run_vs_pipeline(api::FlowDefinition def, std::size_t shards) {
   EXPECT_GT(single_pieces_total, 0u);
 }
 
+void run_vs_pipeline(api::FlowDefinition def, std::size_t shards) {
+  const auto packets = seeded_trace();
+  const double width = 10.0;
+
+  live::LiveConfig config;
+  config.window_s = width;
+  config.analysis.flow_definition(def).timeout_s(10.0);
+  live::WindowedEstimator estimator(config);
+  const auto estimator_reports = testsupport::collect(estimator);
+  push_all(estimator, packets);
+  estimator.finish();
+
+  api::AnalysisConfig batch = config.analysis;
+  batch.interval_s(width).keep_flows(true);
+  auto source = api::make_vector_source(packets);
+  expect_matches_pipeline(
+      estimator_reports->take(),
+      shards == 1
+          ? api::analyze(*source, batch)
+          : testsupport::sharded_analyze(packets, batch, shards, shards));
+}
+
 TEST(WindowedDifferential, MatchesSerialPipelineFiveTuple) {
   run_vs_pipeline(api::FlowDefinition::five_tuple, 1);
 }
@@ -257,6 +266,53 @@ TEST(WindowedDifferential, MatchesSerialPipelinePrefix24) {
 TEST(WindowedDifferential, MatchesShardedPipeline) {
   run_vs_pipeline(api::FlowDefinition::five_tuple, 4);
 }
+
+/// The flood scenario at the perfbench ddos settings (1 s timeout): a table
+/// grown by the flood serves every later window. Each batch size's reports
+/// equal the per-window isolation reference, and tiling windows equal
+/// api::analyze's intervals at the same batch size.
+void run_flood(double width, double stride) {
+  const auto packets = testsupport::flood_trace();
+  live::LiveConfig config;
+  config.window_s = width;
+  config.stride_s = stride;
+  config.analysis.timeout_s(1.0);
+
+  std::vector<WindowRef> refs;
+  for (std::int64_t k = 0;
+       static_cast<double>(k) * config.stride() <= packets.back().timestamp;
+       ++k) {
+    refs.push_back(batch_fit_window<flow::FiveTupleKey>(
+        packets, static_cast<double>(k) * config.stride(), width,
+        config.analysis));
+  }
+  ASSERT_GT(static_cast<double>(refs.size()) * config.stride(),
+            testsupport::kFloodEnd);
+
+  for (const std::size_t batch_size : {1u, 64u, 4096u}) {
+    SCOPED_TRACE("batch " + std::to_string(batch_size));
+    live::WindowedEstimator estimator(config);
+    const auto estimator_reports = testsupport::collect(estimator);
+    push_all(estimator, packets, batch_size);
+    estimator.finish();
+    const auto reports = estimator_reports->take();
+    ASSERT_EQ(reports.size(), refs.size());
+    for (std::size_t i = 0; i < reports.size(); ++i) {
+      SCOPED_TRACE(i);
+      ASSERT_EQ(reports[i].window_index, i);
+      expect_bitwise(refs[i], reports[i]);
+    }
+    if (stride == width) {
+      api::AnalysisConfig batch = config.analysis;
+      batch.interval_s(width).keep_flows(true).batch_packets(batch_size);
+      expect_matches_pipeline(reports, api::analyze(packets, batch));
+    }
+  }
+}
+
+TEST(WindowedDifferential, FloodTiling) { run_flood(2.0, 2.0); }
+
+TEST(WindowedDifferential, FloodOverlapping) { run_flood(4.0, 1.0); }
 
 /// Replay determinism end to end, forecast and anomaly fields included: the
 /// rendered JSONL of two runs over the same stream is byte-identical.

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <vector>
+
+#include "stats/rng.hpp"
 
 namespace fbm::stats {
 namespace {
@@ -58,6 +63,62 @@ TEST(RateBinner, PartialLastBin) {
   const RateSeries s = b.series();
   ASSERT_EQ(s.values.size(), 3u);
   EXPECT_GT(s.values[2], 0.0);
+}
+
+TEST(RateBinner, RunAddEqualsPerEventAdds) {
+  // A grid whose last bin is clamped: (end - start) / delta is a hair above
+  // 6, so the grid has 6 bins and an event in [start + 3, end) computes
+  // index 6 and lands in bin 5.
+  const double start = 10.0;
+  const double end = 13.0 + 1e-10;
+  const double delta = 0.5;
+  RateBinner per_event(start, end, delta);
+  RateBinner runs(start, end, delta);
+  ASSERT_EQ(per_event.bin_bytes().size(), 6u);
+
+  // Fractional bytes first, so later sums round and the order of the
+  // additions shows in the bits.
+  Rng rng(29);
+  for (int i = 0; i < 40; ++i) {
+    const double t = rng.uniform(start, 13.0);
+    const double b = 0.1 * static_cast<double>(rng.uniform_int(1, 9));
+    per_event.add(t, b);
+    runs.add(t, b);
+  }
+
+  // Mostly ascending events, some out of order, some outside [start, end)
+  // on either side, one in the clamped tail, and sizes up to 2^32 - 1.
+  std::vector<double> ts;
+  std::vector<std::uint32_t> bytes;
+  for (int i = 0; i < 2000; ++i) {
+    ts.push_back(rng.uniform(9.0, 14.0));
+    bytes.push_back(static_cast<std::uint32_t>(
+        rng.uniform_int(0, std::numeric_limits<std::uint32_t>::max())));
+  }
+  std::sort(ts.begin(), ts.begin() + 1500);
+  ts.push_back(13.0 + 5e-11);
+  bytes.push_back(77);
+  ts.push_back(end);
+  bytes.push_back(5);
+
+  for (std::size_t i = 0; i < ts.size(); ++i) {
+    per_event.add(ts[i], static_cast<double>(bytes[i]));
+  }
+  for (std::size_t i = 0; i < ts.size();) {
+    const auto n = std::min<std::size_t>(rng.uniform_int(1, 300),
+                                         ts.size() - i);
+    runs.add_run({ts.data() + i, n}, {bytes.data() + i, n});
+    i += n;
+  }
+  runs.add_run({}, {});
+
+  EXPECT_GT(per_event.dropped(), 0u);
+  EXPECT_EQ(per_event.dropped(), runs.dropped());
+  EXPECT_EQ(per_event.total_bytes(), runs.total_bytes());
+  ASSERT_EQ(per_event.bin_bytes().size(), runs.bin_bytes().size());
+  for (std::size_t i = 0; i < runs.bin_bytes().size(); ++i) {
+    EXPECT_EQ(per_event.bin_bytes()[i], runs.bin_bytes()[i]) << "bin " << i;
+  }
 }
 
 TEST(RateSeries, TimeAtAndDuration) {

@@ -8,6 +8,8 @@
 #   table, JSON, partial file and report store at --threads 1, 3 and 0;
 # - fbm_live without --link equals --link 'all=*' with the link field
 #   stripped, for tiling and overlapping windows at --threads 1 and 3;
+# - fbm_live --metrics-prom ends with the same per-link packet and report
+#   totals at --threads 1 and 3;
 # - a checkpoint cut by --max-windows, resumed with --restore, continues
 #   the uninterrupted stream (kept prefix + resumed lines), and so does a
 #   --threads 3 checkpoint of a stream that went quiet (--follow --idle),
@@ -69,6 +71,16 @@ for windows in "--window 5" "--window 10 --stride 4"; do
       fail "--link 'all=*' $windows --threads $threads"
   done
 done
+
+for threads in 1 3; do
+  "$bin/fbm_live" t.fbmt --window 5 --timeout 1 --json --threads "$threads" \
+    --metrics-prom "m$threads.prom" > /dev/null
+  grep '^fbm_link_' "m$threads.prom" > "links$threads.txt"
+done
+grep -q '^fbm_link_reports{link="all"} [1-9]' links1.txt ||
+  fail "--metrics-prom: no final link report total"
+cmp links1.txt links3.txt ||
+  fail "--metrics-prom link totals differ between --threads 1 and 3"
 
 "$bin/fbm_live" t.fbmt --window 5 --timeout 1 --json > full.jsonl
 "$bin/fbm_live" t.fbmt --window 5 --timeout 1 --json --max-windows 3 \
