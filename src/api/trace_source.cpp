@@ -73,16 +73,6 @@ bool PcapTraceSource::reset() {
   return true;
 }
 
-// --------------------------------------------------- SyntheticTraceSource ---
-
-SyntheticTraceSource::SyntheticTraceSource(const trace::SyntheticConfig& config)
-    : inner_([&] {
-        trace::GenerationReport rep;
-        auto packets = trace::generate_packets(config, &rep);
-        report_ = rep;
-        return packets;
-      }()) {}
-
 // -------------------------------------------------------------- factories ---
 
 TraceSourcePtr open_trace(const std::filesystem::path& path, bool follow) {

@@ -10,7 +10,8 @@
 //   PcapTraceSource       .pcap captures, truly streaming (O(1) memory)
 //   VectorTraceSource     any in-memory vector (also serves csv, whose
 //                         reader is batch; the memory cost is explicit)
-//   SyntheticTraceSource  the trace/synthetic generator
+//   SyntheticTraceSource  the trace/synthetic generator, streaming
+//                         (memory bounded by the flows in progress)
 //
 // Packets synthesized from the shot-noise model itself come from
 // scenario::ScenarioTraceSource: a spec with one baseline segment is the
@@ -123,26 +124,32 @@ class PcapTraceSource final : public TraceSource {
   trace::PcapReader reader_;
 };
 
-/// Wraps the synthetic backbone generator. Generation happens eagerly in
-/// the constructor (the generator sorts globally), then packets stream out.
+/// Wraps the synthetic backbone generator's stream: packets are generated
+/// as they are read, a time chunk at a time, so memory stays flat however
+/// long the trace. reset() rebuilds the stream from the config.
 class SyntheticTraceSource final : public TraceSource {
  public:
-  explicit SyntheticTraceSource(const trace::SyntheticConfig& config);
+  explicit SyntheticTraceSource(const trace::SyntheticConfig& config)
+      : config_(config), stream_(config) {}
 
   [[nodiscard]] std::size_t next_batch(net::PacketBatch& out,
                                        std::size_t max_n) override {
-    return inner_.next_batch(out, max_n);
+    return stream_.next_batch(out, max_n);
   }
-  [[nodiscard]] bool reset() override { return inner_.reset(); }
+  [[nodiscard]] bool reset() override {
+    stream_ = trace::SyntheticStream(config_);
+    return true;
+  }
 
-  /// What the generator actually produced.
+  /// What the generator has produced so far; final once the stream is
+  /// drained.
   [[nodiscard]] const trace::GenerationReport& report() const {
-    return report_;
+    return stream_.report();
   }
 
  private:
-  trace::GenerationReport report_;
-  VectorTraceSource inner_;
+  trace::SyntheticConfig config_;
+  trace::SyntheticStream stream_;
 };
 
 /// Opens a trace file by extension: .fbmt and .pcap stream with O(1)

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 
-#include "trace/tcp_dynamics.hpp"
 #include "trace/trace_format.hpp"
 
 namespace fbm::trace {
@@ -26,54 +27,69 @@ net::Ipv4Address make_src(std::uint64_t id) {
   return net::Ipv4Address{(172u << 24) | (16u << 20) | (r & 0xfffffu)};
 }
 
-/// Timestamp sort at ~1 packet per bucket: the stream is a merge of short
-/// sorted per-flow runs spread uniformly over [0, duration), so a counting
-/// pass into timestamp buckets followed by tiny per-bucket sorts is near
-/// linear where the comparison sort pays n log n over the whole trace.
-/// Buckets partition by timestamp, so concatenating them yields a globally
-/// sorted sequence with exactly the std::sort result (timestamps are
-/// continuous draws — ties are measure-zero, and analysis is invariant to
-/// same-timestamp order anyway).
-void sort_by_timestamp(std::vector<net::PacketRecord>& packets,
-                       double duration) {
-  const std::size_t n = packets.size();
-  if (n < 2) return;
-  if (!(duration > 0.0)) {
-    std::sort(packets.begin(), packets.end(), net::ByTimestamp{});
+/// Width of the stream's release chunks. At 200 Mbps a chunk holds about
+/// 5k packets, small enough to sort in cache; the packets of flows still in
+/// progress keep the later chunks alive either way.
+constexpr double kChunkSeconds = 0.25;
+
+/// The one expression that both files a packet under a chunk and decides
+/// that a chunk is final; floor(ts / kChunkSeconds) is monotone in ts, so a
+/// packet at or after an arrival never lands below the arrival's chunk.
+std::uint64_t chunk_of(double ts) {
+  return static_cast<std::uint64_t>(std::floor(ts / kChunkSeconds));
+}
+
+/// Sorts `chunk` (generation order) into `out` by (timestamp, generation
+/// order): a stable counting scatter into ~1 packet per sub-bucket, then
+/// one insertion sort. Sub-buckets are monotone in the timestamp, so the
+/// insertion sort never moves a packet across a sub-bucket edge and costs
+/// little more than a pass; both steps keep equal timestamps in order.
+void sort_chunk(const std::vector<net::PacketRecord>& chunk,
+                std::vector<net::PacketRecord>& out,
+                std::vector<std::uint32_t>& heads) {
+  const std::size_t n = chunk.size();
+  out.resize(n);
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -lo;
+  for (const auto& p : chunk) {
+    lo = std::min(lo, p.timestamp);
+    hi = std::max(hi, p.timestamp);
+  }
+  if (!(hi > lo)) {
+    std::copy(chunk.begin(), chunk.end(), out.begin());
     return;
   }
-  const std::size_t nbuckets = n;
-  const double scale = static_cast<double>(nbuckets) / duration;
+  const double scale = static_cast<double>(n) / (hi - lo);
   const auto bucket_of = [&](double ts) {
-    const double b = ts * scale;
-    const std::size_t i = b <= 0.0 ? 0 : static_cast<std::size_t>(b);
-    return std::min(i, nbuckets - 1);
+    return std::min(static_cast<std::size_t>((ts - lo) * scale), n - 1);
   };
-  std::vector<std::uint32_t> heads(nbuckets + 1, 0);
-  for (const auto& p : packets) ++heads[bucket_of(p.timestamp) + 1];
-  for (std::size_t b = 1; b <= nbuckets; ++b) heads[b] += heads[b - 1];
-  // Scatter compact {timestamp, index} keys rather than whole records: the
-  // scatter is the cache-unfriendly step, so halving the payload halves the
-  // random-write traffic; the records are then gathered once, in order.
-  struct TsIdx {
-    double ts;
-    std::uint32_t idx;
-  };
-  std::vector<TsIdx> order(n);
-  std::vector<std::uint32_t> cursor(heads.begin(), heads.end() - 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    order[cursor[bucket_of(packets[i].timestamp)]++] = {
-        packets[i].timestamp, static_cast<std::uint32_t>(i)};
+  heads.assign(n + 1, 0);
+  for (const auto& p : chunk) ++heads[bucket_of(p.timestamp) + 1];
+  for (std::size_t b = 1; b <= n; ++b) heads[b] += heads[b - 1];
+  for (const auto& p : chunk) out[heads[bucket_of(p.timestamp)]++] = p;
+  for (std::size_t i = 1; i < n; ++i) {
+    const net::PacketRecord p = out[i];
+    std::size_t j = i;
+    for (; j > 0 && out[j - 1].timestamp > p.timestamp; --j) {
+      out[j] = out[j - 1];
+    }
+    out[j] = p;
   }
-  const auto by_ts = [](const TsIdx& a, const TsIdx& b) { return a.ts < b.ts; };
-  for (std::size_t b = 0; b < nbuckets; ++b) {
-    const auto first = order.begin() + heads[b];
-    const auto last = order.begin() + heads[b + 1];
-    if (last - first > 1) std::sort(first, last, by_ts);
+}
+
+SyntheticConfig validated(const SyntheticConfig& cfg) {
+  SyntheticConfig config = cfg;
+  config.apply_defaults();
+  if (!(config.duration_s > 0.0)) {
+    throw std::invalid_argument("synthetic generator: duration <= 0");
   }
-  std::vector<net::PacketRecord> sorted(n);
-  for (std::size_t i = 0; i < n; ++i) sorted[i] = packets[order[i].idx];
-  packets.swap(sorted);
+  if (!(config.flow_rate > 0.0)) {
+    throw std::invalid_argument("synthetic generator: flow_rate <= 0");
+  }
+  if (config.prefix_pool == 0 || config.src_pool == 0) {
+    throw std::invalid_argument("synthetic generator: empty address pool");
+  }
+  return config;
 }
 
 }  // namespace
@@ -134,91 +150,142 @@ void SyntheticConfig::target_utilization_bps(double bps) {
   flow_rate = bps / per_flow;
 }
 
-std::vector<net::PacketRecord> generate_packets(const SyntheticConfig& cfg,
+SyntheticStream::SyntheticStream(const SyntheticConfig& config)
+    : config_(validated(config)),
+      rng_(config_.seed),
+      packet_rng_(rng_.fork()),
+      prefix_zipf_(config_.prefix_pool, config_.prefix_zipf_s) {
+  report_.duration_s = config_.duration_s;
+}
+
+std::size_t SyntheticStream::next_batch(net::PacketBatch& out,
+                                        std::size_t max_n) {
+  const auto recs = next_records(max_n);
+  out.assign(recs);
+  return recs.size();
+}
+
+std::span<const net::PacketRecord> SyntheticStream::next_records(
+    std::size_t max_n) {
+  if (ready_pos_ == ready_.size()) {
+    ready_pos_ = 0;
+    if (!release_chunk()) {
+      ready_.clear();
+      return {};
+    }
+  }
+  const std::size_t n = std::min(max_n, ready_.size() - ready_pos_);
+  const std::span<const net::PacketRecord> out(ready_.data() + ready_pos_, n);
+  ready_pos_ += n;
+  return out;
+}
+
+/// Draws flows until the oldest pending chunk is final, then sorts it into
+/// ready_. Empty chunks are skipped; false once every packet is out.
+bool SyntheticStream::release_chunk() {
+  for (;;) {
+    if (!pending_.empty() && (flows_done_ || next_chunk_ < frontier_)) {
+      sort_chunk(pending_.front(), ready_, heads_);
+      pending_.pop_front();
+      ++next_chunk_;
+      if (!ready_.empty()) return true;
+      continue;
+    }
+    if (flows_done_) return false;
+    draw_flow();
+  }
+}
+
+/// One flow, with exactly the draws — and draw order — of the eager
+/// generator this stream replaced, so every seed keeps its trace.
+void SyntheticStream::draw_flow() {
+  t_ += rng_.exponential(config_.flow_rate);
+  if (t_ >= config_.duration_s) {
+    flows_done_ = true;
+    return;
+  }
+  frontier_ = chunk_of(t_);
+  if (pending_.empty()) next_chunk_ = frontier_;
+
+  const auto size = static_cast<std::uint64_t>(
+      std::max(1.0, config_.size_bytes->sample(rng_)));
+  const bool tcp = rng_.bernoulli(config_.tcp_fraction);
+
+  if (tcp) {
+    TcpParams params;
+    params.rtt = std::max(1e-3, config_.rtt_s->sample(rng_));
+    params.mss = config_.mss;
+    params.peak_rate_bps =
+        std::max(16e3, config_.access_rate_bps->sample(rng_));
+    packetize_tcp_into(size, params, packet_rng_, emissions_);
+  } else {
+    const double rate = std::max(16e3, config_.udp_rate_bps->sample(rng_));
+    packetize_cbr_into(size, rate, config_.udp_packet_bytes, 0.2,
+                       packet_rng_, emissions_);
+  }
+
+  net::FiveTuple tuple;
+  tuple.src = make_src(rng_.uniform_int(0, config_.src_pool - 1));
+  const std::size_t rank = prefix_zipf_.sample(rng_);
+  tuple.dst = make_dst(rank, static_cast<std::uint8_t>(
+                                 rng_.uniform_int(1, 254)));
+  tuple.src_port =
+      static_cast<std::uint16_t>(rng_.uniform_int(1024, 65535));
+  tuple.dst_port = kPopularPorts[rng_.uniform_int(
+      0, std::size(kPopularPorts) - 1)];
+  tuple.protocol = static_cast<std::uint8_t>(
+      tcp ? net::Protocol::tcp : net::Protocol::udp);
+
+  ++report_.flows;
+  // Emissions are in offset order, so a flow's packets fill one chunk
+  // after another: look each chunk up once, not once per packet.
+  std::uint64_t chunk = 0;
+  std::vector<net::PacketRecord>* bucket = nullptr;
+  for (const auto& e : emissions_) {
+    const double ts = t_ + e.offset;
+    if (ts >= config_.duration_s) break;  // capture horizon
+    if (const std::uint64_t c = chunk_of(ts); !bucket || c != chunk) {
+      chunk = c;
+      bucket = &pending_chunk(c);
+    }
+    bucket->push_back({ts, tuple, e.size_bytes});
+    ++report_.packets;
+    report_.total_bytes += e.size_bytes;
+  }
+}
+
+/// The pending buffer of chunk `c`. Offsets are >= 0, so `c` is at or past
+/// frontier_, which is at or past next_chunk_. Growing the deque at its end
+/// keeps references to the other chunks valid.
+std::vector<net::PacketRecord>& SyntheticStream::pending_chunk(
+    std::uint64_t c) {
+  const std::uint64_t slot = c - next_chunk_;
+  if (slot >= pending_.size()) pending_.resize(slot + 1);
+  return pending_[slot];
+}
+
+std::vector<net::PacketRecord> generate_packets(const SyntheticConfig& config,
                                                 GenerationReport* report) {
-  SyntheticConfig config = cfg;
-  config.apply_defaults();
-  if (!(config.duration_s > 0.0)) {
-    throw std::invalid_argument("generate_packets: duration <= 0");
-  }
-  if (!(config.flow_rate > 0.0)) {
-    throw std::invalid_argument("generate_packets: flow_rate <= 0");
-  }
-  if (config.prefix_pool == 0 || config.src_pool == 0) {
-    throw std::invalid_argument("generate_packets: empty address pool");
-  }
-
-  stats::Rng rng(config.seed);
-  stats::Rng packet_rng = rng.fork();
-  const stats::Zipf prefix_zipf(config.prefix_pool, config.prefix_zipf_s);
-
+  SyntheticStream stream(config);
   std::vector<net::PacketRecord> packets;
-  // Rough reservation: E[packets/flow] = E[S]/mss-ish.
-  const double mean_size = config.size_bytes->mean();
-  const double expected_flows = config.flow_rate * config.duration_s;
-  packets.reserve(static_cast<std::size_t>(
-      std::min(2e8, expected_flows * (mean_size / config.mss + 2.0))));
-
-  GenerationReport rep;
-  double t = 0.0;
-  std::uint64_t flow_id = 0;
-  std::vector<PacketEmission> emissions;  // reused across flows
-  while (true) {
-    t += rng.exponential(config.flow_rate);
-    if (t >= config.duration_s) break;
-    ++flow_id;
-
-    const auto size = static_cast<std::uint64_t>(
-        std::max(1.0, config.size_bytes->sample(rng)));
-    const bool tcp = rng.bernoulli(config.tcp_fraction);
-
-    if (tcp) {
-      TcpParams params;
-      params.rtt = std::max(1e-3, config.rtt_s->sample(rng));
-      params.mss = config.mss;
-      params.peak_rate_bps =
-          std::max(16e3, config.access_rate_bps->sample(rng));
-      packetize_tcp_into(size, params, packet_rng, emissions);
-    } else {
-      const double rate = std::max(16e3, config.udp_rate_bps->sample(rng));
-      packetize_cbr_into(size, rate, config.udp_packet_bytes, 0.2,
-                         packet_rng, emissions);
-    }
-
-    net::FiveTuple tuple;
-    tuple.src = make_src(rng.uniform_int(0, config.src_pool - 1));
-    const std::size_t rank = prefix_zipf.sample(rng);
-    tuple.dst = make_dst(rank, static_cast<std::uint8_t>(
-                                   rng.uniform_int(1, 254)));
-    tuple.src_port =
-        static_cast<std::uint16_t>(rng.uniform_int(1024, 65535));
-    tuple.dst_port = kPopularPorts[rng.uniform_int(
-        0, std::size(kPopularPorts) - 1)];
-    tuple.protocol = static_cast<std::uint8_t>(
-        tcp ? net::Protocol::tcp : net::Protocol::udp);
-
-    ++rep.flows;
-    for (const auto& e : emissions) {
-      const double ts = t + e.offset;
-      if (ts >= config.duration_s) break;  // capture horizon
-      packets.push_back({ts, tuple, e.size_bytes});
-      ++rep.packets;
-      rep.total_bytes += e.size_bytes;
-    }
+  for (auto recs = stream.next_records(SIZE_MAX); !recs.empty();
+       recs = stream.next_records(SIZE_MAX)) {
+    packets.insert(packets.end(), recs.begin(), recs.end());
   }
-
-  sort_by_timestamp(packets, config.duration_s);
-  rep.duration_s = config.duration_s;
-  if (report) *report = rep;
+  if (report) *report = stream.report();
   return packets;
 }
 
 GenerationReport generate_to_file(const SyntheticConfig& config,
                                   const std::filesystem::path& path) {
-  GenerationReport rep;
-  const auto packets = generate_packets(config, &rep);
-  write_trace(path, packets);
-  return rep;
+  SyntheticStream stream(config);
+  TraceWriter writer(path);
+  for (auto recs = stream.next_records(SIZE_MAX); !recs.empty();
+       recs = stream.next_records(SIZE_MAX)) {
+    writer.append_all(recs);
+  }
+  writer.close();
+  return stream.report();
 }
 
 }  // namespace fbm::trace

@@ -95,7 +95,7 @@ TraceWriter::~TraceWriter() {
 
 void TraceWriter::append(const net::PacketRecord& rec) {
   if (closed_) throw std::runtime_error("TraceWriter: already closed");
-  if (rec.timestamp < last_ts_) {
+  if (!(rec.timestamp >= last_ts_)) {  // refuses NaN too
     throw std::invalid_argument("TraceWriter: timestamps must be ordered");
   }
   last_ts_ = rec.timestamp;

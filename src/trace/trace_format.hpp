@@ -33,7 +33,8 @@ inline constexpr std::size_t kRecordSize = 28;
 inline constexpr std::size_t kHeaderSize = 24;
 
 /// Streaming writer. Records must be appended in non-decreasing timestamp
-/// order (checked; throws std::invalid_argument on violation). append()
+/// order (checked as ts >= last, like net::check_order, so a NaN is refused
+/// too; throws std::invalid_argument on violation). append()
 /// encodes into an internal buffer that goes to the file in one write when
 /// it holds kBufferRecords records, and at close(); an ofstream::write per
 /// record cost more than the encoding. The file's bytes are the same.

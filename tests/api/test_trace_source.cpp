@@ -73,7 +73,47 @@ TEST(SyntheticTraceSource, MatchesTheGenerator) {
   const auto direct = trace::generate_packets(cfg);
 
   api::SyntheticTraceSource source(cfg);
+  EXPECT_EQ(api::read_all(source), direct);
+  // The report is a running tally, final only once the stream is drained.
   EXPECT_EQ(source.report().packets, direct.size());
+}
+
+TEST(SyntheticTraceSource, EveryBatchSizeAndResetMatchTheGenerator) {
+  trace::SyntheticConfig cfg;
+  cfg.duration_s = 8.0;
+  cfg.apply_defaults();
+  cfg.target_utilization_bps(2e6);
+  cfg.seed = 23;
+  trace::GenerationReport direct_report;
+  const auto direct = trace::generate_packets(cfg, &direct_report);
+  ASSERT_FALSE(direct.empty());
+
+  const auto read_in = [](api::TraceSource& source, std::size_t max_n) {
+    std::vector<net::PacketRecord> out;
+    net::PacketBatch batch;
+    while (source.next_batch(batch, max_n) > 0) {
+      EXPECT_LE(batch.size(), max_n);
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        out.push_back(batch.record(i));
+      }
+    }
+    return out;
+  };
+  api::SyntheticTraceSource source(cfg);
+  for (const std::size_t max_n :
+       {std::size_t{1}, std::size_t{7}, std::size_t{4096}}) {
+    SCOPED_TRACE(max_n);
+    ASSERT_TRUE(source.reset());
+    EXPECT_EQ(read_in(source, max_n), direct);
+    EXPECT_EQ(source.report().flows, direct_report.flows);
+    EXPECT_EQ(source.report().packets, direct_report.packets);
+    EXPECT_EQ(source.report().total_bytes, direct_report.total_bytes);
+  }
+  // A reset mid-stream starts over from the first packet.
+  net::PacketBatch batch;
+  ASSERT_TRUE(source.reset());
+  ASSERT_GT(source.next_batch(batch, 100), 0u);
+  ASSERT_TRUE(source.reset());
   EXPECT_EQ(api::read_all(source), direct);
 }
 

@@ -105,6 +105,31 @@ TEST_F(TraceFormatTest, WriterRejectsOutOfOrderTimestamps) {
   EXPECT_THROW(w.append(r), std::invalid_argument);
 }
 
+TEST_F(TraceFormatTest, WriterRejectsNaNTimestamps) {
+  net::PacketRecord r;
+  {
+    TraceWriter w(file("nan.fbmt"));
+    r.timestamp = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(w.append(r), std::invalid_argument);
+  }
+  // A refused NaN must not become the order bound: 10 -> NaN -> 3 leaves
+  // only the 10 in the file.
+  {
+    TraceWriter w(file("order.fbmt"));
+    r.timestamp = 10.0;
+    w.append(r);
+    r.timestamp = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(w.append(r), std::invalid_argument);
+    r.timestamp = 3.0;
+    EXPECT_THROW(w.append(r), std::invalid_argument);
+    w.close();
+    EXPECT_EQ(w.written(), 1u);
+  }
+  const auto back = read_trace(file("order.fbmt"));
+  ASSERT_EQ(back.size(), 1u);
+  EXPECT_EQ(back[0].timestamp, 10.0);
+}
+
 TEST_F(TraceFormatTest, WriterRejectsAppendAfterClose) {
   TraceWriter w(file("e.fbmt"));
   w.close();

@@ -14,9 +14,9 @@
 // OUT.truth` then analyzes the capture and scores its alerts. --seed
 // overrides the spec's seed; the other generator flags do not apply.
 #include <cstdio>
-#include <cstring>
 #include <string>
 
+#include "api/trace_source.hpp"
 #include "cli.hpp"
 #include "scenario/source.hpp"
 #include "scenario/spec.hpp"
@@ -25,6 +25,36 @@
 #include "trace/sprint_profiles.hpp"
 #include "trace/synthetic.hpp"
 #include "trace/trace_format.hpp"
+
+namespace {
+
+/// Writes what is left of `source` to `path` in the format its extension
+/// names and returns the packet count: .fbmt streams batch by batch; the
+/// .pcap and .csv exporters are batch, so those materialize once.
+std::uint64_t write_source(fbm::api::TraceSource& source,
+                           const std::string& path) {
+  using namespace fbm;
+  if (path.ends_with(".pcap") || path.ends_with(".csv")) {
+    const auto recs = api::read_all(source);
+    if (path.ends_with(".pcap")) {
+      trace::export_pcap(path, recs);
+    } else {
+      trace::export_csv(path, recs);
+    }
+    return recs.size();
+  }
+  trace::TraceWriter writer(path);
+  net::PacketBatch batch;
+  while (source.next_batch(batch, 4096) > 0) {
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      writer.append(batch.record(i));
+    }
+  }
+  writer.close();
+  return writer.written();
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace fbm;
@@ -51,12 +81,6 @@ int main(int argc, char** argv) {
   cli.parse(argc, argv);
   if (profile > 6) cli.fail("--profile wants 0..6");
 
-  const auto ends_with = [&](const char* suffix) {
-    const std::size_t n = std::strlen(suffix);
-    return out_path.size() >= n &&
-           out_path.compare(out_path.size() - n, n, suffix) == 0;
-  };
-
   if (!scenario_path.empty()) {
     try {
       scenario::ScenarioSpec spec = scenario::load_scenario(scenario_path);
@@ -66,27 +90,7 @@ int main(int argc, char** argv) {
       scenario::write_truth_file(truth_path, truth);
 
       scenario::ScenarioTraceSource source(spec);
-      std::uint64_t packets = 0;
-      if (ends_with(".pcap") || ends_with(".csv")) {
-        // The interop exporters are batch; materialize, then convert.
-        const auto recs = api::read_all(source);
-        packets = recs.size();
-        if (ends_with(".pcap")) {
-          trace::export_pcap(out_path, recs);
-        } else {
-          trace::export_csv(out_path, recs);
-        }
-      } else {
-        trace::TraceWriter writer(out_path);
-        net::PacketBatch batch;
-        while (source.next_batch(batch, 4096) > 0) {
-          for (std::size_t i = 0; i < batch.size(); ++i) {
-            writer.append(batch.record(i));
-          }
-        }
-        writer.close();
-        packets = writer.written();
-      }
+      const std::uint64_t packets = write_source(source, out_path);
       std::printf("%s: scenario %s, %llu packets, %llu flows "
                   "(%llu attack) over %.1f s (seed %llu); truth -> %s\n",
                   out_path.c_str(), spec.name.c_str(),
@@ -120,15 +124,9 @@ int main(int argc, char** argv) {
   cfg.seed = seed;
 
   try {
-    trace::GenerationReport rep;
-    const auto packets = trace::generate_packets(cfg, &rep);
-    if (ends_with(".pcap")) {
-      trace::export_pcap(out_path, packets);
-    } else if (ends_with(".csv")) {
-      trace::export_csv(out_path, packets);
-    } else {
-      trace::write_trace(out_path, packets);
-    }
+    api::SyntheticTraceSource source(cfg);
+    (void)write_source(source, out_path);
+    const trace::GenerationReport& rep = source.report();  // final: drained
     std::printf("%s: %llu packets, %llu flows, %.2f Mbps over %.1f s "
                 "(seed %llu)\n",
                 out_path.c_str(),
