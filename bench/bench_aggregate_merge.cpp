@@ -40,19 +40,21 @@ FBM_BENCH(aggregate_merge) {
   analysis.timeout_s(60.0 * scale.time_scale)
       .interval_s(cfg.duration_s / 4.0);
 
+  engine::EngineConfig batch;  // batch mode, one match-all link
+  batch.live.analysis = analysis;
+
   // Single-machine reference (also the correctness pin below).
   std::string reference;
   {
-    api::AnalysisPipeline pipeline(analysis);
+    engine::Engine eng(batch);
     std::vector<api::AnalysisReport> reports;
-    pipeline.set_partial_sink([&](api::WindowPartial&& iv) {
-      if (auto r = api::finalize_interval(analysis, std::move(iv))) {
-        reports.push_back(std::move(*r));
-      }
+    eng.set_report_sink([&](engine::LinkReport&& r) {
+      reports.push_back(std::move(*r.interval));
     });
-    bench::push_packets(pipeline, packets);
-    pipeline.finish();
-    reference = api::to_json(pipeline.summary(), reports);
+    (void)eng.attach(engine::parse_link_spec("all=*"));
+    bench::push_packets(eng, packets);
+    eng.finish();
+    reference = api::to_json(eng.summary(), reports);
   }
 
   const std::size_t kShards = 4;
@@ -63,11 +65,12 @@ FBM_BENCH(aggregate_merge) {
     // Emit: K producers, each classifying its flow-key shard and flushing
     // raw windows (this is the per-POP half of the pipeline).
     for (std::size_t i = 0; i < kShards; ++i) {
-      api::AnalysisPipeline pipeline(analysis);
+      engine::Engine eng(batch);
       agg::PartialWriter writer(partial_path(i),
                                 agg::PartialMeta::from_batch(analysis));
-      pipeline.set_partial_sink(
-          [&](api::WindowPartial&& iv) { writer.add(0, iv); });
+      eng.set_partial_sink([&](engine::LinkId, const std::string&,
+                               api::WindowPartial&& iv) { writer.add(0, iv); });
+      (void)eng.attach(engine::parse_link_spec("all=*"));
       std::vector<net::PacketRecord> shard;
       for (const auto& p : packets) {
         if (api::flow_shard_of(p.tuple, analysis.flow_definition(),
@@ -75,9 +78,9 @@ FBM_BENCH(aggregate_merge) {
           shard.push_back(p);
         }
       }
-      bench::push_packets(pipeline, shard);
-      pipeline.finish();
-      writer.finish({pipeline.summary(), {}});
+      bench::push_packets(eng, shard);
+      eng.finish();
+      writer.finish({eng.summary(), {}});
     }
 
     // Merge: fold the K files, fit once, render (the aggregator half).

@@ -83,7 +83,7 @@ FBM_BENCH(parallel_throughput) {
   for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
     engine::EngineConfig config;
     config.mode = engine::EngineMode::batch;
-    config.analysis = base;
+    config.live.analysis = base;
     config.shards = shards;
     config.threads = shards;
     // The single-shard row runs inline (no pool thread), so it is the

@@ -1,10 +1,14 @@
 // Shared machinery for the paper-reproduction benches.
 //
 // Each bench regenerates one table or figure. They share the scaled Sprint
-// profiles (trace/sprint_profiles) and the api::AnalysisPipeline: synthetic
-// trace -> 5-tuple and /24 classification (60 s timeout, interval
-// splitting) -> per-interval model inputs + measured rate moments at
-// Delta = 200 ms, all in one streaming pass.
+// profiles (trace/sprint_profiles) and the paper's offline analysis, built
+// from the flow and measure primitives: synthetic trace -> 5-tuple and /24
+// classification (60 s timeout, flows split at interval boundaries, a
+// boundary piece kept even when it holds one packet) -> per-interval flows,
+// model inputs and measured rate moments at Delta = 200 ms. The tools and
+// api::analyze run the causal estimator instead, which drops such a piece
+// as a single-packet flow; the figures need each interval's flows, which
+// only the offline path keeps.
 //
 // Scaling relative to the paper (default_scale below): the 30-min analysis
 // interval becomes 30 s (time_scale = 1/60), trace lengths are capped at

@@ -23,6 +23,7 @@
 
 #include "api/api.hpp"
 #include "core/model.hpp"
+#include "flow/classifier.hpp"
 #include "gen/traffic_gen.hpp"
 #include "scenario/source.hpp"
 #include "stats/descriptive.hpp"
@@ -30,23 +31,30 @@
 int main() {
   using namespace fbm;
 
-  // "Real" traffic to imitate, analyzed in one pass; keep_flows retains the
-  // (S, D) population the model resamples from.
+  // "Real" traffic to imitate, analyzed in one pass for the fitted shot;
+  // its (S, D) population, which the model resamples from, comes from
+  // classifying the same packets.
   const double horizon = 90.0;
   trace::SyntheticConfig cfg;
   cfg.duration_s = horizon;
   cfg.apply_defaults();
   cfg.target_utilization_bps(10e6);
-  api::SyntheticTraceSource source(cfg);
+  const auto packets = trace::generate_packets(cfg);
 
   api::AnalysisConfig config;
-  config.interval_s(horizon).timeout_s(60.0).keep_flows(true);
-  const auto reports = api::analyze(source, config);
+  config.interval_s(horizon).timeout_s(60.0);
+  const auto reports = api::analyze(packets, config);
   const api::AnalysisReport& real = reports.at(0);
   const double b = real.shot_b_used;
 
+  flow::ClassifierOptions options;
+  options.timeout = config.timeout_s();
+  const flow::IntervalData population{
+      .start = 0.0,
+      .length = horizon,
+      .flows = flow::classify_all<flow::FiveTupleKey>(packets, options)};
   const auto model =
-      core::ShotNoiseModel::from_interval(real.interval, core::power_shot(b));
+      core::ShotNoiseModel::from_interval(population, core::power_shot(b));
   std::printf("fitted model: lambda=%.1f /s, b=%.2f\n", model.lambda(), b);
 
   // Clone 1: the fluid rate process (gen::), fitted shot.

@@ -1,9 +1,11 @@
 // Quickstart: the full model pipeline through fbm::api.
 //
 // 1. Stream a synthetic backbone trace (stand-in for an OC-12 capture).
-// 2. AnalysisPipeline classifies flows (5-tuple, 60 s timeout), estimates
-//    the model's three parameters, measures the rate at Delta = 200 ms,
-//    and fits the shot power b — all in one pass.
+// 2. api::analyze runs the one estimator (live::WindowedEstimator, here
+//    with a single window spanning the trace): it classifies flows
+//    (5-tuple, 60 s timeout), estimates the model's three parameters,
+//    measures the rate at Delta = 200 ms, and fits the shot power b — all
+//    in one pass. fbm_live runs the same estimator on sliding windows.
 // 3. Print model vs measured mean and CoV from the report.
 //
 // Run:  ./examples/quickstart

@@ -52,8 +52,10 @@ namespace fbm::agg {
 inline constexpr std::uint32_t kPartialMagic = 0x504D4246;  // "FBMP"
 inline constexpr std::uint32_t kPartialVersion = 2;
 
-/// What kind of run produced the file: batch analysis intervals
-/// (api::AnalysisPipeline) or live sliding windows (live::WindowedEstimator).
+/// What kind of run produced the file: batch analysis intervals (tiling
+/// windows, fitted by api::finalize_interval) or live sliding windows
+/// (fitted by live::fit_window_report). live::WindowedEstimator produces
+/// both.
 enum class PartialKind : std::uint32_t { batch = 1, live = 2 };
 
 /// One link declared by an engine-mode producer (attach order preserved).
@@ -135,7 +137,7 @@ struct PartialTotals {
 };
 
 /// One serialized window: the raw pre-fit material of one analysis interval
-/// (batch; counters zero) or sliding window (live), tagged with its link.
+/// (batch) or sliding window (live), tagged with its link.
 struct PartialWindow {
   std::uint32_t link_id = 0;
   api::WindowPartial window;

@@ -1,11 +1,19 @@
 // fbm::api — the library's public entry point.
 //
-// Single link (one pipeline per stream, api::analyze):
+// Single link (one estimator per stream, api::analyze):
 //
-//   TraceSource ──► AnalysisPipeline ──► WindowPartial ──► finalize_interval
+//   TraceSource ──► WindowedEstimator ──► WindowPartial ──► finalize_interval
 //   (packets,       (classify + measure,  (exact flow     (model inputs,
-//    streamed)       one pass, window-     sums + byte     fitted shot, plan;
-//                    bounded memory)       bins)           AnalysisReport)
+//    streamed)       one pass, tiling      sums + byte     fitted shot, plan;
+//                    windows of the        bins)           AnalysisReport)
+//                    interval)
+//
+// Batch and live run the same estimator (live::WindowedEstimator); a batch
+// interval is a tiling window, and only the fit and the rendering differ
+// (finalize_interval here, live::fit_window_report for a live window). The
+// boundary rule is causal: each window sees only its own packets, so a
+// one-packet piece of a flow at a window edge is dropped as a single-packet
+// flow (see api/pipeline.hpp for the paper's offline rule).
 //
 // Many links, one process (the documented front door for monitoring
 // deployments — fbm::engine, re-exported below):
@@ -19,9 +27,9 @@
 //                        per-link config layered over a base
 //
 // Engine output is proven bit-for-bit equal to running each link's
-// pre-filtered packets through the single-link pipeline (tests/engine/),
-// also when EngineConfig::shards cuts each link into flow-key-hashed shards
-// on the worker pool (see engine/engine.hpp).
+// pre-filtered packets through one estimator (tests/engine/), also when
+// EngineConfig::shards cuts each link into flow-key-hashed shards on the
+// worker pool (see engine/engine.hpp).
 //
 // Typical single-link use:
 //

@@ -15,7 +15,6 @@ void write_report(core::JsonWriter& w, const AnalysisReport& r) {
 
   w.begin_object("inputs");
   w.field("flows", static_cast<std::uint64_t>(r.inputs.flows));
-  w.field("continued_flows", static_cast<std::uint64_t>(r.continued_flows));
   w.field("lambda_per_s", r.inputs.lambda);
   w.field("mean_size_bits", r.inputs.mean_size_bits);
   w.field("mean_s2_over_d_bits2_per_s", r.inputs.mean_s2_over_d);

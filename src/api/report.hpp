@@ -30,7 +30,6 @@ struct AnalysisReport {
 
   flow::ModelInputs inputs;       ///< lambda, E[S], E[S^2/D], flow count
   measure::RateMoments measured;  ///< Delta-averaged moments, bits/s
-  std::size_t continued_flows = 0;  ///< pieces split at the boundary
 
   /// Fitted power-shot b (eq. 5-6); nullopt when the interval is too thin
   /// to fit (no flows, or zero lambda * E[S^2/D]).
@@ -41,9 +40,6 @@ struct AnalysisReport {
   double model_cov = 0.0;  ///< CoV of the power shot at shot_b_used
 
   dimension::ProvisioningPlan plan;  ///< capacity recommendation
-
-  /// The flows themselves; populated only under AnalysisConfig::keep_flows.
-  flow::IntervalData interval;
 
   /// Section V-E Gaussian approximation of the total rate.
   [[nodiscard]] core::GaussianApproximation gaussian() const {

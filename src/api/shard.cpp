@@ -10,6 +10,7 @@
 #include "core/moments.hpp"
 #include "dimension/provisioning.hpp"
 #include "flow/interval.hpp"
+#include "live/windowed_estimator.hpp"
 #include "measure/rate_meter.hpp"
 #include "net/ip.hpp"
 #include "obs/catalog.hpp"
@@ -56,9 +57,6 @@ class ClassifierImpl final : public FlowClassifierHandle {
   void drain(const FlowVisitor& on_flow,
              const DiscardVisitor& on_discard) override {
     classifier_.drain(on_flow, on_discard);
-  }
-  [[nodiscard]] const flow::ClassifierCounters& counters() const override {
-    return classifier_.counters();
   }
   [[nodiscard]] std::size_t active_flows() const override {
     return classifier_.active_flows();
@@ -115,19 +113,19 @@ std::unique_ptr<FlowClassifierHandle> make_flow_classifier(
 
 void validate_config(const AnalysisConfig& config) {
   if (!(config.timeout_s() > 0.0)) {
-    throw std::invalid_argument("AnalysisPipeline: timeout <= 0");
+    throw std::invalid_argument("AnalysisConfig: timeout <= 0");
   }
   if (!(config.interval_s() > 0.0) || !std::isfinite(config.interval_s())) {
-    throw std::invalid_argument("AnalysisPipeline: interval must be finite");
+    throw std::invalid_argument("AnalysisConfig: interval must be finite");
   }
   if (!(config.delta_s() > 0.0) || !std::isfinite(config.delta_s())) {
-    throw std::invalid_argument("AnalysisPipeline: delta must be finite > 0");
+    throw std::invalid_argument("AnalysisConfig: delta must be finite > 0");
   }
   if (!(config.epsilon() > 0.0 && config.epsilon() < 1.0)) {
-    throw std::invalid_argument("AnalysisPipeline: eps outside (0,1)");
+    throw std::invalid_argument("AnalysisConfig: eps outside (0,1)");
   }
   if (config.batch_packets() == 0) {
-    throw std::invalid_argument("AnalysisPipeline: batch_packets == 0");
+    throw std::invalid_argument("AnalysisConfig: batch_packets == 0");
   }
 }
 
@@ -165,7 +163,6 @@ void WindowPartial::merge(WindowPartial&& other) {
   bytes += other.bytes;
   discards += other.discards;
   sums.merge(other.sums);
-  flows.insert(flows.end(), other.flows.begin(), other.flows.end());
 }
 
 // -------------------------------------------------------------- fit_window ---
@@ -181,7 +178,6 @@ WindowFit fit_window(const AnalysisConfig& config, double length_s,
   // The sums are exact, so every producer, shard count and fold order that
   // saw the same flows fits the same bits.
   fit.inputs = sums.inputs(length_s);
-  fit.continued_flows = static_cast<std::size_t>(sums.continued);
 
   fit.series = bins.series();
   fit.measured = measure::rate_moments(fit.series);
@@ -201,32 +197,65 @@ WindowFit fit_window(const AnalysisConfig& config, double length_s,
 // ------------------------------------------------------- finalize_interval ---
 
 std::optional<AnalysisReport> finalize_interval(const AnalysisConfig& config,
-                                                WindowPartial&& raw) {
-  const double start_s = static_cast<double>(raw.index) * config.interval_s();
+                                                const WindowPartial& raw) {
   WindowFit fit =
       fit_window(config, config.interval_s(), raw.sums, raw.bins);
   if (fit.inputs.flows < config.min_flows()) return std::nullopt;
 
   AnalysisReport report;
   report.interval_index = static_cast<std::size_t>(raw.index);
-  report.start_s = start_s;
+  report.start_s = static_cast<double>(raw.index) * config.interval_s();
   report.length_s = config.interval_s();
   report.inputs = fit.inputs;
   report.measured = fit.measured;
-  report.continued_flows = fit.continued_flows;
   report.shot_b = fit.shot_b;
   report.shot_b_used = fit.shot_b_used;
   report.model_cov = fit.model_cov;
   report.plan = fit.plan;
-  if (config.keep_flows()) {
-    // flow::ByStart compares every field, so the sorted list is unique no
-    // matter which shard or batch emitted which flow first.
-    std::sort(raw.flows.begin(), raw.flows.end(), flow::ByStart{});
-    report.interval.start = start_s;
-    report.interval.length = config.interval_s();
-    report.interval.flows = std::move(raw.flows);
-  }
   return report;
+}
+
+// ---------------------------------------------------------------- analyze ---
+
+namespace {
+
+/// Runs `feed` through one estimator of tiling windows and fits each closed
+/// interval.
+template <typename Feed>
+std::vector<AnalysisReport> analyze_with(const AnalysisConfig& config,
+                                         Feed&& feed) {
+  validate_config(config);
+  std::vector<AnalysisReport> out;
+  live::WindowedEstimator estimator(live::batch_windows(config));
+  estimator.set_partial_sink([&](WindowPartial&& raw) {
+    if (auto report = finalize_interval(config, raw)) {
+      out.push_back(std::move(*report));
+    }
+  });
+  feed(estimator);
+  estimator.finish();
+  return out;
+}
+
+}  // namespace
+
+std::vector<AnalysisReport> analyze(TraceSource& source,
+                                    const AnalysisConfig& config) {
+  return analyze_with(config, [&](live::WindowedEstimator& estimator) {
+    (void)estimator.consume(source);
+  });
+}
+
+std::vector<AnalysisReport> analyze(std::span<const net::PacketRecord> packets,
+                                    const AnalysisConfig& config) {
+  return analyze_with(config, [&](live::WindowedEstimator& estimator) {
+    net::PacketBatch batch;
+    const std::size_t cap = config.batch_packets();
+    for (std::size_t i = 0; i < packets.size(); i += cap) {
+      batch.assign(packets.subspan(i, std::min(cap, packets.size() - i)));
+      estimator.push_batch(batch);
+    }
+  });
 }
 
 }  // namespace fbm::api

@@ -1,4 +1,4 @@
-// Flow analysis building blocks shared by every pipeline (fbm::api).
+// Flow analysis building blocks shared by every estimator (fbm::api).
 //
 // Flow classification over millions of 5-tuples is embarrassingly shardable:
 // every packet of a flow key lands on the shard that owns the key
@@ -8,9 +8,9 @@
 // other keys. engine::Engine runs a link as K such shards and folds their
 // WindowPartials; agg::Merger folds the partials of K processes.
 //
-// fit_window() and finalize_interval() are the one place window math
-// happens — every shard count, the live estimator and the merger close
-// windows through them, so all agree bit for bit by construction.
+// fit_window() is the one place window math happens — every shard count,
+// batch and live reports and the merger close windows through it, so all
+// agree bit for bit by construction.
 #pragma once
 
 #include <cmath>
@@ -59,9 +59,6 @@ class FlowClassifierHandle {
   /// flow::FlowClassifier::add_batch).
   virtual void add_batch(const net::PacketBatch& batch, std::size_t begin,
                          std::size_t end) = 0;
-  void add_batch(const net::PacketBatch& batch) {
-    add_batch(batch, 0, batch.size());
-  }
   virtual void expire_idle(double now) = 0;
   virtual void flush() = 0;
   /// Back to a fresh classifier's state, keeping the table's capacity (see
@@ -73,7 +70,6 @@ class FlowClassifierHandle {
   using DiscardVisitor = std::function<void(const flow::DiscardedPacket&)>;
   virtual void drain(const FlowVisitor& on_flow,
                      const DiscardVisitor& on_discard) = 0;
-  [[nodiscard]] virtual const flow::ClassifierCounters& counters() const = 0;
   [[nodiscard]] virtual std::size_t active_flows() const = 0;
   /// Flow-table geometry for telemetry (occupancy / capacity; mean
   /// robin-hood probe distance). O(capacity) — scrape cadence only.
@@ -89,15 +85,14 @@ class FlowClassifierHandle {
   virtual void restore_state(const ClassifierState& state) = 0;
 };
 
-/// Classifier for the flow definition `def` (the pipeline splits flows at
-/// its interval boundaries; fbm::live runs one classifier per open sliding
-/// window, with boundary splitting disabled — the window itself is the
-/// interval — and hands a closed window's classifier, reset, to the next
-/// window it opens).
+/// Classifier for the flow definition `def` (live::WindowedEstimator runs
+/// one per open window, with boundary splitting disabled — the window
+/// itself is the interval — and hands a closed window's classifier, reset,
+/// to the next window it opens).
 [[nodiscard]] std::unique_ptr<FlowClassifierHandle> make_flow_classifier(
     FlowDefinition def, const flow::ClassifierOptions& options);
 
-/// Throws std::invalid_argument for out-of-range pipeline parameters.
+/// Throws std::invalid_argument for out-of-range batch parameters.
 void validate_config(const AnalysisConfig& config);
 
 /// Largest worker or shard count an engine accepts.
@@ -110,13 +105,6 @@ inline constexpr std::size_t kMaxThreads = 4096;
 /// and the tools' --threads all go through here.
 [[nodiscard]] std::size_t resolve_threads(std::size_t configured);
 
-/// Analysis-interval index of a timestamp — the single definition every
-/// pipeline uses, so a flow lands in the same interval everywhere.
-[[nodiscard]] inline std::int64_t interval_index_of(double ts,
-                                                    double interval_s) {
-  return static_cast<std::int64_t>(std::floor(ts / interval_s));
-}
-
 /// Shard of the flow key of `tuple` among `nshards` workers. Stable: FNV-1a
 /// over the key's canonical fields, so the same key maps to the same shard
 /// in every run on every platform.
@@ -127,13 +115,11 @@ inline constexpr std::size_t kMaxThreads = 4096;
 /// One fitted window of trace time: everything the paper derives from a
 /// window's flow sums plus its exact byte bins. Produced by fit_window() —
 /// the single implementation of the per-window math that
-/// finalize_interval, the engine's per-link fold and
-/// live::WindowedEstimator all share, so they agree bit for bit by
-/// construction.
+/// finalize_interval and live::fit_window_report share, so batch and live
+/// reports agree bit for bit by construction.
 struct WindowFit {
   flow::ModelInputs inputs;
   measure::RateMoments measured;
-  std::size_t continued_flows = 0;
   std::optional<double> shot_b;
   double shot_b_used = 1.0;
   double model_cov = 0.0;
@@ -150,11 +136,10 @@ struct WindowFit {
                                    const stats::RateBinner& bins);
 
 /// Turns one interval's merged raw material into the finished
-/// AnalysisReport via fit_window(); with keep_flows the report carries the
-/// interval's flows sorted by flow::ByStart. nullopt for an interval with
-/// fewer than min_flows flows: the one place min_flows filters. analyze(),
-/// the engine's fold and the merger close intervals through here.
+/// AnalysisReport via fit_window(). nullopt for an interval with fewer than
+/// min_flows flows: the one place min_flows filters. analyze(), the
+/// engine's fold and the merger close intervals through here.
 [[nodiscard]] std::optional<AnalysisReport> finalize_interval(
-    const AnalysisConfig& config, WindowPartial&& raw);
+    const AnalysisConfig& config, const WindowPartial& raw);
 
 }  // namespace fbm::api

@@ -24,17 +24,16 @@ constexpr double kFlushEveryS = 1.0;
 
 }  // namespace
 
-/// One flow-hash shard of a link: its analysis state (exactly one of
-/// batch/live, in partial mode) plus demux bookkeeping. Driven by exactly
-/// one thread at a time — the caller inline, or the worker it is pinned to.
+/// One flow-hash shard of a link: its estimator, in partial mode, plus
+/// demux bookkeeping. Driven by exactly one thread at a time — the caller
+/// inline, or the worker it is pinned to.
 struct Engine::Shard {
   Link* link = nullptr;
   std::size_t index = 0;   ///< position in the link's shards
   std::size_t worker = 0;  ///< pool worker this shard is pinned to
 
-  /// Both null once finished: a detached link holds no flow tables.
-  std::unique_ptr<api::AnalysisPipeline> batch;
-  std::unique_ptr<live::WindowedEstimator> live;
+  /// Null once finished: a detached link holds no flow tables.
+  std::unique_ptr<live::WindowedEstimator> estimator;
 
   /// Demux buffer: this batch's packets with an inline pool, packets not
   /// yet handed to the worker with a threaded one.
@@ -42,25 +41,16 @@ struct Engine::Shard {
   /// Demux thread: the newest link clock handed to this shard.
   double clock = -std::numeric_limits<double>::infinity();
 
-  /// Runs `f` on the shard's pipeline or estimator, if it has one left.
-  template <typename F>
-  void with(F&& f) {
-    if (batch) f(*batch);
-    if (live) f(*live);
-  }
-
   /// Takes `packets` (possibly none), then the link's clock `now`.
   void run(const net::PacketBatch& packets, double now) {
-    with([&](auto& a) {
-      a.push_batch(packets);
-      a.advance(now);  // a no-op for a shard that saw a packet at `now`
-    });
+    if (!estimator) return;
+    estimator->push_batch(packets);
+    estimator->advance(now);  // a no-op for a shard that saw a packet at `now`
   }
 
   void finish() {
-    with([](auto& a) { a.finish(); });
-    batch.reset();
-    live.reset();
+    if (estimator) estimator->finish();
+    estimator.reset();
   }
 };
 
@@ -88,8 +78,7 @@ struct Engine::Link {
   // window k is complete once no shard's queue is empty.
   std::mutex fold_mu;
   std::vector<std::deque<api::WindowPartial>> waiting;  ///< per shard
-  api::AnalysisConfig analysis;  ///< batch: the layered fit config
-  live::LiveConfig live;         ///< live: the layered fit config
+  live::LiveConfig live;  ///< the layered config (batch: its tiling windows)
   std::unique_ptr<live::RollingForecaster> forecaster;  ///< live only
   std::unique_ptr<live::AnomalyMonitor> monitor;        ///< live only
 };
@@ -125,39 +114,31 @@ LinkId Engine::attach(LinkSpec spec) {
   link->name = spec.name;
   link->rule = spec.rule;
 
-  // Build the layered config and every shard's analysis state first: a
-  // throwing override or an invalid config must leave the engine unchanged.
+  // Build the layered config and every shard's estimator first: a throwing
+  // override or an invalid config must leave the engine unchanged.
   Link* raw = link.get();
+  link->live = config_.live;
+  if (spec.tune_live) spec.tune_live(link->live);
   if (config_.mode == EngineMode::batch) {
-    link->analysis = config_.analysis;
-    if (spec.tune_analysis) spec.tune_analysis(link->analysis);
-    link->flow_def = link->analysis.flow_definition();
-  } else {
-    link->live = config_.live;
-    if (spec.tune_live) spec.tune_live(link->live);
-    link->flow_def = link->live.analysis.flow_definition();
-    link->forecaster = std::make_unique<live::RollingForecaster>(
-        link->live.forecast_max_order, link->live.forecast_history,
-        link->live.band_k_sigma);
+    link->live = live::batch_windows(link->live.analysis);
   }
+  link->flow_def = link->live.analysis.flow_definition();
   link->shards.resize(config_.shards);
   for (std::size_t k = 0; k < config_.shards; ++k) {
     Shard& shard = link->shards[k];
     shard.link = raw;
     shard.index = k;
-    const auto sink = [this, s = &shard](api::WindowPartial&& p) {
-      fold(*s, std::move(p));
-    };
-    if (config_.mode == EngineMode::batch) {
-      shard.batch = std::make_unique<api::AnalysisPipeline>(link->analysis);
-      shard.batch->set_partial_sink(sink);
-    } else {
-      shard.live = std::make_unique<live::WindowedEstimator>(link->live);
-      shard.live->set_partial_sink(sink);
-    }
+    shard.estimator = std::make_unique<live::WindowedEstimator>(link->live);
+    shard.estimator->set_partial_sink(
+        [this, s = &shard](api::WindowPartial&& p) {
+          fold(*s, std::move(p));
+        });
   }
   if (config_.mode == EngineMode::live) {
     // After the estimators: their constructors validate the config.
+    link->forecaster = std::make_unique<live::RollingForecaster>(
+        link->live.forecast_max_order, link->live.forecast_history,
+        link->live.band_k_sigma);
     link->monitor = std::make_unique<live::AnomalyMonitor>(link->live);
   }
   link->waiting.resize(config_.shards);
@@ -407,7 +388,7 @@ void Engine::complete(Link& l, api::WindowPartial&& raw) {
   report.link = l.id;
   report.name = l.name;
   if (config_.mode == EngineMode::batch) {
-    report.interval = api::finalize_interval(l.analysis, std::move(raw));
+    report.interval = api::finalize_interval(l.live.analysis, raw);
   } else {
     report.window =
         live::fit_window_report(l.live, raw, *l.forecaster, *l.monitor);
@@ -467,7 +448,7 @@ EngineState Engine::save_state() {
     }
     if (l->attached) {
       for (const auto& s : l->shards) {
-        ss.shards.push_back(s.live->save_state());
+        ss.shards.push_back(s.estimator->save_state());
       }
       live::EstimatorState& first = ss.shards.front();
       first.forecast_history = l->forecaster->history();
@@ -527,7 +508,7 @@ void Engine::restore_state(const EngineState& state) {
     if (!l.attached) continue;
     for (std::size_t k = 0; k < l.shards.size(); ++k) {
       const live::EstimatorState& st = ss.shards[k];
-      l.shards[k].live->restore_state(st);  // validates the monitor fields
+      l.shards[k].estimator->restore_state(st);  // validates the monitor fields
       l.counters.flows += st.counters.flows;
       // Every shard was advanced to its link's clock before the snapshot.
       l.clock = std::max(l.clock, st.last_ts);

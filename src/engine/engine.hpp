@@ -8,22 +8,24 @@
 //
 // A real POP monitors dozens of backbone links from a single tap; the paper
 // models each link independently. Engine owns a set of LinkSpecs, demuxes
-// one packet stream to the links, and runs every link as batch analysis
-// (api::AnalysisPipeline) or live monitoring (live::WindowedEstimator),
-// with per-link config overrides layered over a base config.
+// one packet stream to the links, and runs every link as batch analysis or
+// live monitoring, with per-link config overrides layered over a base
+// config. Both modes run the same estimator, live::WindowedEstimator: a
+// batch link's windows tile the stream at its analysis interval
+// (live::batch_windows), so only the fit and the rendering differ by mode.
 //
 // A link is EngineConfig::shards = K flow-hash shards: each packet goes to
 // the shard api::flow_shard_of(tuple, link flow definition, K) names, and
-// every shard runs in partial mode. One fold per link adds the K
-// api::WindowPartials of window k in shard order and fits once:
+// every shard's estimator runs in partial mode. One fold per link adds the
+// K api::WindowPartials of window k in shard order and fits once:
 // api::finalize_interval, which drops windows below min_flows (batch), or
 // live::fit_window_report with the link's own forecaster and monitor
-// (live). Flows are independent
-// shots in the paper's model and every partial field is an exact sum, so a
-// link's reports are bit-for-bit identical at every K; K = 1 takes the same
-// path. Each shard is advanced to its link's clock (its newest packet) by a
-// result-neutral advance(now), so a shard that sees no packets cannot hold
-// back its link's reports or grow the fold.
+// (live). Flows are independent shots in the paper's model and every
+// partial field is an exact sum, so a link's reports are bit-for-bit
+// identical at every K; K = 1 takes the same path. Each shard is advanced
+// to its link's clock (its newest packet) by a result-neutral advance(now),
+// so a shard that sees no packets cannot hold back its link's reports or
+// grow the fold.
 //
 // Shards never own threads; the engine runs them on one core::WorkerPool.
 // With threads == 1 (the default) the pool is inline and report order is
@@ -36,11 +38,11 @@
 // save_state() or at finish().
 //
 // The contract the differential tests pin (tests/engine/): each link's
-// report stream is bit-for-bit identical to running the single-link
-// pipeline (api::analyze / live::WindowedEstimator) on that link's
-// pre-filtered packets, at every shard and thread count. Links can be
-// attached and detached at runtime: detach(id) finalizes the link at once
-// (its pending windows flush through the sink).
+// report stream is bit-for-bit identical to running one estimator
+// (api::analyze / live::WindowedEstimator) on that link's pre-filtered
+// packets, at every shard and thread count. Links can be attached and
+// detached at runtime: detach(id) finalizes the link at once (its pending
+// windows flush through the sink).
 #pragma once
 
 #include <cstdint>
@@ -52,7 +54,6 @@
 #include <string>
 #include <vector>
 
-#include "api/pipeline.hpp"
 #include "api/trace_source.hpp"
 #include "engine/link_spec.hpp"
 #include "live/live.hpp"
@@ -70,11 +71,10 @@ enum class EngineMode { batch, live };
 
 struct EngineConfig {
   EngineMode mode = EngineMode::batch;
-  /// Base analysis knobs for batch links (per-link tune_analysis layers on
-  /// a copy). batch_packets inside is ignored: the demux buffers have a
-  /// fixed size.
-  api::AnalysisConfig analysis;
-  /// Base configuration for live links (mode == live).
+  /// Base configuration of every link (per-link tune_live layers on a
+  /// copy). A batch link reads only `live.analysis`, whose interval_s sets
+  /// its tiling windows; batch_packets inside is ignored: the demux buffers
+  /// have a fixed size.
   live::LiveConfig live;
 
   /// Worker pool size. 1 = no threads, shards run inline on the caller;
@@ -111,8 +111,8 @@ using ReportSink = std::function<void(LinkReport&&)>;
 /// tagged with its link, instead of being fitted locally. agg::Merger folds
 /// partials across processes/hosts by link name and window index and fits
 /// once. Batch intervals and live windows share the api::WindowPartial
-/// carrier (batch counters stay zero; the batch report schema never shows
-/// them). Same threading contract as ReportSink.
+/// carrier (the batch report schema never shows its counters). Same
+/// threading contract as ReportSink.
 using PartialSink =
     std::function<void(LinkId, const std::string&, api::WindowPartial&&)>;
 

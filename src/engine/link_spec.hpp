@@ -28,7 +28,6 @@
 #include <variant>
 #include <vector>
 
-#include "api/pipeline.hpp"
 #include "live/live_config.hpp"
 #include "net/five_tuple.hpp"
 #include "net/ip.hpp"
@@ -73,8 +72,8 @@ using MatchRule = std::variant<MatchAll, MatchPrefixes, MatchTuple>;
 struct LinkSpec {
   std::string name;
   MatchRule rule = MatchAll{};
-  std::function<void(api::AnalysisConfig&)> tune_analysis;  ///< batch mode
-  std::function<void(live::LiveConfig&)> tune_live;         ///< live mode
+  /// Batch links read the tuned config's `analysis` only.
+  std::function<void(live::LiveConfig&)> tune_live;
 };
 
 /// Parses the tools' --link syntax: "NAME=PREFIX[,PREFIX...]" with CIDR

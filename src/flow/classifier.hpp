@@ -327,8 +327,8 @@ class FlowClassifier {
   /// near enough that the line is still resident when the probe runs.
   static constexpr std::size_t kPrefetchAhead = 8;
 
-  /// Canonical interval index: floor division, matching api::interval_index_of
-  /// and stats::group_by_interval. Floor — not truncation toward zero — so
+  /// Canonical interval index: floor division, matching
+  /// flow::group_by_interval. Floor — not truncation toward zero — so
   /// negative timestamps land in negative intervals instead of folding into
   /// index 0 and never splitting at the t=0 boundary.
   [[nodiscard]] std::int64_t interval_index(double ts) const {

@@ -5,10 +5,11 @@
 // covers [k*stride, k*stride + window)). stride == window tiles the stream,
 // stride < window overlaps (each packet feeds ceil(window/stride) windows),
 // stride > window leaves unmonitored gaps — all three are legal. Per window
-// the paper's flow-level parameters are re-derived exactly as a batch fit on
-// that window's packets would, so the analysis knobs are the familiar
-// api::AnalysisConfig (its interval_s is ignored: the window itself is the
-// analysis interval, and flows are never boundary-split inside one).
+// the paper's flow-level parameters are re-derived from that window's
+// packets alone, so the analysis knobs are the familiar api::AnalysisConfig.
+// A batch run is the tiling case: batch_windows() turns an AnalysisConfig
+// into windows of stride = width = its interval_s. Outside that, interval_s
+// is unused; the window is the analysis interval.
 #pragma once
 
 #include <cmath>
@@ -20,9 +21,9 @@
 namespace fbm::live {
 
 struct LiveConfig {
-  /// Flow definition, idle timeout, Delta, epsilon, shot-b policy, expiry
-  /// cadence, reserve-ahead and the read batch size come from here;
-  /// interval_s and threads are ignored by the live path.
+  /// Flow definition, idle timeout, Delta, epsilon, shot-b policy,
+  /// min_flows (batch reports) and the read batch size come from here;
+  /// interval_s only through batch_windows().
   api::AnalysisConfig analysis;
 
   double window_s = 60.0;  ///< window width
@@ -82,5 +83,15 @@ struct LiveConfig {
     }
   }
 };
+
+/// A batch run as windows: one tiling window per analysis interval
+/// (stride = width = analysis.interval_s()).
+[[nodiscard]] inline LiveConfig batch_windows(
+    const api::AnalysisConfig& analysis) {
+  LiveConfig config;
+  config.analysis = analysis;
+  config.window_s = analysis.interval_s();
+  return config;
+}
 
 }  // namespace fbm::live

@@ -2,12 +2,24 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <stdexcept>
 #include <utility>
 
 #include "obs/catalog.hpp"
 
 namespace fbm::live {
+
+namespace {
+
+[[noreturn]] void throw_negative_timestamp(double ts) {
+  char text[80];
+  std::snprintf(text, sizeof text,
+                "WindowedEstimator: negative timestamp %.17g", ts);
+  throw std::invalid_argument(text);
+}
+
+}  // namespace
 
 WindowReport fit_window_report(const LiveConfig& config,
                                const WindowPartial& raw,
@@ -167,9 +179,7 @@ void WindowedEstimator::push_batch(const net::PacketBatch& batch) {
   const std::uint32_t* sizes = batch.sizes.data();
   const std::size_t n = batch.size();
   net::check_order(batch.timestamps, last_ts_, "WindowedEstimator");
-  if (ts[0] < 0.0) {
-    throw std::invalid_argument("WindowedEstimator: negative timestamp");
-  }
+  if (ts[0] < 0.0) throw_negative_timestamp(ts[0]);
 
   if (last_ts_ == -std::numeric_limits<double>::infinity()) {
     next_expire_ = ts[0] + api::kExpireEveryS;

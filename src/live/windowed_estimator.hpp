@@ -1,20 +1,26 @@
-// Sliding-window online estimation (fbm::live, the tentpole).
+// Sliding-window estimation (fbm::live): the one estimator of the paper's
+// parameters, batch and live.
 //
 // WindowedEstimator consumes an unbounded packet stream (any
 // api::TraceSource, or push_batch() by hand) and re-derives the paper's
-// flow-level parameters per sliding window with bounded state: each of the
+// flow-level parameters per window with bounded state: each of the
 // ceil(window/stride) concurrently open windows owns a flow classifier
 // (idle-timeout semantics, no boundary splitting — the window IS the
 // analysis interval), its exact completed-flow sums and exact Delta byte
 // bins. A window closes the moment the stream clock passes its end: the
 // classifier flushes into the sums (and, reset, serves the next window
-// that opens), and api::fit_window — the same function
-// api::finalize_interval closes batch intervals through — produces the
-// parameters. Replaying a finished trace therefore
-// reproduces, bit for bit, what a batch fit restricted to each window's
-// packets computes in isolation (tests/live/test_windowed_differential.cpp
-// proves it against the independent batch primitives and against
-// api::analyze for tiling windows).
+// that opens), and api::fit_window produces the parameters. Replaying a
+// finished trace therefore reproduces, bit for bit, what a batch fit
+// restricted to each window's packets computes in isolation
+// (tests/live/test_windowed_differential.cpp proves it against the
+// independent batch primitives).
+//
+// That is the causal boundary rule: a flow crossing a window edge is
+// re-derived in every window that saw its packets, and a one-packet piece
+// at an edge is a single-packet flow there, discarded. A batch analysis
+// interval is a tiling window (live::batch_windows): api::analyze and the
+// engine's batch links run this estimator in partial mode and fit each
+// closed window with api::finalize_interval instead of fit_window_report.
 //
 // On top of the per-window fit, a RollingForecaster predicts each next
 // window's mean rate with a confidence band and an AnomalyMonitor flags

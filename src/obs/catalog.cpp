@@ -38,42 +38,6 @@ Histogram& stage_seconds(const std::string& stage) {
   });
 }
 
-Counter& classify_packets() {
-  static Counter& c = reg().counter(
-      {.name = "fbm_classify_packets_total",
-       .help = "Packets classified into flows",
-       .unit = "packets",
-       .stage = kStageClassify});
-  return c;
-}
-
-Counter& flows_emitted() {
-  static Counter& c = reg().counter(
-      {.name = "fbm_flows_emitted_total",
-       .help = "Flows emitted to the rate binner",
-       .unit = "flows",
-       .stage = kStageClassify});
-  return c;
-}
-
-Counter& flows_discarded() {
-  static Counter& c = reg().counter(
-      {.name = "fbm_flows_discarded_total",
-       .help = "Single-packet flows discarded (paper filtering rule)",
-       .unit = "flows",
-       .stage = kStageClassify});
-  return c;
-}
-
-Counter& flow_boundary_splits() {
-  static Counter& c = reg().counter(
-      {.name = "fbm_flow_boundary_splits_total",
-       .help = "Flow pieces created by interval-boundary splitting",
-       .unit = "flows",
-       .stage = kStageClassify});
-  return c;
-}
-
 Gauge& flow_table_active(const std::string& pipeline) {
   static std::mutex mu;
   static std::map<std::string, Gauge*> cache;

@@ -68,15 +68,7 @@ class StageSpan {
 };
 
 // --- classify -------------------------------------------------------------
-/// Packets classified (all pipelines, added at batch and sweep cadence).
-[[nodiscard]] Counter& classify_packets();
-/// Flows emitted to the rate binner.
-[[nodiscard]] Counter& flows_emitted();
-/// Single-packet flows discarded per the paper's filtering rule.
-[[nodiscard]] Counter& flows_discarded();
-/// Flow pieces created by analysis-interval boundary splitting.
-[[nodiscard]] Counter& flow_boundary_splits();
-/// Flow-table occupancy / geometry, refreshed at flush/sweep cadence.
+/// Flow-table occupancy / geometry, refreshed at expiry cadence.
 [[nodiscard]] Gauge& flow_table_active(const std::string& pipeline);
 [[nodiscard]] Gauge& flow_table_load_factor(const std::string& pipeline);
 [[nodiscard]] Gauge& flow_table_avg_probe(const std::string& pipeline);

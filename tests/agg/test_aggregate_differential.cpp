@@ -85,29 +85,25 @@ api::AnalysisConfig batch_config(api::FlowDefinition def,
   return cfg;
 }
 
-/// Single-machine reference: the ordinary serial pipeline over the whole
-/// trace, rendered exactly as `fbm_analyze --json` renders it.
+/// Single-machine reference: one serial estimator over the whole trace,
+/// rendered exactly as `fbm_analyze --json` renders it.
 std::string batch_reference(const api::AnalysisConfig& config,
                             const std::vector<net::PacketRecord>& packets) {
-  api::AnalysisPipeline pipeline(config);
-  const auto reports = testsupport::collect(pipeline);
-  push_all(pipeline, packets);
-  pipeline.finish();
-  return api::to_json(pipeline.summary(), reports->take());
+  return api::to_json(summarize(packets), api::analyze(packets, config));
 }
 
-/// One shard producer: pushes `packets` through a pipeline with a partial
-/// sink, writes one partial file.
+/// One shard producer: pushes `packets` through an estimator of tiling
+/// batch windows with a partial sink, writes one partial file.
 void produce_batch_partial(const api::AnalysisConfig& config,
                            const std::vector<net::PacketRecord>& packets,
                            const std::filesystem::path& path) {
-  api::AnalysisPipeline pipeline(config);
+  live::WindowedEstimator estimator(live::batch_windows(config));
   agg::PartialWriter writer(path, agg::PartialMeta::from_batch(config));
-  pipeline.set_partial_sink(
+  estimator.set_partial_sink(
       [&](api::WindowPartial&& iv) { writer.add(0, iv); });
-  push_all(pipeline, packets);
-  pipeline.finish();
-  writer.finish({pipeline.summary(), {}});
+  push_all(estimator, packets);
+  estimator.finish();
+  writer.finish({summarize(packets), {}});
 }
 
 std::string merge_files(std::size_t count) {
@@ -147,7 +143,7 @@ TEST(AggregateDifferential, ShardedProducersMergeByteIdentical) {
 
   {
     engine::EngineConfig ec;
-    ec.analysis = config;
+    ec.live.analysis = config;
     ec.shards = 3;
     ec.threads = 3;
     agg::PartialWriter writer(temp_partial(0),
@@ -281,7 +277,7 @@ TEST(AggregateDifferential, LiveSplitsMergeByteIdentical) {
 }
 
 /// One producer's partial file, in memory: the shard's windows (batch
-/// intervals or live windows) as its pipeline emitted them.
+/// intervals or live windows) as its estimator emitted them.
 agg::PartialFile produce_in_memory(
     bool live_mode, api::FlowDefinition def,
     const std::vector<net::PacketRecord>& shard) {
@@ -298,10 +294,10 @@ agg::PartialFile produce_in_memory(
     estimator.finish();
   } else {
     file.meta = agg::PartialMeta::from_batch(batch_config(def));
-    api::AnalysisPipeline pipeline(batch_config(def));
-    pipeline.set_partial_sink(collect);
-    push_all(pipeline, shard);
-    pipeline.finish();
+    live::WindowedEstimator estimator(live::batch_windows(batch_config(def)));
+    estimator.set_partial_sink(collect);
+    push_all(estimator, shard);
+    estimator.finish();
   }
   return file;
 }
@@ -370,7 +366,7 @@ TEST(AggregateDifferential, EngineBatchSplitsMergeByteIdentical) {
 
   engine::EngineConfig config;
   config.mode = engine::EngineMode::batch;
-  config.analysis = analysis;
+  config.live.analysis = analysis;
 
   // Reference: one engine over the whole trace, fitted locally.
   std::string reference;

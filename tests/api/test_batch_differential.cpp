@@ -1,6 +1,7 @@
 // Differential harness for the batched SoA hot path: every stage's one
-// entry point (AnalysisPipeline::push_batch at every thread count,
-// live::WindowedEstimator::push_batch, engine::Engine::push_batch) must give bit for bit the same output at every
+// entry point (live::WindowedEstimator::push_batch with tiling batch
+// intervals and with live windows, engine::Engine::push_batch in batch mode
+// at every thread count) must give bit for bit the same output at every
 // batch size as a run fed one packet per batch — across flow definitions,
 // thread counts {1, 2, 4}, batch sizes {1, 7, 1024}, random split points,
 // tiling, overlapping and gapped windows, and the awkward edge packets
@@ -78,21 +79,8 @@ std::vector<net::PacketRecord> edge_trace() {
 
 api::AnalysisConfig edge_config() {
   api::AnalysisConfig config;
-  config.interval_s(15.0).timeout_s(1.0).min_flows(0).keep_flows(true);
+  config.interval_s(15.0).timeout_s(1.0).min_flows(0);
   return config;
-}
-
-void expect_flows_identical(const std::vector<flow::FlowRecord>& a,
-                            const std::vector<flow::FlowRecord>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    SCOPED_TRACE("flow " + std::to_string(i));
-    EXPECT_EQ(a[i].start, b[i].start);
-    EXPECT_EQ(a[i].end, b[i].end);
-    EXPECT_EQ(a[i].size_bytes, b[i].size_bytes);
-    EXPECT_EQ(a[i].packets, b[i].packets);
-    EXPECT_EQ(a[i].continued, b[i].continued);
-  }
 }
 
 void expect_reports_identical(const std::vector<api::AnalysisReport>& a,
@@ -106,7 +94,6 @@ void expect_reports_identical(const std::vector<api::AnalysisReport>& a,
     EXPECT_EQ(a[i].inputs.lambda, b[i].inputs.lambda);
     EXPECT_EQ(a[i].inputs.mean_size_bits, b[i].inputs.mean_size_bits);
     EXPECT_EQ(a[i].inputs.mean_s2_over_d, b[i].inputs.mean_s2_over_d);
-    EXPECT_EQ(a[i].continued_flows, b[i].continued_flows);
     EXPECT_EQ(a[i].measured.samples, b[i].measured.samples);
     EXPECT_EQ(a[i].measured.mean_bps, b[i].measured.mean_bps);
     EXPECT_EQ(a[i].measured.variance_bps2, b[i].measured.variance_bps2);
@@ -114,29 +101,32 @@ void expect_reports_identical(const std::vector<api::AnalysisReport>& a,
     EXPECT_EQ(a[i].shot_b_used, b[i].shot_b_used);
     EXPECT_EQ(a[i].model_cov, b[i].model_cov);
     EXPECT_EQ(a[i].plan.capacity_bps, b[i].plan.capacity_bps);
-    expect_flows_identical(a[i].interval.flows, b[i].interval.flows);
   }
 }
 
+/// The interval reports of `packets` through one estimator of tiling
+/// windows, fed `batch_size` packets at a time.
+std::vector<api::AnalysisReport> intervals_of(
+    const std::vector<net::PacketRecord>& packets,
+    const api::AnalysisConfig& config, std::size_t batch_size) {
+  live::WindowedEstimator estimator(live::batch_windows(config));
+  const auto reports = testsupport::collect_intervals(estimator, config);
+  push_all(estimator, packets, batch_size);
+  estimator.finish();
+  return reports->take();
+}
+
 /// One-packet-per-batch reference vs push_batch at every batch size, for
-/// the pipeline itself and for an engine link of 2 and 4 flow-hash shards
+/// the estimator itself and for an engine link of 2 and 4 flow-hash shards
 /// on as many workers.
 void expect_batched_matches_per_packet(
     const std::vector<net::PacketRecord>& packets,
     const api::AnalysisConfig& config) {
-  api::AnalysisPipeline reference(config);
-  const auto reference_reports = testsupport::collect(reference);
-  push_all(reference, packets, 1);
-  reference.finish();
-  const auto expected = reference_reports->take();
-
+  const auto expected = intervals_of(packets, config, 1);
   for (const std::size_t batch_size : kBatchSizes) {
     SCOPED_TRACE("batch " + std::to_string(batch_size));
-    api::AnalysisPipeline pipeline(config);
-    const auto pipeline_reports = testsupport::collect(pipeline);
-    push_all(pipeline, packets, batch_size);
-    pipeline.finish();
-    expect_reports_identical(expected, pipeline_reports->take());
+    expect_reports_identical(expected,
+                             intervals_of(packets, config, batch_size));
     for (const std::size_t shards : {2u, 4u}) {
       SCOPED_TRACE(std::to_string(shards) + " shards");
       expect_reports_identical(
@@ -148,7 +138,7 @@ void expect_batched_matches_per_packet(
 
 TEST(BatchDifferential, FiveTupleSeededTrace) {
   api::AnalysisConfig config;
-  config.interval_s(15.0).timeout_s(1.0).keep_flows(true);
+  config.interval_s(15.0).timeout_s(1.0);
   expect_batched_matches_per_packet(seeded_trace(), config);
 }
 
@@ -156,8 +146,7 @@ TEST(BatchDifferential, Prefix24SeededTrace) {
   api::AnalysisConfig config;
   config.flow_definition(api::FlowDefinition::prefix24)
       .interval_s(20.0)
-      .timeout_s(1.0)
-      .keep_flows(true);
+      .timeout_s(1.0);
   expect_batched_matches_per_packet(seeded_trace(45.0, 6e6, 31), config);
 }
 
@@ -331,7 +320,7 @@ TEST(BatchDifferential, EngineMultiLinkAcrossThreadsAndBatchSizes) {
 
   engine::EngineConfig base;
   base.mode = engine::EngineMode::batch;
-  base.analysis.interval_s(10.0).timeout_s(1.0).min_flows(0);
+  base.live.analysis.interval_s(10.0).timeout_s(1.0).min_flows(0);
 
   const auto attach_links = [](engine::Engine& eng) {
     (void)eng.attach(engine::parse_link_spec("agg=all"));

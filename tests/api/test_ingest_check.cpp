@@ -72,16 +72,17 @@ std::string run(Stage stage, const std::vector<net::PacketRecord>& packets,
   };
   switch (stage) {
     case Stage::pipeline: {
-      api::AnalysisPipeline p(analysis_config());
-      const auto reports = testsupport::collect(p);
+      live::WindowedEstimator p(live::batch_windows(analysis_config()));
+      const auto reports =
+          testsupport::collect_intervals(p, analysis_config());
       drive(p);
       for (const auto& r : reports->take()) out += api::to_json(r) + "\n";
-      out += std::to_string(p.summary().packets);
+      out += std::to_string(p.counters().packets);
       break;
     }
     case Stage::parallel: {
       engine::EngineConfig ec;
-      ec.analysis = analysis_config();
+      ec.live.analysis = analysis_config();
       ec.shards = 2;
       ec.threads = 2;
       engine::Engine e(ec);
@@ -188,15 +189,14 @@ TEST(IngestCheckFile, ConsumeThrowsOnTrailingInfinity) {
 
   {
     api::FileTraceSource source(path);
-    api::AnalysisPipeline p(analysis_config());
-    (void)testsupport::collect(p);
-    EXPECT_THROW(p.consume(source), std::invalid_argument)
-        << "sequential pipeline";
+    EXPECT_THROW((void)api::analyze(source, analysis_config()),
+                 std::invalid_argument)
+        << "api::analyze";
   }
   {
     api::FileTraceSource source(path);
     engine::EngineConfig ec;
-    ec.analysis = analysis_config();
+    ec.live.analysis = analysis_config();
     ec.shards = 2;
     ec.threads = 2;
     engine::Engine e(ec);

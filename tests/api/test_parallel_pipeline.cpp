@@ -1,13 +1,14 @@
 // Differential determinism harness: one engine link cut into K flow-hash
-// shards (EngineConfig::shards, folded per window) must reproduce the
-// single AnalysisPipeline bit for bit — every report field, for every shard
-// count, inline and threaded pools, both flow definitions, any packet
-// batching, and across the awkward cases (interval-boundary splits, timeout
-// expiry, equal timestamps, single-packet discards, empty leading
+// shards (EngineConfig::shards, folded per window) must reproduce a single
+// estimator (api::analyze) bit for bit — every report field, for every
+// shard count, inline and threaded pools, both flow definitions, any packet
+// batching, and across the awkward cases (flows crossing an interval edge,
+// timeout expiry, equal timestamps, single-packet discards, empty leading
 // intervals).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "../support/collect.hpp"
@@ -15,7 +16,7 @@
 #include "../support/sharded.hpp"
 #include "api/api.hpp"
 #include "api/shard.hpp"
-#include "flow/classifier.hpp"
+#include "live/windowed_estimator.hpp"
 #include "trace/synthetic.hpp"
 
 namespace fbm {
@@ -38,19 +39,6 @@ std::vector<net::PacketRecord> seeded_trace(double duration_s = 60.0,
   return trace::generate_packets(cfg);
 }
 
-void expect_flows_identical(const std::vector<flow::FlowRecord>& a,
-                            const std::vector<flow::FlowRecord>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    SCOPED_TRACE("flow " + std::to_string(i));
-    EXPECT_EQ(a[i].start, b[i].start);
-    EXPECT_EQ(a[i].end, b[i].end);
-    EXPECT_EQ(a[i].size_bytes, b[i].size_bytes);
-    EXPECT_EQ(a[i].packets, b[i].packets);
-    EXPECT_EQ(a[i].continued, b[i].continued);
-  }
-}
-
 /// Every field of every report, compared with exact (bitwise for doubles)
 /// equality — a sharded link promises identity, not closeness.
 void expect_reports_identical(const std::vector<api::AnalysisReport>& serial,
@@ -68,7 +56,6 @@ void expect_reports_identical(const std::vector<api::AnalysisReport>& serial,
     EXPECT_EQ(s.inputs.lambda, p.inputs.lambda);
     EXPECT_EQ(s.inputs.mean_size_bits, p.inputs.mean_size_bits);
     EXPECT_EQ(s.inputs.mean_s2_over_d, p.inputs.mean_s2_over_d);
-    EXPECT_EQ(s.continued_flows, p.continued_flows);
 
     EXPECT_EQ(s.measured.samples, p.measured.samples);
     EXPECT_EQ(s.measured.mean_bps, p.measured.mean_bps);
@@ -88,8 +75,6 @@ void expect_reports_identical(const std::vector<api::AnalysisReport>& serial,
     EXPECT_EQ(s.plan.capacity_bps, p.plan.capacity_bps);
     EXPECT_EQ(s.plan.headroom, p.plan.headroom);
     EXPECT_EQ(s.plan.eps, p.plan.eps);
-
-    expect_flows_identical(s.interval.flows, p.interval.flows);
   }
 }
 
@@ -111,7 +96,7 @@ void expect_differential(const std::vector<net::PacketRecord>& packets,
 
 TEST(ParallelDifferential, FiveTupleAcrossThreadCounts) {
   api::AnalysisConfig config;
-  config.interval_s(15.0).timeout_s(1.0).keep_flows(true);
+  config.interval_s(15.0).timeout_s(1.0);
   expect_differential(seeded_trace(), config);
 }
 
@@ -119,8 +104,7 @@ TEST(ParallelDifferential, Prefix24AcrossThreadCounts) {
   api::AnalysisConfig config;
   config.flow_definition(api::FlowDefinition::prefix24)
       .interval_s(20.0)
-      .timeout_s(1.0)
-      .keep_flows(true);
+      .timeout_s(1.0);
   expect_differential(seeded_trace(60.0, 6e6, 99), config);
 }
 
@@ -129,14 +113,14 @@ TEST(ParallelDifferential, PaperTimeoutWholeTraceInterval) {
   // timeout — nothing expires before the final flush, so the merge happens
   // entirely at finish().
   api::AnalysisConfig config;
-  config.interval_s(40.0).timeout_s(60.0).keep_flows(true);
+  config.interval_s(40.0).timeout_s(60.0);
   expect_differential(seeded_trace(40.0, 10e6, 7), config);
 }
 
 TEST(ParallelDifferential, BatchSizeDoesNotChangeResults) {
   const auto packets = seeded_trace(30.0, 6e6, 11);
   api::AnalysisConfig config;
-  config.interval_s(10.0).timeout_s(1.0).keep_flows(true);
+  config.interval_s(10.0).timeout_s(1.0);
   const auto serial = api::analyze(packets, config);
   ASSERT_FALSE(serial.empty());
   for (const std::size_t batch : {1u, 3u, 64u, 4096u}) {
@@ -147,7 +131,7 @@ TEST(ParallelDifferential, BatchSizeDoesNotChangeResults) {
 }
 
 TEST(ParallelDifferential, HandCraftedBoundaryAndTimeoutEdges) {
-  // Flow A straddles the interval boundary (split, continuation piece);
+  // Flow A straddles the interval boundary (a one-packet piece each side);
   // flow B goes idle past the timeout mid-interval and restarts (two
   // flows); flow C is a single packet (discarded, bytes subtracted from the
   // rate bins); flows D/E share one timestamp (tie-broken sort); nothing
@@ -186,8 +170,7 @@ TEST(ParallelDifferential, HandCraftedBoundaryAndTimeoutEdges) {
     config.flow_definition(def)
         .interval_s(10.0)
         .timeout_s(2.0)
-        .delta_s(0.5)
-        .keep_flows(true);
+        .delta_s(0.5);
     expect_differential(packets, config);
   }
 }
@@ -235,8 +218,8 @@ TEST(ParallelSummary, MatchesSerialAndTraceTotals) {
   api::AnalysisConfig config;
   config.interval_s(10.0).timeout_s(1.0);
 
-  api::AnalysisPipeline serial(config);
-  const auto serial_reports = collect(serial);
+  live::WindowedEstimator serial(live::batch_windows(config));
+  const auto serial_reports = testsupport::collect_intervals(serial, config);
   push_all(serial, packets);
   serial.finish();
 
@@ -245,10 +228,12 @@ TEST(ParallelSummary, MatchesSerialAndTraceTotals) {
   push_all(*par, packets);
   par->finish();
 
-  EXPECT_EQ(par->summary().packets, serial.summary().packets);
-  EXPECT_EQ(par->summary().total_bytes, serial.summary().total_bytes);
-  EXPECT_EQ(par->summary().first_ts, serial.summary().first_ts);
-  EXPECT_EQ(par->summary().last_ts, serial.summary().last_ts);
+  std::uint64_t total_bytes = 0;
+  for (const auto& p : packets) total_bytes += p.size_bytes;
+  EXPECT_EQ(par->summary().packets, packets.size());
+  EXPECT_EQ(par->summary().total_bytes, total_bytes);
+  EXPECT_EQ(par->summary().first_ts, packets.front().timestamp);
+  EXPECT_EQ(par->summary().last_ts, packets.back().timestamp);
 
   // The link's counters sum its shards: every packet routed, every
   // completed flow counted once, and one report per interval.
@@ -256,26 +241,28 @@ TEST(ParallelSummary, MatchesSerialAndTraceTotals) {
   ASSERT_EQ(links.size(), 1u);
   const auto& sc = serial.counters();
   EXPECT_EQ(links[0].counters.packets, sc.packets);
-  EXPECT_EQ(links[0].counters.flows, sc.flows_emitted);
+  EXPECT_EQ(links[0].counters.bytes, sc.bytes);
+  EXPECT_EQ(links[0].counters.flows, sc.flows);
   EXPECT_EQ(links[0].counters.reports, serial_reports->size());
   EXPECT_EQ(serial.active_flows(), 0u);
 }
 
 TEST(ParallelConfig, RejectsBadParameters) {
   engine::EngineConfig config;
-  config.analysis.timeout_s(0.0);
+  config.live.analysis.timeout_s(0.0);
   config.shards = 4;
   engine::Engine eng(config);
   EXPECT_THROW((void)eng.attach(engine::parse_link_spec("all=*")),
                std::invalid_argument);
   // shards = 0 is not bad — it auto-detects the core count (see
   // test_threads_auto.cpp).
-  config.analysis.timeout_s(1.0);
+  config.live.analysis.timeout_s(1.0);
   config.shards = 0;
   EXPECT_NO_THROW(engine::Engine{config});
   config.shards = api::kMaxThreads + 1;
   EXPECT_THROW(engine::Engine{config}, std::invalid_argument);
-  EXPECT_THROW(api::AnalysisPipeline(api::AnalysisConfig{}.batch_packets(0)),
+  EXPECT_THROW((void)api::analyze(std::span<const net::PacketRecord>{},
+                                  api::AnalysisConfig{}.batch_packets(0)),
                std::invalid_argument);
 }
 

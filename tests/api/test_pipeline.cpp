@@ -1,5 +1,8 @@
-// The streaming AnalysisPipeline must reproduce the batch path bit-for-bit
-// and hold only a bounded window of state while doing so.
+// api::analyze runs one estimator of tiling windows (live::batch_windows).
+// It must reproduce, bit for bit, a batch fit of each interval's packets in
+// isolation built from the flow and measure primitives; differ from the
+// paper's offline rule only in one-packet pieces of flows at interval
+// edges; and hold only a bounded window of state while streaming.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,17 +13,19 @@
 
 #include "../support/collect.hpp"
 #include "../support/push.hpp"
+#include "../support/sharded.hpp"
 #include "api/api.hpp"
 #include "core/fitting.hpp"
 #include "flow/classifier.hpp"
 #include "flow/interval.hpp"
+#include "live/windowed_estimator.hpp"
 #include "measure/rate_meter.hpp"
 #include "trace/synthetic.hpp"
 
 namespace fbm {
 namespace {
 
-using testsupport::collect;
+using testsupport::collect_intervals;
 using testsupport::push_all;
 using testsupport::push_one;
 
@@ -35,27 +40,36 @@ std::vector<net::PacketRecord> seeded_trace(double duration_s = 60.0,
   return trace::generate_packets(cfg);
 }
 
-/// The pre-api batch pipeline, verbatim: classify everything, sort, group,
-/// estimate, measure, fit.
 struct BatchInterval {
   flow::ModelInputs inputs;
   measure::RateMoments measured;
   std::optional<double> shot_b;
 };
 
+/// The batch fit of each interval's packets alone, from the primitives:
+/// classify, group, estimate, measure, fit.
 template <typename Key>
 std::vector<BatchInterval> batch_path(
     const std::vector<net::PacketRecord>& packets, double interval_s,
     double horizon_s, double timeout_s, double delta_s) {
   flow::ClassifierOptions opt;
   opt.timeout = timeout_s;
-  opt.interval = interval_s;
   opt.record_discards = true;
-  flow::FlowClassifier<Key> classifier(opt);
-  for (const auto& p : packets) classifier.add(p);
-  classifier.flush();
-  const auto& discards = classifier.discards();
-  auto flows = classifier.take_flows();
+  std::vector<flow::FlowRecord> flows;
+  std::vector<flow::DiscardedPacket> discards;
+  for (std::int64_t k = 0; static_cast<double>(k) * interval_s < horizon_s;
+       ++k) {
+    const double start = static_cast<double>(k) * interval_s;
+    flow::FlowClassifier<Key> classifier(opt);
+    for (const auto& p : packets) {
+      if (p.timestamp >= start && p.timestamp < start + interval_s) {
+        classifier.add(p);
+      }
+    }
+    classifier.flush();
+    for (const auto& f : classifier.take_flows()) flows.push_back(f);
+    for (const auto& d : classifier.take_discards()) discards.push_back(d);
+  }
   std::sort(flows.begin(), flows.end(), flow::ByStart{});
 
   std::vector<BatchInterval> out;
@@ -141,47 +155,84 @@ TEST(PipelineEquality, LongTimeoutSingleInterval) {
   expect_identical(batch, streamed);
 }
 
+TEST(PipelineEquality, OfflineRuleKeepsOnlyOnePacketEdgePiecesMore) {
+  // The paper's offline rule keeps a one-packet piece of a flow split at an
+  // interval edge; an interval that reports when it closes cannot know the
+  // flow continued and drops the piece as a single-packet flow. Dropping
+  // the offline rule's one-packet pieces therefore gives analyze()'s flow
+  // population, bit for bit.
+  const auto packets = seeded_trace();
+  const double interval_s = 10.0;
+  const double timeout_s = 10.0;
+  flow::ClassifierOptions opt;
+  opt.timeout = timeout_s;
+  opt.interval = interval_s;
+  const auto flows = flow::classify_all<flow::FiveTupleKey>(packets, opt);
+
+  api::AnalysisConfig config;
+  config.interval_s(interval_s).timeout_s(timeout_s);
+  const auto streamed = api::analyze(packets, config);
+  const auto offline = flow::group_by_interval(flows, interval_s, 60.0);
+  ASSERT_EQ(streamed.size(), offline.size());
+  std::size_t one_packet_pieces = 0;
+  for (std::size_t i = 0; i < streamed.size(); ++i) {
+    SCOPED_TRACE(i);
+    flow::IntervalData multi{offline[i].start, offline[i].length, {}};
+    for (const auto& f : offline[i].flows) {
+      if (f.packets >= 2) {
+        multi.flows.push_back(f);
+      } else {
+        ++one_packet_pieces;
+      }
+    }
+    const auto inputs = flow::estimate_inputs(multi);
+    EXPECT_EQ(inputs.flows, streamed[i].inputs.flows);
+    EXPECT_EQ(inputs.lambda, streamed[i].inputs.lambda);
+    EXPECT_EQ(inputs.mean_size_bits, streamed[i].inputs.mean_size_bits);
+    EXPECT_EQ(inputs.mean_s2_over_d, streamed[i].inputs.mean_s2_over_d);
+  }
+  // Flows straddle interval edges, so the relationship is exercised.
+  EXPECT_GT(one_packet_pieces, 0u);
+}
+
 TEST(PipelineStreaming, ReportsEmittedIncrementally) {
   const auto packets = seeded_trace();
-  api::AnalysisPipeline pipeline(
-      api::AnalysisConfig{}.interval_s(10.0).timeout_s(1.0));
-  const auto reports = collect(pipeline);
+  const auto config = api::AnalysisConfig{}.interval_s(10.0).timeout_s(1.0);
+  live::WindowedEstimator estimator(live::batch_windows(config));
+  const auto reports = collect_intervals(estimator, config);
 
   std::size_t emitted_mid_stream = 0;
   for (const auto& p : packets) {
-    push_one(pipeline, p);
+    push_one(estimator, p);
     for (const auto& r : reports->take()) {
       EXPECT_EQ(r.interval_index, emitted_mid_stream);
-      // Never early: interval k closes only after the clock passes its end
-      // by more than the flow timeout.
-      EXPECT_GT(p.timestamp, r.start_s + r.length_s + 1.0);
+      // Never early: interval k closes once the clock reaches its end.
+      EXPECT_GE(p.timestamp, r.start_s + r.length_s);
       ++emitted_mid_stream;
     }
   }
-  // A 60 s trace with 10 s intervals: at least the first four intervals
-  // must have been reported before end of stream.
-  EXPECT_GE(emitted_mid_stream, 4u);
-  pipeline.finish();
-  const auto rest = reports->take();
-  EXPECT_EQ(emitted_mid_stream + rest.size(), 6u);
+  // A 60 s trace with 10 s intervals: every interval but the last is
+  // reported before end of stream.
+  EXPECT_EQ(emitted_mid_stream, 5u);
+  estimator.finish();
+  EXPECT_EQ(reports->take().size(), 1u);
 }
 
 TEST(PipelineStreaming, MemoryBoundedByWindow) {
   const auto packets = seeded_trace();
-  api::AnalysisPipeline pipeline(
-      api::AnalysisConfig{}.interval_s(5.0).timeout_s(1.0));
-  const auto reports = collect(pipeline);
+  const auto config = api::AnalysisConfig{}.interval_s(5.0).timeout_s(1.0);
+  live::WindowedEstimator estimator(live::batch_windows(config));
+  const auto reports = collect_intervals(estimator, config);
 
   std::size_t max_open = 0;
   for (const auto& p : packets) {
-    push_one(pipeline, p);
-    max_open = std::max(max_open, pipeline.open_intervals());
+    push_one(estimator, p);
+    max_open = std::max(max_open, estimator.open_windows());
     (void)reports->take();  // a consumer drains as it goes
   }
-  // Closing lags the clock by timeout + expire cadence, so at most the
-  // current interval plus ~ceil((timeout + cadence) / interval) stay open —
-  // never all 12 of a 60 s trace.
-  EXPECT_LE(max_open, 3u);
+  // Tiling windows close the moment the clock passes their end: one
+  // interval is open at a time, never all 12 of a 60 s trace.
+  EXPECT_EQ(max_open, 1u);
 }
 
 TEST(PipelineConfig, MinFlowsFiltersThinIntervals) {
@@ -202,28 +253,31 @@ TEST(PipelineConfig, FixedShotSkipsFit) {
 }
 
 TEST(PipelineConfig, RejectsBadParameters) {
-  EXPECT_THROW(api::AnalysisPipeline(api::AnalysisConfig{}.timeout_s(0.0)),
-               std::invalid_argument);
-  EXPECT_THROW(api::AnalysisPipeline(api::AnalysisConfig{}.interval_s(-1.0)),
-               std::invalid_argument);
-  EXPECT_THROW(api::AnalysisPipeline(api::AnalysisConfig{}.epsilon(1.5)),
-               std::invalid_argument);
-  EXPECT_THROW(api::AnalysisPipeline(api::AnalysisConfig{}.delta_s(
-                   std::numeric_limits<double>::infinity())),
-               std::invalid_argument);
+  const std::vector<net::PacketRecord> none;
+  for (const auto& bad :
+       {api::AnalysisConfig{}.timeout_s(0.0),
+        api::AnalysisConfig{}.interval_s(-1.0),
+        api::AnalysisConfig{}.epsilon(1.5),
+        api::AnalysisConfig{}.delta_s(
+            std::numeric_limits<double>::infinity())}) {
+    EXPECT_THROW((void)api::analyze(none, bad), std::invalid_argument);
+    EXPECT_THROW((void)testsupport::sharded_engine(bad, 1, 1),
+                 std::invalid_argument);
+  }
   // A finite Delta too small for the interval's bin grid is refused when
   // the first interval opens.
-  api::AnalysisPipeline tiny(api::AnalysisConfig{}.delta_s(1e-300));
-  (void)collect(tiny);
-  EXPECT_THROW(push_one(tiny, {0.0, {}, 100}), std::invalid_argument);
+  const std::vector<net::PacketRecord> one{{0.0, {}, 100}};
+  EXPECT_THROW(
+      (void)api::analyze(one, api::AnalysisConfig{}.delta_s(1e-300)),
+      std::invalid_argument);
 }
 
 TEST(PipelineConfig, PushWithoutSinkThrows) {
-  // Closed intervals leave through the partial sink only: a pipeline
-  // without one refuses its first push and names the setter.
-  api::AnalysisPipeline pipeline(api::AnalysisConfig{});
+  // Closed intervals leave through a sink only: an estimator without one
+  // refuses its first push and names the setter.
+  live::WindowedEstimator estimator(live::batch_windows({}));
   try {
-    push_one(pipeline, {0.0, {}, 100});
+    push_one(estimator, {0.0, {}, 100});
     FAIL() << "push without a sink did not throw";
   } catch (const std::logic_error& e) {
     EXPECT_NE(std::string(e.what()).find("set_partial_sink"),
@@ -233,23 +287,11 @@ TEST(PipelineConfig, PushWithoutSinkThrows) {
 }
 
 TEST(PipelineConfig, PushAfterFinishThrows) {
-  api::AnalysisPipeline pipeline(api::AnalysisConfig{});
-  (void)collect(pipeline);
-  push_one(pipeline, {0.0, {}, 100});
-  pipeline.finish();
-  EXPECT_THROW(push_one(pipeline, {1.0, {}, 100}), std::logic_error);
-}
-
-TEST(PipelineReport, KeepFlowsPopulatesInterval) {
-  const auto packets = seeded_trace(30.0, 6e6, 3);
-  api::AnalysisConfig config;
-  config.interval_s(30.0).keep_flows(true);
-  const auto reports = api::analyze(packets, config);
-  ASSERT_EQ(reports.size(), 1u);
-  EXPECT_EQ(reports[0].interval.flows.size(), reports[0].inputs.flows);
-  EXPECT_TRUE(std::is_sorted(reports[0].interval.flows.begin(),
-                             reports[0].interval.flows.end(),
-                             flow::ByStart{}));
+  live::WindowedEstimator estimator(live::batch_windows({}));
+  (void)collect_intervals(estimator, {});
+  push_one(estimator, {0.0, {}, 100});
+  estimator.finish();
+  EXPECT_THROW(push_one(estimator, {1.0, {}, 100}), std::logic_error);
 }
 
 TEST(PipelineReport, JsonContainsTheHeadlineNumbers) {
@@ -273,15 +315,19 @@ TEST(PipelineReport, JsonContainsTheHeadlineNumbers) {
 
 TEST(PipelineSummary, MatchesTraceTotals) {
   const auto packets = seeded_trace();
-  api::AnalysisPipeline pipeline(api::AnalysisConfig{});
-  (void)collect(pipeline);
-  push_all(pipeline, packets);
-  pipeline.finish();
+  auto eng = testsupport::sharded_engine(api::AnalysisConfig{}, 1, 1);
+  (void)testsupport::collect(*eng);
+  push_all(*eng, packets);
+  eng->finish();
   std::uint64_t total_bytes = 0;
   for (const auto& p : packets) total_bytes += p.size_bytes;
-  EXPECT_EQ(pipeline.summary().packets, packets.size());
-  EXPECT_EQ(pipeline.summary().total_bytes, total_bytes);
-  EXPECT_EQ(pipeline.summary().last_ts, packets.back().timestamp);
+  EXPECT_EQ(eng->summary().packets, packets.size());
+  EXPECT_EQ(eng->summary().total_bytes, total_bytes);
+  EXPECT_EQ(eng->summary().last_ts, packets.back().timestamp);
+  const auto links = eng->links();
+  ASSERT_EQ(links.size(), 1u);
+  EXPECT_EQ(links[0].counters.packets, packets.size());
+  EXPECT_EQ(links[0].counters.bytes, total_bytes);
 }
 
 }  // namespace

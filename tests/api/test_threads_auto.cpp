@@ -54,7 +54,7 @@ TEST(ThreadsAuto, ResolveThreadsBoundsExplicitCounts) {
                std::invalid_argument);
 
   engine::EngineConfig config;
-  config.analysis = base_config();
+  config.live.analysis = base_config();
   config.shards = api::kMaxThreads;
   EXPECT_NO_THROW(engine::Engine{config});
   config.shards = api::kMaxThreads + 1;
@@ -67,31 +67,30 @@ TEST(ThreadsAuto, ResolveThreadsBoundsExplicitCounts) {
 TEST(ThreadsAuto, AutoDetectedPipelineMatchesSerialBitForBit) {
   const auto packets = small_trace();
 
-  api::AnalysisPipeline serial(base_config());
-  const auto serial_reports = testsupport::collect(serial);
-  push_all(serial, packets);
-  serial.finish();
-  const std::string expected =
-      api::to_json(serial.summary(), serial_reports->take());
-
-  // Auto shards on auto workers: one per core, each.
+  // One shard inline, then auto shards on auto workers: one per core,
+  // each.
+  const auto render = [&](std::size_t n) {
+    auto eng = testsupport::sharded_engine(base_config(), n, n);
+    const auto eng_reports = testsupport::collect(*eng);
+    push_all(*eng, packets);
+    eng->finish();
+    std::vector<api::AnalysisReport> reports;
+    for (auto& r : eng_reports->take()) {
+      reports.push_back(std::move(*r.interval));
+    }
+    return api::to_json(eng->summary(), reports);
+  };
+  const std::string expected = render(1);
   auto autodetect = testsupport::sharded_engine(base_config(), 0, 0);
-  const auto autodetect_reports = testsupport::collect(*autodetect);
   EXPECT_EQ(autodetect->config().shards, api::resolve_threads(0));
   EXPECT_EQ(autodetect->config().threads, api::resolve_threads(0));
-  push_all(*autodetect, packets);
-  autodetect->finish();
-  std::vector<api::AnalysisReport> reports;
-  for (auto& r : autodetect_reports->take()) {
-    reports.push_back(std::move(*r.interval));
-  }
-  EXPECT_EQ(api::to_json(autodetect->summary(), reports), expected);
+  EXPECT_EQ(render(0), expected);
 }
 
 TEST(ThreadsAuto, EngineAcceptsThreadsZero) {
   engine::EngineConfig config;
   config.mode = engine::EngineMode::batch;
-  config.analysis = base_config();
+  config.live.analysis = base_config();
   config.threads = 0;  // auto — previously rejected with invalid_argument
 
   engine::Engine eng(config);

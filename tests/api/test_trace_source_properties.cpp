@@ -73,8 +73,8 @@ TEST(TraceSourceProperties, SyntheticSourceTimestampsNeverDecrease) {
 }
 
 TEST(TraceSourceProperties, BytesConservedFromSourceThroughPipelines) {
-  // The same packets, counted three ways: straight off the source, by the
-  // serial pipeline's summary, and by the sharded pipeline's summary. All
+  // The same packets, counted three ways: straight off the source, by a
+  // lone estimator's counters, and by a sharded engine link's summary. All
   // must agree exactly — bytes are integers, nothing may leak.
   auto direct = model_source();
   const auto totals = drain_checking_order(direct);
@@ -84,11 +84,11 @@ TEST(TraceSourceProperties, BytesConservedFromSourceThroughPipelines) {
   config.interval_s(5.0).timeout_s(1.0);
 
   auto for_serial = model_source();
-  api::AnalysisPipeline serial(config);
-  (void)testsupport::collect(serial);
-  serial.consume(for_serial);
-  EXPECT_EQ(serial.summary().packets, totals.packets);
-  EXPECT_EQ(serial.summary().total_bytes, totals.bytes);
+  live::WindowedEstimator serial(live::batch_windows(config));
+  (void)testsupport::collect_intervals(serial, config);
+  (void)serial.consume(for_serial);
+  EXPECT_EQ(serial.counters().packets, totals.packets);
+  EXPECT_EQ(serial.counters().bytes, totals.bytes);
 
   auto for_parallel = model_source();
   auto parallel = testsupport::sharded_engine(config, 4, 4);
@@ -144,18 +144,21 @@ TEST(TraceSourceProperties, ModelSourceSeedReproducibility) {
 }
 
 TEST(TraceSourceProperties, SeedReproducibilitySurvivesThePipeline) {
-  // End to end: two pipelines fed from two same-seed sources produce
+  // End to end: two engines fed from two same-seed sources produce
   // byte-identical JSON (the golden test's premise, proven here from the
   // source side).
   api::AnalysisConfig config;
   config.interval_s(5.0).timeout_s(1.0);
   const auto run = [&config](std::uint64_t seed) {
     auto source = model_source(seed);
-    api::AnalysisPipeline pipeline(config);
-    const auto pipeline_reports = testsupport::collect(pipeline);
-    pipeline.consume(source);
-    const auto reports = pipeline_reports->take();
-    return api::to_json(pipeline.summary(), reports);
+    auto eng = testsupport::sharded_engine(config, 1, 1);
+    const auto eng_reports = testsupport::collect(*eng);
+    (void)eng->consume(source);
+    std::vector<api::AnalysisReport> reports;
+    for (auto& r : eng_reports->take()) {
+      reports.push_back(std::move(*r.interval));
+    }
+    return api::to_json(eng->summary(), reports);
   };
   EXPECT_EQ(run(55), run(55));
   EXPECT_NE(run(55), run(56));

@@ -37,7 +37,7 @@ net::PacketRecord packet(double ts, net::Ipv4Address dst,
 engine::EngineConfig batch_config() {
   engine::EngineConfig config;
   config.mode = engine::EngineMode::batch;
-  config.analysis.interval_s(10.0).timeout_s(1.0).min_flows(0);
+  config.live.analysis.interval_s(10.0).timeout_s(1.0).min_flows(0);
   return config;
 }
 
@@ -218,13 +218,13 @@ TEST(Engine, DetachedPrefixBecomesClaimable) {
 
 TEST(Engine, PerLinkOverridesLayerOverBase) {
   engine::EngineConfig config = batch_config();
-  config.analysis.min_flows(100);  // base suppresses everything
+  config.live.analysis.min_flows(100);  // base suppresses everything
   engine::Engine eng(config);
   const auto eng_reports = testsupport::collect(eng);
   engine::LinkSpec verbose;
   verbose.name = "verbose";
   verbose.rule = engine::MatchAll{};
-  verbose.tune_analysis = [](api::AnalysisConfig& cfg) { cfg.min_flows(0); };
+  verbose.tune_live = [](live::LiveConfig& cfg) { cfg.analysis.min_flows(0); };
   (void)eng.attach(verbose);
   (void)eng.attach(engine::parse_link_spec("quiet=all"));
 
@@ -270,7 +270,9 @@ TEST(Engine, InvalidLayeredConfigRejectedAtAttach) {
   engine::Engine eng(batch_config());
   engine::LinkSpec broken;
   broken.name = "broken";
-  broken.tune_analysis = [](api::AnalysisConfig& cfg) { cfg.timeout_s(-1.0); };
+  broken.tune_live = [](live::LiveConfig& cfg) {
+    cfg.analysis.timeout_s(-1.0);
+  };
   EXPECT_THROW((void)eng.attach(broken), std::invalid_argument);
   EXPECT_EQ(eng.link_count(), 0u);
 }

@@ -256,7 +256,7 @@ void run_batch_differential(const std::vector<LinkDef>& links,
 
   engine::EngineConfig config;
   config.mode = engine::EngineMode::batch;
-  config.analysis = batch_config();
+  config.live.analysis = batch_config();
   config.threads = threads;
   config.shards = shards;
   auto got = engine_streams(config, links, packets, cut, detach);

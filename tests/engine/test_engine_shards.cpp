@@ -41,10 +41,9 @@ engine::EngineConfig base_config(bool live_mode, double stride = 0.0) {
   engine::EngineConfig config;
   config.mode =
       live_mode ? engine::EngineMode::live : engine::EngineMode::batch;
-  config.analysis.interval_s(6.0).timeout_s(1.5).min_flows(0);
+  config.live.analysis.interval_s(6.0).timeout_s(1.5).min_flows(0);
   config.live.window_s = 6.0;
   config.live.stride_s = stride;
-  config.live.analysis.timeout_s(1.5);
   return config;
 }
 
@@ -149,9 +148,8 @@ TEST(EngineShards, SingleFlowLinkReportsBeforeFinish) {
       SCOPED_TRACE(std::string(live_mode ? "live" : "batch") + ", " +
                    std::to_string(threads) + " threads");
       engine::EngineConfig config = base_config(live_mode);
-      config.analysis.interval_s(1.0).timeout_s(0.5);
+      config.live.analysis.interval_s(1.0).timeout_s(0.5);
       config.live.window_s = 1.0;
-      config.live.analysis.timeout_s(0.5);
       config.shards = 4;
       config.threads = threads;
       engine::Engine eng(config);

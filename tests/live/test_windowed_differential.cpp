@@ -1,14 +1,12 @@
-// The differential proof behind fbm::live (ISSUE 4 acceptance): replaying a
-// finished trace through live::WindowedEstimator reproduces — bit for bit —
-// the parameters an offline batch fit computes on each window's packets in
-// isolation. Two independent references:
+// The differential proof behind fbm::live: replaying a finished trace
+// through live::WindowedEstimator reproduces — bit for bit — the parameters
+// an offline batch fit computes on each window's packets in isolation.
 //
-//  1. For any window/stride: the PR-1 batch primitives (FlowClassifier fed
-//     the window's packets, estimate_inputs, measure_rate, fit_power_b,
+//  1. For any window/stride: the batch primitives (FlowClassifier fed the
+//     window's packets, estimate_inputs, measure_rate, fit_power_b,
 //     plan_link) run per window on a filtered copy of the trace.
-//  2. For tiling windows (stride == width): the full api::analyze()
-//     pipeline, serial and sharded, whose intervals are exactly the live
-//     windows.
+//  2. For tiling windows (stride == width): api::analyze and a sharded
+//     batch engine link, whose intervals are exactly the live windows.
 //
 // Both run across both flow definitions and multiple window/stride shapes
 // (tiling, overlapping, gapped), and over the bundled flood scenario, where
@@ -181,90 +179,52 @@ TEST(WindowedDifferential, GappedPrefix24) {
                                         9.0);
 }
 
-/// With tiling windows the live reports must line up with the streaming
-/// analysis pipeline's intervals — a completely independent implementation
-/// (boundary-splitting classifier, watermark-driven interval closing).
-///
-/// The two differ, by design, on exactly one class of record: a one-packet
-/// piece of a flow split at an interval boundary. The pipeline keeps it
-/// (the paper discards single-packet FLOWS, not pieces); an isolated
-/// window cannot know its flow continued across the edge and drops it as a
-/// single. So the pinned relationship is: the live flow population equals
-/// the pipeline interval's multi-packet pieces, bit for bit — proven by
-/// recomputing the model inputs over that filtered set with the PR-1
-/// primitives and demanding bitwise equality with the live inputs. The
-/// measured moments and downstream fit of the live window are pinned
-/// bitwise against the isolation reference by the Tiling* tests above.
-/// `pipeline_reports` come from intervals of the live window's width with
-/// keep_flows set.
-void expect_matches_pipeline(
+/// With tiling windows a live window is a batch interval: the live reports
+/// and the batch reports of intervals of the window's width agree on every
+/// shared field, bit for bit (the batch report differs in rendering only).
+/// The tool-level twin is the fbm_analyze/fbm_live differential in
+/// tests/tools/test_tools.sh.
+void expect_matches_batch(
     const std::vector<live::WindowReport>& live_reports,
-    const std::vector<api::AnalysisReport>& pipeline_reports) {
-  std::size_t single_pieces_total = 0;
-  ASSERT_EQ(live_reports.size(), pipeline_reports.size());
+    const std::vector<api::AnalysisReport>& batch_reports) {
+  ASSERT_EQ(live_reports.size(), batch_reports.size());
   for (std::size_t i = 0; i < live_reports.size(); ++i) {
     SCOPED_TRACE(i);
     const auto& l = live_reports[i];
-    const auto& p = pipeline_reports[i];
-    EXPECT_EQ(p.interval_index, l.window_index);
-    EXPECT_EQ(p.start_s, l.start_s);
-
-    // The pipeline's surviving one-packet records are all boundary pieces
-    // of multi-packet flows; dropping them must reproduce the isolated
-    // window's flow population exactly.
-    flow::IntervalData filtered;
-    filtered.start = p.interval.start;
-    filtered.length = p.interval.length;
-    for (const auto& f : p.interval.flows) {
-      if (f.packets >= 2) {
-        filtered.flows.push_back(f);
-      } else {
-        ++single_pieces_total;
-      }
-    }
-    const auto inputs = flow::estimate_inputs(filtered);
-    EXPECT_EQ(inputs.flows, l.inputs.flows);
-    EXPECT_EQ(inputs.lambda, l.inputs.lambda);
-    EXPECT_EQ(inputs.mean_size_bits, l.inputs.mean_size_bits);
-    EXPECT_EQ(inputs.mean_s2_over_d, l.inputs.mean_s2_over_d);
+    const auto& b = batch_reports[i];
+    EXPECT_EQ(b.interval_index, l.window_index);
+    EXPECT_EQ(b.start_s, l.start_s);
+    EXPECT_EQ(b.length_s, l.width_s);
+    EXPECT_EQ(b.inputs.flows, l.inputs.flows);
+    EXPECT_EQ(b.inputs.lambda, l.inputs.lambda);
+    EXPECT_EQ(b.inputs.mean_size_bits, l.inputs.mean_size_bits);
+    EXPECT_EQ(b.inputs.mean_s2_over_d, l.inputs.mean_s2_over_d);
+    EXPECT_EQ(b.measured.samples, l.measured.samples);
+    EXPECT_EQ(b.measured.mean_bps, l.measured.mean_bps);
+    EXPECT_EQ(b.measured.variance_bps2, l.measured.variance_bps2);
+    EXPECT_EQ(b.measured.cov, l.measured.cov);
+    EXPECT_EQ(b.shot_b, l.shot_b);
+    EXPECT_EQ(b.shot_b_used, l.shot_b_used);
+    EXPECT_EQ(b.model_cov, l.model_cov);
+    EXPECT_EQ(b.plan.capacity_bps, l.plan.capacity_bps);
+    EXPECT_EQ(b.plan.headroom, l.plan.headroom);
   }
-  // The trace has flows straddling window edges, so the relationship above
-  // is exercised, not vacuous.
-  EXPECT_GT(single_pieces_total, 0u);
 }
 
-void run_vs_pipeline(api::FlowDefinition def, std::size_t shards) {
+TEST(WindowedDifferential, MatchesShardedPipeline) {
   const auto packets = seeded_trace();
-  const double width = 10.0;
-
   live::LiveConfig config;
-  config.window_s = width;
-  config.analysis.flow_definition(def).timeout_s(10.0);
+  config.window_s = 10.0;
+  config.analysis.timeout_s(10.0);
   live::WindowedEstimator estimator(config);
   const auto estimator_reports = testsupport::collect(estimator);
   push_all(estimator, packets);
   estimator.finish();
 
   api::AnalysisConfig batch = config.analysis;
-  batch.interval_s(width).keep_flows(true);
-  auto source = api::make_vector_source(packets);
-  expect_matches_pipeline(
-      estimator_reports->take(),
-      shards == 1
-          ? api::analyze(*source, batch)
-          : testsupport::sharded_analyze(packets, batch, shards, shards));
-}
-
-TEST(WindowedDifferential, MatchesSerialPipelineFiveTuple) {
-  run_vs_pipeline(api::FlowDefinition::five_tuple, 1);
-}
-
-TEST(WindowedDifferential, MatchesSerialPipelinePrefix24) {
-  run_vs_pipeline(api::FlowDefinition::prefix24, 1);
-}
-
-TEST(WindowedDifferential, MatchesShardedPipeline) {
-  run_vs_pipeline(api::FlowDefinition::five_tuple, 4);
+  batch.interval_s(config.window_s);
+  expect_matches_batch(estimator_reports->take(),
+                       testsupport::sharded_analyze(packets, batch, 4, 4));
 }
 
 /// The flood scenario at the perfbench ddos settings (1 s timeout): a table
@@ -304,8 +264,8 @@ void run_flood(double width, double stride) {
     }
     if (stride == width) {
       api::AnalysisConfig batch = config.analysis;
-      batch.interval_s(width).keep_flows(true).batch_packets(batch_size);
-      expect_matches_pipeline(reports, api::analyze(packets, batch));
+      batch.interval_s(width).batch_packets(batch_size);
+      expect_matches_batch(reports, api::analyze(packets, batch));
     }
   }
 }

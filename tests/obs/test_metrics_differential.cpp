@@ -49,8 +49,7 @@ std::string analysis_bytes(const std::vector<net::PacketRecord>& packets,
   config.flow_definition(def)
       .interval_s(15.0)
       .timeout_s(1.0)
-      .min_flows(0)
-      .keep_flows(true);
+      .min_flows(0);
   std::string out;
   for (const auto& report :
        shards == 1

@@ -1,8 +1,8 @@
 // Sink-collecting helpers for the stage tests. Every analysis stage
-// (AnalysisPipeline, WindowedEstimator, Engine) hands what it closes to a
-// sink; collect() sets one that keeps every report, in emission order, for
-// the test to take. A pipeline's partials are fitted as api::analyze fits
-// them (api::finalize_interval, min_flows included).
+// (WindowedEstimator, Engine) hands what it closes to a sink; collect()
+// sets one that keeps every report, in emission order, for the test to
+// take. collect_intervals() fits an estimator's partials as api::analyze
+// fits them (api::finalize_interval, min_flows included).
 #pragma once
 
 #include <cstddef>
@@ -42,17 +42,19 @@ class Collected {
   std::vector<Report> reports_;
 };
 
-/// Sets `pipeline`'s partial sink to fit each interval it closes. The sink
-/// shares ownership of the result, so either may outlive the other.
-[[nodiscard]] inline std::shared_ptr<Collected<api::AnalysisReport>> collect(
-    api::AnalysisPipeline& pipeline) {
+/// Sets `estimator`'s partial sink to fit each interval it closes under
+/// the batch `config` (the estimator's windows must be
+/// live::batch_windows(config)). The sink shares ownership of the result,
+/// so either may outlive the other.
+[[nodiscard]] inline std::shared_ptr<Collected<api::AnalysisReport>>
+collect_intervals(live::WindowedEstimator& estimator,
+                  const api::AnalysisConfig& config) {
   auto out = std::make_shared<Collected<api::AnalysisReport>>();
-  pipeline.set_partial_sink(
-      [out, config = pipeline.config()](api::WindowPartial&& raw) {
-        if (auto report = api::finalize_interval(config, std::move(raw))) {
-          out->add(std::move(*report));
-        }
-      });
+  estimator.set_partial_sink([out, config](api::WindowPartial&& raw) {
+    if (auto report = api::finalize_interval(config, raw)) {
+      out->add(std::move(*report));
+    }
+  });
   return out;
 }
 

@@ -1,7 +1,6 @@
 // Batch-feeding helpers for the stage tests. Every analysis stage
-// (AnalysisPipeline, WindowedEstimator, Engine)
-// ingests through push_batch only; these cut an in-memory packet vector
-// into the batches a test wants.
+// (WindowedEstimator, Engine) ingests through push_batch only; these cut an
+// in-memory packet vector into the batches a test wants.
 #pragma once
 
 #include <algorithm>

@@ -23,7 +23,7 @@ inline std::unique_ptr<engine::Engine> sharded_engine(
     std::size_t threads) {
   engine::EngineConfig ec;
   ec.mode = engine::EngineMode::batch;
-  ec.analysis = config;
+  ec.live.analysis = config;
   ec.shards = shards;
   ec.threads = threads;
   auto eng = std::make_unique<engine::Engine>(ec);

@@ -6,6 +6,12 @@
 # - fbm_analyze reproduces the golden JSON;
 # - untagged fbm_analyze (one link of N flow-hash shards) writes the same
 #   table, JSON, partial file and report store at --threads 1, 3 and 0;
+# - a batch interval is a tiling window: fbm_analyze --interval W and
+#   fbm_live --window W agree exactly on every shared field of every
+#   interval (flows, lambda, E[S], E[S^2/D], measured moments, b, capacity)
+#   for W in {4, 5} at --threads 1 and 3;
+# - a negative timestamp makes fbm_analyze (with and without --interval)
+#   and fbm_live exit 1 with an error naming it;
 # - fbm_live without --link equals --link 'all=*' with the link field
 #   stripped, for tiling and overlapping windows at --threads 1 and 3;
 # - fbm_live --metrics-prom ends with the same per-link packet and report
@@ -57,6 +63,62 @@ for threads in 3 0; do
       fail "fbm_analyze --threads $threads: $f differs from --threads 1"
   done
 done
+# same_fields ANALYZE_JSON LIVE_JSONL: every interval of the fbm_analyze
+# document equals the fbm_live window of the same index, field by field.
+same_fields() {
+  python3 - "$1" "$2" <<'PY'
+import json
+import sys
+
+doc = json.load(open(sys.argv[1]))["intervals"]
+live = [json.loads(line) for line in open(sys.argv[2])]
+if not doc or len(doc) != len(live):
+    sys.exit(f"{len(doc)} intervals, {len(live)} windows")
+for a, w in zip(doc, live):
+    pairs = [
+        (a["interval_index"], w["window"]),
+        (a["start_s"], w["start_s"]),
+        (a["length_s"], w["width_s"]),
+        (a["inputs"]["flows"], w["flows"]["count"]),
+    ]
+    for key in ("lambda_per_s", "mean_size_bits",
+                "mean_s2_over_d_bits2_per_s"):
+        pairs.append((a["inputs"][key], w["flows"][key]))
+    for group in ("measured", "model", "provisioning"):
+        pairs += [(v, w[group][k]) for k, v in a[group].items()]
+    for got, want in pairs:
+        if got != want:
+            sys.exit(f"interval {a['interval_index']}: {got} != {want}")
+PY
+}
+for width in 4 5; do
+  for threads in 1 3; do
+    "$bin/fbm_analyze" t.fbmt --interval "$width" --timeout 1 --min-flows 0 \
+      --threads "$threads" --json > batch.json
+    "$bin/fbm_live" t.fbmt --window "$width" --timeout 1 \
+      --threads "$threads" --json > live.jsonl
+    same_fields batch.json live.jsonl ||
+      fail "fbm_analyze --interval $width != fbm_live --window $width" \
+        "(--threads $threads)"
+  done
+done
+
+# Timestamps must be non-negative: both tools refuse the trace and name the
+# offending timestamp.
+{
+  echo "timestamp,src,dst,sport,dport,proto,bytes"
+  echo "-0.25,10.0.0.1,10.0.0.2,1000,80,6,500"
+  echo "0.5,10.0.0.1,10.0.0.2,1000,80,6,500"
+} > negative.csv
+for run in "fbm_analyze negative.csv --interval 1" "fbm_analyze negative.csv" \
+  "fbm_live negative.csv --window 1"; do
+  rc=0
+  # shellcheck disable=SC2086  # $run holds the tool and its flags
+  "$bin/"$run > /dev/null 2> negative.err || rc=$?
+  test "$rc" -eq 1 && grep -q -- "-0.25" negative.err ||
+    fail "$run: a negative timestamp exited $rc: $(cat negative.err)"
+done
+
 for windows in "--window 5" "--window 10 --stride 4"; do
   # shellcheck disable=SC2086  # $windows holds two flags
   "$bin/fbm_live" t.fbmt $windows --timeout 1 --json > ref.jsonl

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "../support/collect.hpp"
+#include "../support/sharded.hpp"
 #include "api/api.hpp"
 #include "trace/pcap.hpp"
 #include "trace/trace_format.hpp"
@@ -93,7 +94,7 @@ TEST_F(TraceMalformedTest, FbmtTruncatedRecordThrowsMidStream) {
 }
 
 TEST_F(TraceMalformedTest, FbmtZeroLengthPacketSurvivesAnalysis) {
-  // A zero-byte datagram is odd but representable; the pipeline must carry
+  // A zero-byte datagram is odd but representable; the analysis must carry
   // it (0 bytes contributed) rather than crash or miscount.
   std::vector<net::PacketRecord> recs{packet(0.0, 0), packet(0.5, 0),
                                       packet(1.0, 700, 2000),
@@ -102,14 +103,14 @@ TEST_F(TraceMalformedTest, FbmtZeroLengthPacketSurvivesAnalysis) {
   auto source = api::open_trace(path("zero.fbmt"));
   api::AnalysisConfig config;
   config.interval_s(2.0).timeout_s(10.0);
-  api::AnalysisPipeline pipeline(config);
-  const auto pipeline_reports = testsupport::collect(pipeline);
-  pipeline.consume(*source);
-  EXPECT_EQ(pipeline.summary().packets, 4u);
-  EXPECT_EQ(pipeline.summary().total_bytes, 1400u);
-  const auto reports = pipeline_reports->take();
+  auto eng = testsupport::sharded_engine(config, 1, 1);
+  const auto eng_reports = testsupport::collect(*eng);
+  (void)eng->consume(*source);
+  EXPECT_EQ(eng->summary().packets, 4u);
+  EXPECT_EQ(eng->summary().total_bytes, 1400u);
+  const auto reports = eng_reports->take();
   ASSERT_EQ(reports.size(), 1u);
-  EXPECT_EQ(reports[0].inputs.flows, 2u);  // the zero-size flow counts too
+  EXPECT_EQ(reports[0].interval->inputs.flows, 2u);  // zero-size flow too
 }
 
 TEST_F(TraceMalformedTest, FbmtOutOfOrderTimestampsErrorNeverCrash) {
@@ -148,13 +149,12 @@ TEST_F(TraceMalformedTest, FbmtOutOfOrderTimestampsErrorNeverCrash) {
   }
 
   // The reader streams what the file says; the stages are the ordering
-  // gate and must reject, not crash — a pipeline and a sharded engine link
-  // alike.
+  // gate and must reject, not crash — a lone estimator and a sharded
+  // engine link alike.
   {
     auto source = api::open_trace(path("ooo.fbmt"));
-    api::AnalysisPipeline pipeline(api::AnalysisConfig{});
-    (void)testsupport::collect(pipeline);
-    EXPECT_THROW(pipeline.consume(*source), std::invalid_argument);
+    EXPECT_THROW((void)api::analyze(*source, api::AnalysisConfig{}),
+                 std::invalid_argument);
   }
   {
     auto source = api::open_trace(path("ooo.fbmt"));

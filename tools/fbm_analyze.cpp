@@ -7,9 +7,15 @@
 // or .csv. For each analysis interval the tool prints the three model
 // parameters, measured vs model mean and CoV, the fitted shot power b, and
 // a capacity recommendation; --json emits the same as one JSON document.
+// Without --interval one interval spans the trace: a first pass reads the
+// last timestamp and the source rewinds, so memory stays bounded.
 //
 // Every run goes through the multi-link engine (engine::Engine, batch
-// mode). Without --link it is one match-all link rendered untagged; --link
+// mode), whose links run fbm_live's estimator with tiling windows of the
+// interval: `--interval W` reports what `fbm_live --window W` reports, and
+// a one-packet piece of a flow at an interval edge is dropped as a
+// single-packet flow. Timestamps must be non-negative. Without --link it
+// is one match-all link rendered untagged; --link
 // (repeatable) demuxes the stream to one link per spec instead
 // (longest-prefix match across overlapping claims; NAME=all or NAME=* for a
 // match-all aggregate), each proven bit-for-bit equal to analyzing that
@@ -37,6 +43,7 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -91,33 +98,39 @@ Options parse_args(int argc, char** argv) {
 
 int run(const Options& opt, fbm::obs::MetricsExporter& metrics) {
   using namespace fbm;
-  // Whole-trace mode needs the horizon before the engine is configured.
-  // Since a single interval spans the entire capture anyway (the pipeline
-  // holds the whole window), buffer the packets while finding the horizon
-  // and analyze from memory — one read of the file, not two.
+  api::AnalysisConfig config;
+  opt.analysis.apply(config);
+  config.min_flows(static_cast<std::size_t>(opt.min_flows));
+  const auto source = api::open_trace(opt.path);
   double interval_s = opt.interval;
-  std::vector<net::PacketRecord> buffered;
   if (interval_s <= 0.0) {
-    buffered = api::read_all(*api::open_trace(opt.path));
-    if (buffered.empty()) return tools::no_packets(opt.path);
-    interval_s = buffered.back().timestamp + 1e-9;
+    // Whole-trace mode: one interval spanning the capture. A first pass
+    // finds the horizon, then the source rewinds for the analysis (read
+    // directly, so the source metrics count the analysis pass only).
+    net::PacketBatch batch;
+    double last_ts = 0.0;
+    std::uint64_t packets = 0;
+    while (source->next_batch(batch, config.batch_packets()) > 0) {
+      packets += batch.size();
+      last_ts = batch.timestamps.back();
+    }
+    if (packets == 0) return tools::no_packets(opt.path);
+    if (!source->reset()) throw std::runtime_error("cannot rewind " + opt.path);
+    interval_s = last_ts + 1e-9;
     if (!(interval_s > 0.0)) {
-      // The buffered trace ends at a negative or NaN timestamp, so it spans
-      // no positive horizon.
-      std::fprintf(stderr, "error: %s does not end at a positive timestamp\n",
-                   opt.path.c_str());
+      std::fprintf(stderr,
+                   "error: %s ends at timestamp %.17g; whole-trace mode "
+                   "needs a positive one\n",
+                   opt.path.c_str(), last_ts);
       return 1;
     }
   }
+  config.interval_s(interval_s);
 
-  api::AnalysisConfig config;
-  opt.analysis.apply(config);
-  config.interval_s(interval_s)
-      .min_flows(static_cast<std::size_t>(opt.min_flows));
   const bool tagged = !opt.analysis.links.empty();
   engine::EngineConfig engine_config;
   engine_config.mode = engine::EngineMode::batch;
-  engine_config.analysis = config;
+  engine_config.live.analysis = config;
   engine_config.threads = opt.analysis.threads;
   engine_config.shards = tagged ? 1 : opt.analysis.threads;
 
@@ -145,8 +158,6 @@ int run(const Options& opt, fbm::obs::MetricsExporter& metrics) {
   if (!opt.emit_partial.empty()) {
     writer = std::make_unique<agg::PartialWriter>(opt.emit_partial, meta);
   }
-  auto source = buffered.empty() ? api::open_trace(opt.path)
-                                 : api::make_vector_source(std::move(buffered));
   (void)api::read_batches(*source, config.batch_packets(),
                           [&](net::PacketBatch& b) {
                             tools::keep_shard(b, config.flow_definition(),
